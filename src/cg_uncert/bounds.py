@@ -35,7 +35,7 @@ from .relations import (
     conjugate_constant,
     verdict_from_margin,
 )
-from .specfun import _w_of_t, bin_profile_norm, ghf_var_shape, prolate_r00
+from .specfun import ProlateResult, _w_of_t, bin_profile_norm, ghf_var_shape, prolate_r00
 from .states import StateModel, momentum_density, position_density
 
 __all__ = [
@@ -96,15 +96,22 @@ def bound_B(delta_x: float, delta_p: float, hbar: float = 1.0,
     return conjugate_constant(alpha) - math.log(delta_x * delta_p / (math.pi * hbar))
 
 
+def _neg_log_lambda0(res: ProlateResult) -> float:
+    """-ln lambda_0 at full relative precision: from lambda_0 itself when it
+    is small (fine graining), from the deficit 1 - lambda_0 otherwise."""
+    if res.lambda0 < 0.5:
+        return -math.log(res.lambda0)
+    return -math.log1p(-res.lambda0_deficit)
+
+
 def bound_R(delta_x: float, delta_p: float, hbar: float = 1.0) -> float:
     """Coarse-graining entropy bound R = -ln lambda_0(c), c = dx dp/(4 hbar).
 
-    Positive for every width pair; computed from the eigenvalue deficit so
-    no precision is lost when lambda_0 is close to 1.
+    Positive for every width pair, and accurate both when lambda_0 is close
+    to 1 and in the fine-graining limit lambda_0 -> 0.
     """
     _check_widths(delta_x, delta_p, hbar)
-    c = delta_x * delta_p / (4.0 * hbar)
-    return -math.log1p(-prolate_r00(c).lambda0_deficit)
+    return _neg_log_lambda0(prolate_r00(delta_x * delta_p / (4.0 * hbar)))
 
 
 def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
@@ -114,7 +121,7 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
     b_alpha = bound_B(delta_x, delta_p, hbar, alpha)
     b_one = bound_B(delta_x, delta_p, hbar, 1.0)
     res = prolate_r00(delta_x * delta_p / (4.0 * hbar))
-    r = -math.log1p(-res.lambda0_deficit)
+    r = _neg_log_lambda0(res)
     # 2 max(b_one, r) = 2 b_one + ln g with ln g = max(0, 2 ln(2/e) - 4 ln R00)
     ln_g = max(0.0, 2.0 * math.log(2.0 / math.e) - 4.0 * math.log(res.r00_at_1))
     return BoundSet(delta_x=delta_x, delta_p=delta_p, hbar=hbar, alpha=alpha,
@@ -126,7 +133,7 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 # the M -> F -> K chain
 
 _M_SERIES_CUT = 1e-8
-_M_INV_ROOT = RootSpec(x_tol=1e-15, f_tol=1e-300, max_iter=200)
+_M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
 
 
 def func_M(t: float) -> float:

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
@@ -269,18 +268,10 @@ def _sweep_values(cfg: RunConfig) -> list:
 
 
 def _pmap(fn, xs):
-    """Parallel map preserving input order; CG_UNCERT_THREADS overrides."""
-    raw = os.environ.get("CG_UNCERT_THREADS", "")
-    try:
-        workers = int(raw) if raw else 0
-    except ValueError:
-        raise DescriptorError(f"CG_UNCERT_THREADS={raw!r} is not an integer") from None
-    if workers <= 0:
-        workers = min(8, os.cpu_count() or 1)
-    if workers == 1 or len(xs) < 4:
-        return [fn(x) for x in xs]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, xs))
+    """The rows of a sweep, in input order.  Run in one thread: the rows are
+    GIL-bound, so a thread pool made sweeps slower.  The name stays as the
+    per-row boundary that perfbench/tracing.py times."""
+    return [fn(x) for x in xs]
 
 
 # ---------------------------------------------------------------------------
@@ -299,29 +290,18 @@ def _write_table(cfg: RunConfig, header: list, rows: list, meta: dict) -> None:
         for k in sorted(meta):
             text_rows.append(f"# {k}={_fmt(meta[k])}\r\n")
         out = "".join(text_rows)
-        sink = _StringSink()
+        sink = io.StringIO()
         w = csv.writer(sink)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
-        payload = out + sink.text()
+        payload = out + sink.getvalue()
     else:
         doc = {"meta": {k: meta[k] for k in sorted(meta)}, "columns": header,
                "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
                          for v in row] for row in rows]}
         payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     _emit(cfg.out, payload)
-
-
-class _StringSink:
-    def __init__(self):
-        self._parts = []
-
-    def write(self, s):
-        self._parts.append(s)
-
-    def text(self):
-        return "".join(self._parts)
 
 
 def _emit(path: Optional[str], payload: str) -> None:
@@ -399,7 +379,8 @@ def _axis_sample(density, width, offset, n, seed, alpha, exact_binned):
                       "renyi_alpha": discrete_renyi(b, alpha)}
     per_bin = []
     chi2 = 0.0
-    keys = sorted(set(exact_binned.probs) | set(emp.probs))
+    j_emp, p_emp = emp.arrays()
+    keys = sorted(set(exact_binned.probs) | set(j_emp[p_emp > 0.0].tolist()))
     for jj in keys:
         p = exact_binned.probs.get(jj, 0.0)
         observed = int(round(emp.probs.get(jj, 0.0) * n))
@@ -503,7 +484,8 @@ _RUNNERS = {"bounds": cmd_bounds, "kfun": cmd_kfun, "check": cmd_check,
             "region": cmd_region, "sample": cmd_sample}
 
 _INPUT_ERRORS = (DescriptorError, DomainError, WidthMismatch, ValueError)
-_NUMERIC_ERRORS = (NonConvergence, Divergent, InvalidBracket, TailBudgetExceeded)
+# ArithmeticError: an overflow or division by zero inside the numerics
+_NUMERIC_ERRORS = (NonConvergence, Divergent, InvalidBracket, TailBudgetExceeded, ArithmeticError)
 
 
 def main(argv=None) -> int:

@@ -14,8 +14,8 @@ with center z_j = offset + j eta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -105,45 +105,89 @@ def truncated_gaussian(eta: float, a: float) -> GhfSpec:
     return GhfSpec(TRUNCATED_GAUSSIAN, eta, a)
 
 
-@dataclass(frozen=True)
+class _BinView(Mapping):
+    """Read-only bin index -> probability view over stored masses; it covers
+    every stored bin, interior zeros included."""
+
+    def __init__(self, j_min: int, p: np.ndarray):
+        self._j_min, self._p = j_min, p
+
+    def __getitem__(self, j):
+        i = j - self._j_min if isinstance(j, (int, np.integer)) else -1
+        if 0 <= i < self._p.size:
+            return float(self._p[i])
+        raise KeyError(j)
+
+    def __iter__(self):
+        return iter(range(self._j_min, self._j_min + self._p.size))
+
+    def __len__(self) -> int:
+        return self._p.size
+
+    def values(self) -> list:
+        return self._p.tolist()
+
+    def items(self) -> list:
+        return list(zip(self, self._p.tolist()))
+
+
+@dataclass(frozen=True, eq=False)
 class BinnedDistribution:
+    """Bin masses on the grid (width, offset): masses[i] is the probability of
+    bin j_min + i.  Built from j_min and masses, or from a probs dict (bin index
+    -> probability, converted once); probs is then a read-only view of masses."""
+
     width: float
     offset: float
-    probs: dict  # bin index -> probability
-    tail_mass: float
+    probs: Mapping = field(default=None, repr=False)
+    tail_mass: float = 0.0
+    j_min: int = 0
+    masses: np.ndarray = None
 
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError(f"width must be positive and finite, got {self.width}")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        if not self.probs:
+        j_min, p = int(self.j_min), self.masses
+        if self.probs is not None:
+            if p is not None:
+                raise ValueError("pass probs or masses, not both")
+            if self.probs:
+                j = np.fromiter(map(int, self.probs), np.int64, len(self.probs))
+                j_min = int(j.min())
+                if j.max() - j_min >= MAX_BINS:
+                    raise ValueError(f"bins span more than {MAX_BINS} indices")
+                p = np.zeros(int(j.max()) - j_min + 1)
+                p[j - j_min] = np.fromiter(self.probs.values(), float, j.size)
+        p = np.asarray(() if p is None else p, dtype=float)
+        if p.ndim != 1 or p.size == 0:
             raise ValueError("need at least one bin")
-        cleaned = {}
-        for j, p in self.probs.items():
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} in bin {j}")
-            cleaned[int(j)] = max(float(p), 0.0)
-        object.__setattr__(self, "probs", cleaned)
+        neg = np.flatnonzero(p < -1e-12)
+        if neg.size:
+            raise ValueError(f"negative probability {p[neg[0]]} in bin {j_min + neg[0]}")
+        p, j = np.maximum(p, 0.0), np.arange(j_min, j_min + p.size, dtype=np.int64)
+        p.flags.writeable = j.flags.writeable = False
         tail = float(self.tail_mass)
         if tail < -1e-12:
             raise ValueError(f"negative tail mass {tail}")
         tail = max(tail, 0.0)
         if tail > EPS_TAIL + 1e-12:
             raise ValueError(f"tail mass {tail} exceeds the budget {EPS_TAIL}")
-        object.__setattr__(self, "tail_mass", tail)
-        total = math.fsum(cleaned.values()) + tail
-        if abs(total - 1.0) > 1e-9 + 1e-12:
+        total = math.fsum(p.tolist()) + tail
+        if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
+        for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
+                            ("probs", _BinView(j_min, p)), ("_j", j)):
+            object.__setattr__(self, name, value)
 
     def center(self, j: int) -> float:
         return self.offset + j * self.width
 
     def arrays(self) -> tuple:
-        """(bin indices, probabilities) as aligned numpy arrays."""
-        j = np.array(sorted(self.probs), dtype=np.int64)
-        p = np.array([self.probs[int(i)] for i in j], dtype=float)
-        return j, p
+        """(bin indices, probabilities) as aligned read-only numpy arrays,
+        the stored ones: every call returns the same two objects."""
+        return self._j, self.masses
 
 
 @dataclass(frozen=True)
@@ -158,20 +202,14 @@ class ReconstructedPdf:
         if abs(self.ghf.eta - self.base.width) > 1e-12 * self.base.width:
             raise WidthMismatch(
                 f"profile width {self.ghf.eta} != grid width {self.base.width}")
-        j, p = self.base.arrays()
-        jmin, jmax = int(j[0]), int(j[-1])
-        dense = np.zeros(jmax - jmin + 1)
-        dense[j - jmin] = p
-        object.__setattr__(self, "_jmin", jmin)
-        object.__setattr__(self, "_dense", dense)
 
     def eval(self, x):
         b, g = self.base, self.ghf
         x = np.asarray(x, dtype=float)
         j = np.floor((x - b.offset) / b.width + 0.5).astype(np.int64)
-        idx = j - self._jmin
-        valid = (idx >= 0) & (idx < self._dense.size)
-        pj = np.where(valid, self._dense[np.clip(idx, 0, self._dense.size - 1)], 0.0)
+        idx = j - b.j_min
+        valid = (idx >= 0) & (idx < b.masses.size)
+        pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
         if g.family == RECTANGLE:
             return pj / g.eta
         v = (x - (b.offset + j * b.width)) / g.eta
@@ -251,10 +289,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
     lo_s, hi_s = d.support
-    cuts = sorted(d.discontinuities)
-
-    def j_of(x: float) -> int:
-        return int(math.floor((x - offset) / eta + 0.5))
+    cuts = np.sort(np.asarray(d.discontinuities, dtype=float))
 
     for x0 in (d.known_mean,
                0.5 * (lo_s + hi_s) if math.isfinite(lo_s) and math.isfinite(hi_s) else None,
@@ -262,81 +297,63 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
         if x0 is not None and math.isfinite(x0):
             break
 
-    def is_clean(j: int) -> bool:
-        a = offset + (j - 0.5) * eta
-        b = a + eta
-        if a < lo_s or b > hi_s:
-            return False
-        return not any(a < c < b for c in cuts)
-
-    def masses_for(js: list) -> dict:
-        out = {}
-        clean = [j for j in js if is_clean(j)]
-        if clean:
-            vals = _clean_block_masses(d, np.array(clean, dtype=np.int64), eta, offset, spec)
-            out.update(zip(clean, (float(v) for v in vals)))
-        for j in js:
-            if j not in out:
-                out[j] = _single_bin_mass(d, j, eta, offset, cuts, spec)
+    def masses_for(j_lo: int, n: int) -> np.ndarray:
+        """Masses of bins j_lo .. j_lo + n - 1: clean bins (inside the support,
+        no cut strictly inside) by one panel-rule call, the rest one by one."""
+        js = np.arange(j_lo, j_lo + n, dtype=np.int64)
+        a, b = _bin_edges(js, eta, offset)
+        clean = ((a >= lo_s) & (b <= hi_s)
+                 & (np.searchsorted(cuts, a, "right") == np.searchsorted(cuts, b, "left")))
+        out = np.empty(n)
+        if clean.any():
+            out[clean] = _clean_block_masses(d, js[clean], eta, offset, spec)
+        for i in np.flatnonzero(~clean):
+            out[i] = _single_bin_mass(d, int(js[i]), eta, offset, cuts, spec)
         return out
 
-    j0 = j_of(x0)
-    seeds = [j0 - 1, j0, j0 + 1]
-    masses = masses_for(seeds)
-    start = max(seeds, key=lambda j: masses[j])
-    # re-anchor on the seed trio's heaviest and grow outward from it
-    jl = j0 - 1
-    jr = j0 + 1
-    cum = math.fsum(masses.values())
+    j0 = int(math.floor((x0 - offset) / eta + 0.5))
+    # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
+    seed = masses_for(j0 - 1, 3)
+    start = j0 - 1 + int(np.argmax(seed))
+    left, right = [], []
+    jl, jr = j0 - 1, j0 + 1
+    cum = math.fsum(seed.tolist())
     block_l = block_r = 16
-    left_open = True
-    right_open = True
+    left_open = right_open = True
     target = 1.0 - EPS_TAIL
     while cum < target:
         if not (left_open or right_open):
             raise NonConvergence(
                 f"binning stalled at cumulative mass {cum!r}; density may not "
                 f"be normalized")
-        if len(masses) > MAX_BINS:
+        if jr - jl + 1 > MAX_BINS:
             raise TailBudgetExceeded(
                 f"more than {MAX_BINS} bins needed to reach 1 - {EPS_TAIL}")
-        grew = False
         if left_open:
-            js = list(range(jl - block_l, jl))
-            edge_hi = offset + (jl - 0.5) * eta  # right edge of the new block
-            if edge_hi <= lo_s:
+            if offset + (jl - 0.5) * eta <= lo_s:  # right edge of the new block
                 left_open = False
             else:
-                new = masses_for(js)
-                masses.update(new)
-                cum += math.fsum(new.values())
                 jl -= block_l
+                left.append(masses_for(jl, block_l))
+                cum += math.fsum(left[-1].tolist())
                 block_l = min(block_l * 2, 8192)
-                grew = True
         if cum >= target:
             break
         if right_open:
-            js = list(range(jr + 1, jr + 1 + block_r))
-            edge_lo = offset + (jr + 0.5) * eta  # left edge of the new block
-            if edge_lo >= hi_s:
+            if offset + (jr + 0.5) * eta >= hi_s:  # left edge of the new block
                 right_open = False
             else:
-                new = masses_for(js)
-                masses.update(new)
-                cum += math.fsum(new.values())
+                right.append(masses_for(jr + 1, block_r))
+                cum += math.fsum(right[-1].tolist())
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
-                grew = True
-        if not grew and not (left_open or right_open):
-            continue  # loop guard above raises
-    # drop empty bins at the extremes, keep interior zeros
-    keys = sorted(masses)
-    while keys and masses[keys[0]] <= 0.0 and keys[0] != start:
-        del masses[keys.pop(0)]
-    while keys and masses[keys[-1]] <= 0.0 and keys[-1] != start:
-        del masses[keys.pop()]
-    return BinnedDistribution(width=eta, offset=offset, probs=masses,
-                              tail_mass=max(0.0, 1.0 - cum))
+    masses = np.concatenate(left[::-1] + [seed] + right)
+    # drop empty bins at the extremes, keep interior zeros and the heaviest seed
+    kept = np.flatnonzero(masses > 0.0)
+    lo = min(int(kept[0]), start - jl)
+    hi = max(int(kept[-1]), start - jl)
+    return BinnedDistribution(width=eta, offset=offset, j_min=jl + lo,
+                              masses=masses[lo:hi + 1], tail_mass=max(0.0, 1.0 - cum))
 
 
 # ---------------------------------------------------------------------------
@@ -444,6 +461,6 @@ def sample_counts(d: Density1D, eta: float, offset: float, n: int,
     u = rng.random(n)
     x = np.interp(u, cdf, xs)
     j = np.floor((x - offset) / eta + 0.5).astype(np.int64)
-    idx, counts = np.unique(j, return_counts=True)
-    probs = {int(i): float(c) / n for i, c in zip(idx, counts)}
-    return BinnedDistribution(width=eta, offset=offset, probs=probs, tail_mass=0.0)
+    j_min = int(j.min())
+    return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
+                              masses=np.bincount(j - j_min) / n, tail_mass=0.0)

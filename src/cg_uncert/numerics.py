@@ -57,12 +57,11 @@ class QuadSpec:
 @dataclass(frozen=True)
 class RootSpec:
     x_tol: float = 1e-13  # relative bracket width
-    f_tol: float = 1e-13
     max_iter: int = 200
 
     def __post_init__(self):
-        if not (self.x_tol > 0 and self.f_tol > 0):
-            raise ValueError("root tolerances must be strictly positive")
+        if not self.x_tol > 0:
+            raise ValueError("root tolerance x_tol must be strictly positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

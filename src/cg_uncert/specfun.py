@@ -37,7 +37,6 @@ from scipy.special import spherical_jn
 from .numerics import NonConvergence
 
 __all__ = [
-    "erf",
     "log_erfi",
     "ProlateResult",
     "prolate_r00",
@@ -47,11 +46,6 @@ __all__ = [
     "ghf_ent_shape",
     "bin_profile_norm",
 ]
-
-
-def erf(x: float) -> float:
-    """Error function (2/sqrt(pi)) * integral of exp(-t^2) from 0 to x."""
-    return math.erf(x)
 
 
 # erfi(x) = e^{x^2} / (sqrt(pi) x) * (1 + 1/(2x^2) + 3/(4x^4) + 15/(8x^6) + ...)

@@ -77,6 +77,15 @@ def test_bound_r_dominates_b_half():
     assert bound_R(1e-3, 1.0) - bound_B(1e-3, 1.0, 1.0, 0.5) < 1e-8
 
 
+def test_bound_r_fine_graining_limit():
+    # lambda_0 -> dx dp / (2 pi hbar), so R -> ln(2 pi hbar / (dx dp)); the
+    # deficit 1 - lambda_0 rounds to 1 here and cannot give R
+    for dd in (1e-12, 1e-300):
+        want = math.log(2.0 * math.pi / dd)
+        assert bound_R(dd, 1.0) == pytest.approx(want, rel=1e-12)
+        assert bound_L(dd, 1.0, 1.0, 0.5).r == pytest.approx(want, rel=1e-12)
+
+
 def test_bound_set_invariants():
     for dd in np.geomspace(1e-2, 1e2, 15):
         for alpha in (0.5, 0.75, 1.0):

@@ -180,6 +180,12 @@ def test_bad_numeric_input(capsys):
     assert "delta" in capsys.readouterr().err
 
 
+def test_numeric_overflow_is_not_a_verdict(capsys):
+    # exit code 1 means "violated"; a crash inside the numerics must not read as one
+    assert main(["check", "--state", "gaussian:x0=1e300"]) == 2
+    assert "numeric error: OverflowError" in capsys.readouterr().err
+
+
 def test_region_origin_and_single_cell(capsys):
     rc = main(["region", "--delta", "1", "--delta-p", "1", "--grid-umax", "1",
                "--grid-n", "4"])
@@ -252,16 +258,12 @@ def test_csv_output_is_crlf_and_roundtrip_precise(tmp_path):
         assert float(r[1]) == bound_B(dd, 1.0, 1.0, 0.5)  # 17 digits round-trip
 
 
-def test_thread_override_does_not_change_output(tmp_path, monkeypatch):
-    args = ["bounds", "--sweep-min", "0.1", "--sweep-max", "10",
-            "--sweep-points", "40"]
-    monkeypatch.setenv("CG_UNCERT_THREADS", "1")
-    a = tmp_path / "a.csv"
-    assert main(args + ["--out", str(a)]) == 0
-    monkeypatch.setenv("CG_UNCERT_THREADS", "4")
-    b = tmp_path / "b.csv"
-    assert main(args + ["--out", str(b)]) == 0
-    assert a.read_bytes() == b.read_bytes()
+def test_bounds_sweep_reaches_fine_graining_limit(capsys):
+    rc = main(["bounds", "--sweep-min", "1e-300", "--sweep-max", "1", "--sweep-points", "5"])
+    assert rc == 0
+    header, rows = _rows(capsys.readouterr().out)
+    first = dict(zip(header, rows[0]))
+    assert float(first["R"]) == pytest.approx(math.log(2.0 * math.pi / 1e-300), rel=1e-12)
 
 
 def test_sweep_validation(capsys):
