@@ -1,8 +1,8 @@
 """Finite-statistics detector simulation.
 
-Draws inverse-CDF samples from a mixed state's marginals, bins them, and
-compares empirical discrete statistics and relation verdicts against the
-exact ones as the sample count grows.
+Draws binned samples from a mixed state's marginals, as exact multinomial
+draws over the bin probabilities, and compares empirical discrete statistics
+and relation verdicts against the exact ones as the sample count grows.
 """
 
 import math
@@ -31,7 +31,7 @@ def main():
     print(f"{'n':>9} {'emp var':>10} {'var err':>10} {'emp H':>9} "
           f"{'H err':>10}")
     for n in (100, 1000, 10000, 100000, 1000000):
-        emp = sample_counts(rho_x, width, 0.0, n, seed=42)
+        emp = sample_counts(exact_x, n, seed=42)
         var = discrete_variance(emp)
         ent = discrete_renyi(emp, 1.0)
         print(f"{n:>9d} {var:>10.5f} {abs(var - var_ref):>10.2e} "
@@ -39,8 +39,8 @@ def main():
     print("errors shrink roughly like 1/sqrt(n); single-seed noise aside\n")
 
     n = 200000
-    emp_x = sample_counts(rho_x, width, 0.0, n, seed=7)
-    emp_p = sample_counts(rho_p, width, 0.0, n, seed=8)
+    emp_x = sample_counts(exact_x, n, seed=7)
+    emp_p = sample_counts(exact_p, n, seed=8)
     print(f"relation verdicts from {n} samples per axis:")
     exact_reports = binned_relation_reports(exact_x, exact_p)
     emp_reports = binned_relation_reports(emp_x, emp_p)

@@ -12,6 +12,7 @@ the forbidden region in the (u_x, u_p) plane.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -35,7 +36,14 @@ from .relations import (
     conjugate_constant,
     verdict_from_margin,
 )
-from .specfun import ProlateResult, _w_of_t, bin_profile_norm, ghf_var_shape, prolate_r00
+from .specfun import (
+    ProlateResult,
+    _w_of_t,
+    bin_profile_norm,
+    ghf_var_shape,
+    log_bin_profile_norm,
+    prolate_r00,
+)
 from .states import StateModel, momentum_density, position_density
 
 __all__ = [
@@ -83,6 +91,12 @@ def _check_widths(delta_x: float, delta_p: float, hbar: float) -> None:
     for name, v in (("delta_x", delta_x), ("delta_p", delta_p), ("hbar", hbar)):
         if not (v > 0.0 and math.isfinite(v)):
             raise DomainError(f"{name} must be positive and finite, got {v}")
+    c = delta_x * delta_p / (4.0 * hbar)
+    if not (sys.float_info.min <= c and math.isfinite(c)):
+        raise DomainError(
+            f"delta_x*delta_p/(4*hbar) must be finite and at least "
+            f"{sys.float_info.min!r}, got {c!r} (delta_x={delta_x!r}, "
+            f"delta_p={delta_p!r}, hbar={hbar!r})")
 
 
 def bound_B(delta_x: float, delta_p: float, hbar: float = 1.0,
@@ -132,7 +146,6 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 # ---------------------------------------------------------------------------
 # the M -> F -> K chain
 
-_M_SERIES_CUT = 1e-8
 _M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
 
 
@@ -143,19 +156,14 @@ def func_M(t: float) -> float:
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"func_M requires t > 0, got {t}")
-    if t < _M_SERIES_CUT:
-        return 1.0 / (2.0 * t) - 1.0 / 12.0 + t / 180.0
-    if t <= 700.0:
-        return math.exp(-0.25 * t) / (2.0 * math.sqrt(math.pi * t) * math.erf(0.5 * math.sqrt(t)))
-    return math.exp(_log_M(t))
+    # the exponent stays O(t), so M keeps its relative precision as t -> 0
+    return math.exp(-0.25 * t - log_bin_profile_norm(t)) / (2.0 * t)
 
 
 def _log_M(t: float) -> float:
-    """ln M(t); usable far beyond where M itself underflows."""
-    if t < _M_SERIES_CUT:
-        return math.log(func_M(t))
-    # erf factor is exactly 1.0 in double precision once sqrt(t)/2 > 5.9
-    return -0.25 * t - 0.5 * math.log(4.0 * math.pi * t) - math.log(math.erf(0.5 * math.sqrt(t)))
+    """ln M(t) = -t/4 - ln(2t) - ln N(t), N the bin-profile norm; usable far
+    beyond where M itself underflows or overflows."""
+    return -0.25 * t - math.log(2.0 * t) - log_bin_profile_norm(t)
 
 
 def func_M_inv(u: float) -> float:
@@ -163,8 +171,9 @@ def func_M_inv(u: float) -> float:
     if not (u > 0.0 and math.isfinite(u)):
         raise DomainError(f"func_M_inv requires u > 0, got {u}")
     lu = math.log(u)
-    # from the small-t form M ~ 1/(2t) - 1/12
-    t0 = 1.0 / (2.0 * u + 1.0 / 6.0)
+    # from the small-t form M ~ 1/(2t) - 1/12, written so that it cannot
+    # overflow to t0 = 0 for u near the top of the double range
+    t0 = 0.5 / (u + 1.0 / 12.0)
     lo = hi = t0
     steps = 0
     while _log_M(lo) <= lu:
@@ -309,7 +318,7 @@ def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,
 # feasibility region
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibilityRegion:
     """Forbidden-region scan over scaled variances u = sigma^2 / width^2.
 
@@ -319,7 +328,7 @@ class FeasibilityRegion:
 
     u_x: tuple
     u_p: tuple
-    forbidden: tuple  # row-major tuples of bool, indexed [i_x][i_p]
+    forbidden: np.ndarray  # read-only bool, shape (len(u_x), len(u_p))
     fraction: float
     log_rhs: float
 
@@ -338,7 +347,7 @@ def feasibility_region(delta_x: float, delta_p: float, u_x: Sequence[float],
     lkx = np.array([math.log(func_K(u)) for u in ux])
     lkp = np.array([math.log(func_K(u)) for u in up])
     bad = lkx[:, None] + lkp[None, :] < bset.log_rhs_heis
+    bad.flags.writeable = False
     return FeasibilityRegion(
-        u_x=tuple(ux), u_p=tuple(up),
-        forbidden=tuple(tuple(bool(v) for v in row) for row in bad),
+        u_x=tuple(ux), u_p=tuple(up), forbidden=bad,
         fraction=float(np.mean(bad)), log_rhs=bset.log_rhs_heis)

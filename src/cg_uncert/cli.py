@@ -370,45 +370,36 @@ def cmd_region(cfg: RunConfig) -> int:
     return 0
 
 
-def _axis_sample(density, width, offset, n, seed, alpha, exact_binned):
-    emp = sample_counts(density, width, offset, n, seed)
+def _axis_sample(exact, n, seed, alpha):
+    emp = sample_counts(exact, n=n, seed=seed)
     stats = {}
-    for tag, b in (("exact", exact_binned), ("empirical", emp)):
+    for tag, b in (("exact", exact), ("empirical", emp)):
         stats[tag] = {"variance": discrete_variance(b),
                       "shannon": discrete_renyi(b, 1.0),
                       "renyi_alpha": discrete_renyi(b, alpha)}
+    # draws land only in exact bins with p > 0, so those bins cover every count
     per_bin = []
     chi2 = 0.0
-    j_emp, p_emp = emp.arrays()
-    keys = sorted(set(exact_binned.probs) | set(j_emp[p_emp > 0.0].tolist()))
-    for jj in keys:
-        p = exact_binned.probs.get(jj, 0.0)
+    for jj, p in exact.probs.items():
         observed = int(round(emp.probs.get(jj, 0.0) * n))
         expected = n * p
-        if expected > 0.0:
-            term = (observed - expected) ** 2 / expected
-        else:
-            term = math.inf if observed else 0.0
+        term = (observed - expected) ** 2 / expected if expected > 0.0 else 0.0
         chi2 += term
         per_bin.append({"bin": jj, "observed": observed, "expected": expected,
                         "chi2_term": term})
-    stats["chi2"] = {"total": chi2, "dof": max(len(keys) - 1, 1),
+    stats["chi2"] = {"total": chi2, "dof": max(len(per_bin) - 1, 1),
                      "per_bin": per_bin}
-    stats["width"] = width
-    stats["offset"] = offset
+    stats["width"] = exact.width
+    stats["offset"] = exact.offset
     return emp, stats
 
 
 def cmd_sample(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
-    dx = position_density(state)
-    dp = momentum_density(state)
-    exact_x = bin_density(dx, cfg.delta, cfg.offset_x)
-    exact_p = bin_density(dp, cfg.delta_p, cfg.offset_p)
-    emp_x, stats_x = _axis_sample(dx, cfg.delta, cfg.offset_x, cfg.samples,
-                                  cfg.seed, cfg.alpha, exact_x)
-    emp_p, stats_p = _axis_sample(dp, cfg.delta_p, cfg.offset_p, cfg.samples,
-                                  cfg.seed + 1, cfg.alpha, exact_p)
+    exact_x = bin_density(position_density(state), cfg.delta, cfg.offset_x)
+    exact_p = bin_density(momentum_density(state), cfg.delta_p, cfg.offset_p)
+    emp_x, stats_x = _axis_sample(exact_x, cfg.samples, cfg.seed, cfg.alpha)
+    emp_p, stats_p = _axis_sample(exact_p, cfg.samples, cfg.seed + 1, cfg.alpha)
     reports = binned_relation_reports(emp_x, emp_p, cfg.alpha, cfg.hbar)
     doc = {"samples": cfg.samples, "seed": cfg.seed, "alpha": cfg.alpha,
            "state": cfg.state, "position": stats_x, "momentum": stats_p,

@@ -4,7 +4,8 @@ Binning of continuous densities into fixed-width windows, discrete variances
 and Renyi entropies of the resulting probability vectors, generalized
 histogram profiles (flat or truncated-Gaussian within each bin), densities
 reconstructed from binned data, the variance/entropy decomposition
-identities, and a finite-statistics inverse-CDF sampler.
+identities, and finite-statistics sampling by exact multinomial draws over
+the bin masses.
 
 Grid convention: bin j of a grid (width eta, offset) covers
 [offset + (j - 1/2) eta, offset + (j + 1/2) eta), half-open on the right,
@@ -416,51 +417,20 @@ def decompose_stats(b: BinnedDistribution, g: GhfSpec) -> tuple:
 # ---------------------------------------------------------------------------
 # finite-statistics sampling
 
-_CDF_POINTS = 1 << 16
 
+def sample_counts(b: BinnedDistribution, n: int, seed: int) -> BinnedDistribution:
+    """Empirical bin frequencies of n draws from the binned distribution b.
 
-def _sampling_window(d: Density1D) -> tuple:
-    lo, hi = d.support
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo, hi
-    m = d.known_mean if d.known_mean is not None else 0.0
-    if d.known_mean is not None and d.known_m2 is not None:
-        var = max(d.known_m2 - d.known_mean ** 2, 0.0)
-        s = math.sqrt(var) if var > 0.0 else 1.0
-    else:
-        s = 1.0
-    w = 8.0 * s
-    for _ in range(60):
-        a = lo if math.isfinite(lo) else m - w
-        b = hi if math.isfinite(hi) else m + w
-        edges = np.linspace(a, b, 4097)
-        mass = float(np.sum(gauss_legendre_panels(d.eval, edges[:-1], edges[1:], 8)))
-        if mass >= 1.0 - 0.5 * EPS_TAIL:
-            return a, b
-        w *= 2.0
-    raise NonConvergence("sampling window did not capture the required mass")
-
-
-def sample_counts(d: Density1D, eta: float, offset: float, n: int,
-                  seed: int) -> BinnedDistribution:
-    """Empirical bin frequencies from n inverse-CDF draws.
-
-    The CDF is tabulated on a fixed fine grid (so results are deterministic
-    for a given seed) and inverted by linear interpolation.
+    The counts are one multinomial draw over b's masses renormalized to the
+    binned range (whose mass is at least 1 - EPS_TAIL): the exact law of n
+    draws binned on b's grid, deterministic for a given seed.  The observed
+    range, first to last nonzero bin, is stored densely.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"bin width must be positive and finite, got {eta}")
-    a, b = _sampling_window(d)
-    xs = np.linspace(a, b, _CDF_POINTS)
-    seg = gauss_legendre_panels(d.eval, xs[:-1], xs[1:], 8)
-    cdf = np.concatenate(([0.0], np.cumsum(seg)))
-    cdf /= cdf[-1]
-    rng = np.random.default_rng(seed)
-    u = rng.random(n)
-    x = np.interp(u, cdf, xs)
-    j = np.floor((x - offset) / eta + 0.5).astype(np.int64)
-    j_min = int(j.min())
-    return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
-                              masses=np.bincount(j - j_min) / n, tail_mass=0.0)
+    p = b.masses
+    counts = np.random.default_rng(seed).multinomial(n, p / math.fsum(p.tolist()))
+    seen = np.flatnonzero(counts)
+    lo, hi = int(seen[0]), int(seen[-1])
+    return BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min + lo,
+                              masses=counts[lo:hi + 1] / n, tail_mass=0.0)

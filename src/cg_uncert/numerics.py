@@ -123,8 +123,11 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
         raise InvalidBracket(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have the same sign")
     rtol = max(spec.x_tol, 4 * np.finfo(float).eps)
     try:
+        # the smallest positive xtol, so that rtol alone decides even for roots
+        # near the bottom of the double range
         root, res = _sp_optimize.brentq(
-            f, lo, hi, xtol=1e-300, rtol=rtol, maxiter=spec.max_iter, full_output=True,
+            f, lo, hi, xtol=np.finfo(float).smallest_subnormal, rtol=rtol,
+            maxiter=spec.max_iter, full_output=True,
         )
     except RuntimeError as exc:
         raise NonConvergence(f"root finder failed on [{lo}, {hi}]: {exc}") from exc

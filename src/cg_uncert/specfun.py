@@ -27,6 +27,7 @@ eigensolve of the same expansion (relative error <= ~1e-5 at the switch,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "ghf_var_shape",
     "ghf_ent_shape",
     "bin_profile_norm",
+    "log_bin_profile_norm",
 ]
 
 
@@ -120,6 +122,9 @@ def prolate_r00(c: float) -> ProlateResult:
     """
     if c < 0:
         raise ValueError("prolate bandwidth parameter c must be >= 0")
+    if 0.0 < c < sys.float_info.min:
+        # scipy's spherical_jn(n >= 1, c) is NaN at subnormal c
+        raise ValueError(f"prolate bandwidth parameter c = {c!r} is subnormal")
     if c == 0.0:
         return ProlateResult(c=0.0, r00_at_1=1.0, lambda0=0.0, terms_used=0,
                              est_error=0.0, lambda0_deficit=1.0)
@@ -221,6 +226,7 @@ _ENT_SERIES = (
 
 _SHAPE_SERIES_CUT = 0.5
 _NEG_LOG_CUT = -625.0
+_SQRT_PI = math.sqrt(math.pi)
 
 
 def bin_profile_norm(t: float) -> float:
@@ -235,10 +241,26 @@ def bin_profile_norm(t: float) -> float:
     if t > 0.0:
         rt = math.sqrt(t)
         return math.sqrt(math.pi / t) * math.erf(0.5 * rt)
-    s = -t
     if t <= _NEG_LOG_CUT:
-        return math.exp(0.5 * math.log(math.pi / s) + log_erfi(0.5 * math.sqrt(s)))
+        return math.exp(log_bin_profile_norm(t))
+    s = -t
     return math.sqrt(math.pi / s) * float(_sp_erfi(0.5 * math.sqrt(s)))
+
+
+def log_bin_profile_norm(t: float) -> float:
+    """ln bin_profile_norm(t) for finite t, without overflow on either side.
+
+    For t > 0 it is ln(sqrt(pi) erf(sqrt(t)/2) / sqrt(t)), which stays
+    accurate down to subnormal t; below _NEG_LOG_CUT it is taken through
+    log_erfi, since the norm itself overflows past t ~ -2840.
+    """
+    if t > 0.0:
+        rt = math.sqrt(t)
+        return math.log(_SQRT_PI * math.erf(0.5 * rt) / rt)
+    if t <= _NEG_LOG_CUT:
+        s = -t
+        return 0.5 * math.log(math.pi / s) + log_erfi(0.5 * math.sqrt(s))
+    return math.log(bin_profile_norm(t))
 
 
 def two_t_m(t: float) -> float:
@@ -250,9 +272,7 @@ def two_t_m(t: float) -> float:
     if t == 0.0:
         return 1.0
     if t <= _NEG_LOG_CUT:
-        s = -t
-        ln_norm = 0.5 * math.log(math.pi / s) + log_erfi(0.5 * math.sqrt(s))
-        return math.exp(0.25 * s - ln_norm)
+        return math.exp(-0.25 * t - log_bin_profile_norm(t))
     return math.exp(-0.25 * t) / bin_profile_norm(t)
 
 
@@ -285,9 +305,4 @@ def ghf_ent_shape(t: float) -> float:
         for c in reversed(_ENT_SERIES):
             v = t * v + c
         return t * t * v + 0.0
-    if t <= _NEG_LOG_CUT:
-        s = -t
-        ln_norm = 0.5 * math.log(math.pi / s) + log_erfi(0.5 * math.sqrt(s))
-    else:
-        ln_norm = math.log(bin_profile_norm(t))
-    return ln_norm + 0.5 * _w_of_t(t)
+    return log_bin_profile_norm(t) + 0.5 * _w_of_t(t)

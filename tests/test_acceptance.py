@@ -277,7 +277,7 @@ def test_criterion_10_monte_carlo_consistency():
         for dens, seed in ((position_density(s), 314159),
                            (momentum_density(s), 314160)):
             exact = bin_density(dens, 1.0)
-            emp = sample_counts(dens, 1.0, 0.0, n, seed=seed)
+            emp = sample_counts(exact, n, seed=seed)
             pairs.append((exact, emp))
 
             j, p = exact.arrays()

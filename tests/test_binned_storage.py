@@ -149,7 +149,7 @@ def test_dense_construction_rejects_what_the_dict_form_rejects():
 def test_sample_counts_store_observed_range_densely():
     n = 20_000
     d = position_density(Gaussian())
-    emp = sample_counts(d, 0.5, 0.0, n, seed=11)
+    emp = sample_counts(bin_density(d, 0.5, 0.0), n, seed=11)
     counts = np.rint(emp.masses * n).astype(np.int64)
     assert counts.sum() == n and counts[0] > 0 and counts[-1] > 0
     assert np.array_equal(emp.masses, counts / n)

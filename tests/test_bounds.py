@@ -287,7 +287,9 @@ def test_feasibility_region_is_lower_left_set():
     # K is nondecreasing, so the forbidden set cannot re-enter along an axis
     us = [float(v) for v in np.linspace(0.0, 0.6, 25)]
     reg = feasibility_region(2.0, 1.0, us, us)
-    arr = np.array(reg.forbidden, dtype=bool)
+    arr = reg.forbidden
+    assert arr.dtype == bool and arr.shape == (25, 25)
+    assert not arr.flags.writeable
     for row in arr:
         assert all(int(a) >= int(b) for a, b in zip(row, row[1:]))
     for col in arr.T:

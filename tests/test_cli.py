@@ -266,6 +266,30 @@ def test_bounds_sweep_reaches_fine_graining_limit(capsys):
     assert float(first["R"]) == pytest.approx(math.log(2.0 * math.pi / 1e-300), rel=1e-12)
 
 
+def test_bounds_rejects_subnormal_width_product(capsys):
+    rc = main(["bounds", "--sweep-min", "1e-320", "--sweep-max", "1", "--sweep-points", "2"])
+    assert rc == 2
+    assert "delta_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["1e-200", "1e200"])
+def test_region_rejects_width_product_outside_double_range(capsys, width):
+    rc = main(["region", "--delta", width, "--delta-p", width, "--grid-n", "2"])
+    assert rc == 2
+    assert "delta_x" in capsys.readouterr().err
+
+
+def test_kfun_inverts_m_near_the_top_of_the_double_range(capsys):
+    rc = main(["kfun", "--sweep-min", "1e307", "--sweep-max", "1.7e308", "--sweep-points", "2"])
+    assert rc == 0
+    header, rows = _rows(capsys.readouterr().out)
+    from cg_uncert.bounds import func_M
+    for r in rows:
+        u, minv = float(r[2]), float(r[3])
+        assert minv > 0.0
+        assert abs(func_M(minv) - u) <= 1e-10 * u
+
+
 def test_sweep_validation(capsys):
     assert main(["bounds", "--sweep-points", "0"]) == 2
     assert "sweep.points" in capsys.readouterr().err

@@ -310,11 +310,11 @@ def test_reconstruction_entropy_variance_inequality():
 
 
 def test_sample_counts_deterministic():
-    d = position_density(Gaussian())
-    s1 = sample_counts(d, 1.0, 0.0, 50_000, seed=7)
-    s2 = sample_counts(d, 1.0, 0.0, 50_000, seed=7)
+    b = bin_density(position_density(Gaussian()), 1.0, 0.0)
+    s1 = sample_counts(b, 50_000, seed=7)
+    s2 = sample_counts(b, 50_000, seed=7)
     assert s1.probs == s2.probs
-    s3 = sample_counts(d, 1.0, 0.0, 50_000, seed=8)
+    s3 = sample_counts(b, 50_000, seed=8)
     assert s3.probs != s1.probs
 
 
@@ -322,7 +322,7 @@ def test_sample_counts_match_exact_within_binomial_noise():
     n = 200_000
     d = position_density(Gaussian())
     exact = bin_density(d, 1.0, 0.0)
-    emp = sample_counts(d, 1.0, 0.0, n, seed=2024)
+    emp = sample_counts(exact, n, seed=2024)
     for j, p in exact.probs.items():
         if p < 1e-6:
             continue
@@ -331,8 +331,38 @@ def test_sample_counts_match_exact_within_binomial_noise():
 
 
 def test_sample_counts_finite_support_and_degenerate():
-    d = position_density(SquareWell(n=1, length=1.0))
-    one = sample_counts(d, 1.0, 0.5, 1, seed=0)
+    b = bin_density(position_density(SquareWell(n=1, length=1.0)), 1.0, 0.5)
+    one = sample_counts(b, 1, seed=0)
     assert one.probs == {0: 1.0}
     with pytest.raises(ValueError):
-        sample_counts(d, 1.0, 0.5, 0, seed=0)
+        sample_counts(b, 0, seed=0)
+
+
+def test_sample_counts_unbiased_on_square_well_momentum_tail():
+    # heavy-tailed marginal at a fine bin: with exact draws the per-bin
+    # z^2 = (observed - expected)^2 / expected averages 1 over the bins
+    # expecting at least 5 counts
+    n = 4_000_000
+    b = bin_density(momentum_density(SquareWell(n=3)), 0.03, 0.0)
+    emp = sample_counts(b, n, seed=1)
+    observed = np.zeros(b.masses.size)
+    lo = emp.j_min - b.j_min
+    observed[lo:lo + emp.masses.size] = np.rint(emp.masses * n)
+    expected = n * b.masses
+    core = expected >= 5.0
+    k = int(core.sum())
+    z2_mean = float(np.mean((observed[core] - expected[core]) ** 2 / expected[core]))
+    assert abs(z2_mean - 1.0) <= 5.0 * math.sqrt(2.0 / k), f"z2 mean {z2_mean} over {k} bins"
+
+
+def test_sample_counts_draw_only_exact_bins_with_mass():
+    binnings = [
+        BinnedDistribution(width=0.5, offset=0.1, probs={-3: 0.2, -2: 0.0, -1: 0.3, 2: 0.5}),
+        bin_density(momentum_density(SquareWell(n=2)), 0.3, 0.05),
+    ]
+    for b in binnings:
+        for seed in range(3):
+            emp = sample_counts(b, 10_000, seed=seed)
+            assert (emp.width, emp.offset) == (b.width, b.offset)
+            for j, p in emp.probs.items():
+                assert p == 0.0 or b.probs.get(j, 0.0) > 0.0, f"bin {j}"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cg_uncert.specfun import (
     bin_profile_norm,
     ghf_ent_shape,
     ghf_var_shape,
+    log_bin_profile_norm,
     prolate_r00,
     sinc_eigen_oracle,
     two_t_m,
@@ -93,6 +95,10 @@ def test_prolate_edge_cases():
     assert res.lambda0 == 0.0 and res.r00_at_1 == 1.0
     with pytest.raises(ValueError):
         prolate_r00(-1.0)
+    # subnormal c is rejected, not answered with a NaN eigenvalue
+    with pytest.raises(ValueError, match="subnormal"):
+        prolate_r00(1e-310)
+    assert prolate_r00(sys.float_info.min).lambda0 > 0.0
     # far beyond the switch the deficit underflows cleanly to zero
     far = prolate_r00(400.0)
     assert far.lambda0 == 1.0 and far.lambda0_deficit == 0.0
@@ -159,6 +165,18 @@ def test_bin_profile_norm():
     ts = np.linspace(-40.0, 40.0, 81)
     vals = [bin_profile_norm(float(t)) for t in ts]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_log_bin_profile_norm():
+    ts = np.concatenate((-np.geomspace(620.0, 1e-6, 40), [0.0], np.geomspace(1e-300, 2000.0, 60)))
+    for t in ts:
+        ref = math.log(bin_profile_norm(float(t)))
+        assert log_bin_profile_norm(float(t)) == pytest.approx(ref, rel=1e-13, abs=1e-15), f"t={t}"
+    assert log_bin_profile_norm(-625.001) == pytest.approx(math.log(2.3183109800182091e65), rel=1e-12)
+    # subnormal t, and far negative t where the norm itself overflows:
+    # N ~ (2/s) e^{s/4} (1 + 2/s) for s = -t -> inf
+    assert log_bin_profile_norm(5e-324) == pytest.approx(0.0, abs=1e-15)
+    assert log_bin_profile_norm(-1e4) == pytest.approx(2500.0 + math.log(2e-4 * 1.0002), rel=1e-9)
 
 
 def test_two_t_m_endpoints():
