@@ -63,6 +63,7 @@ __all__ = [
 ]
 
 _LN_2PIE = math.log(2.0 * math.pi * math.e)
+_LN_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -138,9 +139,11 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
     r = _neg_log_lambda0(res)
     # 2 max(b_one, r) = 2 b_one + ln g with ln g = max(0, 2 ln(2/e) - 4 ln R00)
     ln_g = max(0.0, 2.0 * math.log(2.0 / math.e) - 4.0 * math.log(res.r00_at_1))
+    # g leaves the double range past a width product of about 1e155
+    g = float(np.exp(ln_g)) if ln_g < _LN_MAX_FLOAT else math.inf
     return BoundSet(delta_x=delta_x, delta_p=delta_p, hbar=hbar, alpha=alpha,
                     b_alpha=b_alpha, r=r, l_alpha=max(b_alpha, r),
-                    g=float(np.exp(ln_g)), log_rhs_heis=2.0 * max(b_one, r))
+                    g=g, log_rhs_heis=2.0 * max(b_one, r))
 
 
 # ---------------------------------------------------------------------------

@@ -125,14 +125,11 @@ def _parse_simple(text: str, hbar: float):
     if kind == "gaussian":
         return Gaussian(x0=vals.get("x0", 0.0), p0=vals.get("p0", 0.0),
                         sigma=vals.get("sigma", 1.0), hbar=hbar)
-    if kind == "hermite":
-        n = vals.get("n", 0.0)
-        if n != int(n):
-            raise DescriptorError(f"state field 'n' must be an integer, got {n}")
-        return HermiteGauss(n=int(n), sigma=vals.get("sigma", 1.0), hbar=hbar)
-    n = vals.get("n", 1.0)
-    if n != int(n):
+    n = vals.get("n", 0.0 if kind == "hermite" else 1.0)
+    if not math.isfinite(n) or n != int(n):
         raise DescriptorError(f"state field 'n' must be an integer, got {n}")
+    if kind == "hermite":
+        return HermiteGauss(n=int(n), sigma=vals.get("sigma", 1.0), hbar=hbar)
     return SquareWell(n=int(n), length=vals.get("L", 1.0), hbar=hbar)
 
 

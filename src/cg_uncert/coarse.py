@@ -1,7 +1,9 @@
 """Coarse-grained measurement statistics.
 
-Binning of continuous densities into fixed-width windows, discrete variances
-and Renyi entropies of the resulting probability vectors, generalized
+Binning of continuous densities into fixed-width windows (from closed-form
+interval masses when the density has them, by panel quadrature otherwise),
+discrete variances and Renyi entropies of the resulting probability vectors,
+computed once per binning and order, generalized
 histogram profiles (flat or truncated-Gaussian within each bin), densities
 reconstructed from binned data, the variance/entropy decomposition
 identities, and finite-statistics sampling by exact multinomial draws over
@@ -136,7 +138,9 @@ class _BinView(Mapping):
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i.  Built from j_min and masses, or from a probs dict (bin index
-    -> probability, converted once); probs is then a read-only view of masses."""
+    -> probability, converted once); probs is then a read-only view of masses.
+    The storage is immutable, so each discrete statistic is computed once per
+    distribution and order and then read from a private memo."""
 
     width: float
     offset: float
@@ -179,7 +183,7 @@ class BinnedDistribution:
         if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
         for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
-                            ("probs", _BinView(j_min, p)), ("_j", j)):
+                            ("probs", _BinView(j_min, p)), ("_j", j), ("_stats", {})):
             object.__setattr__(self, name, value)
 
     def center(self, j: int) -> float:
@@ -242,7 +246,12 @@ def _bin_edges(j, width: float, offset: float):
 def _clean_block_masses(d: Density1D, j_arr: np.ndarray, width: float,
                         offset: float, spec: QuadSpec) -> np.ndarray:
     """Masses of bins lying fully inside the support with no interior cuts,
-    by fixed-order panel quadrature with an order cross-check."""
+    by fixed-order panel quadrature with an order cross-check.  For a density
+    with closed-form interval masses every bin counts as clean, and j_arr is
+    then a contiguous run whose n bins share n + 1 edges."""
+    if d.interval_masses is not None:
+        edges = offset + (np.arange(j_arr[0], j_arr[-1] + 2) - 0.5) * width
+        return np.maximum(d.interval_masses(edges), 0.0)
     lo, hi = _bin_edges(j_arr, width, offset)
     if d.osc_scale is not None:
         per = max(1, int(math.ceil(2.0 * width / d.osc_scale)))
@@ -284,8 +293,9 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
     """Bin a density on the grid (eta, offset).
 
     Bins are enumerated outward from the heaviest one until the cumulative
-    mass reaches 1 - EPS_TAIL; integrals split at density discontinuities
-    and support edges.
+    mass reaches 1 - EPS_TAIL.  Masses come from d.interval_masses when
+    present; otherwise by quadrature, split at density discontinuities and
+    support edges.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -302,6 +312,8 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
         """Masses of bins j_lo .. j_lo + n - 1: clean bins (inside the support,
         no cut strictly inside) by one panel-rule call, the rest one by one."""
         js = np.arange(j_lo, j_lo + n, dtype=np.int64)
+        if d.interval_masses is not None:
+            return _clean_block_masses(d, js, eta, offset, spec)
         a, b = _bin_edges(js, eta, offset)
         clean = ((a >= lo_s) & (b <= hi_s)
                  & (np.searchsorted(cuts, a, "right") == np.searchsorted(cuts, b, "left")))
@@ -363,10 +375,13 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
 
 def discrete_variance(b: BinnedDistribution) -> float:
     """Variance of the bin-center distribution sum_j p_j at z_j."""
-    j, p = b.arrays()
-    z = b.offset + j.astype(float) * b.width
-    mean = float(np.dot(p, z))
-    return float(np.dot(p, (z - mean) ** 2))
+    memo = b._stats
+    if "variance" not in memo:
+        j, p = b.arrays()
+        z = b.offset + j.astype(float) * b.width
+        mean = float(np.dot(p, z))
+        memo["variance"] = float(np.dot(p, (z - mean) ** 2))
+    return memo["variance"]
 
 
 def discrete_renyi(b: BinnedDistribution, alpha: float) -> float:
@@ -377,7 +392,14 @@ def discrete_renyi(b: BinnedDistribution, alpha: float) -> float:
     """
     if not alpha > 0.0:
         raise DomainError(f"entropy order must be positive, got {alpha}")
-    _, p = b.arrays()
+    key = ("renyi", float(alpha))
+    memo = b._stats
+    if key not in memo:
+        memo[key] = _renyi(b.arrays()[1], alpha)
+    return memo[key]
+
+
+def _renyi(p: np.ndarray, alpha: float) -> float:
     p = p[p > 0.0]
     if alpha == 1.0:
         return float(-np.dot(p, np.log(p))) + 0.0

@@ -86,11 +86,12 @@ _DEFICIT_SWITCH = 12.0
 
 
 def _deficit_asymptote(c: float) -> float:
-    corr = 1.0 - 7.0 / (16.0 * c) + _DEFICIT_D2 / c**2 + _DEFICIT_D3 / c**3
-    # log-domain guard: e^{-2c} underflows past c ~ 354
+    # log-domain guard first: e^{-2c} underflows past c ~ 354, and c**3
+    # overflows past c ~ 5.6e102
     lg = math.log(4.0 * math.sqrt(math.pi * c)) - 2.0 * c
     if lg < -745.0:
         return 0.0
+    corr = 1.0 - 7.0 / (16.0 * c) + _DEFICIT_D2 / c**2 + _DEFICIT_D3 / c**3
     return math.exp(lg) * corr
 
 

@@ -1,7 +1,10 @@
 """Reference quantum states and their marginal densities.
 
 Every state exposes closed-form position and momentum probability densities
-wrapped in Density1D records.  Moments and differential Renyi entropies are
+wrapped in Density1D records, together with closed-form interval masses
+(error functions, a Hermite recurrence, elementary functions, and the sine
+and cosine integrals of DLMF 6.2) that keep their relative precision in the
+far tails.  Moments and differential Renyi entropies are
 computed by quadrature: adaptive panels over the finite core of the support,
 then geometrically growing tail rings until two consecutive rings fall below
 the tolerance.  Densities whose second moment is not quadrature-reachable
@@ -11,17 +14,20 @@ oscillation) carry exact moments instead and are marked heavy_tail.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
+from scipy.special import erfc, sici
 
 from .numerics import (
     DEFAULT_QUAD,
     Divergent,
     NonConvergence,
     QuadSpec,
+    _gl_nodes,
     gauss_legendre_panels,
     integrate,
 )
@@ -46,7 +52,17 @@ __all__ = [
     "renyi_entropy_cont",
     "check_continuous_relations",
     "catalog_states",
+    "MAX_HERMITE_N",
+    "MAX_WELL_N",
 ]
+
+# Largest quantum numbers accepted.  Binning cost grows like n per edge for
+# HermiteGauss (its recurrence) and with n for SquareWell (n - 1 position
+# nodes, a momentum peak at n pi hbar / L).  At the caps, checking
+# HermiteGauss at widths (0.1, 0.1) or SquareWell at (0.1, 10) takes about
+# 0.3 s on a 2-vCPU machine, start-up aside.
+MAX_HERMITE_N = 1000
+MAX_WELL_N = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +97,8 @@ class HermiteGauss:
     def __post_init__(self) -> None:
         if self.n < 0 or self.n != int(self.n):
             raise ValueError(f"n must be a nonnegative integer, got {self.n}")
+        if self.n > MAX_HERMITE_N:
+            raise ValueError(f"n = {self.n} exceeds the cap {MAX_HERMITE_N}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
@@ -98,6 +116,8 @@ class SquareWell:
     def __post_init__(self) -> None:
         if self.n < 1 or self.n != int(self.n):
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        if self.n > MAX_WELL_N:
+            raise ValueError(f"n = {self.n} exceeds the cap {MAX_WELL_N}")
         if not (self.length > 0.0 and math.isfinite(self.length)):
             raise ValueError(f"length must be positive and finite, got {self.length}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
@@ -151,6 +171,9 @@ class Density1D:
     available; heavy_tail marks densities whose second moment must come from
     those fields because tail quadrature will not converge.  osc_scale is the
     shortest oscillation wavelength in the tails, used to size panel counts.
+    interval_masses, when present, maps n + 1 finite ascending edges to the n
+    masses between them in closed form, with relative precision in the tails;
+    binning then needs no quadrature.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -160,6 +183,7 @@ class Density1D:
     known_m2: Optional[float] = None
     heavy_tail: bool = False
     osc_scale: Optional[float] = None
+    interval_masses: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def _gaussian_pdf(mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -172,16 +196,197 @@ def _gaussian_pdf(mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
     return pdf
 
 
-def _hermite_sq(n: int, xi: np.ndarray) -> np.ndarray:
-    # squared orthonormal Hermite functions by the stable normalized
-    # recurrence phi_k = xi*sqrt(2/k)*phi_{k-1} - sqrt((k-1)/k)*phi_{k-2}
-    phi_prev = math.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return phi_prev * phi_prev
-    phi = math.sqrt(2.0) * xi * phi_prev
+def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Interval masses between edges z given tail[i], the mass beyond z[i] on
+    its own side of 0 (above it for z >= 0, below it for z < 0).  Intervals on
+    one side take differences of small tails, which keeps far-tail masses
+    relatively precise; an interval around 0 takes what both tails leave."""
+    lo, hi, t_lo, t_hi = z[:-1], z[1:], tail[:-1], tail[1:]
+    return np.where(lo >= 0.0, t_lo - t_hi,
+                    np.where(hi <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi))
+
+
+def _gaussian_masses(mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
+    scale = 1.0 / (sd * math.sqrt(2.0))
+
+    def masses(edges):
+        z = (np.asarray(edges, dtype=float) - mu) * scale
+        return _masses_from_tails(z, 0.5 * erfc(np.abs(z)))
+
+    return masses
+
+
+def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
+    """(phi_n(xi), T_n(xi)): the orthonormal Hermite function and
+    T_n = sum_{k=1}^n phi_k phi_{k-1} / sqrt(2k), for which the distribution
+    function of phi_n^2 is F_n = F_0 - T_n.
+
+    The normalized recurrence phi_k = xi sqrt(2/k) phi_{k-1} - sqrt((k-1)/k)
+    phi_{k-2} runs on values rescaled every 8 steps, with the scale (and the
+    factor exp(-xi^2/2)) kept as a logarithm, so that nothing underflows
+    inside the oscillating region of large n.
+    """
+    # phi_n and T_n are 0 in double precision long before |xi| = 1e6
+    xi = np.clip(np.asarray(xi, dtype=float), -1e6, 1e6)
+    log_scale = -0.5 * xi * xi
+    prev = np.full(xi.shape, math.pi ** -0.25)
+    cur, tail = prev, np.zeros(xi.shape)
+    if n >= 1:
+        cur = math.sqrt(2.0) * xi * prev
+        tail = cur * prev * math.sqrt(0.5)
     for k in range(2, n + 1):
-        phi, phi_prev = xi * math.sqrt(2.0 / k) * phi - math.sqrt((k - 1) / k) * phi_prev, phi
-    return phi * phi
+        cur, prev = xi * math.sqrt(2.0 / k) * cur - math.sqrt((k - 1) / k) * prev, cur
+        tail += cur * prev / math.sqrt(2.0 * k)
+        if k % 8 == 0:
+            big = np.maximum(np.abs(cur), np.abs(prev))
+            cur, prev, tail = cur / big, prev / big, tail / (big * big)
+            log_scale += np.log(big)
+    return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale)
+
+
+def _hermite_masses(n: int, sd: float) -> Callable[[np.ndarray], np.ndarray]:
+    def masses(edges):
+        z = np.asarray(edges, dtype=float) / sd
+        az = np.abs(z)
+        # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n
+        return _masses_from_tails(z, 0.5 * erfc(az) + _hermite_phi(n, az)[1])
+
+    return masses
+
+
+def _well_position_masses(n: int, length: float) -> Callable[[np.ndarray], np.ndarray]:
+    k = n * math.pi / length
+
+    def masses(edges):
+        x = np.clip(np.asarray(edges, dtype=float), 0.0, length)
+        lo, hi = x[:-1], x[1:]
+        w = hi - lo
+        # (2/L) int sin^2(kx) over [lo, hi], with sin 2k hi - sin 2k lo as a product
+        return (w - np.cos(k * (lo + hi)) * np.sin(k * w) / k) / length
+
+    return masses
+
+
+# Cin(x) = int_0^x (1 - cos t)/t dt = sum_k (-1)^(k+1) x^(2k) / (2k (2k)!)
+# (DLMF 6.2.12), summed for x^2 < 1; 9 terms reach 1e-17.
+_CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(9, 0, -1))
+
+# A far-tail bin of the square-well momentum marginal is one at most
+# _FAR_MAX_WIDTH wide in a whose nearer pole of 1/(a^2 b^2) is at least
+# _FAR_POLE_GAP widths away from its midpoint.
+_FAR_POLE_GAP = 4.0
+_FAR_MAX_WIDTH = 64.0
+# Taylor series truncation target; at the smallest pole gap it takes 22
+# terms, within the _FAR_MAX_TERMS moments tabulated per width.
+_FAR_REL_TOL = 1e-17
+_FAR_MAX_TERMS = 24
+
+
+def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
+    """Cin(x) from ci = Ci(|x|): gamma + ln|x| - Ci(|x|), or its series near 0."""
+    x2 = x * x
+    small = x2 < 1.0
+    out = np.empty_like(x)
+    acc = np.zeros(int(np.count_nonzero(small)))
+    for c in _CIN_SERIES:
+        acc = acc * x2[small] + c
+    out[small] = acc * x2[small]
+    big = ~small
+    out[big] = np.euler_gamma + np.log(np.abs(x[big])) - ci[big]
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _sin2_moments(h: float) -> tuple:
+    """int_{-h/2}^{h/2} t^k w(t) dt for k = 0.._FAR_MAX_TERMS and w = cos^2 t,
+    sin^2 t, sin t cos t, by 64-point Gauss-Legendre (exact to rounding for h
+    up to _FAR_MAX_WIDTH).  The even moments of cos^2 and sin^2 and the odd
+    ones of sin cos have nonnegative integrands near 0, so they keep their
+    relative precision as h -> 0."""
+    x, w = _gl_nodes(64)
+    t, w = 0.5 * h * x, 0.5 * h * w
+    powers = t[None, :] ** np.arange(_FAR_MAX_TERMS + 1)[:, None]
+    s, c = np.sin(t), np.cos(t)
+    return powers @ (w * c * c), powers @ (w * s * s), powers @ (w * s * c)
+
+
+def _well_momentum_masses(n: int, length: float, hbar: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Interval masses of the square-well momentum marginal.
+
+    In a = (k_n - p/hbar) L/2 and b = n pi - a the density is
+    (n pi)^2 sin^2 a / (2 pi a^2 b^2).  Near its poles a bin takes the
+    difference of the antiderivative
+        [-sin^2 a/a + Si(2a) + sin^2 b/b - Si(2b) + (Cin(2a) - Cin(2b))/(n pi)] / 2 pi,
+    whose rounding (~1e-16 absolute) is small against the masses there.  In
+    the far tails, where masses fall to 1e-20 and below, a bin of midpoint m
+    and width h instead takes the Taylor series of 1/(a^2 b^2) about m
+    integrated against sin^2(m + t) = sin^2 m cos^2 t + cos^2 m sin^2 t
+    + sin 2m sin t cos t, with the moments of cos^2, sin^2 and sin cos over
+    [-h/2, h/2] computed once per width: the leading terms are nonnegative,
+    so nothing cancels.
+    """
+    npi = n * math.pi
+    half = length / (2.0 * hbar)
+
+    def antiderivative(a):
+        b = npi - a
+        si_a, ci_a = sici(2.0 * a)
+        si_b, ci_b = sici(2.0 * b)
+        return (-np.sin(a) * np.sinc(a / math.pi) + si_a
+                + np.sin(b) * np.sinc(b / math.pi) - si_b
+                + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
+
+    def far(m, h):
+        b = npi - m
+        # 1/(a^2 b^2) = sum_k s_k t^k / (m^2 b^2) with s_k = sum_{i+j=k}
+        # (i+1)(j+1) alpha^i beta^j, alpha = -1/m, beta = 1/b: the coefficients
+        # of 1/((1 - alpha t)(1 - beta t))^2, by their four-term recurrence.
+        # Term k is at most C(k+3, 3) r^k of the first, with r the half-width
+        # over the smallest distance to a pole.
+        r = 0.5 * h / float(np.min(np.minimum(np.abs(m), np.abs(b))))
+        kmax = 0
+        while math.comb(kmax + 4, 3) * r ** (kmax + 1) > _FAR_REL_TOL:
+            kmax += 1
+        mc, ms, mx = _sin2_moments(h)
+        alpha, beta = -1.0 / m, 1.0 / b
+        sig, prod = alpha + beta, alpha * beta
+        c1, c2, c3, c4 = 2.0 * sig, -(sig * sig + 2.0 * prod), 2.0 * sig * prod, -prod * prod
+        s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0
+        even_c, even_s, odd = mc[0], ms[0], 0.0
+        for k in range(1, kmax + 1):
+            s1, s2, s3, s4 = c1 * s1 + c2 * s2 + c3 * s3 + c4 * s4, s1, s2, s3
+            if k % 2:
+                odd = odd + mx[k] * s1
+            else:
+                even_c, even_s = even_c + mc[k] * s1, even_s + ms[k] * s1
+        sm, cm = np.sin(m), np.cos(m)
+        g = (npi / (m * b)) ** 2 / (2.0 * math.pi)
+        return g * (sm * sm * even_c + cm * cm * even_s + 2.0 * sm * cm * odd)
+
+    def masses(edges):
+        p = np.asarray(edges, dtype=float)
+        a = 0.5 * npi - p * half  # decreasing in p
+        m = 0.5 * (a[:-1] + a[1:])
+        hw = np.diff(p) * half
+        h = float(np.max(hw))
+        # the moments are tabulated for one width, so only bins as wide as the
+        # widest, to the 1e-9 that rounding leaves on a uniform grid, go far
+        is_far = ((h <= _FAR_MAX_WIDTH) & (np.abs(hw - h) <= 1e-9 * h)
+                  & (np.minimum(np.abs(m), np.abs(npi - m)) >= _FAR_POLE_GAP * h))
+        out = np.empty(m.size)
+        if is_far.any():
+            out[is_far] = far(m[is_far], h)
+        near = ~is_far
+        if near.any():
+            touched = np.zeros(p.size, dtype=bool)
+            touched[:-1] |= near
+            touched[1:] |= near
+            anti = np.zeros(p.size)
+            anti[touched] = antiderivative(a[touched])
+            out[near] = (anti[:-1] - anti[1:])[near]
+        return out
+
+    return masses
 
 
 def position_density(s: StateModel) -> Density1D:
@@ -192,19 +397,21 @@ def position_density(s: StateModel) -> Density1D:
             support=(-math.inf, math.inf),
             known_mean=s.x0,
             known_m2=s.sigma ** 2 + s.x0 ** 2,
+            interval_masses=_gaussian_masses(s.x0, s.sigma),
         )
     if isinstance(s, HermiteGauss):
         n, sd = s.n, s.sigma
 
         def pdf(x):
             xi = np.asarray(x, dtype=float) / sd
-            return _hermite_sq(n, xi) / sd
+            return _hermite_phi(n, xi)[0] ** 2 / sd
 
         return Density1D(
             eval=pdf,
             support=(-math.inf, math.inf),
             known_mean=0.0,
             known_m2=sd * sd * (n + 0.5),
+            interval_masses=_hermite_masses(n, sd),
         )
     if isinstance(s, SquareWell):
         n, L = s.n, s.length
@@ -224,6 +431,7 @@ def position_density(s: StateModel) -> Density1D:
             discontinuities=nodes,
             known_mean=L / 2.0,
             known_m2=m2,
+            interval_masses=_well_position_masses(n, L),
         )
     if isinstance(s, Mixture):
         return _mix_density(s, position_density)
@@ -240,6 +448,7 @@ def momentum_density(s: StateModel) -> Density1D:
             support=(-math.inf, math.inf),
             known_mean=s.p0,
             known_m2=sd_p ** 2 + s.p0 ** 2,
+            interval_masses=_gaussian_masses(s.p0, sd_p),
         )
     if isinstance(s, HermiteGauss):
         n = s.n
@@ -247,13 +456,14 @@ def momentum_density(s: StateModel) -> Density1D:
 
         def pdf(p):
             xi = np.asarray(p, dtype=float) / sd_p
-            return _hermite_sq(n, xi) / sd_p
+            return _hermite_phi(n, xi)[0] ** 2 / sd_p
 
         return Density1D(
             eval=pdf,
             support=(-math.inf, math.inf),
             known_mean=0.0,
             known_m2=sd_p * sd_p * (n + 0.5),
+            interval_masses=_hermite_masses(n, sd_p),
         )
     if isinstance(s, SquareWell):
         n, L = s.n, s.length
@@ -277,6 +487,7 @@ def momentum_density(s: StateModel) -> Density1D:
             known_m2=(hbar * kn) ** 2,
             heavy_tail=True,
             osc_scale=2.0 * math.pi * hbar / L,
+            interval_masses=_well_momentum_masses(n, L, hbar),
         )
     if isinstance(s, Mixture):
         return _mix_density(s, momentum_density)
@@ -311,6 +522,13 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
             mean += w * d.known_mean
             m2 += w * d.known_m2
     oscs = [d.osc_scale for d in dens if d.osc_scale is not None]
+    parts_masses = [(w, d.interval_masses) for w, d in parts]
+    masses = None
+    if all(f is not None for _, f in parts_masses):
+        def masses(edges):
+            edges = np.asarray(edges, dtype=float)
+            return sum(w * f(edges) for w, f in parts_masses)
+
     return Density1D(
         eval=pdf,
         support=(lo, hi),
@@ -319,6 +537,7 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
         known_m2=m2 if have_moments else None,
         heavy_tail=any(d.heavy_tail for d in dens),
         osc_scale=min(oscs) if oscs else None,
+        interval_masses=masses,
     )
 
 

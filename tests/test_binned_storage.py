@@ -1,6 +1,7 @@
 """Dense binned storage: a BinnedDistribution holds (j_min, masses) once and
 exposes probs as a read-only view over them."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -36,6 +37,10 @@ _states = st.one_of(
     st.builds(lambda w, a, b: Mixture(((w, a), (1.0 - w, b))), st.floats(0.2, 0.8),
               st.builds(Gaussian, st.floats(-2.0, 0.0), st.just(0.0), _positive),
               st.builds(Gaussian, st.floats(0.0, 2.0), st.floats(-1.0, 1.0), _positive)),
+    st.builds(lambda w, a, b: Mixture(((w, a), (1.0 - w, b))), st.floats(0.2, 0.8),
+              st.builds(SquareWell, st.integers(1, 3), _positive),
+              st.one_of(st.builds(SquareWell, st.integers(1, 3), _positive),
+                        st.builds(HermiteGauss, st.integers(0, 4), _positive))),
 )
 
 
@@ -55,6 +60,23 @@ def test_bin_density_conserves_mass_on_contiguous_bins(state, momentum, log_eta,
     assert abs(math.fsum(p.tolist()) + b.tail_mass - 1.0) <= 1e-9
     # empty extremes are trimmed; only the heaviest seed bin could be kept empty
     assert p.size == 1 or (p[0] > 0.0 and p[-1] > 0.0)
+
+
+@settings(max_examples=30, **_SETTINGS)
+@given(state=_states, momentum=st.booleans(), log_eta=st.floats(-1.5, 1.5),
+       frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_closed_form_masses_match_panel_quadrature(state, momentum, log_eta, frac):
+    eta = 10.0 ** log_eta
+    d = (momentum_density if momentum else position_density)(state)
+    assert d.interval_masses is not None
+    b = bin_density(d, eta, frac * eta)
+    q = bin_density(dataclasses.replace(d, interval_masses=None), eta, frac * eta)
+    lo, hi = max(b.j_min, q.j_min), min(b.j_min + b.masses.size, q.j_min + q.masses.size)
+    assert hi - lo >= min(b.masses.size, q.masses.size) - 2
+    m_closed = b.masses[lo - b.j_min:hi - b.j_min]
+    m_panel = q.masses[lo - q.j_min:hi - q.j_min]
+    # the order cross-check bound of the panel rule itself
+    assert np.all(np.abs(m_closed - m_panel) <= np.maximum(1e-15, 1e-12 * m_panel))
 
 
 _masses = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(

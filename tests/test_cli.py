@@ -11,7 +11,14 @@ from cg_uncert.cli import (
     main,
     parse_state,
 )
-from cg_uncert.states import Gaussian, HermiteGauss, Mixture, SquareWell
+from cg_uncert.states import (
+    MAX_HERMITE_N,
+    MAX_WELL_N,
+    Gaussian,
+    HermiteGauss,
+    Mixture,
+    SquareWell,
+)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -55,6 +62,21 @@ def test_parse_state_errors_name_the_field():
         parse_state("mix:x*gaussian+0.5*gaussian")
     with pytest.raises(DescriptorError, match="two components"):
         parse_state("mix:1.0*gaussian")
+    with pytest.raises(DescriptorError, match="integer"):
+        parse_state("hermite:n=inf")
+
+
+@pytest.mark.parametrize("kind, cap", [("hermite", MAX_HERMITE_N), ("squarewell", MAX_WELL_N)])
+def test_parse_state_caps_n(kind, cap, capsys):
+    # an uncapped n built n - 1 position nodes or ran n recurrence steps per
+    # point, which for n = 1e20 never finished
+    assert parse_state(f"{kind}:n={cap}").n == cap
+    with pytest.raises(ValueError, match=f"n = {cap + 1} exceeds the cap {cap}"):
+        parse_state(f"{kind}:n={cap + 1}")
+    with pytest.raises(ValueError, match=f"exceeds the cap {cap}"):
+        parse_state(f"{kind}:n=1e20")
+    assert main(["check", "--state", f"{kind}:n=1e20"]) == 2
+    assert f"exceeds the cap {cap}" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +286,22 @@ def test_bounds_sweep_reaches_fine_graining_limit(capsys):
     header, rows = _rows(capsys.readouterr().out)
     first = dict(zip(header, rows[0]))
     assert float(first["R"]) == pytest.approx(math.log(2.0 * math.pi / 1e-300), rel=1e-12)
+
+
+@pytest.mark.parametrize("product", ["3e103", "1e300"])
+def test_bounds_at_huge_width_products(capsys, product):
+    # c**3 in the large-c deficit overflowed past c ~ 5.6e102; past about 1e155
+    # the g factor itself leaves the double range and prints as inf
+    rc = main(["bounds", "--sweep-min", product, "--sweep-max", product,
+               "--sweep-points", "1"])
+    assert rc == 0
+    header, rows = _rows(capsys.readouterr().out)
+    row = dict(zip(header, rows[0]))
+    assert float(row["R"]) == 0.0 and float(row["L_alpha"]) == 0.0
+    for name in ("B_half", "B_alpha", "B_one"):
+        assert math.isfinite(float(row[name]))
+    g = float(row["g"])
+    assert g == math.inf if product == "1e300" else 1.0 < g < math.inf
 
 
 def test_bounds_rejects_subnormal_width_product(capsys):

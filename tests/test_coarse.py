@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -25,6 +26,7 @@ from cg_uncert.relations import DomainError
 from cg_uncert.states import (
     Density1D,
     Gaussian,
+    HermiteGauss,
     Mixture,
     SquareWell,
     momentum_density,
@@ -120,6 +122,48 @@ def test_heavy_tail_momentum_binning():
             assert b.probs[j] == pytest.approx(b.probs[-j], rel=1e-8)
 
 
+def _well_momentum_mass_mp(s: SquareWell, lo: float, hi: float) -> float:
+    # 40-digit difference of the Si/Cin antiderivative in a = n pi/2 - p L/(2 hbar)
+    with mpmath.workdps(40):
+        npi = s.n * mpmath.pi
+
+        def cin(x):
+            return mpmath.euler + mpmath.log(abs(x)) - mpmath.ci(abs(x))
+
+        def anti(p):
+            a = npi / 2 - mpmath.mpf(p) * mpmath.mpf(s.length) / (2 * mpmath.mpf(s.hbar))
+            b = npi - a
+            return (-mpmath.sin(a) ** 2 / a + mpmath.si(2 * a) + mpmath.sin(b) ** 2 / b
+                    - mpmath.si(2 * b) + (cin(2 * a) - cin(2 * b)) / npi) / (2 * mpmath.pi)
+
+        return float(anti(lo) - anti(hi))
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
+@pytest.mark.parametrize("log_eta", [-1.5, 0.0, 1.0, 1.5])
+def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
+    # far-tail masses fall below 1e-20; differencing the antiderivative in
+    # double precision leaves ~1e-16 per bin, up to 100% of such a mass
+    eta = 10.0 ** log_eta
+    offset = 0.3 * eta
+    b = bin_density(momentum_density(state), eta, offset)
+    size = b.masses.size
+    picks = {*range(5), *range(size - 5, size), *np.linspace(0, size - 1, 20).astype(int).tolist(),
+             *np.argsort(b.masses)[:5].tolist()}
+    for i in sorted(picks):
+        j = b.j_min + i
+        ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
+        assert abs(b.masses[i] - ref) <= 1e-8 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
+
+
+def test_hermite_bins_to_unit_mass_at_the_cap():
+    # exp(-xi^2/2) underflows inside the oscillating region of phi_1000, which
+    # reaches |xi| = 44.7; the rescaled recurrence keeps the mass there
+    for d in (position_density(HermiteGauss(1000)), momentum_density(HermiteGauss(1000, 0.5))):
+        b = bin_density(d, 0.1, 0.03)
+        assert abs(math.fsum(b.masses.tolist()) + b.tail_mass - 1.0) <= 1e-9
+
+
 def test_bin_density_rejects_bad_width():
     d = position_density(Gaussian())
     with pytest.raises(ValueError):
@@ -179,6 +223,26 @@ def test_discrete_renyi_uniform_and_ordering():
                               probs={0: 0.7, 1: 0.2, 2: 0.1}, tail_mass=0.0)
     hs = [discrete_renyi(skew, a) for a in (0.5, 0.9, 1.0, 1.5, math.inf)]
     assert all(b2 <= a2 + 1e-14 for a2, b2 in zip(hs, hs[1:]))
+
+
+def test_discrete_statistics_are_computed_once_per_order():
+    b = bin_density(momentum_density(SquareWell(3, 1.5)), 0.2, 0.05)
+    fresh = BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min,
+                               masses=b.masses.copy(), tail_mass=b.tail_mass)
+    calls = []
+    arrays = b.arrays
+    object.__setattr__(b, "arrays", lambda: calls.append(1) or arrays())
+    v = discrete_variance(b)
+    assert discrete_variance(b) is v and v == discrete_variance(fresh)
+    h = {alpha: discrete_renyi(b, alpha) for alpha in (0.75, 1.5, 1.0, math.inf)}
+    assert len(set(h.values())) == 4  # orders do not share an entry
+    for alpha, value in h.items():
+        assert discrete_renyi(b, alpha) is value
+        assert value == discrete_renyi(fresh, alpha)
+    assert discrete_renyi(b, 1) is h[1.0] and discrete_renyi(b, np.float64(0.75)) is h[0.75]
+    assert len(calls) == 5  # one read of the storage per statistic and order
+    with pytest.raises(DomainError):
+        discrete_renyi(b, 0.0)
 
 
 def test_discrete_renyi_degenerate_and_domain():
