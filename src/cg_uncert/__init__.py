@@ -43,7 +43,6 @@ from .numerics import (
     RootSpec,
     find_root_bracketed,
     integrate,
-    integrate_halfline,
 )
 from .relations import DomainError, RelationReport, RELATION_IDS, VERDICT_TOL
 from .specfun import ProlateResult, prolate_r00, sinc_eigen_oracle

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands sweep the entropy bounds (bounds), tabulate the M/K function
-chain (kfun), check all coarse-grained relations for one state (check),
-scan the forbidden region of scaled variances (region), and compare
-finite-statistics estimates against exact binned values (sample).
+One parser serves the five subcommands of the command table (_COMMANDS).
+Each RunConfig field declares its flag help and config-file key once, in
+its metadata, and the parser, the config reader and config_from_args all
+read that option table.
 
 State descriptors are one-line, whitespace-free strings:
 
@@ -27,7 +27,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -56,33 +56,44 @@ from .states import Gaussian, HermiteGauss, Mixture, SquareWell, momentum_densit
 
 _LN_2PIE_LIN = 2.0 * math.pi * math.e
 
-COMMANDS = ("bounds", "kfun", "check", "region", "sample")
-
 
 class DescriptorError(ValueError):
     """State descriptor or config field failed to parse."""
 
 
+def _opt(default, doc: str, key: Optional[str] = None, choices=None):
+    """A RunConfig option: its flag is --<name> with "_" written "-", its
+    config-file key is key (default: the field name; "sweep.min" is "min"
+    inside the "sweep" object) and doc is its flag help."""
+    return field(default=default, metadata={"doc": doc, "key": key, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str = "bounds"
-    state: str = "gaussian"
-    delta: float = 1.0
-    delta_p: float = 1.0
-    hbar: float = 1.0
-    alpha: float = 1.0
-    sweep_min: float = 0.01
-    sweep_max: float = 100.0
-    sweep_points: int = 200
-    sweep_log: bool = True
-    grid_umax: float = 1.0
-    grid_n: int = 64
-    samples: int = 10000
-    seed: int = 0
-    offset_x: float = 0.0
-    offset_p: float = 0.0
-    out: Optional[str] = None
-    format: str = "csv"
+    state: str = _opt("gaussian", "state descriptor (grammar below)")
+    delta: float = _opt(1.0, "position bin width")
+    delta_p: float = _opt(1.0, "momentum bin width")
+    hbar: float = _opt(1.0, "hbar (default 1)")
+    alpha: float = _opt(1.0, "entropy order in [1/2, 1]")
+    sweep_min: float = _opt(0.01, "first sweep point", "sweep.min")
+    sweep_max: float = _opt(100.0, "last sweep point", "sweep.max")
+    sweep_points: int = _opt(200, "number of sweep points", "sweep.points")
+    sweep_log: bool = _opt(True, "1 for log-spaced sweep points, 0 for linear", "sweep.log")
+    grid_umax: float = _opt(1.0, "region grid upper edge for u = var/width^2", "grid.u_max")
+    grid_n: int = _opt(64, "region grid points per axis", "grid.n")
+    samples: int = _opt(10000, "sample draws per axis")
+    seed: int = _opt(0, "RNG seed")
+    offset_x: float = _opt(0.0, "position grid offset")
+    offset_p: float = _opt(0.0, "momentum grid offset")
+    out: Optional[str] = _opt(None, "output path (default stdout)")
+    format: str = _opt("csv", "table output format", choices=("csv", "json"))
+
+
+# the option table: (field name, config key, type from the annotation, metadata)
+_TYPES = {"str": str, "Optional[str]": str, "float": float, "int": int, "bool": bool}
+_OPTIONS = tuple((f.name, f.metadata["key"] or f.name, _TYPES[f.type], f.metadata)
+                 for f in fields(RunConfig) if f.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -166,22 +177,14 @@ def parse_state(text: str, hbar: float = 1.0):
 # ---------------------------------------------------------------------------
 # config file and flags
 
-_SCALAR_FIELDS = {
-    "state": str, "delta": float, "delta_p": float, "hbar": float,
-    "alpha": float, "samples": int, "seed": int, "offset_x": float,
-    "offset_p": float, "out": str, "format": str,
-}
-_SWEEP_KEYS = {"min": ("sweep_min", float), "max": ("sweep_max", float),
-               "points": ("sweep_points", int), "log": ("sweep_log", bool)}
-_GRID_KEYS = {"u_max": ("grid_umax", float), "n": ("grid_n", int)}
-
 
 def _coerce(field_name: str, value, typ):
-    if typ is bool:
-        if isinstance(value, bool):
+    if typ is bool or typ is str:
+        if isinstance(value, typ):
             return value
-        raise DescriptorError(f"config field {field_name!r} must be true/false")
-    if typ in (int, float) and isinstance(value, bool):
+        raise DescriptorError(f"config field {field_name!r} must be "
+                              + ("true/false" if typ is bool else "a string"))
+    if isinstance(value, bool):
         raise DescriptorError(f"config field {field_name!r} must be a number")
     try:
         out = typ(value)
@@ -204,28 +207,23 @@ def load_config_file(path: str) -> dict:
             f"{e.msg}") from None
     if not isinstance(raw, dict):
         raise DescriptorError(f"config {path}: top level must be an object")
+    schema = {}  # config key -> (field, type); "sweep" -> {"min": ..., ...}
+    for name, key, typ, _ in _OPTIONS:
+        group, _, leaf = key.rpartition(".")
+        (schema.setdefault(group, {}) if group else schema)[leaf] = (name, typ)
     out = {}
     for key, value in raw.items():
-        if key in _SCALAR_FIELDS:
-            out[key] = _coerce(key, value, _SCALAR_FIELDS[key])
-        elif key == "sweep":
+        entry = schema.get(key)
+        if isinstance(entry, dict):
             if not isinstance(value, dict):
-                raise DescriptorError("config field 'sweep' must be an object")
-            for k, v in value.items():
-                if k not in _SWEEP_KEYS:
-                    raise DescriptorError(f"unknown config field 'sweep.{k}'")
-                name, typ = _SWEEP_KEYS[k]
-                out[name] = _coerce(f"sweep.{k}", v, typ)
-        elif key == "grid":
-            if not isinstance(value, dict):
-                raise DescriptorError("config field 'grid' must be an object")
-            for k, v in value.items():
-                if k not in _GRID_KEYS:
-                    raise DescriptorError(f"unknown config field 'grid.{k}'")
-                name, typ = _GRID_KEYS[k]
-                out[name] = _coerce(f"grid.{k}", v, typ)
+                raise DescriptorError(f"config field {key!r} must be an object")
+            items = [(f"{key}.{k}", entry.get(k), v) for k, v in value.items()]
         else:
-            raise DescriptorError(f"unknown config field {key!r}")
+            items = [(key, entry, value)]
+        for path_key, found, v in items:
+            if found is None:
+                raise DescriptorError(f"unknown config field {path_key!r}")
+            out[found[0]] = _coerce(path_key, v, found[1])
     return out
 
 
@@ -254,6 +252,17 @@ def _validate(cfg: RunConfig) -> None:
                 f"field 'grid.u_max' must be nonnegative, got {cfg.grid_umax}")
     if cfg.command == "sample" and cfg.samples < 1:
         raise DescriptorError(f"field 'samples' must be at least 1, got {cfg.samples}")
+    if cfg.command in ("check", "sample"):
+        # at 2**52 widths the offset's ulp reaches the bin width, so bin edges
+        # are no longer resolved and verdicts come out false
+        for name, width in (("offset_x", cfg.delta), ("offset_p", cfg.delta_p)):
+            v = getattr(cfg, name)
+            if not abs(v) < 2.0 ** 52 * width:
+                raise DescriptorError(
+                    f"field {name!r} must be finite and below 2**52 bin widths "
+                    f"in magnitude, got {v}")
+        if cfg.seed < 0:
+            raise DescriptorError(f"field 'seed' must be nonnegative, got {cfg.seed}")
 
 
 def _sweep_values(cfg: RunConfig) -> list:
@@ -297,8 +306,12 @@ def _write_table(cfg: RunConfig, header: list, rows: list, meta: dict) -> None:
         doc = {"meta": {k: meta[k] for k in sorted(meta)}, "columns": header,
                "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
                          for v in row] for row in rows]}
-        payload = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        payload = _json_line(doc)
     _emit(cfg.out, payload)
+
+
+def _json_line(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _emit(path: Optional[str], payload: str) -> None:
@@ -349,9 +362,7 @@ def cmd_check(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
     reports = check_coarse_relations(state, cfg.delta, cfg.delta_p, cfg.alpha,
                                      offsets=(cfg.offset_x, cfg.offset_p))
-    payload = json.dumps(_report_dicts(reports), sort_keys=True,
-                         separators=(",", ":")) + "\n"
-    _emit(cfg.out, payload)
+    _emit(cfg.out, _json_line(_report_dicts(reports)))
     return 0 if all(r.verdict == "holds" for r in reports) else 1
 
 
@@ -401,7 +412,7 @@ def cmd_sample(cfg: RunConfig) -> int:
     doc = {"samples": cfg.samples, "seed": cfg.seed, "alpha": cfg.alpha,
            "state": cfg.state, "position": stats_x, "momentum": stats_p,
            "relations": _report_dicts(reports)}
-    _emit(cfg.out, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _emit(cfg.out, _json_line(doc))
     return 0 if all(r.verdict == "holds" for r in reports) else 1
 
 
@@ -409,45 +420,33 @@ def cmd_sample(cfg: RunConfig) -> int:
 # entry point
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("shared options")
-    g.add_argument("--config", help="JSON config file; flags override its values")
-    g.add_argument("--state", help="state descriptor (see --help header)")
-    g.add_argument("--delta", type=float, help="position bin width")
-    g.add_argument("--delta-p", type=float, dest="delta_p", help="momentum bin width")
-    g.add_argument("--hbar", type=float, help="hbar (default 1)")
-    g.add_argument("--alpha", type=float, help="entropy order in [1/2, 1]")
-    g.add_argument("--sweep-min", type=float, dest="sweep_min")
-    g.add_argument("--sweep-max", type=float, dest="sweep_max")
-    g.add_argument("--sweep-points", type=int, dest="sweep_points")
-    g.add_argument("--sweep-log", type=int, choices=(0, 1), dest="sweep_log",
-                   help="1 for log-spaced sweep points, 0 for linear")
-    g.add_argument("--grid-umax", type=float, dest="grid_umax",
-                   help="region grid upper edge for u = var/width^2")
-    g.add_argument("--grid-n", type=int, dest="grid_n", help="region grid points per axis")
-    g.add_argument("--samples", type=int, help="sample draws per axis")
-    g.add_argument("--seed", type=int, help="RNG seed")
-    g.add_argument("--offset-x", type=float, dest="offset_x", help="position grid offset")
-    g.add_argument("--offset-p", type=float, dest="offset_p", help="momentum grid offset")
-    g.add_argument("--out", help="output path (default stdout)")
-    g.add_argument("--format", choices=("csv", "json"), help="table output format")
+# name -> (runner, help)
+_COMMANDS = {
+    "bounds": (cmd_bounds, "sweep entropy bounds over dd_over_hbar"),
+    "kfun": (cmd_kfun, "tabulate M, M^-1, K along one sweep axis"),
+    "check": (cmd_check, "check all coarse-grained relations for one state"),
+    "region": (cmd_region, "scan the forbidden region of scaled variances"),
+    "sample": (cmd_sample, "finite-statistics experiment vs exact binning"),
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call: perfbench/tracing.py patches parse_args
+    on each parser it returns."""
+    commands = "".join(f"  {name:<8}{doc}\n" for name, (_, doc) in _COMMANDS.items())
+    grammar = (__doc__ or "").split("\n\n", 2)[-1]  # the module docstring from "State"
     p = argparse.ArgumentParser(
-        prog="cg-uncert",
-        description="Coarse-grained uncertainty relations: bounds, K-function, "
-                    "relation checks, forbidden regions, sampling experiments.")
-    sub = p.add_subparsers(dest="command", required=True)
-    sub.add_parser("bounds", parents=[common],
-                   help="sweep entropy bounds over dd_over_hbar")
-    sub.add_parser("kfun", parents=[common],
-                   help="tabulate M, M^-1, K along one sweep axis")
-    sub.add_parser("check", parents=[common],
-                   help="check all coarse-grained relations for one state")
-    sub.add_parser("region", parents=[common],
-                   help="scan the forbidden region of scaled variances")
-    sub.add_parser("sample", parents=[common],
-                   help="finite-statistics experiment vs exact binning")
+        prog="cg-uncert", formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Coarse-grained uncertainty relations: bounds, K-function, relation\n"
+                    "checks, forbidden regions, sampling experiments.",
+        epilog=f"commands:\n{commands}\n{grammar}")
+    p.add_argument("command", choices=_COMMANDS, metavar="command",
+                   help="one of the commands listed below")
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    for name, _, typ, meta in _OPTIONS:
+        typ, choices = (int, (0, 1)) if typ is bool else (typ, meta["choices"])
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=typ,
+                       choices=choices, help=meta["doc"])
     return p
 
 
@@ -456,20 +455,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         cfg = replace(cfg, **load_config_file(args.config))
     overrides = {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        v = getattr(args, f.name, None)
+    for name, _, typ, _ in _OPTIONS:
+        v = getattr(args, name)
         if v is not None:
-            overrides[f.name] = bool(v) if f.name == "sweep_log" else v
+            overrides[name] = bool(v) if typ is bool else v
     if overrides:
         cfg = replace(cfg, **overrides)
     _validate(cfg)
     return cfg
 
-
-_RUNNERS = {"bounds": cmd_bounds, "kfun": cmd_kfun, "check": cmd_check,
-            "region": cmd_region, "sample": cmd_sample}
 
 _INPUT_ERRORS = (DescriptorError, DomainError, WidthMismatch, ValueError)
 # ArithmeticError: an overflow or division by zero inside the numerics
@@ -480,7 +474,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        return _RUNNERS[cfg.command](cfg)
+        return _COMMANDS[cfg.command][0](cfg)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

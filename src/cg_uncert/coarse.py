@@ -330,7 +330,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
     start = j0 - 1 + int(np.argmax(seed))
     left, right = [], []
     jl, jr = j0 - 1, j0 + 1
-    cum = math.fsum(seed.tolist())
+    cum = float(seed.sum())
     block_l = block_r = 16
     left_open = right_open = True
     target = 1.0 - EPS_TAIL
@@ -348,7 +348,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
             else:
                 jl -= block_l
                 left.append(masses_for(jl, block_l))
-                cum += math.fsum(left[-1].tolist())
+                cum += float(left[-1].sum())
                 block_l = min(block_l * 2, 8192)
         if cum >= target:
             break
@@ -357,7 +357,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
                 right_open = False
             else:
                 right.append(masses_for(jr + 1, block_r))
-                cum += math.fsum(right[-1].tolist())
+                cum += float(right[-1].sum())
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)

@@ -23,7 +23,6 @@ __all__ = [
     "InvalidBracket",
     "Divergent",
     "integrate",
-    "integrate_halfline",
     "find_root_bracketed",
     "gauss_legendre_panels",
 ]
@@ -70,26 +69,6 @@ DEFAULT_QUAD = QuadSpec()
 DEFAULT_ROOT = RootSpec()
 
 
-def _run_quad(f, a, b, spec, points=None):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _sp_integrate.IntegrationWarning)
-        try:
-            val, err = _sp_integrate.quad(
-                f, a, b,
-                epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions, points=points,
-            )
-        except _sp_integrate.IntegrationWarning as exc:
-            raise NonConvergence(f"quadrature on [{a}, {b}] did not converge: {exc}") from exc
-    if not np.isfinite(val):
-        raise NonConvergence(f"quadrature on [{a}, {b}] returned non-finite value")
-    if err > 10 * max(spec.abs_tol, spec.rel_tol * abs(val)):
-        raise NonConvergence(
-            f"quadrature on [{a}, {b}] error estimate {err:.3e} exceeds tolerance"
-        )
-    return val
-
-
 def integrate(f: Callable[[float], float], a: float, b: float,
               spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Integral of f over the finite interval [a, b].
@@ -100,15 +79,23 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    return _run_quad(f, a, b, spec)
-
-
-def integrate_halfline(f: Callable[[float], float], a: float,
-                       spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Integral of f over [a, +inf) via QUADPACK's mapped semi-infinite rule."""
-    if not np.isfinite(a):
-        raise ValueError(f"need finite lower endpoint, got {a}")
-    return _run_quad(f, a, np.inf, spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _sp_integrate.IntegrationWarning)
+        try:
+            val, err = _sp_integrate.quad(
+                f, a, b,
+                epsabs=spec.abs_tol, epsrel=spec.rel_tol,
+                limit=spec.max_subdivisions,
+            )
+        except _sp_integrate.IntegrationWarning as exc:
+            raise NonConvergence(f"quadrature on [{a}, {b}] did not converge: {exc}") from exc
+    if not np.isfinite(val):
+        raise NonConvergence(f"quadrature on [{a}, {b}] returned non-finite value")
+    if err > 10 * max(spec.abs_tol, spec.rel_tol * abs(val)):
+        raise NonConvergence(
+            f"quadrature on [{a}, {b}] error estimate {err:.3e} exceeds tolerance"
+        )
+    return val
 
 
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,

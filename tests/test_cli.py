@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,6 +10,8 @@ import pytest
 from cg_uncert.cli import (
     DescriptorError,
     RunConfig,
+    build_parser,
+    config_from_args,
     load_config_file,
     main,
     parse_state,
@@ -121,6 +126,103 @@ def test_flags_override_config(tmp_path, capsys):
     assert len(lines) == 1 + 2  # header + two rows
 
 
+# (field, flag, flag text, config key, config value): every RunConfig option
+_OPTION_CASES = [
+    ("state", "--state", "hermite:n=2", "state", "hermite:n=2"),
+    ("delta", "--delta", "0.5", "delta", 0.5),
+    ("delta_p", "--delta-p", "0.25", "delta_p", 0.25),
+    ("hbar", "--hbar", "2", "hbar", 2.0),
+    ("alpha", "--alpha", "0.75", "alpha", 0.75),
+    ("sweep_min", "--sweep-min", "0.5", "sweep.min", 0.5),
+    ("sweep_max", "--sweep-max", "50", "sweep.max", 50.0),
+    ("sweep_points", "--sweep-points", "7", "sweep.points", 7),
+    ("sweep_log", "--sweep-log", "0", "sweep.log", False),
+    ("grid_umax", "--grid-umax", "2", "grid.u_max", 2.0),
+    ("grid_n", "--grid-n", "5", "grid.n", 5),
+    ("samples", "--samples", "123", "samples", 123),
+    ("seed", "--seed", "9", "seed", 9),
+    ("offset_x", "--offset-x", "0.125", "offset_x", 0.125),
+    ("offset_p", "--offset-p", "-0.25", "offset_p", -0.25),
+    ("out", "--out", "report.json", "out", "report.json"),
+    ("format", "--format", "json", "format", "json"),
+]
+
+
+def test_option_cases_cover_every_field():
+    assert sorted(c[0] for c in _OPTION_CASES) == sorted(
+        f.name for f in fields(RunConfig) if f.name != "command")
+
+
+@pytest.mark.parametrize("name, flag, text, key, value", _OPTION_CASES)
+def test_flag_and_config_key_set_the_same_field(tmp_path, name, flag, text, key, value):
+    group, _, leaf = key.rpartition(".")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({group: {leaf: value}} if group else {key: value}))
+    by_flag = config_from_args(build_parser().parse_args(["check", flag, text]))
+    by_config = config_from_args(build_parser().parse_args(["check", "--config", str(p)]))
+    assert by_flag == by_config
+    assert getattr(by_flag, name) == value != getattr(RunConfig(), name)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"delta": True}, "config field 'delta' must be a number"),
+    ({"samples": 1.5}, "config field 'samples' must be an integer"),
+    ({"sweep": {"log": 1}}, "config field 'sweep.log' must be true/false"),
+    ({"sweep": 3}, "config field 'sweep' must be an object"),
+    ({"grid": {"u_max": "x"}}, "config field 'grid.u_max': 'x' is not float"),
+    ({"sweep.min": 1.0}, "unknown config field 'sweep.min'"),
+])
+def test_config_value_errors_name_the_field(tmp_path, doc, message):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DescriptorError, match=re.escape(message)):
+        load_config_file(str(p))
+
+
+@pytest.mark.parametrize("doc", [{"out": None}, {"state": 5}, {"format": True}])
+def test_config_strings_must_be_json_strings(tmp_path, monkeypatch, capsys, doc):
+    # {"out": null} used to become the path "None": the report went to a file
+    # of that name and the call exited 0
+    (key,) = doc
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(DescriptorError, match=f"config field '{key}' must be a string"):
+        load_config_file(str(p))
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "--config", str(p)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_main_builds_one_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["bounds", "--sweep-points", "1"]) == 0
+    assert len(built) == 1
+
+
+def test_options_may_come_before_the_command(capsys):
+    assert main(["--sweep-points", "2", "bounds"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]])
+def test_help_lists_commands_and_descriptor_grammar(capsys, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("bounds", "kfun", "check", "region", "sample"):
+        assert command in out
+    assert "mix:" in out and "squarewell" in out
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -200,6 +302,22 @@ def test_bad_numeric_input(capsys):
     rc = main(["check", "--state", "gaussian", "--delta", "-1", "--delta-p", "1"])
     assert rc == 2
     assert "delta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check", "--offset-x", "nan"], "offset_x"),
+    (["check", "--offset-x", "inf"], "offset_x"),
+    (["check", "--offset-p", "1e300"], "offset_p"),
+    # at 2**53 widths the offset's ulp is two bin widths: the grid printed a
+    # false "violated" and exited 1
+    (["check", "--state", "gaussian", "--delta", "1", "--delta-p", "1",
+      "--offset-x", "9007199254740992"], "offset_x"),
+    (["sample", "--seed", "-1"], "seed"),
+])
+def test_bad_offsets_and_seeds_are_rejected_by_name(capsys, argv, name):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{name}'" in err
 
 
 def test_numeric_overflow_is_not_a_verdict(capsys):

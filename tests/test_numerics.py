@@ -12,7 +12,6 @@ from cg_uncert.numerics import (
     find_root_bracketed,
     gauss_legendre_panels,
     integrate,
-    integrate_halfline,
 )
 
 
@@ -27,11 +26,6 @@ def test_integrate_rejects_bad_interval():
         integrate(lambda x: x, 1.0, 0.0)
     with pytest.raises(ValueError):
         integrate(lambda x: x, 0.0, math.inf)
-
-
-def test_integrate_halfline_decay():
-    got = integrate_halfline(lambda x: math.exp(-3.0 * x), 0.0)
-    assert got == pytest.approx(1.0 / 3.0, rel=1e-11)
 
 
 def test_quad_spec_validation():
