@@ -187,8 +187,11 @@ def _coerce(field_name: str, value, typ):
     if isinstance(value, bool):
         raise DescriptorError(f"config field {field_name!r} must be a number")
     try:
+        if not isinstance(value, (int, float)):
+            # a JSON string such as "5" is not a number either
+            raise TypeError
         out = typ(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise DescriptorError(
             f"config field {field_name!r}: {value!r} is not {typ.__name__}") from None
     if typ is int and isinstance(value, float) and value != out:

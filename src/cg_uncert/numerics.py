@@ -1,20 +1,22 @@
 """Deterministic numerical kernels shared by every other module.
 
-Thin, contract-enforcing wrappers around QUADPACK adaptive Gauss-Kronrod
-quadrature and Brent's bracketed root finder.  All functions here are pure;
-callers are responsible for splitting integrals at known discontinuities
-(bin edges, compact-support boundaries) so integrands are piecewise smooth.
+A contract-enforcing wrapper around QUADPACK adaptive Gauss-Kronrod
+quadrature (scipy.integrate, imported on first use), Brent's bracketed root
+finder in plain Python floats, and fixed-order Gauss-Legendre panels.  All
+functions here are pure; callers are responsible for splitting integrals at
+known discontinuities (bin edges, compact-support boundaries) so integrands
+are piecewise smooth.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sp_integrate
-from scipy import optimize as _sp_optimize
 
 __all__ = [
     "QuadSpec",
@@ -79,6 +81,10 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    # scipy.integrate costs about 0.15 s to import, and only user densities,
+    # reconstructions and the continuous checks reach this point
+    from scipy import integrate as _sp_integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", _sp_integrate.IntegrationWarning)
         try:
@@ -98,29 +104,77 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     return val
 
 
+# the smallest positive xtol, so that rtol alone decides even for roots near
+# the bottom of the double range; scipy's brentq rejects an rtol below 4 eps
+_ROOT_XTOL = 5e-324
+_ROOT_RTOL_MIN = 4.0 * sys.float_info.epsilon
+
+
 def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
                         spec: RootSpec = DEFAULT_ROOT) -> float:
-    """Root of f inside [lo, hi] where f(lo) and f(hi) have opposite signs."""
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
-        raise InvalidBracket(f"f({lo})={flo:.6g} and f({hi})={fhi:.6g} have the same sign")
-    rtol = max(spec.x_tol, 4 * np.finfo(float).eps)
-    try:
-        # the smallest positive xtol, so that rtol alone decides even for roots
-        # near the bottom of the double range
-        root, res = _sp_optimize.brentq(
-            f, lo, hi, xtol=np.finfo(float).smallest_subnormal, rtol=rtol,
-            maxiter=spec.max_iter, full_output=True,
-        )
-    except RuntimeError as exc:
-        raise NonConvergence(f"root finder failed on [{lo}, {hi}]: {exc}") from exc
-    if not res.converged:
-        raise NonConvergence(f"root finder exhausted {spec.max_iter} iterations on [{lo}, {hi}]")
-    return root
+    """Root of f inside [lo, hi] where f(lo) and f(hi) have opposite signs.
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4), ported step for step from the brentq C routine of SciPy
+    (scipy/optimize/Zeros/brentq.c by Charles Harris; BSD licence, Copyright
+    (c) 2001-2002 Enthought, Inc. and 2003- SciPy Developers).  It returns
+    the same bits as scipy.optimize.brentq(f, lo, hi, xtol=5e-324,
+    rtol=max(spec.x_tol, 4 eps), maxiter=spec.max_iter), evaluates each end
+    once, and works in Python floats throughout.  A NaN at either end raises
+    InvalidBracket, a NaN inside the bracket NonConvergence.
+    """
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if math.isnan(fpre) or math.isnan(fcur):
+        raise InvalidBracket(f"f({lo})={fpre!r} and f({hi})={fcur!r}: NaN at an end")
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise InvalidBracket(f"f({lo})={fpre:.6g} and f({hi})={fcur:.6g} have the same sign")
+    rtol = max(spec.x_tol, _ROOT_RTOL_MIN)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(spec.max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C arithmetic gives an inf or NaN step here, which bisects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = float(f(xcur))
+        if math.isnan(fcur):
+            raise NonConvergence(f"root finder met f({xcur!r}) = NaN on [{lo}, {hi}]")
+    raise NonConvergence(f"root finder exhausted {spec.max_iter} iterations on [{lo}, {hi}]")
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from cg_uncert.bounds import (
@@ -151,6 +154,17 @@ def test_m_inverse_roundtrip():
         func_M_inv(0.0)
     with pytest.raises(DomainError):
         func_M_inv(-1.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(log10_u=st.floats(-300.0, math.log10(1.7e308)))
+def test_m_inverse_roundtrip_over_the_double_range(log10_u):
+    # M^-1 is solved on ln M, and ln u as a double is only known to about
+    # eps |ln u| / 2, so the round trip can only be held to 3e-14 plus a term
+    # that grows with |ln u| (it reaches 2.6e-13 near u = 1e-225)
+    u = 10.0 ** log10_u
+    tol = 3e-14 + 4.0 * sys.float_info.epsilon * abs(math.log(u))
+    assert abs(func_M(func_M_inv(u)) - u) <= tol * u
 
 
 def test_func_f_limits_and_domain():

@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -179,6 +183,27 @@ def test_config_value_errors_name_the_field(tmp_path, doc, message):
         load_config_file(str(p))
 
 
+@pytest.mark.parametrize("key, value", [(c[3], c[2]) for c in _OPTION_CASES
+                                         if isinstance(c[4], (int, float))
+                                         and not isinstance(c[4], bool)])
+def test_config_numbers_must_be_json_numbers(tmp_path, capsys, key, value):
+    # {"samples": "5"} used to load as if it were {"samples": 5}
+    group, _, leaf = key.rpartition(".")
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({group: {leaf: value}} if group else {key: value}))
+    with pytest.raises(DescriptorError, match=re.escape(f"config field '{key}': '{value}' is not")):
+        load_config_file(str(p))
+    assert main(["check", "--config", str(p)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+def test_config_integer_out_of_range_is_named(tmp_path):
+    p = tmp_path / "cfg.json"
+    p.write_text('{"samples": 1e400}')
+    with pytest.raises(DescriptorError, match="config field 'samples': inf is not int"):
+        load_config_file(str(p))
+
+
 @pytest.mark.parametrize("doc", [{"out": None}, {"state": 5}, {"format": True}])
 def test_config_strings_must_be_json_strings(tmp_path, monkeypatch, capsys, doc):
     # {"out": null} used to become the path "None": the report went to a file
@@ -289,6 +314,35 @@ def test_check_square_well_centered(capsys):
     assert rc == 0
     reports = json.loads(capsys.readouterr().out)
     assert all(r["verdict"] == "holds" for r in reports)
+
+
+_LOADED_SCIPY = """
+import contextlib, io, sys
+import cg_uncert.cli as cli
+def loaded():
+    return sorted({m.split(".")[1] for m in sys.modules
+                   if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"],
+                                           ["scipy", "linalg"])})
+print(",".join(loaded()))
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["check", "--state", "squarewell:n=1,L=1", "--delta", "1",
+                   "--offset-x", "0.5", "--delta-p", "50"])
+print(rc, ",".join(loaded()))
+"""
+
+
+def test_cli_starts_without_optimize_integrate_or_linalg():
+    # scipy.optimize and scipy.integrate were over a third of the import time
+    # of cg_uncert.cli, and a check on a catalog state needs neither
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    after_import, after_check = r.stdout.splitlines()
+    assert after_import == ""
+    assert after_check in ("0 ", "0 linalg")
 
 
 def test_check_malformed_descriptor(capsys):

@@ -90,6 +90,14 @@ def test_prolate_branch_seam():
     assert rel < 5e-3
 
 
+def test_prolate_is_memoized_per_c():
+    # a report set asks for the same c as its neighbours; the frozen result
+    # is computed once and shared
+    assert prolate_r00(1.25) is prolate_r00(1.25)
+    assert prolate_r00(13.0) is prolate_r00(13.0)
+    assert prolate_r00(1.25) is not prolate_r00(1.5)
+
+
 def test_prolate_edge_cases():
     res = prolate_r00(0.0)
     assert res.lambda0 == 0.0 and res.r00_at_1 == 1.0
