@@ -28,10 +28,7 @@ from .coarse import (
     discrete_variance,
     ghf_entropy,
     ghf_variance,
-    reconstruct_pdf,
-    rectangle,
     sample_counts,
-    truncated_gaussian,
 )
 from .numerics import (
     DEFAULT_QUAD,

@@ -6,7 +6,9 @@ bound R that stays tight when the bins are coarse, and their maximum
 L_alpha.  On the variance side, the chain M -> M^{-1} -> F -> K turns the
 scaled discrete variance u = sigma^2/width^2 into the optimal factor K(u),
 giving the product relation ln K(u_x) + ln K(u_p) >= 2 L_1 and, from it,
-the forbidden region in the (u_x, u_p) plane.
+the forbidden region in the (u_x, u_p) plane.  K(u) is the minimum over t of
+F(u, t), the factor a truncated-Gaussian bin profile exp(-t v^2) gives; the
+flat bin is its t = 0 member, GhfSpec(eta), with F(u, 0) = 2 pi e (u + 1/12).
 """
 
 from __future__ import annotations
@@ -20,15 +22,14 @@ import numpy as np
 
 from .coarse import (
     GhfSpec,
-    WidthMismatch,
+    _check_profile_width,
     bin_density,
     discrete_renyi,
     discrete_variance,
     ghf_entropy,
     ghf_variance,
-    rectangle,
 )
-from .numerics import DEFAULT_QUAD, NonConvergence, QuadSpec, RootSpec, find_root_bracketed
+from .numerics import NonConvergence, RootSpec, find_root_bracketed
 from .relations import (
     DomainError,
     RelationReport,
@@ -43,6 +44,7 @@ from .specfun import (
     ghf_var_shape,
     log_bin_profile_norm,
     prolate_r00,
+    two_t_m,
 )
 from .states import StateModel, momentum_density, position_density
 
@@ -155,12 +157,13 @@ _M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
 def func_M(t: float) -> float:
     """M(t) = e^{-t/4} / (2 sqrt(pi t) erf(sqrt(t)/2)) for t > 0.
 
-    Strictly decreasing from +inf to 0; ~ 1/(2t) - 1/12 near 0.
+    Strictly decreasing from +inf to 0; ~ 1/(2t) - 1/12 near 0.  Taken from
+    the profile kernel 2tM(t), whose exp(-t/4) has an exact argument, so M
+    keeps its relative precision at large t too.
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise DomainError(f"func_M requires t > 0, got {t}")
-    # the exponent stays O(t), so M keeps its relative precision as t -> 0
-    return math.exp(-0.25 * t - log_bin_profile_norm(t)) / (2.0 * t)
+    return two_t_m(t) / (2.0 * t)
 
 
 def _log_M(t: float) -> float:
@@ -221,12 +224,17 @@ def func_K(u: float) -> float:
 
 
 def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
-                  ghf_x: GhfSpec, ghf_p: GhfSpec, infeasible: bool) -> list:
-    """The three variance-product reports from discrete second moments."""
+                  ghfs: Optional[tuple], infeasible: bool) -> list:
+    """The three variance-product reports from discrete second moments;
+    ghfs is the profile pair of HeisPreopt, the flat pair when None."""
     for name, v in (("var_x", var_x), ("var_p", var_p)):
         if not (v >= 0.0 and math.isfinite(v)):
             raise DomainError(f"{name} must be nonnegative and finite, got {v}")
     dx, dp, hbar = bset.delta_x, bset.delta_p, bset.hbar
+    flat_x, flat_p = GhfSpec(dx), GhfSpec(dp)
+    ghf_x, ghf_p = (flat_x, flat_p) if ghfs is None else ghfs
+    _check_profile_width(ghf_x, dx, "position")
+    _check_profile_width(ghf_p, dp, "momentum")
     out = []
 
     # profile-smoothed product against the pre-optimization entropy bound
@@ -241,8 +249,8 @@ def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
         verdict=verdict_from_margin(margin, infeasible=infeasible)))
 
     # flat-profile product against hbar^2/4
-    lhs_log = (math.log(var_x + dx * dx / 12.0)
-               + math.log(var_p + dp * dp / 12.0))
+    lhs_log = (math.log(var_x + ghf_variance(flat_x))
+               + math.log(var_p + ghf_variance(flat_p)))
     rhs_log = 2.0 * math.log(0.5 * hbar)
     margin = lhs_log - rhs_log
     out.append(RelationReport(
@@ -271,12 +279,7 @@ def moment_relation_reports(var_x: float, var_p: float, delta_x: float,
     such moments.
     """
     bset = bound_L(delta_x, delta_p, hbar, 1.0)
-    ghf_x, ghf_p = ghfs if ghfs is not None else (rectangle(delta_x), rectangle(delta_p))
-    if abs(ghf_x.eta - delta_x) > 1e-12 * delta_x:
-        raise WidthMismatch(f"position profile width {ghf_x.eta} != {delta_x}")
-    if abs(ghf_p.eta - delta_p) > 1e-12 * delta_p:
-        raise WidthMismatch(f"momentum profile width {ghf_p.eta} != {delta_p}")
-    return _heis_reports(var_x, var_p, bset, ghf_x, ghf_p, infeasible=True)
+    return _heis_reports(var_x, var_p, bset, ghfs, infeasible=True)
 
 
 def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0,
@@ -285,7 +288,7 @@ def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0,
 
     bx, bp are BinnedDistributions of position and momentum; ghfs optionally
     supplies the per-bin profile pair for the pre-optimization relation
-    (flat profiles by default).
+    (flat profiles, GhfSpec(width), by default).
     """
     bset = bound_L(bx.width, bp.width, hbar, alpha)
     beta = beta_conjugate(alpha)
@@ -294,26 +297,20 @@ def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0,
     renyi = RelationReport(relation_id="RenyiDiscrete", lhs=lhs,
                            rhs=bset.l_alpha, margin=margin,
                            verdict=verdict_from_margin(margin))
-    ghf_x, ghf_p = ghfs if ghfs is not None else (rectangle(bx.width), rectangle(bp.width))
-    if abs(ghf_x.eta - bx.width) > 1e-12 * bx.width:
-        raise WidthMismatch(f"position profile width {ghf_x.eta} != {bx.width}")
-    if abs(ghf_p.eta - bp.width) > 1e-12 * bp.width:
-        raise WidthMismatch(f"momentum profile width {ghf_p.eta} != {bp.width}")
     return [renyi] + _heis_reports(discrete_variance(bx), discrete_variance(bp),
-                                   bset, ghf_x, ghf_p, infeasible=False)
+                                   bset, ghfs, infeasible=False)
 
 
 def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,
                            alpha: float = 1.0, offsets: tuple = (0.0, 0.0),
-                           ghfs: Optional[tuple] = None,
-                           spec: QuadSpec = DEFAULT_QUAD) -> list:
+                           ghfs: Optional[tuple] = None) -> list:
     """Bin a state's marginals and report all four coarse-grained relations.
 
     offsets = (position grid offset, momentum grid offset).
     """
     _check_widths(delta_x, delta_p, state.hbar)
-    bx = bin_density(position_density(state), delta_x, offsets[0], spec)
-    bp = bin_density(momentum_density(state), delta_p, offsets[1], spec)
+    bx = bin_density(position_density(state), delta_x, offsets[0])
+    bp = bin_density(momentum_density(state), delta_p, offsets[1])
     return binned_relation_reports(bx, bp, alpha=alpha, hbar=state.hbar, ghfs=ghfs)
 
 

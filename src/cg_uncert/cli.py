@@ -241,12 +241,19 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.sweep_points < 1:
             raise DescriptorError(
                 f"field 'sweep.points' must be at least 1, got {cfg.sweep_points}")
+        for name, v in (("sweep.min", cfg.sweep_min), ("sweep.max", cfg.sweep_max)):
+            if not math.isfinite(v):
+                raise DescriptorError(f"field {name!r} must be finite, got {v}")
         if cfg.sweep_points > 1 and not cfg.sweep_min < cfg.sweep_max:
             raise DescriptorError(
                 f"sweep needs min < max, got [{cfg.sweep_min}, {cfg.sweep_max}]")
-        if cfg.sweep_log and cfg.sweep_min <= 0.0:
+        # a linear kfun sweep may start at the t = 0 endpoint; a log sweep or
+        # a width product may not
+        positive = cfg.sweep_log or cfg.command == "bounds"
+        if cfg.sweep_min < 0.0 or (positive and cfg.sweep_min == 0.0):
             raise DescriptorError(
-                f"field 'sweep.min' must be positive for a log sweep, got {cfg.sweep_min}")
+                f"field 'sweep.min' must be {'positive' if positive else 'nonnegative'}, "
+                f"got {cfg.sweep_min}")
     if cfg.command == "region":
         if cfg.grid_n < 1:
             raise DescriptorError(f"field 'grid.n' must be at least 1, got {cfg.grid_n}")

@@ -3,9 +3,9 @@
 Binning of continuous densities into fixed-width windows (from closed-form
 interval masses when the density has them, by panel quadrature otherwise),
 discrete variances and Renyi entropies of the resulting probability vectors,
-computed once per binning and order, generalized
-histogram profiles (flat or truncated-Gaussian within each bin), densities
-reconstructed from binned data, the variance/entropy decomposition
+computed once per binning and order, per-bin histogram profiles (one family,
+exp(-a (u/eta)^2) truncated to the bin, whose a = 0 member is the flat bin),
+densities reconstructed from binned data, the variance/entropy decomposition
 identities, and finite-statistics sampling by exact multinomial draws over
 the bin masses.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .numerics import DEFAULT_QUAD, NonConvergence, QuadSpec, gauss_legendre_panels, integrate
+from .numerics import NonConvergence, gauss_legendre_panels, integrate
 from .relations import DomainError
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
 from .states import Density1D
@@ -35,26 +35,18 @@ __all__ = [
     "WidthMismatch",
     "BinnedDistribution",
     "GhfSpec",
-    "RECTANGLE",
-    "TRUNCATED_GAUSSIAN",
-    "rectangle",
-    "truncated_gaussian",
     "ReconstructedPdf",
     "bin_density",
     "discrete_variance",
     "discrete_renyi",
     "ghf_variance",
     "ghf_entropy",
-    "reconstruct_pdf",
     "decompose_stats",
     "sample_counts",
 ]
 
 EPS_TAIL = 1e-9
 MAX_BINS = 10 ** 6
-
-RECTANGLE = "rectangle"
-TRUNCATED_GAUSSIAN = "truncated_gaussian"
 
 # |a| eta^2 beyond this makes the profile exp(-a u^2/eta^2) itself overflow
 # pointwise in double precision; the shape functions reach further but the
@@ -72,40 +64,32 @@ class WidthMismatch(ValueError):
 
 @dataclass(frozen=True)
 class GhfSpec:
-    """Per-bin histogram profile: flat, or exp(-a (u/eta)^2) truncated to the
-    bin (a > 0 concentrates toward the center, a < 0 toward the edges)."""
+    """Per-bin histogram profile exp(-a (u/eta)^2) truncated to the bin: flat
+    at a = 0 (the default), concentrated toward the center for a > 0 and
+    toward the edges for a < 0."""
 
-    family: str
     eta: float
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.family not in (RECTANGLE, TRUNCATED_GAUSSIAN):
-            raise ValueError(f"unknown profile family {self.family!r}")
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.family == RECTANGLE:
-            if self.a != 0.0:
-                raise ValueError("rectangle profile takes no shape parameter")
-        else:
-            if not math.isfinite(self.a):
-                raise ValueError("shape parameter a must be finite")
-            if abs(self.a) * self.eta ** 2 > _MAX_PROFILE_T:
-                raise ValueError(
-                    f"|a|*eta^2 = {abs(self.a) * self.eta ** 2:g} too extreme "
-                    f"to represent (limit {_MAX_PROFILE_T:g})")
+        if not math.isfinite(self.a):
+            raise ValueError("shape parameter a must be finite")
+        if abs(self.a) * self.eta ** 2 > _MAX_PROFILE_T:
+            raise ValueError(
+                f"|a|*eta^2 = {abs(self.a) * self.eta ** 2:g} too extreme "
+                f"to represent (limit {_MAX_PROFILE_T:g})")
 
     @property
     def t(self) -> float:
         return self.a * self.eta ** 2
 
 
-def rectangle(eta: float) -> GhfSpec:
-    return GhfSpec(RECTANGLE, eta)
-
-
-def truncated_gaussian(eta: float, a: float) -> GhfSpec:
-    return GhfSpec(TRUNCATED_GAUSSIAN, eta, a)
+def _check_profile_width(g: GhfSpec, width: float, axis: str = "grid") -> None:
+    """Raise WidthMismatch unless the profile width matches the bin width."""
+    if abs(g.eta - width) > 1e-12 * width:
+        raise WidthMismatch(f"{axis} profile width {g.eta} != bin width {width}")
 
 
 class _BinView(Mapping):
@@ -204,9 +188,7 @@ class ReconstructedPdf:
     ghf: GhfSpec
 
     def __post_init__(self) -> None:
-        if abs(self.ghf.eta - self.base.width) > 1e-12 * self.base.width:
-            raise WidthMismatch(
-                f"profile width {self.ghf.eta} != grid width {self.base.width}")
+        _check_profile_width(self.ghf, self.base.width)
 
     def eval(self, x):
         b, g = self.base, self.ghf
@@ -215,8 +197,6 @@ class ReconstructedPdf:
         idx = j - b.j_min
         valid = (idx >= 0) & (idx < b.masses.size)
         pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
-        if g.family == RECTANGLE:
-            return pj / g.eta
         v = (x - (b.offset + j * b.width)) / g.eta
         t = g.t
         return pj * np.exp(-t * v * v) / (g.eta * bin_profile_norm(t))
@@ -244,7 +224,7 @@ def _bin_edges(j, width: float, offset: float):
 
 
 def _clean_block_masses(d: Density1D, j_arr: np.ndarray, width: float,
-                        offset: float, spec: QuadSpec) -> np.ndarray:
+                        offset: float) -> np.ndarray:
     """Masses of bins lying fully inside the support with no interior cuts,
     by fixed-order panel quadrature with an order cross-check.  For a density
     with closed-form interval masses every bin counts as clean, and j_arr is
@@ -268,12 +248,12 @@ def _clean_block_masses(d: Density1D, j_arr: np.ndarray, width: float,
     bad = np.abs(v32 - v16) > np.maximum(1e-15, 1e-12 * np.abs(v32))
     if np.any(bad):
         for i in np.nonzero(bad)[0]:
-            v32[i] = integrate(lambda x: float(d.eval(x)), float(lo[i]), float(hi[i]), spec)
+            v32[i] = integrate(lambda x: float(d.eval(x)), float(lo[i]), float(hi[i]))
     return np.maximum(v32, 0.0)
 
 
 def _single_bin_mass(d: Density1D, j: int, width: float, offset: float,
-                     cuts, spec: QuadSpec) -> float:
+                     cuts) -> float:
     lo_s, hi_s = d.support
     a = offset + (j - 0.5) * width
     b = a + width
@@ -284,12 +264,11 @@ def _single_bin_mass(d: Density1D, j: int, width: float, offset: float,
     points = [a] + [c for c in cuts if a < c < b] + [b]
     total = 0.0
     for left, right in zip(points[:-1], points[1:]):
-        total += integrate(lambda x: float(d.eval(x)), left, right, spec)
+        total += integrate(lambda x: float(d.eval(x)), left, right)
     return max(total, 0.0)
 
 
-def bin_density(d: Density1D, eta: float, offset: float = 0.0,
-                spec: QuadSpec = DEFAULT_QUAD) -> BinnedDistribution:
+def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
     """Bin a density on the grid (eta, offset).
 
     Bins are enumerated outward from the heaviest one until the cumulative
@@ -313,15 +292,15 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0,
         no cut strictly inside) by one panel-rule call, the rest one by one."""
         js = np.arange(j_lo, j_lo + n, dtype=np.int64)
         if d.interval_masses is not None:
-            return _clean_block_masses(d, js, eta, offset, spec)
+            return _clean_block_masses(d, js, eta, offset)
         a, b = _bin_edges(js, eta, offset)
         clean = ((a >= lo_s) & (b <= hi_s)
                  & (np.searchsorted(cuts, a, "right") == np.searchsorted(cuts, b, "left")))
         out = np.empty(n)
         if clean.any():
-            out[clean] = _clean_block_masses(d, js[clean], eta, offset, spec)
+            out[clean] = _clean_block_masses(d, js[clean], eta, offset)
         for i in np.flatnonzero(~clean):
-            out[i] = _single_bin_mass(d, int(js[i]), eta, offset, cuts, spec)
+            out[i] = _single_bin_mass(d, int(js[i]), eta, offset, cuts)
         return out
 
     j0 = int(math.floor((x0 - offset) / eta + 0.5))
@@ -409,29 +388,20 @@ def _renyi(p: np.ndarray, alpha: float) -> float:
 
 
 def ghf_variance(g: GhfSpec) -> float:
-    """Variance of the per-bin profile around the bin center."""
-    if g.family == RECTANGLE:
-        return g.eta ** 2 / 12.0
+    """Variance of the per-bin profile around the bin center (eta^2/12 when
+    flat)."""
     return g.eta ** 2 * ghf_var_shape(g.t)
 
 
 def ghf_entropy(g: GhfSpec) -> float:
     """Shannon entropy of the per-bin profile (maximal, ln eta, when flat)."""
-    if g.family == RECTANGLE:
-        return math.log(g.eta)
     return math.log(g.eta) + ghf_ent_shape(g.t)
-
-
-def reconstruct_pdf(b: BinnedDistribution, g: GhfSpec) -> ReconstructedPdf:
-    """Density with the per-bin profile placed at each occupied bin."""
-    return ReconstructedPdf(base=b, ghf=g)
 
 
 def decompose_stats(b: BinnedDistribution, g: GhfSpec) -> tuple:
     """(variance, Shannon entropy) of the reconstructed density via the exact
     decomposition: discrete part plus profile part."""
-    if abs(g.eta - b.width) > 1e-12 * b.width:
-        raise WidthMismatch(f"profile width {g.eta} != grid width {b.width}")
+    _check_profile_width(g, b.width)
     return (discrete_variance(b) + ghf_variance(g),
             discrete_renyi(b, 1.0) + ghf_entropy(g))
 

@@ -205,9 +205,10 @@ def sinc_eigen_oracle(c: float) -> float:
 # sign) has variance eta^2 * ghf_var_shape(t) and Shannon entropy
 # ln(eta) + ghf_ent_shape(t).  Both reduce to the flat profile at t = 0
 # (1/12 and 0).  The quantity 2tM(t) = exp(-t/4)/bin_profile_norm(t) drives
-# everything; W(t) = 1 - 2tM(t) has a removable singularity at t = 0 handled
-# by a frozen Maclaurin series (exact rational coefficients, radius ~22.6,
-# used only for |t| <= 1/2 where it is correct to ~1e-17).
+# everything, M(t) of the variance relation included; W(t) = 1 - 2tM(t)
+# has a removable singularity at t = 0 handled by a frozen Maclaurin series
+# (exact rational coefficients, radius ~22.6, used only for |t| <= 1/2 where
+# it is correct to ~1e-17).
 
 _W_SERIES = (
     1.0 / 6.0,
@@ -295,9 +296,11 @@ def _w_of_t(t: float) -> float:
     return 1.0 - two_t_m(t)
 
 
+@functools.lru_cache(maxsize=1024)
 def ghf_var_shape(t: float) -> float:
     """Variance of the unit-bin profile: W(t)/(2t), with the t -> 0 limit
-    1/12.  Strictly decreasing, range (0, 1/4)."""
+    1/12.  Strictly decreasing, range (0, 1/4).  Memoized per t: every
+    report set asks again for the flat profile's t = 0."""
     if abs(t) <= _SHAPE_SERIES_CUT:
         # W(t)/(2t) as a polynomial: shift the W series down one power
         v = 0.0
@@ -307,6 +310,7 @@ def ghf_var_shape(t: float) -> float:
     return _w_of_t(t) / (2.0 * t)
 
 
+@functools.lru_cache(maxsize=1024)
 def ghf_ent_shape(t: float) -> float:
     """Entropy of the unit-bin profile minus the flat-profile value:
     ln(bin_profile_norm(t)) + W(t)/2, nonpositive, 0 at t = 0."""

@@ -26,7 +26,6 @@ from .numerics import (
     DEFAULT_QUAD,
     Divergent,
     NonConvergence,
-    QuadSpec,
     _gl_nodes,
     gauss_legendre_panels,
     integrate,
@@ -565,8 +564,7 @@ def _panels_total(f_vec, a: float, b: float, n_panels: int) -> float:
     return float(np.sum(vals))
 
 
-def _ring_value(f_vec, a: float, b: float, spec: QuadSpec, osc: Optional[float],
-                err_cls) -> float:
+def _ring_value(f_vec, a: float, b: float, osc: Optional[float], err_cls) -> float:
     if osc is not None:
         n = max(16, int(2.0 * (b - a) / osc) + 1)
     else:
@@ -575,14 +573,14 @@ def _ring_value(f_vec, a: float, b: float, spec: QuadSpec, osc: Optional[float],
     n *= 2
     while n <= _MAX_PANELS:
         cur = _panels_total(f_vec, a, b, n)
-        if abs(cur - prev) <= 0.125 * max(spec.abs_tol, spec.rel_tol * abs(cur)):
+        if abs(cur - prev) <= 0.125 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(cur)):
             return cur
         prev = cur
         n *= 2
     raise err_cls(f"tail panel refinement stalled on [{a}, {b}]")
 
 
-def _tail_sum(f_vec, edge: float, width0: float, direction: int, spec: QuadSpec,
+def _tail_sum(f_vec, edge: float, width0: float, direction: int,
               osc: Optional[float], err_cls) -> float:
     total = 0.0
     width = width0
@@ -594,10 +592,10 @@ def _tail_sum(f_vec, edge: float, width0: float, direction: int, spec: QuadSpec,
         else:
             a, b = edge - width, edge
             edge = a
-        v = _ring_value(f_vec, a, b, spec, osc, err_cls)
+        v = _ring_value(f_vec, a, b, osc, err_cls)
         total += v
         width *= 2.0
-        if abs(v) <= 0.25 * max(spec.abs_tol, spec.rel_tol * abs(total)):
+        if abs(v) <= 0.25 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(total)):
             quiet += 1
             if quiet >= 2:
                 return total
@@ -606,7 +604,7 @@ def _tail_sum(f_vec, edge: float, width0: float, direction: int, spec: QuadSpec,
     raise err_cls("tail ring sum did not converge within the ring budget")
 
 
-def _integrate_density(d: Density1D, h, spec: QuadSpec, err_cls=NonConvergence) -> float:
+def _integrate_density(d: Density1D, h, err_cls=NonConvergence) -> float:
     """Integral of h(x, f(x)) over the support of density f.
 
     h must be vectorized.  The finite core is integrated adaptively piece by
@@ -632,15 +630,15 @@ def _integrate_density(d: Density1D, h, spec: QuadSpec, err_cls=NonConvergence) 
     points.append(b)
     total = 0.0
     for left, right in zip(points[:-1], points[1:]):
-        total += integrate(f_scalar, left, right, spec)
+        total += integrate(f_scalar, left, right)
     if not math.isfinite(lo):
-        total += _tail_sum(f_vec, a, 8.0 * s, -1, spec, d.osc_scale, err_cls)
+        total += _tail_sum(f_vec, a, 8.0 * s, -1, d.osc_scale, err_cls)
     if not math.isfinite(hi):
-        total += _tail_sum(f_vec, b, 8.0 * s, +1, spec, d.osc_scale, err_cls)
+        total += _tail_sum(f_vec, b, 8.0 * s, +1, d.osc_scale, err_cls)
     return total
 
 
-def variance(d: Density1D, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def variance(d: Density1D) -> float:
     """Variance of the density; exact moments are used where quadrature
     cannot reach the tails."""
     if d.heavy_tail:
@@ -648,8 +646,8 @@ def variance(d: Density1D, spec: QuadSpec = DEFAULT_QUAD) -> float:
             raise Divergent("second moment of a heavy-tailed density with no "
                             "exact moments attached")
         return d.known_m2 - d.known_mean ** 2
-    mean = _integrate_density(d, lambda x, f: x * f, spec)
-    return _integrate_density(d, lambda x, f: (x - mean) ** 2 * f, spec)
+    mean = _integrate_density(d, lambda x, f: x * f)
+    return _integrate_density(d, lambda x, f: (x - mean) ** 2 * f)
 
 
 def _h_shannon(x, f):
@@ -658,7 +656,7 @@ def _h_shannon(x, f):
     return -np.where(f > 0.0, f * np.log(safe), 0.0)
 
 
-def renyi_entropy_cont(d: Density1D, lam: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def renyi_entropy_cont(d: Density1D, lam: float) -> float:
     """Differential Renyi entropy of order lam (lam = 1 gives Shannon).
 
     Raises Divergent when the defining integral cannot be summed to tolerance
@@ -667,12 +665,12 @@ def renyi_entropy_cont(d: Density1D, lam: float, spec: QuadSpec = DEFAULT_QUAD) 
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"entropy order must be positive and finite, got {lam}")
     if lam == 1.0:
-        return _integrate_density(d, _h_shannon, spec, err_cls=Divergent)
+        return _integrate_density(d, _h_shannon, err_cls=Divergent)
 
     def h_pow(x, f):
         return np.power(np.maximum(np.asarray(f, dtype=float), 0.0), lam)
 
-    integral = _integrate_density(d, h_pow, spec, err_cls=Divergent)
+    integral = _integrate_density(d, h_pow, err_cls=Divergent)
     if not integral > 0.0:
         raise NonConvergence(f"power integral came out nonpositive ({integral})")
     return math.log(integral) / (1.0 - lam)
@@ -695,8 +693,7 @@ def _sum_report(relation_id: str, lhs: float, rhs: float) -> RelationReport:
     return RelationReport(relation_id, lhs, rhs, margin, verdict_from_margin(margin))
 
 
-def check_continuous_relations(s: StateModel, alpha: float = 1.0,
-                               spec: QuadSpec = DEFAULT_QUAD) -> list:
+def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
     """Variance-product and entropic checks on the continuous marginals.
 
     alpha is the Renyi order on the position side, restricted to (1/2, 1];
@@ -711,20 +708,20 @@ def check_continuous_relations(s: StateModel, alpha: float = 1.0,
     rho_p = momentum_density(s)
     hbar = s.hbar
 
-    var_x = variance(rho_x, spec)
-    var_p = variance(rho_p, spec)
+    var_x = variance(rho_x)
+    var_p = variance(rho_p)
     hur = _product_report("HUR", var_x * var_p, hbar * hbar / 4.0)
 
-    h1_x = renyi_entropy_cont(rho_x, 1.0, spec)
-    h1_p = renyi_entropy_cont(rho_p, 1.0, spec)
+    h1_x = renyi_entropy_cont(rho_x, 1.0)
+    h1_p = renyi_entropy_cont(rho_p, 1.0)
     shannon = _sum_report("ShannonCont", h1_x + h1_p, math.log(math.pi * math.e * hbar))
 
     if alpha == 1.0:
         ha_x, hb_p = h1_x, h1_p
     else:
         beta = beta_conjugate(alpha)
-        ha_x = renyi_entropy_cont(rho_x, alpha, spec)
-        hb_p = renyi_entropy_cont(rho_p, beta, spec)
+        ha_x = renyi_entropy_cont(rho_x, alpha)
+        hb_p = renyi_entropy_cont(rho_p, beta)
     renyi = _sum_report("RenyiCont", ha_x + hb_p,
                         math.log(math.pi * hbar) + conjugate_constant(alpha))
 

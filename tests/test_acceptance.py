@@ -23,14 +23,13 @@ from cg_uncert.bounds import (
 from cg_uncert.cli import parse_state
 from cg_uncert.coarse import (
     BinnedDistribution,
+    GhfSpec,
+    ReconstructedPdf,
     bin_density,
     decompose_stats,
     discrete_renyi,
     discrete_variance,
-    rectangle,
-    reconstruct_pdf,
     sample_counts,
-    truncated_gaussian,
 )
 from cg_uncert.numerics import QuadSpec, integrate
 from cg_uncert.specfun import prolate_r00, sinc_eigen_oracle
@@ -190,13 +189,13 @@ def test_criterion_06_decomposition_identities():
             eta = 10.0 ** rng.uniform(-1.0, 1.0)
             offset = rng.uniform(0.0, eta)
             if rng.random() < 0.5:
-                ghf = rectangle(eta)
+                ghf = GhfSpec(eta)
             else:
-                ghf = truncated_gaussian(eta, rng.uniform(-8.0, 8.0))
+                ghf = GhfSpec(eta, rng.uniform(-8.0, 8.0))
             binned = bin_density(dens, eta, offset)
             var_sum, ent_sum = decompose_stats(binned, ghf)
             var_q, ent_q = _reconstruction_stats_by_quadrature(
-                reconstruct_pdf(binned, ghf), binned)
+                ReconstructedPdf(binned, ghf), binned)
             assert abs(var_sum - var_q) <= 1e-8 * max(1.0, abs(var_q))
             assert abs(ent_sum - ent_q) <= 1e-8 * max(1.0, abs(ent_q))
         out.check_budget()

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,10 @@ from cg_uncert.bounds import (
     func_M_inv,
     moment_relation_reports,
 )
+from cg_uncert.coarse import GhfSpec
 from cg_uncert.numerics import find_root_bracketed
 from cg_uncert.relations import DomainError, beta_conjugate, conjugate_constant
-from cg_uncert.states import Gaussian, SquareWell
+from cg_uncert.states import Gaussian, HermiteGauss, Mixture, SquareWell
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -138,6 +140,14 @@ def test_func_m_domain_and_seams():
     assert func_M(1e-8) == pytest.approx(49999999.916666666722, rel=1e-14)
     assert func_M(699.9) == pytest.approx(1.0894319310387593922e-78, rel=1e-12)
     assert func_M(700.1) == pytest.approx(1.0361516765521348934e-78, rel=1e-12)
+    # the 300-point kfun sweep from 1e-6 to 1e6, wherever M is a normal double
+    with mpmath.workdps(50):
+        for t in np.geomspace(1e-6, 1e6, 300):
+            tm = mpmath.mpf(float(t))
+            ref = mpmath.exp(-tm / 4) / (
+                2 * mpmath.sqrt(mpmath.pi * tm) * mpmath.erf(mpmath.sqrt(tm) / 2))
+            if ref >= sys.float_info.min:
+                assert abs(func_M(float(t)) - ref) <= 1e-15 * ref, f"t={t}"
 
 
 def test_func_m_monotone_decreasing():
@@ -204,6 +214,28 @@ def test_func_k_properties():
         func_K(-0.1)
 
 
+_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(log_u=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+       ts=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))),
+       log_d=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
+def test_k_is_the_minimum_of_f(log_u, ts, log_d):
+    # HeisPreopt's margin is ln F(u_x, t_x) + ln F(u_p, t_p) - 2 L_1 for the
+    # profile pair, HeisOptimal's the same with K = min_t F in place of F; at
+    # t = M^-1(u) (ts None) the two coincide
+    (dx, dp), (ux, up) = [10.0 ** v for v in log_d], [10.0 ** v for v in log_u]
+    tx, tp = ts if ts is not None else (func_M_inv(ux), func_M_inv(up))
+    ghfs = (GhfSpec(dx, tx / dx ** 2), GhfSpec(dp, tp / dp ** 2))
+    reports = {r.relation_id: r for r in
+               moment_relation_reports(ux * dx * dx, up * dp * dp, dx, dp, ghfs=ghfs)}
+    gap = reports["HeisPreopt"].margin - reports["HeisOptimal"].margin
+    assert gap >= -1e-13
+    if ts is None:
+        assert gap <= 1e-12
+
+
 def test_f_dominates_k_on_random_pairs():
     rng = np.random.default_rng(4242)
     for _ in range(200):
@@ -242,6 +274,38 @@ def test_check_coarse_relations_gaussian():
         assert ids == ["RenyiDiscrete", "HeisPreopt", "HeisRect", "HeisOptimal"]
         for r in reports:
             assert r.verdict == "holds", f"dd={dd} {r.relation_id}"
+
+
+def _sigma(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda x: 10.0 ** x)
+
+
+def _pair(w, a, b):
+    return Mixture(((w, a), (1.0 - w, b)))
+
+
+# the catalog kinds and parameter ranges of the check_stream benchmark deck
+_deck_states = st.one_of(
+    st.builds(Gaussian, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), _sigma(-0.3, 0.3)),
+    st.builds(HermiteGauss, st.sampled_from((2, 7)), _sigma(-0.2, 0.2)),
+    st.sampled_from((SquareWell(1, 1.0), SquareWell(3, 1.5))),
+    st.builds(_pair, st.floats(0.3, 0.7),
+              st.builds(Gaussian, st.floats(-2.0, 0.0), st.just(0.0), _sigma(-0.2, 0.2)),
+              st.builds(Gaussian, st.floats(0.0, 2.0), st.floats(-1.0, 1.0), _sigma(-0.2, 0.2))),
+    st.builds(_pair, st.floats(0.4, 0.6), st.just(SquareWell(2, 1.0)),
+              st.builds(Gaussian, st.floats(0.0, 1.0), st.just(0.0), _sigma(-0.5, 0.0))),
+)
+
+
+@settings(max_examples=150, **_SETTINGS)
+@given(state=_deck_states, dx=_sigma(-1.5, 1.5), dp=_sigma(-1.5, 1.5),
+       frac=st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(0.0, 1.0, exclude_max=True)),
+       alpha=st.sampled_from((0.5, 0.75, 1.0)))
+def test_catalog_states_hold_every_coarse_relation(state, dx, dp, frac, alpha):
+    reports = check_coarse_relations(state, dx, dp, alpha,
+                                     offsets=(frac[0] * dx, frac[1] * dp))
+    assert [r.verdict for r in reports] == ["holds"] * 4, reports
 
 
 def test_check_relations_alpha_half_uses_min_entropy():

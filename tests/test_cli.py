@@ -6,6 +6,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -513,3 +514,22 @@ def test_run_config_defaults():
     assert cfg.hbar == 1.0
     assert cfg.format == "csv"
     assert cfg.sweep_points >= 2
+
+
+@pytest.mark.parametrize("argv, field", [
+    ("kfun --sweep-log 0 --sweep-min -1 --sweep-max 1 --sweep-points 3", "sweep.min"),
+    ("bounds --sweep-log 0 --sweep-min 0 --sweep-max 1 --sweep-points 3", "sweep.min"),
+    ("bounds --sweep-min 0.1 --sweep-max inf --sweep-points 3", "sweep.max"),
+    ("kfun --sweep-min nan --sweep-points 1", "sweep.min"),
+    ("kfun --sweep-log 0 --sweep-min 0 --sweep-max 1e309 --sweep-points 3", "sweep.max"),
+])
+def test_bad_sweep_bounds_are_rejected_by_field_name(capsys, argv, field):
+    # rejected by the config field's name before any library call, so no
+    # numpy RuntimeWarning comes first
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv.split())
+    assert rc == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+

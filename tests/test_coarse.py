@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -8,6 +9,7 @@ from cg_uncert.coarse import (
     EPS_TAIL,
     BinnedDistribution,
     GhfSpec,
+    ReconstructedPdf,
     TailBudgetExceeded,
     WidthMismatch,
     bin_density,
@@ -16,10 +18,7 @@ from cg_uncert.coarse import (
     discrete_variance,
     ghf_entropy,
     ghf_variance,
-    reconstruct_pdf,
-    rectangle,
     sample_counts,
-    truncated_gaussian,
 )
 from cg_uncert.numerics import NonConvergence, gauss_legendre_panels, integrate
 from cg_uncert.relations import DomainError
@@ -261,26 +260,26 @@ def test_discrete_renyi_degenerate_and_domain():
 
 
 def test_ghf_spec_validation():
-    with pytest.raises(ValueError):
-        GhfSpec("triangle", 1.0)
-    with pytest.raises(ValueError):
-        GhfSpec("rectangle", 1.0, a=2.0)
-    with pytest.raises(ValueError):
-        GhfSpec("truncated_gaussian", 1.0, a=3000.0)
-    with pytest.raises(ValueError):
-        GhfSpec("rectangle", 0.0)
+    assert [f.name for f in dataclasses.fields(GhfSpec)] == ["eta", "a"]
+    assert GhfSpec(0.4) == GhfSpec(0.4, 0.0) and GhfSpec(0.4).t == 0.0
+    for eta in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            GhfSpec(eta)
+    for a in (math.inf, math.nan, 3000.0, -3000.0):
+        with pytest.raises(ValueError):
+            GhfSpec(1.0, a)
     # scaling: the cap is on a * eta^2, not a alone
-    GhfSpec("truncated_gaussian", 0.1, a=100000.0)
+    GhfSpec(0.1, a=100000.0)
 
 
 def test_ghf_variance_entropy_flat():
-    g = rectangle(0.4)
+    g = GhfSpec(0.4)
     assert ghf_variance(g) == pytest.approx(0.4 ** 2 / 12.0, rel=1e-15)
     assert ghf_entropy(g) == pytest.approx(math.log(0.4), rel=1e-15)
 
 
 def test_ghf_small_shape_matches_flat():
-    g = truncated_gaussian(1.0, 1e-9)
+    g = GhfSpec(1.0, 1e-9)
     assert ghf_variance(g) == pytest.approx(1.0 / 12.0, abs=1e-10)
     assert ghf_entropy(g) == pytest.approx(0.0, abs=1e-10)
 
@@ -288,18 +287,18 @@ def test_ghf_small_shape_matches_flat():
 def test_ghf_variance_monotone_and_bounded():
     for eta in (1.0, 0.3):
         avals = np.linspace(-50.0, 50.0, 101)
-        vs = [ghf_variance(truncated_gaussian(eta, float(a))) for a in avals]
+        vs = [ghf_variance(GhfSpec(eta, float(a))) for a in avals]
         assert all(0.0 < v < eta ** 2 / 4.0 for v in vs)
         assert all(v2 < v1 for v1, v2 in zip(vs, vs[1:]))
-        hs = [ghf_entropy(truncated_gaussian(eta, float(a))) for a in avals]
+        hs = [ghf_entropy(GhfSpec(eta, float(a))) for a in avals]
         assert all(h <= math.log(eta) + 1e-15 for h in hs)
 
 
 def test_ghf_against_direct_quadrature():
     for eta, a in ((1.0, 4.0), (0.5, -12.0), (2.0, 0.3)):
-        g = truncated_gaussian(eta, a)
+        g = GhfSpec(eta, a)
         b = BinnedDistribution(width=eta, offset=0.0, probs={0: 1.0}, tail_mass=0.0)
-        w = reconstruct_pdf(b, g)
+        w = ReconstructedPdf(b, g)
         mass = integrate(lambda x: float(w.eval(x)), -eta / 2.0, eta / 2.0)
         m1 = integrate(lambda x: x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
         m2 = integrate(lambda x: x * x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
@@ -318,15 +317,15 @@ def test_ghf_against_direct_quadrature():
 def test_reconstruct_requires_matching_width():
     b = bin_density(position_density(Gaussian()), 1.0, 0.0)
     with pytest.raises(WidthMismatch):
-        reconstruct_pdf(b, rectangle(0.5))
+        ReconstructedPdf(b, GhfSpec(0.5))
     with pytest.raises(WidthMismatch):
-        decompose_stats(b, rectangle(0.5))
+        decompose_stats(b, GhfSpec(0.5))
 
 
 def test_reconstruction_normalized_and_confined():
     b = bin_density(position_density(Gaussian()), 1.0, 0.0)
-    for g in (rectangle(1.0), truncated_gaussian(1.0, 5.0), truncated_gaussian(1.0, -5.0)):
-        w = reconstruct_pdf(b, g)
+    for g in (GhfSpec(1.0), GhfSpec(1.0, 5.0), GhfSpec(1.0, -5.0)):
+        w = ReconstructedPdf(b, g)
         d = w.density()
         lo, hi = d.support
         # the profile jumps at every bin edge, so integrate bin by bin
@@ -348,9 +347,9 @@ def test_decomposition_identities_against_quadrature():
         offset = float(rng.uniform(0.0, eta))
         a = float(rng.uniform(-8.0, 8.0))
         b = bin_density(position_density(s), eta, offset)
-        g = truncated_gaussian(eta, a)
+        g = GhfSpec(eta, a)
         var_dec, ent_dec = decompose_stats(b, g)
-        d = reconstruct_pdf(b, g).density()
+        d = ReconstructedPdf(b, g).density()
         assert variance(d) == pytest.approx(var_dec, abs=1e-8)
         assert renyi_entropy_cont(d, 1.0) == pytest.approx(ent_dec, abs=1e-8)
 
@@ -364,7 +363,7 @@ def test_reconstruction_entropy_variance_inequality():
         offset = float(rng.uniform(0.0, eta))
         a = float(rng.uniform(-20.0, 20.0))
         b = bin_density(d, eta, offset)
-        g = truncated_gaussian(eta, a)
+        g = GhfSpec(eta, a)
         var_w, ent_w = decompose_stats(b, g)
         assert 0.5 * math.log(2.0 * math.pi * math.e * var_w) >= ent_w - 1e-9
 
