@@ -216,7 +216,8 @@ def func_K(u: float) -> float:
         raise DomainError(f"func_K requires u >= 0, got {u}")
     if u == 0.0:
         return 1.0
-    return func_F(u, func_M_inv(u))
+    # below u ~ 4e-19 the excess of K over 1 is smaller than the rounding of F
+    return max(1.0, func_F(u, func_M_inv(u)))
 
 
 # ---------------------------------------------------------------------------

@@ -247,13 +247,18 @@ def _validate(cfg: RunConfig) -> None:
         if cfg.sweep_points > 1 and not cfg.sweep_min < cfg.sweep_max:
             raise DescriptorError(
                 f"sweep needs min < max, got [{cfg.sweep_min}, {cfg.sweep_max}]")
-        # a linear kfun sweep may start at the t = 0 endpoint; a log sweep or
-        # a width product may not
-        positive = cfg.sweep_log or cfg.command == "bounds"
-        if cfg.sweep_min < 0.0 or (positive and cfg.sweep_min == 0.0):
-            raise DescriptorError(
-                f"field 'sweep.min' must be {'positive' if positive else 'nonnegative'}, "
-                f"got {cfg.sweep_min}")
+        # a linear kfun sweep may start at the t = 0 endpoint, a log sweep may
+        # not; bounds reads each point as delta_x*delta_p/hbar, a quarter of
+        # which must be a normal double
+        if cfg.command == "bounds":
+            least = 4.0 * sys.float_info.min
+            ok, need = cfg.sweep_min >= least, f"at least {least!r}"
+        elif cfg.sweep_log:
+            ok, need = cfg.sweep_min > 0.0, "positive"
+        else:
+            ok, need = cfg.sweep_min >= 0.0, "nonnegative"
+        if not ok:
+            raise DescriptorError(f"field 'sweep.min' must be {need}, got {cfg.sweep_min}")
     if cfg.command == "region":
         if cfg.grid_n < 1:
             raise DescriptorError(f"field 'grid.n' must be at least 1, got {cfg.grid_n}")

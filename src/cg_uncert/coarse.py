@@ -218,6 +218,14 @@ class ReconstructedPdf:
 # binning
 
 
+def _reduce_offset(offset: float, width: float) -> tuple:
+    """(r, k) with r = fmod(offset, width), which is exact, and k the whole
+    number of widths it removes: bin j of the grid (width, offset) is bin
+    j + k of the grid (width, r)."""
+    r = math.fmod(offset, width)
+    return r, round((offset - r) / width)
+
+
 def _bin_edges(j, width: float, offset: float):
     lo = offset + (np.asarray(j, dtype=float) - 0.5) * width
     return lo, lo + width
@@ -274,10 +282,12 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     Bins are enumerated outward from the heaviest one until the cumulative
     mass reaches 1 - EPS_TAIL.  Masses come from d.interval_masses when
     present; otherwise by quadrature, split at density discontinuities and
-    support edges.
+    support edges.  Edges are formed from the offset reduced modulo eta; the
+    result keeps the caller's offset and bin labels.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
+    r, shift = _reduce_offset(offset, eta)  # bins below are labeled on the grid (eta, r)
     lo_s, hi_s = d.support
     cuts = np.sort(np.asarray(d.discontinuities, dtype=float))
 
@@ -292,18 +302,18 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
         no cut strictly inside) by one panel-rule call, the rest one by one."""
         js = np.arange(j_lo, j_lo + n, dtype=np.int64)
         if d.interval_masses is not None:
-            return _clean_block_masses(d, js, eta, offset)
-        a, b = _bin_edges(js, eta, offset)
+            return _clean_block_masses(d, js, eta, r)
+        a, b = _bin_edges(js, eta, r)
         clean = ((a >= lo_s) & (b <= hi_s)
                  & (np.searchsorted(cuts, a, "right") == np.searchsorted(cuts, b, "left")))
         out = np.empty(n)
         if clean.any():
-            out[clean] = _clean_block_masses(d, js[clean], eta, offset)
+            out[clean] = _clean_block_masses(d, js[clean], eta, r)
         for i in np.flatnonzero(~clean):
-            out[i] = _single_bin_mass(d, int(js[i]), eta, offset, cuts)
+            out[i] = _single_bin_mass(d, int(js[i]), eta, r, cuts)
         return out
 
-    j0 = int(math.floor((x0 - offset) / eta + 0.5))
+    j0 = int(math.floor((x0 - r) / eta + 0.5))
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
     seed = masses_for(j0 - 1, 3)
     start = j0 - 1 + int(np.argmax(seed))
@@ -322,7 +332,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
             raise TailBudgetExceeded(
                 f"more than {MAX_BINS} bins needed to reach 1 - {EPS_TAIL}")
         if left_open:
-            if offset + (jl - 0.5) * eta <= lo_s:  # right edge of the new block
+            if r + (jl - 0.5) * eta <= lo_s:  # right edge of the new block
                 left_open = False
             else:
                 jl -= block_l
@@ -332,7 +342,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
         if cum >= target:
             break
         if right_open:
-            if offset + (jr + 0.5) * eta >= hi_s:  # left edge of the new block
+            if r + (jr + 0.5) * eta >= hi_s:  # left edge of the new block
                 right_open = False
             else:
                 right.append(masses_for(jr + 1, block_r))
@@ -344,7 +354,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     kept = np.flatnonzero(masses > 0.0)
     lo = min(int(kept[0]), start - jl)
     hi = max(int(kept[-1]), start - jl)
-    return BinnedDistribution(width=eta, offset=offset, j_min=jl + lo,
+    return BinnedDistribution(width=eta, offset=offset, j_min=jl + lo - shift,
                               masses=masses[lo:hi + 1], tail_mass=max(0.0, 1.0 - cum))
 
 
@@ -357,7 +367,9 @@ def discrete_variance(b: BinnedDistribution) -> float:
     memo = b._stats
     if "variance" not in memo:
         j, p = b.arrays()
-        z = b.offset + j.astype(float) * b.width
+        # shift invariant, so taken on the reduced grid
+        r, shift = _reduce_offset(b.offset, b.width)
+        z = r + (j + shift).astype(float) * b.width
         mean = float(np.dot(p, z))
         memo["variance"] = float(np.dot(p, (z - mean) ** 2))
     return memo["variance"]

@@ -1,20 +1,20 @@
 """Reference quantum states and their marginal densities.
 
 Every state exposes closed-form position and momentum probability densities
-wrapped in Density1D records, together with closed-form interval masses
-(error functions, a Hermite recurrence, elementary functions, and the sine
-and cosine integrals of DLMF 6.2) that keep their relative precision in the
-far tails.  Moments and differential Renyi entropies are
-computed by quadrature: adaptive panels over the finite core of the support,
-then geometrically growing tail rings until two consecutive rings fall below
-the tolerance.  Densities whose second moment is not quadrature-reachable
-(the box eigenstates in momentum, whose tails decay like p**-4 under slow
-oscillation) carry exact moments instead and are marked heavy_tail.
+wrapped in Density1D records, with interval masses that keep their relative
+precision in the far tails: error functions, a Hermite recurrence, elementary
+functions, and Gauss-Legendre panels on the pole-free square-well momentum
+density (its sine- and cosine-integral antiderivative only for very wide
+bins).  Moments and differential Renyi entropies are computed by quadrature:
+adaptive panels over the finite core of the support, then geometrically
+growing tail rings until two consecutive rings fall below the tolerance.
+Densities whose second moment is not quadrature-reachable (the box
+eigenstates in momentum, whose tails decay like p**-4 under slow oscillation)
+carry exact moments instead and are marked heavy_tail.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -26,7 +26,6 @@ from .numerics import (
     DEFAULT_QUAD,
     Divergent,
     NonConvergence,
-    _gl_nodes,
     gauss_legendre_panels,
     integrate,
 )
@@ -270,15 +269,16 @@ def _well_position_masses(n: int, length: float) -> Callable[[np.ndarray], np.nd
 # (DLMF 6.2.12), summed for x^2 < 1; 9 terms reach 1e-17.
 _CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(9, 0, -1))
 
-# A far-tail bin of the square-well momentum marginal is one at most
-# _FAR_MAX_WIDTH wide in a whose nearer pole of 1/(a^2 b^2) is at least
-# _FAR_POLE_GAP widths away from its midpoint.
-_FAR_POLE_GAP = 4.0
-_FAR_MAX_WIDTH = 64.0
-# Taylor series truncation target; at the smallest pole gap it takes 22
-# terms, within the _FAR_MAX_TERMS moments tabulated per width.
-_FAR_REL_TOL = 1e-17
-_FAR_MAX_TERMS = 24
+# Square-well momentum panel rule, widths in a: a bin up to _WELL_NARROW_BIN
+# wide takes one _WELL_NARROW_ORDER-point Gauss-Legendre panel (relative error
+# at most 3e-12), a wider one panels at most _WELL_PANEL wide of
+# _WELL_PANEL_ORDER points (3e-17), and one wider than _WELL_MAX_PANEL_BIN,
+# where panels would cost more than the narrowest binning, the antiderivative.
+_WELL_NARROW_BIN = 0.125
+_WELL_NARROW_ORDER = 4
+_WELL_PANEL = 4.0
+_WELL_PANEL_ORDER = 12
+_WELL_MAX_PANEL_BIN = 32768.0
 
 
 def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
@@ -295,97 +295,60 @@ def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _sin2_moments(h: float) -> tuple:
-    """int_{-h/2}^{h/2} t^k w(t) dt for k = 0.._FAR_MAX_TERMS and w = cos^2 t,
-    sin^2 t, sin t cos t, by 64-point Gauss-Legendre (exact to rounding for h
-    up to _FAR_MAX_WIDTH).  The even moments of cos^2 and sin^2 and the odd
-    ones of sin cos have nonnegative integrands near 0, so they keep their
-    relative precision as h -> 0."""
-    x, w = _gl_nodes(64)
-    t, w = 0.5 * h * x, 0.5 * h * w
-    powers = t[None, :] ** np.arange(_FAR_MAX_TERMS + 1)[:, None]
-    s, c = np.sin(t), np.cos(t)
-    return powers @ (w * c * c), powers @ (w * s * s), powers @ (w * s * c)
+def _well_momentum(n: int, length: float, hbar: float) -> tuple:
+    """(density, interval masses) of the square-well momentum marginal.
 
-
-def _well_momentum_masses(n: int, length: float, hbar: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Interval masses of the square-well momentum marginal.
-
-    In a = (k_n - p/hbar) L/2 and b = n pi - a the density is
-    (n pi)^2 sin^2 a / (2 pi a^2 b^2).  Near its poles a bin takes the
-    difference of the antiderivative
+    In a = n pi / 2 - p L / (2 hbar) and b = n pi - a the density is
+    (n pi)^2 sin^2 a / (2 pi a^2 b^2) |da/dp|.  Since sin^2 a = sin^2 b, it is
+    evaluated as (sin m / (m o))^2 with m = n pi / 2 - |p| L / (2 hbar) the
+    nearer of a and b to 0 and o = n pi - m >= n pi / 2 the farther: no pole,
+    nothing cancels, and the relative error is that of sin m.  Bins take
+    Gauss-Legendre panels on it, in p between the given edges so that
+    rounding a to its ulp does not change a narrow bin's width; a bin wider
+    than _WELL_MAX_PANEL_BIN in a takes the difference of the antiderivative
         [-sin^2 a/a + Si(2a) + sin^2 b/b - Si(2b) + (Cin(2a) - Cin(2b))/(n pi)] / 2 pi,
-    whose rounding (~1e-16 absolute) is small against the masses there.  In
-    the far tails, where masses fall to 1e-20 and below, a bin of midpoint m
-    and width h instead takes the Taylor series of 1/(a^2 b^2) about m
-    integrated against sin^2(m + t) = sin^2 m cos^2 t + cos^2 m sin^2 t
-    + sin 2m sin t cos t, with the moments of cos^2, sin^2 and sin cos over
-    [-h/2, h/2] computed once per width: the leading terms are nonnegative,
-    so nothing cancels.
+    whose rounding (~1e-16 absolute) is small against the masses of such bins.
     """
-    npi = n * math.pi
-    half = length / (2.0 * hbar)
+    c, half = 0.5 * n * math.pi, length / (2.0 * hbar)
+    npi, scale = 2.0 * c, 2.0 * c * c * half / math.pi
 
-    def antiderivative(a):
-        b = npi - a
-        si_a, ci_a = sici(2.0 * a)
-        si_b, ci_b = sici(2.0 * b)
-        return (-np.sin(a) * np.sinc(a / math.pi) + si_a
-                + np.sin(b) * np.sinc(b / math.pi) - si_b
-                + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
-
-    def far(m, h):
-        b = npi - m
-        # 1/(a^2 b^2) = sum_k s_k t^k / (m^2 b^2) with s_k = sum_{i+j=k}
-        # (i+1)(j+1) alpha^i beta^j, alpha = -1/m, beta = 1/b: the coefficients
-        # of 1/((1 - alpha t)(1 - beta t))^2, by their four-term recurrence.
-        # Term k is at most C(k+3, 3) r^k of the first, with r the half-width
-        # over the smallest distance to a pole.
-        r = 0.5 * h / float(np.min(np.minimum(np.abs(m), np.abs(b))))
-        kmax = 0
-        while math.comb(kmax + 4, 3) * r ** (kmax + 1) > _FAR_REL_TOL:
-            kmax += 1
-        mc, ms, mx = _sin2_moments(h)
-        alpha, beta = -1.0 / m, 1.0 / b
-        sig, prod = alpha + beta, alpha * beta
-        c1, c2, c3, c4 = 2.0 * sig, -(sig * sig + 2.0 * prod), 2.0 * sig * prod, -prod * prod
-        s1, s2, s3, s4 = 1.0, 0.0, 0.0, 0.0
-        even_c, even_s, odd = mc[0], ms[0], 0.0
-        for k in range(1, kmax + 1):
-            s1, s2, s3, s4 = c1 * s1 + c2 * s2 + c3 * s3 + c4 * s4, s1, s2, s3
-            if k % 2:
-                odd = odd + mx[k] * s1
-            else:
-                even_c, even_s = even_c + mc[k] * s1, even_s + ms[k] * s1
-        sm, cm = np.sin(m), np.cos(m)
-        g = (npi / (m * b)) ** 2 / (2.0 * math.pi)
-        return g * (sm * sm * even_c + cm * cm * even_s + 2.0 * sm * cm * odd)
+    def pdf(p):
+        x = np.abs(np.asarray(p, dtype=float)) * half
+        m = c - x
+        # m is 0 or a difference of doubles near c, at least ~1e-16 in size:
+        # the shift moves only m = 0, where sin(m) / m becomes exactly 1
+        m += 1e-300
+        s = np.sin(m)
+        s /= m * (c + x)
+        s *= s
+        s *= scale
+        return s
 
     def masses(edges):
         p = np.asarray(edges, dtype=float)
-        a = 0.5 * npi - p * half  # decreasing in p
-        m = 0.5 * (a[:-1] + a[1:])
-        hw = np.diff(p) * half
-        h = float(np.max(hw))
-        # the moments are tabulated for one width, so only bins as wide as the
-        # widest, to the 1e-9 that rounding leaves on a uniform grid, go far
-        is_far = ((h <= _FAR_MAX_WIDTH) & (np.abs(hw - h) <= 1e-9 * h)
-                  & (np.minimum(np.abs(m), np.abs(npi - m)) >= _FAR_POLE_GAP * h))
-        out = np.empty(m.size)
-        if is_far.any():
-            out[is_far] = far(m[is_far], h)
-        near = ~is_far
-        if near.any():
-            touched = np.zeros(p.size, dtype=bool)
-            touched[:-1] |= near
-            touched[1:] |= near
-            anti = np.zeros(p.size)
-            anti[touched] = antiderivative(a[touched])
-            out[near] = (anti[:-1] - anti[1:])[near]
+        lo, w = p[:-1], np.diff(p)
+        h = w * half  # bin widths in a
+        out = np.empty(h.size)
+        narrow, wide = h <= _WELL_NARROW_BIN, h > _WELL_MAX_PANEL_BIN
+        if narrow.any():
+            out[narrow] = gauss_legendre_panels(pdf, lo[narrow], p[1:][narrow], _WELL_NARROW_ORDER)
+        mid = ~(narrow | wide)
+        if mid.any():
+            k = math.ceil(float(h[mid].max()) / _WELL_PANEL)  # equal panels per bin
+            cuts = lo[mid, None] + w[mid, None] * (np.arange(k + 1) / k)
+            out[mid] = gauss_legendre_panels(pdf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
+                                             _WELL_PANEL_ORDER).reshape(-1, k).sum(axis=1)
+        if wide.any():
+            a = c - p * half
+            b = npi - a
+            (si_a, ci_a), (si_b, ci_b) = sici(2.0 * a), sici(2.0 * b)
+            anti = (-np.sin(a) * np.sinc(a / math.pi) + si_a
+                    + np.sin(b) * np.sinc(b / math.pi) - si_b
+                    + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
+            out[wide] = (anti[:-1] - anti[1:])[wide]
         return out
 
-    return masses
+    return pdf, masses
 
 
 def position_density(s: StateModel) -> Density1D:
@@ -465,28 +428,15 @@ def momentum_density(s: StateModel) -> Density1D:
             interval_masses=_hermite_masses(n, sd_p),
         )
     if isinstance(s, SquareWell):
-        n, L = s.n, s.length
-        kn = n * math.pi / L
-        sign = 1.0 if n % 2 == 0 else -1.0  # (-1)^n
-        amp = L / (4.0 * math.pi * hbar)
-
-        def pdf(p):
-            q = np.asarray(p, dtype=float) / hbar
-            a = (kn - q) * (L / 2.0)
-            b = (kn + q) * (L / 2.0)
-            # |psi_tilde|^2 = amp * (sinc(a) - (-1)^n sinc(b))^2; np.sinc
-            # takes the normalized argument
-            d = np.sinc(a / math.pi) - sign * np.sinc(b / math.pi)
-            return amp * d * d
-
+        pdf, masses = _well_momentum(s.n, s.length, hbar)
         return Density1D(
             eval=pdf,
             support=(-math.inf, math.inf),
             known_mean=0.0,
-            known_m2=(hbar * kn) ** 2,
+            known_m2=(hbar * s.n * math.pi / s.length) ** 2,
             heavy_tail=True,
-            osc_scale=2.0 * math.pi * hbar / L,
-            interval_masses=_well_momentum_masses(n, L, hbar),
+            osc_scale=2.0 * math.pi * hbar / s.length,
+            interval_masses=masses,
         )
     if isinstance(s, Mixture):
         return _mix_density(s, momentum_density)

@@ -214,6 +214,12 @@ def test_func_k_properties():
         func_K(-0.1)
 
 
+def test_func_k_is_at_least_one_near_zero():
+    # K - 1 falls below the rounding of F for u under about 4e-19
+    for u in np.geomspace(1e-320, 1e-3, 4000):
+        assert func_K(float(u)) >= 1.0, f"u={u!r}"
+
+
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
 

@@ -480,7 +480,7 @@ def test_bounds_at_huge_width_products(capsys, product):
 def test_bounds_rejects_subnormal_width_product(capsys):
     rc = main(["bounds", "--sweep-min", "1e-320", "--sweep-max", "1", "--sweep-points", "2"])
     assert rc == 2
-    assert "delta_x" in capsys.readouterr().err
+    assert "sweep.min" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("width", ["1e-200", "1e200"])

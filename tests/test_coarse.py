@@ -139,10 +139,11 @@ def _well_momentum_mass_mp(s: SquareWell, lo: float, hi: float) -> float:
 
 
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
-@pytest.mark.parametrize("log_eta", [-1.5, 0.0, 1.0, 1.5])
+@pytest.mark.parametrize("log_eta", [-1.5, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
 def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
     # far-tail masses fall below 1e-20; differencing the antiderivative in
-    # double precision leaves ~1e-16 per bin, up to 100% of such a mass
+    # double precision leaves ~1e-16 per bin, up to 100% of such a mass, so
+    # the masses must come from the density itself
     eta = 10.0 ** log_eta
     offset = 0.3 * eta
     b = bin_density(momentum_density(state), eta, offset)
@@ -152,7 +153,39 @@ def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
     for i in sorted(picks):
         j = b.j_min + i
         ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
-        assert abs(b.masses[i] - ref) <= 1e-8 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
+        assert abs(b.masses[i] - ref) <= 1e-10 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
+@pytest.mark.parametrize("eta", [1e5, 1e6])
+def test_square_well_momentum_wide_bins_against_mpmath(state, eta):
+    # bins over 32768 wide in a take the antiderivative, which is precise in
+    # absolute terms only; the outer bins' masses are 1e-12 and below
+    offset = 0.3 * eta
+    b = bin_density(momentum_density(state), eta, offset)
+    for i, mass in enumerate(b.masses):
+        j = b.j_min + i
+        ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
+        assert abs(mass - ref) <= 1e-15, f"bin {j}: {mass!r} vs {ref!r}"
+
+
+@pytest.mark.parametrize("d", [position_density(Gaussian()), momentum_density(SquareWell(3, 1.5)),
+                               position_density(HermiteGauss(2))], ids=["gauss", "well3_p", "herm2"])
+def test_bin_density_reduces_the_offset_modulo_the_width(d):
+    # at 1e12 widths the offset's ulp is ~1e-4 of a width: edges formed from
+    # it directly moved a unit Gaussian's Shannon entropy by 8.5e-6
+    eta = 0.37
+    offset = 1e12 * eta + 0.1
+    r = math.fmod(offset, eta)
+    far, near = bin_density(d, eta, offset), bin_density(d, eta, r)
+    assert far.offset == offset
+    assert far.j_min == near.j_min - round((offset - r) / eta)
+    assert abs(far.center(far.j_min) - near.center(near.j_min)) < 1e-3 * eta
+    assert np.array_equal(far.masses, near.masses)
+    assert far.tail_mass == near.tail_mass
+    assert discrete_variance(far) == discrete_variance(near)
+    for alpha in (0.5, 1.0, 1.5, math.inf):
+        assert discrete_renyi(far, alpha) == discrete_renyi(near, alpha)
 
 
 def test_hermite_bins_to_unit_mass_at_the_cap():

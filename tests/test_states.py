@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -103,6 +104,32 @@ def test_square_well_momentum_against_fourier_quadrature():
         got = float(dp.eval(p))
         assert got == pytest.approx(rho_ref(p), abs=1e-8), f"p={p}"
         assert got == pytest.approx(float(dp.eval(-p)), abs=1e-15)  # parity
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(2), SquareWell(3, 1.5),
+                                   SquareWell(7, 0.3, 0.5)], ids=["n1", "n2", "n3", "n7"])
+def test_square_well_momentum_pdf_against_mpmath(state):
+    # Near a zero of sin a, rounding a = n pi/2 - p L/(2 hbar) to its ulp sets
+    # the relative error of any double evaluation, so the error is measured
+    # against the envelope (n pi)^2 L / (4 pi hbar max(1, m^2) o^2), m and o
+    # the nearer and farther of |a| and |b| from 0, which bounds the density
+    # and equals it at the peaks.
+    d = momentum_density(state)
+    grid = np.geomspace(1e-3, 1e4, 301)
+    kn = state.n * math.pi * state.hbar / state.length
+    ps = np.concatenate([grid, -grid, [0.0, kn, -kn],
+                         np.random.default_rng(1).uniform(-1e4, 1e4, 200)])
+    got = d.eval(ps)
+    with mpmath.workdps(40):
+        npi, half = state.n * mpmath.pi, mpmath.mpf(state.length) / (2 * mpmath.mpf(state.hbar))
+        scale = npi ** 2 * half / (2 * mpmath.pi)
+        for p, v in zip(ps.tolist(), got.tolist()):
+            a = npi / 2 - mpmath.mpf(p) * half
+            b = npi - a
+            ref = scale * mpmath.sin(a) ** 2 / (a * b) ** 2
+            m, o = sorted((abs(a), abs(b)))
+            envelope = scale / (max(1, m * m) * o * o)
+            assert abs(v - ref) <= 1e-10 * envelope, f"p={p!r}: {v!r} vs {float(ref)!r}"
 
 
 def test_square_well_momentum_moments():
