@@ -15,8 +15,9 @@ State descriptors are one-line, whitespace-free strings:
     weighted   = number "*" simple
 
 gaussian takes x0, p0, sigma; hermite takes n, sigma; squarewell takes
-n, L.  Omitted keys use the model defaults.  Example:
-mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5
+n, L.  Omitted keys use the model defaults.  A "+" separates mixture
+components only where a weight "*" follows it, so numbers such as 1e+16
+keep their sign.  Example: mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -153,7 +155,7 @@ def parse_state(text: str, hbar: float = 1.0):
     if not text.startswith("mix:"):
         return _parse_simple(text, hbar)
     comps = []
-    for part in text[4:].split("+"):
+    for part in re.split(r"\+(?=[^+*]*\*)", text[4:]):
         w_raw, star, desc = part.partition("*")
         if not star:
             raise DescriptorError(

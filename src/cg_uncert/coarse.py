@@ -121,35 +121,23 @@ class _BinView(Mapping):
 @dataclass(frozen=True, eq=False)
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
-    bin j_min + i.  Built from j_min and masses, or from a probs dict (bin index
-    -> probability, converted once); probs is then a read-only view of masses.
-    The storage is immutable, so each discrete statistic is computed once per
-    distribution and order and then read from a private memo."""
+    bin j_min + i, and probs is a read-only bin index -> probability view of
+    them.  The storage is immutable, so each discrete statistic is computed
+    once per distribution and order and then read from a private memo."""
 
     width: float
     offset: float
-    probs: Mapping = field(default=None, repr=False)
+    j_min: int
+    masses: np.ndarray
     tail_mass: float = 0.0
-    j_min: int = 0
-    masses: np.ndarray = None
+    probs: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError(f"width must be positive and finite, got {self.width}")
         if not math.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        j_min, p = int(self.j_min), self.masses
-        if self.probs is not None:
-            if p is not None:
-                raise ValueError("pass probs or masses, not both")
-            if self.probs:
-                j = np.fromiter(map(int, self.probs), np.int64, len(self.probs))
-                j_min = int(j.min())
-                if j.max() - j_min >= MAX_BINS:
-                    raise ValueError(f"bins span more than {MAX_BINS} indices")
-                p = np.zeros(int(j.max()) - j_min + 1)
-                p[j - j_min] = np.fromiter(self.probs.values(), float, j.size)
-        p = np.asarray(() if p is None else p, dtype=float)
+        j_min, p = int(self.j_min), np.asarray(self.masses, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("need at least one bin")
         neg = np.flatnonzero(p < -1e-12)
@@ -192,25 +180,23 @@ class ReconstructedPdf:
 
     def eval(self, x):
         b, g = self.base, self.ghf
+        r, shift = _reduce_offset(b.offset, b.width)  # bins placed on the grid (width, r)
         x = np.asarray(x, dtype=float)
-        j = np.floor((x - b.offset) / b.width + 0.5).astype(np.int64)
-        idx = j - b.j_min
+        j = np.floor((x - r) / b.width + 0.5).astype(np.int64)
+        idx = j - (b.j_min + shift)
         valid = (idx >= 0) & (idx < b.masses.size)
         pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
-        v = (x - (b.offset + j * b.width)) / g.eta
+        v = (x - (r + j * b.width)) / g.eta
         t = g.t
         return pj * np.exp(-t * v * v) / (g.eta * bin_profile_norm(t))
 
     def density(self) -> Density1D:
         b = self.base
-        j, p = b.arrays()
-        half = 0.5 * b.width
-        lo = b.center(int(j[0])) - half
-        hi = b.center(int(j[-1])) + half
-        edges = tuple(b.center(int(i)) - half for i in j[1:])
-        mean = float(np.dot(p, b.offset + j * b.width))
+        z, half = _centers(b), 0.5 * b.width
+        mean = float(np.dot(b.masses, z))
         m2 = discrete_variance(b) + ghf_variance(self.ghf) + mean ** 2
-        return Density1D(eval=self.eval, support=(lo, hi), discontinuities=edges,
+        return Density1D(eval=self.eval, support=(float(z[0] - half), float(z[-1] + half)),
+                         discontinuities=tuple((z[1:] - half).tolist()),
                          known_mean=mean, known_m2=m2)
 
 
@@ -221,9 +207,19 @@ class ReconstructedPdf:
 def _reduce_offset(offset: float, width: float) -> tuple:
     """(r, k) with r = fmod(offset, width), which is exact, and k the whole
     number of widths it removes: bin j of the grid (width, offset) is bin
-    j + k of the grid (width, r)."""
+    j + k of the grid (width, r).  k must fit the int64 bin labels."""
+    if not abs(offset) < 2.0 ** 63 * width:
+        raise ValueError(f"offset {offset!r} is 2^63 or more bin widths ({width!r}) "
+                         f"from 0, beyond the int64 bin labels")
     r = math.fmod(offset, width)
     return r, round((offset - r) / width)
+
+
+def _centers(b: BinnedDistribution) -> np.ndarray:
+    """Bin centres of b taken on its grid with the offset reduced modulo the
+    width, where they do not drift with |offset|."""
+    r, shift = _reduce_offset(b.offset, b.width)
+    return r + (b.arrays()[0] + shift).astype(float) * b.width
 
 
 def _bin_edges(j, width: float, offset: float):
@@ -283,7 +279,8 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     mass reaches 1 - EPS_TAIL.  Masses come from d.interval_masses when
     present; otherwise by quadrature, split at density discontinuities and
     support edges.  Edges are formed from the offset reduced modulo eta; the
-    result keeps the caller's offset and bin labels.
+    result keeps the caller's offset and bin labels, and a ValueError names
+    an offset whose labels would leave the int64 range.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -354,7 +351,11 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     kept = np.flatnonzero(masses > 0.0)
     lo = min(int(kept[0]), start - jl)
     hi = max(int(kept[-1]), start - jl)
-    return BinnedDistribution(width=eta, offset=offset, j_min=jl + lo - shift,
+    j_min = jl + lo - shift
+    if not -2 ** 63 <= j_min < 2 ** 63 - (hi - lo + 1):
+        raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
+                         f"beyond the int64 range")
+    return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
                               masses=masses[lo:hi + 1], tail_mass=max(0.0, 1.0 - cum))
 
 
@@ -366,10 +367,7 @@ def discrete_variance(b: BinnedDistribution) -> float:
     """Variance of the bin-center distribution sum_j p_j at z_j."""
     memo = b._stats
     if "variance" not in memo:
-        j, p = b.arrays()
-        # shift invariant, so taken on the reduced grid
-        r, shift = _reduce_offset(b.offset, b.width)
-        z = r + (j + shift).astype(float) * b.width
+        p, z = b.masses, _centers(b)  # shift invariant, so taken on the reduced grid
         mean = float(np.dot(p, z))
         memo["variance"] = float(np.dot(p, (z - mean) ** 2))
     return memo["variance"]

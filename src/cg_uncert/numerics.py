@@ -19,6 +19,8 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "DEFAULT_QUAD",
+    "DEFAULT_ROOT",
     "QuadSpec",
     "RootSpec",
     "NonConvergence",

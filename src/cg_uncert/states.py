@@ -1,16 +1,21 @@
 """Reference quantum states and their marginal densities.
 
-Every state exposes closed-form position and momentum probability densities
-wrapped in Density1D records, with interval masses that keep their relative
-precision in the far tails: error functions, a Hermite recurrence, elementary
-functions, and Gauss-Legendre panels on the pole-free square-well momentum
-density (its sine- and cosine-integral antiderivative only for very wide
-bins).  Moments and differential Renyi entropies are computed by quadrature:
-adaptive panels over the finite core of the support, then geometrically
-growing tail rings until two consecutive rings fall below the tolerance.
-Densities whose second moment is not quadrature-reachable (the box
-eigenstates in momentum, whose tails decay like p**-4 under slow oscillation)
-carry exact moments instead and are marked heavy_tail.
+Each distribution family has one builder that returns its complete Density1D
+record: density, support, cuts, exact moments and closed-form interval masses
+that keep their relative precision in the far tails.  The families are the
+Gaussian (error functions), the Hermite function (a recurrence), and the
+square-well position (elementary functions) and momentum densities
+(Gauss-Legendre panels on the pole-free form, the sine- and cosine-integral
+antiderivative only for very wide bins).  position_density and
+momentum_density only pick a family and its parameters: a Gaussian or Hermite
+momentum marginal is the same family at the conjugate width.
+
+Moments and differential Renyi entropies are computed by quadrature: adaptive
+panels over the finite core of the support, then geometrically growing tail
+rings until two consecutive rings fall below the tolerance.  Densities whose
+second moment is not quadrature-reachable (the box eigenstates in momentum,
+whose tails decay like p**-4 under slow oscillation) carry exact moments
+instead and are marked heavy_tail.
 """
 
 from __future__ import annotations
@@ -184,16 +189,6 @@ class Density1D:
     interval_masses: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
-def _gaussian_pdf(mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
-    norm = 1.0 / (sd * math.sqrt(2.0 * math.pi))
-
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - mu) / sd
-        return norm * np.exp(-0.5 * z * z)
-
-    return pdf
-
-
 def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Interval masses between edges z given tail[i], the mass beyond z[i] on
     its own side of 0 (above it for z >= 0, below it for z < 0).  Intervals on
@@ -204,14 +199,21 @@ def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
                     np.where(hi <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi))
 
 
-def _gaussian_masses(mu: float, sd: float) -> Callable[[np.ndarray], np.ndarray]:
-    scale = 1.0 / (sd * math.sqrt(2.0))
+def _gaussian(mu: float, sd: float) -> Density1D:
+    """Normal density with mean mu and standard deviation sd; masses from
+    erfc tails."""
+    norm, scale = 1.0 / (sd * math.sqrt(2.0 * math.pi)), 1.0 / (sd * math.sqrt(2.0))
+
+    def pdf(x):
+        z = (np.asarray(x, dtype=float) - mu) / sd
+        return norm * np.exp(-0.5 * z * z)
 
     def masses(edges):
         z = (np.asarray(edges, dtype=float) - mu) * scale
         return _masses_from_tails(z, 0.5 * erfc(np.abs(z)))
 
-    return masses
+    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
+                     known_m2=sd ** 2 + mu ** 2, interval_masses=masses)
 
 
 def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
@@ -242,18 +244,31 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
     return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale)
 
 
-def _hermite_masses(n: int, sd: float) -> Callable[[np.ndarray], np.ndarray]:
+def _hermite(n: int, sd: float) -> Density1D:
+    """Density phi_n(x/sd)^2 / sd of the n-th Hermite function at scale sd."""
+
+    def pdf(x):
+        return _hermite_phi(n, np.asarray(x, dtype=float) / sd)[0] ** 2 / sd
+
     def masses(edges):
         z = np.asarray(edges, dtype=float) / sd
         az = np.abs(z)
         # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n
         return _masses_from_tails(z, 0.5 * erfc(az) + _hermite_phi(n, az)[1])
 
-    return masses
+    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
+                     known_m2=sd * sd * (n + 0.5), interval_masses=masses)
 
 
-def _well_position_masses(n: int, length: float) -> Callable[[np.ndarray], np.ndarray]:
+def _well_position(n: int, length: float) -> Density1D:
+    """Density (2/L) sin^2(n pi x / L) on [0, L]; its interior nodes are kinks
+    for entropy integrands."""
     k = n * math.pi / length
+
+    def pdf(x):
+        x = np.asarray(x, dtype=float)
+        inside = (x >= 0.0) & (x <= length)
+        return np.where(inside, (2.0 / length) * np.sin(k * x) ** 2, 0.0)
 
     def masses(edges):
         x = np.clip(np.asarray(edges, dtype=float), 0.0, length)
@@ -262,7 +277,12 @@ def _well_position_masses(n: int, length: float) -> Callable[[np.ndarray], np.nd
         # (2/L) int sin^2(kx) over [lo, hi], with sin 2k hi - sin 2k lo as a product
         return (w - np.cos(k * (lo + hi)) * np.sin(k * w) / k) / length
 
-    return masses
+    return Density1D(
+        eval=pdf, support=(0.0, length),
+        discontinuities=tuple(m * length / n for m in range(1, n)),
+        known_mean=length / 2.0,
+        known_m2=length * length * (1.0 / 3.0 - 1.0 / (2.0 * (n * math.pi) ** 2)),
+        interval_masses=masses)
 
 
 # Cin(x) = int_0^x (1 - cos t)/t dt = sum_k (-1)^(k+1) x^(2k) / (2k (2k)!)
@@ -295,8 +315,8 @@ def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
     return out
 
 
-def _well_momentum(n: int, length: float, hbar: float) -> tuple:
-    """(density, interval masses) of the square-well momentum marginal.
+def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
+    """Momentum marginal of the n-th square-well eigenstate.
 
     In a = n pi / 2 - p L / (2 hbar) and b = n pi - a the density is
     (n pi)^2 sin^2 a / (2 pi a^2 b^2) |da/dp|.  Since sin^2 a = sin^2 b, it is
@@ -348,96 +368,33 @@ def _well_momentum(n: int, length: float, hbar: float) -> tuple:
             out[wide] = (anti[:-1] - anti[1:])[wide]
         return out
 
-    return pdf, masses
+    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
+                     known_m2=(hbar * n * math.pi / length) ** 2, heavy_tail=True,
+                     osc_scale=2.0 * math.pi * hbar / length, interval_masses=masses)
 
 
 def position_density(s: StateModel) -> Density1D:
     """Closed-form position marginal of the state."""
     if isinstance(s, Gaussian):
-        return Density1D(
-            eval=_gaussian_pdf(s.x0, s.sigma),
-            support=(-math.inf, math.inf),
-            known_mean=s.x0,
-            known_m2=s.sigma ** 2 + s.x0 ** 2,
-            interval_masses=_gaussian_masses(s.x0, s.sigma),
-        )
+        return _gaussian(s.x0, s.sigma)
     if isinstance(s, HermiteGauss):
-        n, sd = s.n, s.sigma
-
-        def pdf(x):
-            xi = np.asarray(x, dtype=float) / sd
-            return _hermite_phi(n, xi)[0] ** 2 / sd
-
-        return Density1D(
-            eval=pdf,
-            support=(-math.inf, math.inf),
-            known_mean=0.0,
-            known_m2=sd * sd * (n + 0.5),
-            interval_masses=_hermite_masses(n, sd),
-        )
+        return _hermite(s.n, s.sigma)
     if isinstance(s, SquareWell):
-        n, L = s.n, s.length
-        kn = n * math.pi / L
-
-        def pdf(x):
-            x = np.asarray(x, dtype=float)
-            inside = (x >= 0.0) & (x <= L)
-            return np.where(inside, (2.0 / L) * np.sin(kn * x) ** 2, 0.0)
-
-        m2 = L * L * (1.0 / 3.0 - 1.0 / (2.0 * (n * math.pi) ** 2))
-        # interior nodes of sin^2 are kinks for entropy integrands
-        nodes = tuple(m * L / n for m in range(1, n))
-        return Density1D(
-            eval=pdf,
-            support=(0.0, L),
-            discontinuities=nodes,
-            known_mean=L / 2.0,
-            known_m2=m2,
-            interval_masses=_well_position_masses(n, L),
-        )
+        return _well_position(s.n, s.length)
     if isinstance(s, Mixture):
         return _mix_density(s, position_density)
     raise TypeError(f"unsupported state type {type(s).__name__}")
 
 
 def momentum_density(s: StateModel) -> Density1D:
-    """Closed-form momentum marginal of the state."""
-    hbar = s.hbar
+    """Closed-form momentum marginal of the state: a Gaussian of width
+    hbar/(2 sigma) at p0, a Hermite function at scale hbar/sigma."""
     if isinstance(s, Gaussian):
-        sd_p = hbar / (2.0 * s.sigma)
-        return Density1D(
-            eval=_gaussian_pdf(s.p0, sd_p),
-            support=(-math.inf, math.inf),
-            known_mean=s.p0,
-            known_m2=sd_p ** 2 + s.p0 ** 2,
-            interval_masses=_gaussian_masses(s.p0, sd_p),
-        )
+        return _gaussian(s.p0, s.hbar / (2.0 * s.sigma))
     if isinstance(s, HermiteGauss):
-        n = s.n
-        sd_p = hbar / s.sigma
-
-        def pdf(p):
-            xi = np.asarray(p, dtype=float) / sd_p
-            return _hermite_phi(n, xi)[0] ** 2 / sd_p
-
-        return Density1D(
-            eval=pdf,
-            support=(-math.inf, math.inf),
-            known_mean=0.0,
-            known_m2=sd_p * sd_p * (n + 0.5),
-            interval_masses=_hermite_masses(n, sd_p),
-        )
+        return _hermite(s.n, s.hbar / s.sigma)
     if isinstance(s, SquareWell):
-        pdf, masses = _well_momentum(s.n, s.length, hbar)
-        return Density1D(
-            eval=pdf,
-            support=(-math.inf, math.inf),
-            known_mean=0.0,
-            known_m2=(hbar * s.n * math.pi / s.length) ** 2,
-            heavy_tail=True,
-            osc_scale=2.0 * math.pi * hbar / s.length,
-            interval_masses=masses,
-        )
+        return _well_momentum(s.n, s.length, s.hbar)
     if isinstance(s, Mixture):
         return _mix_density(s, momentum_density)
     raise TypeError(f"unsupported state type {type(s).__name__}")
@@ -445,49 +402,34 @@ def momentum_density(s: StateModel) -> Density1D:
 
 def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> Density1D:
     parts = [(w, marginal(s)) for w, s in mix.components]
-    weights = [w for w, _ in parts]
-    dens = [d for _, d in parts]
+    (w0, d0), rest = parts[0], parts[1:]
 
     def pdf(x):
         x = np.asarray(x, dtype=float)
-        out = weights[0] * dens[0].eval(x)
-        for w, d in zip(weights[1:], dens[1:]):
+        out = w0 * d0.eval(x)
+        for w, d in rest:
             out = out + w * d.eval(x)
         return out
 
-    lo = min(d.support[0] for d in dens)
-    hi = max(d.support[1] for d in dens)
+    def masses(edges):
+        edges = np.asarray(edges, dtype=float)
+        return sum(w * d.interval_masses(edges) for w, d in parts)
+
+    lo = min(d.support[0] for _, d in parts)
+    hi = max(d.support[1] for _, d in parts)
     cuts = set()
-    for d in dens:
+    mean = m2 = 0.0
+    for w, d in parts:
         cuts.update(d.discontinuities)
         # component support edges become kinks of the mixture when interior
-        for edge in d.support:
-            if math.isfinite(edge) and lo < edge < hi:
-                cuts.add(edge)
-    mean = m2 = 0.0
-    have_moments = all(d.known_mean is not None and d.known_m2 is not None for d in dens)
-    for w, d in parts:
-        if have_moments:
-            mean += w * d.known_mean
-            m2 += w * d.known_m2
-    oscs = [d.osc_scale for d in dens if d.osc_scale is not None]
-    parts_masses = [(w, d.interval_masses) for w, d in parts]
-    masses = None
-    if all(f is not None for _, f in parts_masses):
-        def masses(edges):
-            edges = np.asarray(edges, dtype=float)
-            return sum(w * f(edges) for w, f in parts_masses)
-
-    return Density1D(
-        eval=pdf,
-        support=(lo, hi),
-        discontinuities=tuple(sorted(cuts)),
-        known_mean=mean if have_moments else None,
-        known_m2=m2 if have_moments else None,
-        heavy_tail=any(d.heavy_tail for d in dens),
-        osc_scale=min(oscs) if oscs else None,
-        interval_masses=masses,
-    )
+        cuts.update(e for e in d.support if math.isfinite(e) and lo < e < hi)
+        mean += w * d.known_mean
+        m2 += w * d.known_m2
+    oscs = [d.osc_scale for _, d in parts if d.osc_scale is not None]
+    return Density1D(eval=pdf, support=(lo, hi), discontinuities=tuple(sorted(cuts)),
+                     known_mean=mean, known_m2=m2,
+                     heavy_tail=any(d.heavy_tail for _, d in parts),
+                     osc_scale=min(oscs) if oscs else None, interval_masses=masses)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cg_uncert.cli import (
     DescriptorError,
@@ -51,6 +53,52 @@ def test_parse_state_mixture():
     assert len(m.components) == 2
     assert m.components[0][0] == pytest.approx(0.6)
     assert m.components[1][1] == Gaussian(x0=2.0, sigma=1.5)
+
+
+# reproducible examples, nothing written to disk
+_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+_real = st.floats(-1e300, 1e300)
+_positive = st.floats(1e-300, 1e300, exclude_min=True)
+# kind, its model, and its optional fields; n is drawn separately
+_KINDS = {
+    "gaussian": (lambda n, f, hbar: Gaussian(hbar=hbar, **f), {"x0": _real, "p0": _real,
+                                                               "sigma": _positive}),
+    "hermite": (lambda n, f, hbar: HermiteGauss(n, hbar=hbar, **f), {"sigma": _positive}),
+    "squarewell": (lambda n, f, hbar: SquareWell(n, f.get("L", 1.0), hbar), {"L": _positive}),
+}
+
+
+@st.composite
+def _simple(draw, hbar):
+    """(descriptor, expected state) from a drawn kind and repr'd field values
+    in a drawn order."""
+    kind = draw(st.sampled_from(sorted(_KINDS)))
+    make, optional = _KINDS[kind]
+    items = list(draw(st.fixed_dictionaries({}, optional=optional)).items())
+    n = None if kind == "gaussian" else draw(st.integers(int(kind == "squarewell"), 50))
+    if n is not None and draw(st.booleans()):
+        items.append(("n", n))
+    items = draw(st.permutations(items))
+    fields = dict(items)
+    n = fields.pop("n", 0 if kind == "hermite" else 1)
+    text = kind + (":" + ",".join(f"{k}={v!r}" for k, v in items) if items else "")
+    return text, make(n, fields, hbar)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(data=st.data(), hbar=_positive, k=st.integers(1, 3))
+def test_parse_state_round_trips_repr_field_values(data, hbar, k):
+    comps = [data.draw(_simple(hbar)) for _ in range(k)]
+    if k == 1:
+        text, expected = comps[0]
+        assert repr(parse_state(text, hbar)) == repr(expected)
+        return
+    weights = [data.draw(st.floats(0.05, 0.45)) for _ in range(k - 1)]
+    weights.append(1.0 - math.fsum(weights))
+    text = "mix:" + "+".join(f"{w!r}*{desc}" for w, (desc, _) in zip(weights, comps))
+    got = parse_state(text, hbar)
+    assert isinstance(got, Mixture) and got.hbar == hbar
+    assert repr(got.components) == repr(tuple((w, s) for w, (_, s) in zip(weights, comps)))
 
 
 def test_parse_state_errors_name_the_field():

@@ -188,6 +188,50 @@ def test_bin_density_reduces_the_offset_modulo_the_width(d):
         assert discrete_renyi(far, alpha) == discrete_renyi(near, alpha)
 
 
+@pytest.mark.parametrize("d", [position_density(Gaussian()), momentum_density(SquareWell(3, 1.5)),
+                               position_density(HermiteGauss(2))], ids=["gauss", "well3_p", "herm2"])
+def test_reconstruction_places_bins_on_the_reduced_grid(d):
+    # centres taken from the raw offset put a unit Gaussian's reconstruction
+    # at 1e12 widths 2.8e-6 off, and its mean at -2.3e-6 instead of 4.4e-10
+    eta = 0.37
+    offset = 1e12 * eta + 0.1
+    r = math.fmod(offset, eta)
+    g = GhfSpec(eta, 2.0)
+    b_near = bin_density(d, eta, r)
+    far = ReconstructedPdf(bin_density(d, eta, offset), g)
+    near = ReconstructedPdf(b_near, g)
+    d_far, d_near = far.density(), near.density()
+    lo, hi = d_near.support
+    x = np.linspace(lo - eta, hi + eta, 4001)
+    assert np.array_equal(far.eval(x), near.eval(x))
+    for name in ("support", "discontinuities", "known_mean", "known_m2"):
+        assert getattr(d_far, name) == getattr(d_near, name), name
+    # an offset within one width is its own reduction: centres offset + j eta
+    assert d_near.known_mean == float(np.dot(b_near.masses, r + b_near.arrays()[0] * eta))
+    assert lo == b_near.center(b_near.j_min) - 0.5 * eta
+
+
+def test_bin_density_rejects_offsets_whose_labels_leave_int64():
+    # labels shifted by 2^63 widths or more overflowed int64 with a bare
+    # OverflowError that named no argument
+    d = position_density(Gaussian())
+    for offset in (2.0 ** 64 * 0.37, -(2.0 ** 64) * 0.37, 1e308):
+        with pytest.raises(ValueError, match="offset"):
+            bin_density(d, 0.37, offset)
+    # within 2^63 widths it is the labels that decide: 5000 widths below 0
+    # they leave the range on one side and stay inside it on the other
+    far = position_density(Gaussian(-5000.0))
+    with pytest.raises(ValueError, match="offset"):
+        bin_density(far, 1.0, 2.0 ** 63 - 2048)
+    b = bin_density(far, 1.0, -(2.0 ** 63 - 2048))
+    assert b.j_min > 0 and b.arrays()[0][-1] == b.j_min + b.masses.size - 1
+    # the readers of a grid built directly reduce its offset through the same check
+    far_grid = BinnedDistribution(width=1e-10, offset=1e300, j_min=0, masses=[1.0])
+    for read in (discrete_variance, lambda b: ReconstructedPdf(b, GhfSpec(1e-10)).eval(0.0)):
+        with pytest.raises(ValueError, match="offset"):
+            read(far_grid)
+
+
 def test_hermite_bins_to_unit_mass_at_the_cap():
     # exp(-xi^2/2) underflows inside the oscillating region of phi_1000, which
     # reaches |xi| = 44.7; the rescaled recurrence keeps the mass there
@@ -225,34 +269,32 @@ def test_binning_stalls_on_subnormalized_density():
 
 
 def test_binned_distribution_validation():
-    good = {"width": 1.0, "offset": 0.0, "probs": {0: 0.5, 1: 0.5}, "tail_mass": 0.0}
+    good = {"width": 1.0, "offset": 0.0, "j_min": 0, "masses": [0.5, 0.5], "tail_mass": 0.0}
     BinnedDistribution(**good)
     with pytest.raises(ValueError):
-        BinnedDistribution(width=0.0, offset=0.0, probs={0: 1.0}, tail_mass=0.0)
+        BinnedDistribution(width=0.0, offset=0.0, j_min=0, masses=[1.0], tail_mass=0.0)
     with pytest.raises(ValueError):
-        BinnedDistribution(width=1.0, offset=0.0, probs={0: -0.1, 1: 1.1}, tail_mass=0.0)
+        BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[-0.1, 1.1], tail_mass=0.0)
     with pytest.raises(ValueError):
-        BinnedDistribution(width=1.0, offset=0.0, probs={0: 0.9}, tail_mass=0.0)
+        BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[0.9], tail_mass=0.0)
     with pytest.raises(ValueError):
-        BinnedDistribution(width=1.0, offset=0.0, probs={0: 1.0 - 2e-8}, tail_mass=2e-8)
+        BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0 - 2e-8], tail_mass=2e-8)
     with pytest.raises(ValueError):
-        BinnedDistribution(width=1.0, offset=0.0, probs={}, tail_mass=1.0)
+        BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[], tail_mass=1.0)
 
 
 def test_discrete_variance_two_point():
-    b = BinnedDistribution(width=2.0, offset=0.5, probs={-1: 0.25, 3: 0.75}, tail_mass=0.0)
+    b = BinnedDistribution(width=2.0, offset=0.5, j_min=-1, masses=[0.25, 0.0, 0.0, 0.0, 0.75])
     # centers -1.5 and 6.5; var = p q (gap)^2
     assert discrete_variance(b) == pytest.approx(0.25 * 0.75 * 8.0 ** 2, rel=1e-14)
 
 
 def test_discrete_renyi_uniform_and_ordering():
     m = 7
-    b = BinnedDistribution(width=1.0, offset=0.0,
-                           probs={j: 1.0 / m for j in range(m)}, tail_mass=0.0)
+    b = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0 / m] * m)
     for alpha in (0.5, 1.0, 2.0, math.inf):
         assert discrete_renyi(b, alpha) == pytest.approx(math.log(m), rel=1e-13)
-    skew = BinnedDistribution(width=1.0, offset=0.0,
-                              probs={0: 0.7, 1: 0.2, 2: 0.1}, tail_mass=0.0)
+    skew = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[0.7, 0.2, 0.1])
     hs = [discrete_renyi(skew, a) for a in (0.5, 0.9, 1.0, 1.5, math.inf)]
     assert all(b2 <= a2 + 1e-14 for a2, b2 in zip(hs, hs[1:]))
 
@@ -278,7 +320,7 @@ def test_discrete_statistics_are_computed_once_per_order():
 
 
 def test_discrete_renyi_degenerate_and_domain():
-    one = BinnedDistribution(width=1.0, offset=0.0, probs={5: 1.0}, tail_mass=0.0)
+    one = BinnedDistribution(width=1.0, offset=0.0, j_min=5, masses=[1.0])
     for alpha in (0.5, 1.0, math.inf):
         h = discrete_renyi(one, alpha)
         assert h == 0.0 and math.copysign(1.0, h) == 1.0
@@ -330,7 +372,7 @@ def test_ghf_variance_monotone_and_bounded():
 def test_ghf_against_direct_quadrature():
     for eta, a in ((1.0, 4.0), (0.5, -12.0), (2.0, 0.3)):
         g = GhfSpec(eta, a)
-        b = BinnedDistribution(width=eta, offset=0.0, probs={0: 1.0}, tail_mass=0.0)
+        b = BinnedDistribution(width=eta, offset=0.0, j_min=0, masses=[1.0])
         w = ReconstructedPdf(b, g)
         mass = integrate(lambda x: float(w.eval(x)), -eta / 2.0, eta / 2.0)
         m1 = integrate(lambda x: x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
@@ -453,7 +495,7 @@ def test_sample_counts_unbiased_on_square_well_momentum_tail():
 
 def test_sample_counts_draw_only_exact_bins_with_mass():
     binnings = [
-        BinnedDistribution(width=0.5, offset=0.1, probs={-3: 0.2, -2: 0.0, -1: 0.3, 2: 0.5}),
+        BinnedDistribution(width=0.5, offset=0.1, j_min=-3, masses=[0.2, 0.0, 0.3, 0.0, 0.0, 0.5]),
         bin_density(momentum_density(SquareWell(n=2)), 0.3, 0.05),
     ]
     for b in binnings:

@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cg_uncert.numerics import Divergent, gauss_legendre_panels, integrate
 from cg_uncert.relations import DomainError
@@ -64,6 +66,41 @@ def test_hermite_moments():
             0.64 * (n + 0.5), rel=1e-10)
         assert variance(momentum_density(s)) == pytest.approx(
             (n + 0.5) / 0.64, rel=1e-10)
+
+
+# reproducible examples, nothing written to disk
+_SETTINGS = dict(deadline=None, derandomize=True, database=None)
+_scale = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+_z_edges = st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=24).map(sorted)
+
+
+def _assert_same_density(a: Density1D, b: Density1D, mu: float, sd: float, z_edges) -> None:
+    x = mu + sd * np.linspace(-12.0, 12.0, 97)
+    assert np.array_equal(a.eval(x), b.eval(x))
+    edges = mu + sd * np.array(z_edges)
+    assert np.array_equal(a.interval_masses(edges), b.interval_masses(edges))
+    for name in ("support", "discontinuities", "known_mean", "known_m2", "heavy_tail",
+                 "osc_scale"):
+        assert repr(getattr(a, name)) == repr(getattr(b, name)), name
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(x0=st.floats(-5.0, 5.0), p0=st.floats(-5.0, 5.0), sigma=_scale, hbar=_scale,
+       z_edges=_z_edges)
+def test_gaussian_momentum_is_the_position_gaussian_at_the_conjugate_width(
+        x0, p0, sigma, hbar, z_edges):
+    sd = hbar / (2.0 * sigma)
+    _assert_same_density(momentum_density(Gaussian(x0, p0, sigma, hbar)),
+                         position_density(Gaussian(p0, 0.0, sd)), p0, sd, z_edges)
+
+
+@settings(max_examples=60, **_SETTINGS)
+@given(n=st.integers(0, 40), sigma=_scale, hbar=_scale, z_edges=_z_edges)
+def test_hermite_momentum_is_the_position_hermite_at_the_conjugate_scale(
+        n, sigma, hbar, z_edges):
+    sd = hbar / sigma
+    _assert_same_density(momentum_density(HermiteGauss(n, sigma, hbar)),
+                         position_density(HermiteGauss(n, sd)), 0.0, sd, z_edges)
 
 
 def test_square_well_position():
