@@ -58,6 +58,7 @@ __all__ = [
     "func_M_inv",
     "func_F",
     "func_K",
+    "func_M_inv_and_K",
     "moment_relation_reports",
     "binned_relation_reports",
     "check_coarse_relations",
@@ -216,8 +217,14 @@ def func_K(u: float) -> float:
         raise DomainError(f"func_K requires u >= 0, got {u}")
     if u == 0.0:
         return 1.0
+    return func_M_inv_and_K(u)[1]
+
+
+def func_M_inv_and_K(u: float) -> tuple:
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve."""
+    t = func_M_inv(u)
     # below u ~ 4e-19 the excess of K over 1 is smaller than the rounding of F
-    return max(1.0, func_F(u, func_M_inv(u)))
+    return t, max(1.0, func_F(u, t))
 
 
 # ---------------------------------------------------------------------------

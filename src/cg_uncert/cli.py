@@ -42,7 +42,7 @@ from .bounds import (
     feasibility_region,
     func_K,
     func_M,
-    func_M_inv,
+    func_M_inv_and_K,
 )
 from .coarse import (
     TailBudgetExceeded,
@@ -368,8 +368,8 @@ def cmd_kfun(cfg: RunConfig) -> int:
         if x == 0.0:
             # M and its inverse diverge at the endpoint; K has a finite limit
             return [x, math.inf, x, math.inf, func_K(0.0), 1.0]
-        return [x, func_M(x), x, func_M_inv(x), func_K(x),
-                1.0 + _LN_2PIE_LIN * x]
+        t, k = func_M_inv_and_K(x)
+        return [x, func_M(x), x, t, k, 1.0 + _LN_2PIE_LIN * x]
 
     _write_table(cfg, header, _pmap(row, _sweep_values(cfg)), {})
     return 0

@@ -21,7 +21,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .numerics import NonConvergence, gauss_legendre_panels, integrate
 from .relations import DomainError
@@ -140,6 +139,9 @@ class BinnedDistribution:
         j_min, p = int(self.j_min), np.asarray(self.masses, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("need at least one bin")
+        if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
+            raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins beyond "
+                             f"the int64 range")
         neg = np.flatnonzero(p < -1e-12)
         if neg.size:
             raise ValueError(f"negative probability {p[neg[0]]} in bin {j_min + neg[0]}")
@@ -394,7 +396,18 @@ def _renyi(p: np.ndarray, alpha: float) -> float:
         return float(-np.dot(p, np.log(p))) + 0.0
     if math.isinf(alpha):
         return -math.log(float(np.max(p))) + 0.0
-    return float(logsumexp(alpha * np.log(p))) / (1.0 - alpha) + 0.0
+    return _logsumexp(alpha * np.log(p)) / (1.0 - alpha) + 0.0
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """ln sum exp(a) for finite a: the n terms equal to the maximum m are
+    kept out of the sum, ln(n e^m + s) = m + ln n + log1p(s / n)."""
+    m = a.max()
+    top = a == m
+    e = np.exp(a - m)
+    e[top] = 0.0
+    n = np.count_nonzero(top)
+    return float(np.log1p(e.sum() / n) + math.log(n) + m)
 
 
 def ghf_variance(g: GhfSpec) -> float:

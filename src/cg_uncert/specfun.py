@@ -9,8 +9,11 @@ shipped, not just tested:
 
 * prolate_r00 -- Bouwkamp-type Legendre coefficient expansion. The even-order
   coefficients d_{2k} of the angular function of order (0,0) solve a symmetric
-  tridiagonal eigenproblem (smallest eigenvalue); R00(c,1) follows from the
-  spherical-Bessel series at xi = 1, and lambda0 = (2c/pi) R00(c,1)^2.
+  tridiagonal eigenproblem (smallest eigenvalue), solved by inverse iteration
+  with a tridiagonal LDL^T solve; R00(c,1) = d_0 / S00(c,0) follows from the
+  integral equation of the angular function at eta = 0, and
+  lambda0 = (2c/pi) R00(c,1)^2.  Numpy and plain floats only: against a
+  60-digit eigensolve, 1 - lambda0 is within 9e-7 relative for c in [8, 12).
 * sinc_eigen_oracle -- Nystrom discretization of the concentration kernel
   sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre grid, symmetrized by
   sqrt-weight scaling; top eigenvalue by a dense symmetric eigensolver.
@@ -22,6 +25,8 @@ lambda0_deficit computed from the large-c asymptote
 whose correction coefficients were calibrated once against a 60-digit
 eigensolve of the same expansion (relative error <= ~1e-5 at the switch,
 ~1e-7 past c = 16).
+
+Only erfi, for profiles with t < 0, needs scipy.special, imported on first use.
 """
 
 from __future__ import annotations
@@ -32,8 +37,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfi as _sp_erfi
-from scipy.special import spherical_jn
 
 from .numerics import NonConvergence
 
@@ -50,6 +53,14 @@ __all__ = [
 ]
 
 
+def _erfi(x: float) -> float:
+    # imported on first use: only profiles with a < 0 need erfi, and
+    # scipy.special takes about 0.3 s to import
+    from scipy.special import erfi
+
+    return float(erfi(x))
+
+
 # erfi(x) = e^{x^2} / (sqrt(pi) x) * (1 + 1/(2x^2) + 3/(4x^4) + 15/(8x^6) + ...)
 _ERFI_ASYMP = (1.0, 0.5, 0.75, 1.875, 6.5625, 29.53125)
 
@@ -59,7 +70,7 @@ def log_erfi(x: float) -> float:
     if x <= 0.0:
         raise ValueError("log_erfi requires x > 0")
     if x < 25.0:
-        return math.log(float(_sp_erfi(x)))
+        return math.log(_erfi(x))
     inv2 = 1.0 / (x * x)
     s = 0.0
     for a in reversed(_ERFI_ASYMP):
@@ -96,12 +107,6 @@ def _deficit_asymptote(c: float) -> float:
 
 
 def _expansion(c: float, nterms: int) -> tuple[float, float, np.ndarray]:
-    # imported on first use, since scipy.linalg adds 0.03-0.06 s to start-up;
-    # dense numpy.linalg.eigh is no substitute: against a 60-digit eigensolve
-    # at c = 11.99, its deficit 1 - lambda0 was off by 1.6e-2 relative,
-    # against 3.9e-5 from eigh_tridiagonal
-    from scipy.linalg import eigh_tridiagonal
-
     k = np.arange(nterms)
     r = 2.0 * k
     diag = r * (r + 1.0) + c * c * (2.0 * r * (r + 1.0) - 1.0) / ((2.0 * r - 1.0) * (2.0 * r + 3.0))
@@ -109,14 +114,37 @@ def _expansion(c: float, nterms: int) -> tuple[float, float, np.ndarray]:
     off = c * c * (rr + 1.0) * (rr + 2.0) / (
         (2.0 * rr + 3.0) * np.sqrt((2.0 * rr + 1.0) * (2.0 * rr + 5.0))
     )
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
-    v = vecs[:, 0]
-    d = v * np.sqrt(4.0 * k + 1.0)  # undo the symmetrizing similarity scaling
+    # Inverse iteration for the eigenvector of the smallest eigenvalue, with
+    # the shift mu just below it: A - mu is then positive definite, so its
+    # LDL^T factors (unit bidiagonal L with multipliers mult, pivots piv)
+    # need no pivoting, and the tail coefficients come out to full relative
+    # precision, which the truncation test below relies on.  Each solve
+    # shrinks the other eigenvectors' share by shift / gap < 1e-6, so three
+    # solves from a flat start reach rounding level.
+    mu = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[0]) - 1e-9 * float(diag[-1])
+    piv, mult = [float(diag[0]) - mu], []
+    for a, e in zip(diag[1:].tolist(), off.tolist()):
+        mult.append(e / piv[-1])
+        piv.append(a - mu - mult[-1] * e)
+    x = [1.0] * nterms
+    for _ in range(3):
+        for i in range(1, nterms):
+            x[i] -= mult[i - 1] * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(nterms - 2, -1, -1):
+            x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
+        top = max(map(abs, x))
+        x = [v / top for v in x]
+    d = np.array(x) * np.sqrt(4.0 * k + 1.0)  # undo the symmetrizing similarity scaling
     if d[0] < 0:
         d = -d
-    num = np.sum((-1.0) ** k * d * spherical_jn((2 * k.astype(int)), c))
-    den = np.sum(d)
-    r00 = float(num / den)
+    # R00(c, 1) = d_0 / S00(c, 0): the integral equation of the angular
+    # function at eta = 0 gives int S00 = 2 d_0 = mu_0 S00(c, 0) with
+    # lambda0 = c mu_0^2 / (2 pi).  S00(c, 0) = sum d_2k P_2k(0) is the peak
+    # of S00, so neither sum cancels, unlike the spherical-Bessel series at
+    # eta = 1, whose sums both shrink like exp(-const*c).
+    p2k0 = np.cumprod(np.concatenate(([1.0], (1.0 - 2.0 * k[1:]) / (2.0 * k[1:]))))
+    r00 = float(d[0] / np.dot(d, p2k0))
     lam = (2.0 * c / math.pi) * r00 * r00
     return r00, lam, d
 
@@ -133,16 +161,17 @@ def prolate_r00(c: float) -> ProlateResult:
     if c < 0:
         raise ValueError("prolate bandwidth parameter c must be >= 0")
     if 0.0 < c < sys.float_info.min:
-        # scipy's spherical_jn(n >= 1, c) is NaN at subnormal c
+        # lambda0 ~ 2c/pi would be subnormal, with too few significant bits
+        # for R = -ln lambda0; bound_L rejects such width products too
         raise ValueError(f"prolate bandwidth parameter c = {c!r} is subnormal")
     if c == 0.0:
         return ProlateResult(c=0.0, r00_at_1=1.0, lambda0=0.0, terms_used=0,
                              est_error=0.0, lambda0_deficit=1.0)
     if c >= _DEFICIT_SWITCH:
-        # The series ratio R00 = sum((-1)^k d_2k j_2k(c)) / sum(d_2k) loses
-        # all precision here (both sums shrink like exp(-const*c) against
-        # O(1) coefficients), while the calibrated deficit expansion is at
-        # its best, so the eigenvalue and R00 both come from the deficit.
+        # 1 - lambda0 is below 1e-9 here, so the rounding of lambda0 near 1
+        # leaves it fewer and fewer correct digits, while the calibrated
+        # deficit expansion is at its best: the eigenvalue and R00 both come
+        # from the deficit.
         deficit = _deficit_asymptote(c)
         lam = 1.0 - deficit
         r00 = math.sqrt(math.pi * lam / (2.0 * c))
@@ -150,9 +179,9 @@ def prolate_r00(c: float) -> ProlateResult:
                              terms_used=0, est_error=3e-5 * deficit,
                              lambda0_deficit=deficit)
     # Truncation is set by coefficient decay alone: past the plunge region the
-    # d_{2k} fall off superexponentially, while the tridiagonal solve's noise
-    # grows like nterms**2, so the smallest sufficient truncation is also the
-    # most accurate one.
+    # d_{2k} fall off superexponentially, while the shift of the inverse
+    # iteration, and with it the solve's noise, grows like nterms**2, so the
+    # smallest sufficient truncation is also the most accurate one.
     nterms = max(32, int(c) + 24)
     while True:
         r00, lam, d = _expansion(c, nterms)
@@ -255,7 +284,7 @@ def bin_profile_norm(t: float) -> float:
     if t <= _NEG_LOG_CUT:
         return math.exp(log_bin_profile_norm(t))
     s = -t
-    return math.sqrt(math.pi / s) * float(_sp_erfi(0.5 * math.sqrt(s)))
+    return math.sqrt(math.pi / s) * _erfi(0.5 * math.sqrt(s))
 
 
 def log_bin_profile_norm(t: float) -> float:

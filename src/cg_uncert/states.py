@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.special import erfc, sici
 
 from .numerics import (
     DEFAULT_QUAD,
@@ -199,6 +198,22 @@ def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
                     np.where(hi <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi))
 
 
+# math.erfc(x) is exactly 0 from x = 27.2264 on
+_ERFC_ZERO = 27.3
+
+
+def _erfc(z: np.ndarray) -> np.ndarray:
+    """math.erfc over a 1-D array of z >= 0: within 4e-16 relative of the
+    exact value wherever it does not underflow, against 5.6e-14 for scipy's.
+    It costs about 90 ns an element, so the far tails, where a mixture with
+    a square-well momentum marginal asks for 1e5 of them, are set to 0
+    without a call."""
+    out = np.zeros(z.size)
+    live = np.flatnonzero(z < _ERFC_ZERO)
+    out[live] = np.fromiter(map(math.erfc, z[live].tolist()), float, live.size)
+    return out
+
+
 def _gaussian(mu: float, sd: float) -> Density1D:
     """Normal density with mean mu and standard deviation sd; masses from
     erfc tails."""
@@ -210,7 +225,7 @@ def _gaussian(mu: float, sd: float) -> Density1D:
 
     def masses(edges):
         z = (np.asarray(edges, dtype=float) - mu) * scale
-        return _masses_from_tails(z, 0.5 * erfc(np.abs(z)))
+        return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
                      known_m2=sd ** 2 + mu ** 2, interval_masses=masses)
@@ -254,7 +269,7 @@ def _hermite(n: int, sd: float) -> Density1D:
         z = np.asarray(edges, dtype=float) / sd
         az = np.abs(z)
         # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n
-        return _masses_from_tails(z, 0.5 * erfc(az) + _hermite_phi(n, az)[1])
+        return _masses_from_tails(z, 0.5 * _erfc(az) + _hermite_phi(n, az)[1])
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
                      known_m2=sd * sd * (n + 0.5), interval_masses=masses)
@@ -359,6 +374,9 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
             out[mid] = gauss_legendre_panels(pdf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
                                              _WELL_PANEL_ORDER).reshape(-1, k).sum(axis=1)
         if wide.any():
+            # imported on first use: scipy.special takes about 0.3 s to import
+            from scipy.special import sici
+
             a = c - p * half
             b = npi - a
             (si_a, ci_a), (si_b, ci_b) = sici(2.0 * a), sici(2.0 * b)

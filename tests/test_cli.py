@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cg_uncert import bounds
+from cg_uncert.bounds import func_K, func_M, func_M_inv
 from cg_uncert.cli import (
     DescriptorError,
     RunConfig,
@@ -369,29 +371,37 @@ _LOADED_SCIPY = """
 import contextlib, io, sys
 import cg_uncert.cli as cli
 def loaded():
-    return sorted({m.split(".")[1] for m in sys.modules
-                   if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"],
-                                           ["scipy", "linalg"])})
-print(",".join(loaded()))
-with contextlib.redirect_stdout(io.StringIO()):
-    rc = cli.main(["check", "--state", "squarewell:n=1,L=1", "--delta", "1",
-                   "--offset-x", "0.5", "--delta-p", "50"])
-print(rc, ",".join(loaded()))
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(loaded())
+for state in ("gaussian:x0=0.5,p0=-1,sigma=0.8", "hermite:n=7,sigma=1.2", "squarewell:n=3,L=1.5",
+              "mix:0.6*squarewell:n=2+0.4*gaussian:x0=1,sigma=0.5"):
+    for delta in ("1", "8"):  # c = delta^2/4 below and above the prolate switch at 12
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["check", "--state", state, "--delta", delta, "--delta-p", delta,
+                           "--offset-x", "0.3", "--offset-p", "0.1"])
+        print(rc, loaded())
+from cg_uncert import bounds, coarse, states
+for _, s in states.catalog_states():
+    bx = coarse.bin_density(states.position_density(s), 0.5, 0.1)
+    bp = coarse.bin_density(states.momentum_density(s), 0.7, 0.2)
+    for alpha in (0.5, 0.75, 1.0):
+        bounds.binned_relation_reports(bx, bp, alpha=alpha)
+print(loaded())
 """
 
 
-def test_cli_starts_without_optimize_integrate_or_linalg():
-    # scipy.optimize and scipy.integrate were over a third of the import time
-    # of cg_uncert.cli, and a check on a catalog state needs neither
+def test_catalog_path_loads_no_scipy():
+    # scipy.special was over half of the start-up time of cg_uncert.cli, and
+    # scipy.optimize, scipy.integrate and scipy.linalg came before it; the
+    # catalog states, the bounds and the reports need numpy alone
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     r = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], env=env,
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
-    after_import, after_check = r.stdout.splitlines()
-    assert after_import == ""
-    assert after_check in ("0 ", "0 linalg")
+    lines = r.stdout.splitlines()
+    assert lines == [""] + ["0 "] * 8 + [""]
 
 
 def test_check_malformed_descriptor(capsys):
@@ -536,6 +546,30 @@ def test_region_rejects_width_product_outside_double_range(capsys, width):
     rc = main(["region", "--delta", width, "--delta-p", width, "--grid-n", "2"])
     assert rc == 2
     assert "delta_x" in capsys.readouterr().err
+
+
+def test_kfun_solves_one_root_per_row_with_unchanged_columns(tmp_path, monkeypatch):
+    # each row took M^-1 twice, once for its column and once inside K;
+    # sharing the root must not move a bit of either column
+    solves = []
+    solve = bounds.find_root_bracketed
+
+    def counting(*args, **kwargs):
+        solves.append(args[1:3])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "find_root_bracketed", counting)
+    out = tmp_path / "kfun.json"
+    rc = main(["kfun", "--sweep-min", "1e-6", "--sweep-max", "1e6", "--sweep-points", "2000",
+               "--format", "json", "--out", str(out)])
+    monkeypatch.undo()
+    assert rc == 0
+    assert len(solves) == 2000
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 2000
+    for x, m, u, t, k, lin in rows:
+        # the values the two separate calls gave
+        assert [m, u, t, k, lin] == [func_M(x), x, func_M_inv(x), func_K(x), 1.0 + TWO_PI_E * x]
 
 
 def test_kfun_inverts_m_near_the_top_of_the_double_range(capsys):

@@ -4,6 +4,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cg_uncert.coarse import (
     EPS_TAIL,
@@ -20,8 +22,10 @@ from cg_uncert.coarse import (
     ghf_variance,
     sample_counts,
 )
+from cg_uncert.coarse import _logsumexp
 from cg_uncert.numerics import NonConvergence, gauss_legendre_panels, integrate
 from cg_uncert.relations import DomainError
+from cg_uncert.specfun import bin_profile_norm, log_erfi
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -169,6 +173,14 @@ def test_square_well_momentum_wide_bins_against_mpmath(state, eta):
         assert abs(mass - ref) <= 1e-15, f"bin {j}: {mass!r} vs {ref!r}"
 
 
+def test_wide_square_well_bins_keep_their_values():
+    # bins over 32768 wide in a are the only use of sici, which loads
+    # scipy.special on first use
+    b = bin_density(momentum_density(SquareWell(3, 1.5)), 1e5, 3e4)
+    assert b.j_min == -1
+    assert b.masses.tolist() == [6.948330799616542e-13, 0.999999999999291, 9.936496070395151e-15]
+
+
 @pytest.mark.parametrize("d", [position_density(Gaussian()), momentum_density(SquareWell(3, 1.5)),
                                position_density(HermiteGauss(2))], ids=["gauss", "well3_p", "herm2"])
 def test_bin_density_reduces_the_offset_modulo_the_width(d):
@@ -283,6 +295,17 @@ def test_binned_distribution_validation():
         BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[], tail_mass=1.0)
 
 
+def test_binned_distribution_rejects_j_min_beyond_int64():
+    # built directly, a j_min past int64 raised a bare OverflowError from
+    # numpy that named no argument
+    for j_min, masses in ((2 ** 63, [1.0]), (-(2 ** 63) - 1, [1.0]), (2 ** 63 - 1, [0.5, 0.5])):
+        with pytest.raises(ValueError, match="j_min"):
+            BinnedDistribution(width=1.0, offset=0.0, j_min=j_min, masses=masses)
+    for j_min in (2 ** 63 - 1, -(2 ** 63)):
+        b = BinnedDistribution(width=1.0, offset=0.0, j_min=j_min, masses=[1.0])
+        assert b.arrays()[0].tolist() == [j_min]
+
+
 def test_discrete_variance_two_point():
     b = BinnedDistribution(width=2.0, offset=0.5, j_min=-1, masses=[0.25, 0.0, 0.0, 0.0, 0.75])
     # centers -1.5 and 6.5; var = p q (gap)^2
@@ -317,6 +340,17 @@ def test_discrete_statistics_are_computed_once_per_order():
     assert len(calls) == 5  # one read of the storage per statistic and order
     with pytest.raises(DomainError):
         discrete_renyi(b, 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=st.lists(st.floats(1e-300, 1.0), min_size=1, max_size=300),
+       alpha=st.sampled_from((0.5, 0.75, 1.5, 2.0, 3.0)), ties=st.integers(0, 3))
+def test_logsumexp_is_scipys_bit_for_bit(p, alpha, ties):
+    # the Renyi entropies keep their bits without scipy.special
+    from scipy.special import logsumexp
+
+    a = alpha * np.log(np.array(p + [max(p)] * ties))
+    assert _logsumexp(a) == float(logsumexp(a))
 
 
 def test_discrete_renyi_degenerate_and_domain():
@@ -387,6 +421,16 @@ def test_ghf_against_direct_quadrature():
 
 # ---------------------------------------------------------------------------
 # reconstruction and decomposition
+
+
+def test_negative_profiles_keep_their_values():
+    # a < 0 is the only use of erfi, which loads scipy.special on first use
+    for a, var, ent in ((-3.0, 0.10104501067639109, -0.027049792855101562),
+                        (-40.0, 0.22318194035231237, -1.864032155459883)):
+        g = GhfSpec(1.0, a)
+        assert (ghf_variance(g), ghf_entropy(g)) == (var, ent)
+    assert bin_profile_norm(-3.0) == 1.317960201078476
+    assert log_erfi(3.0) == 7.396331994777922
 
 
 def test_reconstruct_requires_matching_width():

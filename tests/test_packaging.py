@@ -1,5 +1,7 @@
-"""Distribution metadata agrees with the package."""
+"""Distribution metadata agrees with the package, and the package imports
+nothing beyond numpy at start-up."""
 
+import ast
 import importlib
 import pathlib
 import pkgutil
@@ -11,7 +13,8 @@ import cg_uncert
 
 tomllib = pytest.importorskip("tomllib")
 
-PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
 
 
 def test_distribution_name_and_version():
@@ -36,3 +39,29 @@ def test_every_export_resolves():
     for name in public:
         assert name in listed, f"cg_uncert.{name} is in no module's __all__"
         assert getattr(cg_uncert, name) is listed[name], name
+
+
+def _import_time_scipy(node) -> list:
+    """Line numbers of scipy imports that run when the module is imported:
+    everywhere but inside function bodies."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        return []
+    found = []
+    if isinstance(node, ast.Import):
+        found += [node.lineno for a in node.names if a.name.split(".")[0] == "scipy"]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        if (node.module or "").split(".")[0] == "scipy":
+            found.append(node.lineno)
+    for child in ast.iter_child_nodes(node):
+        found += _import_time_scipy(child)
+    return found
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy.special alone was over half of the start-up time of the CLI; the
+    # few routines that still need scipy import it inside the function
+    sources = sorted((ROOT / "src" / "cg_uncert").glob("*.py"))
+    assert sources
+    for path in sources:
+        lines = _import_time_scipy(ast.parse(path.read_text(), str(path)))
+        assert not lines, f"{path.name} imports scipy at import time on lines {lines}"
