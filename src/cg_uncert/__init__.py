@@ -1,13 +1,16 @@
 """Coarse-grained position/momentum uncertainty toolkit."""
 
 from .bounds import (
+    VERDICT_TOL,
     BoundSet,
     FeasibilityRegion,
+    RelationReport,
     binned_relation_reports,
     bound_B,
     bound_L,
     bound_R,
     check_coarse_relations,
+    check_continuous_relations,
     feasibility_region,
     func_F,
     func_K,
@@ -34,6 +37,7 @@ from .numerics import (
     DEFAULT_QUAD,
     DEFAULT_ROOT,
     Divergent,
+    DomainError,
     InvalidBracket,
     NonConvergence,
     QuadSpec,
@@ -41,7 +45,6 @@ from .numerics import (
     find_root_bracketed,
     integrate,
 )
-from .relations import DomainError, RelationReport, RELATION_IDS, VERDICT_TOL
 from .specfun import ProlateResult, prolate_r00, sinc_eigen_oracle
 from .states import (
     Density1D,
@@ -51,7 +54,6 @@ from .states import (
     SquareWell,
     StateModel,
     catalog_states,
-    check_continuous_relations,
     momentum_density,
     position_density,
     renyi_entropy_cont,

@@ -1,4 +1,5 @@
-"""Lower bounds for coarse-grained conjugate-pair uncertainty relations.
+"""Lower bounds for coarse-grained conjugate-pair uncertainty relations, and
+every relation report.
 
 Entropy bounds for a conjugate pair measured with bin widths (delta_x,
 delta_p): the family B_alpha valid for fine graining, the eigenvalue-based
@@ -9,13 +10,17 @@ giving the product relation ln K(u_x) + ln K(u_p) >= 2 L_1 and, from it,
 the forbidden region in the (u_x, u_p) plane.  K(u) is the minimum over t of
 F(u, t), the factor a truncated-Gaussian bin profile exp(-t v^2) gives; the
 flat bin is its t = 0 member, GhfSpec(eta), with F(u, 0) = 2 pi e (u + 1/12).
+
+Every relation is reported here, the three continuous and the four
+coarse-grained ones, as a RelationReport whose margin is lhs - rhs for sum
+forms and ln(lhs) - ln(rhs) for product forms, and whose verdict follows.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,14 +34,7 @@ from .coarse import (
     ghf_entropy,
     ghf_variance,
 )
-from .numerics import NonConvergence, RootSpec, find_root_bracketed
-from .relations import (
-    DomainError,
-    RelationReport,
-    beta_conjugate,
-    conjugate_constant,
-    verdict_from_margin,
-)
+from .numerics import DomainError, NonConvergence, RootSpec, find_root_bracketed
 from .specfun import (
     ProlateResult,
     _w_of_t,
@@ -46,11 +44,21 @@ from .specfun import (
     prolate_r00,
     two_t_m,
 )
-from .states import StateModel, momentum_density, position_density
+from .states import (
+    StateModel,
+    momentum_density,
+    position_density,
+    renyi_entropy_cont,
+    variance,
+)
 
 __all__ = [
+    "VERDICT_TOL",
+    "RelationReport",
     "BoundSet",
     "FeasibilityRegion",
+    "beta_conjugate",
+    "conjugate_constant",
     "bound_B",
     "bound_R",
     "bound_L",
@@ -59,6 +67,7 @@ __all__ = [
     "func_F",
     "func_K",
     "func_M_inv_and_K",
+    "check_continuous_relations",
     "moment_relation_reports",
     "binned_relation_reports",
     "check_coarse_relations",
@@ -67,6 +76,68 @@ __all__ = [
 
 _LN_2PIE = math.log(2.0 * math.pi * math.e)
 _LN_MAX_FLOAT = math.log(sys.float_info.max)
+
+VERDICT_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class RelationReport:
+    """One relation's two sides and margin; the verdict follows from the
+    margin: "holds" when margin >= -VERDICT_TOL, otherwise "violated", or
+    "infeasible_inputs" when the sides came from hypothetical inputs that no
+    state can produce (infeasible=True).
+
+    No report holds against its margin.  A failing verdict passed by keyword
+    is kept as given, so dataclasses.replace carries a failing verdict and the
+    infeasible flag over to the copy, and replace(r, verdict="violated")
+    forges a failing copy of a holding report, as a gate's self-test does.
+    """
+
+    relation_id: str
+    lhs: float
+    rhs: float
+    margin: float
+    _: KW_ONLY
+    infeasible: bool = False
+    verdict: str = "holds"  # "holds" | "violated" | "infeasible_inputs"
+
+    def __post_init__(self) -> None:
+        if self.verdict == "holds" and not self.margin >= -VERDICT_TOL:
+            failed = "infeasible_inputs" if self.infeasible else "violated"
+            object.__setattr__(self, "verdict", failed)
+
+
+def beta_conjugate(alpha: float) -> float:
+    """beta with 1/alpha + 1/beta = 2; diverges at alpha = 1/2."""
+    if not 0.5 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [1/2, 1], got {alpha}")
+    if alpha == 0.5:
+        return math.inf
+    return alpha / (2.0 * alpha - 1.0)
+
+
+def _half_term(eps: float) -> float:
+    # -ln(1 - eps) / (2 eps), continuous value 1/2 at eps = 0
+    if abs(eps) < 1e-5:
+        return 0.5 * (1.0 + eps * (0.5 + eps * (1.0 / 3.0 + eps * 0.25)))
+    return -math.log1p(-eps) / (2.0 * eps)
+
+
+def conjugate_constant(alpha: float) -> float:
+    """K_alpha = -[ln(alpha)/(2(1-alpha)) + ln(beta)/(2(1-beta))] for the
+    conjugate pair; equals ln 2 at alpha = 1/2 and 1 at alpha = 1.
+
+    The continuous Renyi relation's right side is ln(pi*hbar) + K_alpha and
+    the discrete bound is B_alpha = K_alpha - ln(Delta*delta/(pi*hbar)).
+    """
+    if not 0.5 <= alpha <= 1.0:
+        raise DomainError(f"alpha must lie in [1/2, 1], got {alpha}")
+    if alpha == 0.5:
+        return math.log(2.0)
+    if alpha == 1.0:
+        return 1.0
+    beta = beta_conjugate(alpha)
+    return _half_term(1.0 - alpha) + _half_term(1.0 - beta)
 
 
 @dataclass(frozen=True)
@@ -231,6 +302,42 @@ def func_M_inv_and_K(u: float) -> tuple:
 # relation checking
 
 
+def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
+    """Variance-product and entropic checks on the continuous marginals.
+
+    alpha is the Renyi order on the position side, restricted to (1/2, 1];
+    at alpha = 1/2 the conjugate order diverges and the check is unsupported.
+    Returns reports for HUR, RenyiCont and ShannonCont.
+    """
+    if not 0.5 < alpha <= 1.0:
+        raise DomainError(
+            f"alpha must lie in (1/2, 1]; the conjugate order diverges toward "
+            f"alpha = 1/2 (got {alpha})")
+    rho_x = position_density(s)
+    rho_p = momentum_density(s)
+    hbar = s.hbar
+
+    var_product = variance(rho_x) * variance(rho_p)
+    hur_rhs = hbar * hbar / 4.0
+    hur_margin = (-math.inf if var_product <= 0.0
+                  else math.log(var_product) - math.log(hur_rhs))
+    hur = RelationReport("HUR", var_product, hur_rhs, hur_margin)
+
+    h1_x = renyi_entropy_cont(rho_x, 1.0)
+    h1_p = renyi_entropy_cont(rho_p, 1.0)
+    if alpha == 1.0:
+        ha_x, hb_p = h1_x, h1_p
+    else:
+        beta = beta_conjugate(alpha)
+        ha_x = renyi_entropy_cont(rho_x, alpha)
+        hb_p = renyi_entropy_cont(rho_p, beta)
+    sums = (
+        ("RenyiCont", ha_x + hb_p, math.log(math.pi * hbar) + conjugate_constant(alpha)),
+        ("ShannonCont", h1_x + h1_p, math.log(math.pi * math.e * hbar)),
+    )
+    return [hur] + [RelationReport(rid, lhs, rhs, lhs - rhs) for rid, lhs, rhs in sums]
+
+
 def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
                   ghfs: Optional[tuple], infeasible: bool) -> list:
     """The three variance-product reports from discrete second moments;
@@ -243,37 +350,27 @@ def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
     ghf_x, ghf_p = (flat_x, flat_p) if ghfs is None else ghfs
     _check_profile_width(ghf_x, dx, "position")
     _check_profile_width(ghf_p, dp, "momentum")
-    out = []
 
-    # profile-smoothed product against the pre-optimization entropy bound
-    lhs_log = (math.log(var_x + ghf_variance(ghf_x))
-               + math.log(var_p + ghf_variance(ghf_p)))
-    rhs_log = (bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x)
-               + 2.0 * ghf_entropy(ghf_p) - 2.0 * _LN_2PIE)
-    margin = lhs_log - rhs_log
-    out.append(RelationReport(
-        relation_id="HeisPreopt", lhs=float(np.exp(lhs_log)),
-        rhs=float(np.exp(rhs_log)), margin=margin,
-        verdict=verdict_from_margin(margin, infeasible=infeasible)))
+    def log_product(gx: GhfSpec, gp: GhfSpec) -> float:
+        return math.log(var_x + ghf_variance(gx)) + math.log(var_p + ghf_variance(gp))
 
-    # flat-profile product against hbar^2/4
-    lhs_log = (math.log(var_x + ghf_variance(flat_x))
-               + math.log(var_p + ghf_variance(flat_p)))
-    rhs_log = 2.0 * math.log(0.5 * hbar)
-    margin = lhs_log - rhs_log
-    out.append(RelationReport(
-        relation_id="HeisRect", lhs=float(np.exp(lhs_log)),
-        rhs=float(np.exp(rhs_log)), margin=margin,
-        verdict=verdict_from_margin(margin, infeasible=infeasible)))
+    products = (
+        # profile-smoothed product against the pre-optimization entropy bound
+        ("HeisPreopt", log_product(ghf_x, ghf_p),
+         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x) + 2.0 * ghf_entropy(ghf_p)
+         - 2.0 * _LN_2PIE),
+        # flat-profile product against hbar^2/4
+        ("HeisRect", log_product(flat_x, flat_p), 2.0 * math.log(0.5 * hbar)),
+    )
+    out = [RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
+                          lhs_log - rhs_log, infeasible=infeasible)
+           for rid, lhs_log, rhs_log in products]
 
     # optimized form, kept in the log domain
     lhs = (math.log(func_K(var_x / dx ** 2))
            + math.log(func_K(var_p / dp ** 2)))
-    margin = lhs - bset.log_rhs_heis
-    out.append(RelationReport(
-        relation_id="HeisOptimal", lhs=lhs, rhs=bset.log_rhs_heis,
-        margin=margin,
-        verdict=verdict_from_margin(margin, infeasible=infeasible)))
+    out.append(RelationReport("HeisOptimal", lhs, bset.log_rhs_heis,
+                              lhs - bset.log_rhs_heis, infeasible=infeasible))
     return out
 
 
@@ -301,10 +398,7 @@ def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0,
     bset = bound_L(bx.width, bp.width, hbar, alpha)
     beta = beta_conjugate(alpha)
     lhs = discrete_renyi(bx, alpha) + discrete_renyi(bp, beta)
-    margin = lhs - bset.l_alpha
-    renyi = RelationReport(relation_id="RenyiDiscrete", lhs=lhs,
-                           rhs=bset.l_alpha, margin=margin,
-                           verdict=verdict_from_margin(margin))
+    renyi = RelationReport("RenyiDiscrete", lhs, bset.l_alpha, lhs - bset.l_alpha)
     return [renyi] + _heis_reports(discrete_variance(bx), discrete_variance(bp),
                                    bset, ghfs, infeasible=False)
 

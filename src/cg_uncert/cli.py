@@ -52,8 +52,7 @@ from .coarse import (
     discrete_variance,
     sample_counts,
 )
-from .numerics import Divergent, InvalidBracket, NonConvergence
-from .relations import DomainError
+from .numerics import Divergent, DomainError, InvalidBracket, NonConvergence
 from .states import Gaussian, HermiteGauss, Mixture, SquareWell, momentum_density, position_density
 
 _LN_2PIE_LIN = 2.0 * math.pi * math.e

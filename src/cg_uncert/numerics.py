@@ -26,6 +26,7 @@ __all__ = [
     "NonConvergence",
     "InvalidBracket",
     "Divergent",
+    "DomainError",
     "integrate",
     "find_root_bracketed",
     "gauss_legendre_panels",
@@ -42,6 +43,10 @@ class InvalidBracket(ValueError):
 
 class Divergent(RuntimeError):
     """An improper integral failed to settle within the tail budget."""
+
+
+class DomainError(ValueError):
+    """Argument outside the mathematical domain of the requested quantity."""
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,9 @@ rings until two consecutive rings fall below the tolerance.  Densities whose
 second moment is not quadrature-reachable (the box eigenstates in momentum,
 whose tails decay like p**-4 under slow oscillation) carry exact moments
 instead and are marked heavy_tail.
+
+The module holds states, densities and density functionals only; the
+relation reports built from them are made in bounds.
 """
 
 from __future__ import annotations
@@ -29,16 +32,10 @@ import numpy as np
 from .numerics import (
     DEFAULT_QUAD,
     Divergent,
+    DomainError,
     NonConvergence,
     gauss_legendre_panels,
     integrate,
-)
-from .relations import (
-    DomainError,
-    RelationReport,
-    beta_conjugate,
-    conjugate_constant,
-    verdict_from_margin,
 )
 
 __all__ = [
@@ -52,7 +49,6 @@ __all__ = [
     "momentum_density",
     "variance",
     "renyi_entropy_cont",
-    "check_continuous_relations",
     "catalog_states",
     "MAX_HERMITE_N",
     "MAX_WELL_N",
@@ -82,6 +78,9 @@ class Gaussian:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("x0", "p0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
@@ -584,58 +583,6 @@ def renyi_entropy_cont(d: Density1D, lam: float) -> float:
     if not integral > 0.0:
         raise NonConvergence(f"power integral came out nonpositive ({integral})")
     return math.log(integral) / (1.0 - lam)
-
-
-# ---------------------------------------------------------------------------
-# continuous-variable relation checks
-
-
-def _product_report(relation_id: str, lhs: float, rhs: float) -> RelationReport:
-    if lhs <= 0.0:
-        margin = -math.inf
-    else:
-        margin = math.log(lhs) - math.log(rhs)
-    return RelationReport(relation_id, lhs, rhs, margin, verdict_from_margin(margin))
-
-
-def _sum_report(relation_id: str, lhs: float, rhs: float) -> RelationReport:
-    margin = lhs - rhs
-    return RelationReport(relation_id, lhs, rhs, margin, verdict_from_margin(margin))
-
-
-def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
-    """Variance-product and entropic checks on the continuous marginals.
-
-    alpha is the Renyi order on the position side, restricted to (1/2, 1];
-    at alpha = 1/2 the conjugate order diverges and the check is unsupported.
-    Returns reports for HUR, RenyiCont and ShannonCont.
-    """
-    if not 0.5 < alpha <= 1.0:
-        raise DomainError(
-            f"alpha must lie in (1/2, 1]; the conjugate order diverges toward "
-            f"alpha = 1/2 (got {alpha})")
-    rho_x = position_density(s)
-    rho_p = momentum_density(s)
-    hbar = s.hbar
-
-    var_x = variance(rho_x)
-    var_p = variance(rho_p)
-    hur = _product_report("HUR", var_x * var_p, hbar * hbar / 4.0)
-
-    h1_x = renyi_entropy_cont(rho_x, 1.0)
-    h1_p = renyi_entropy_cont(rho_p, 1.0)
-    shannon = _sum_report("ShannonCont", h1_x + h1_p, math.log(math.pi * math.e * hbar))
-
-    if alpha == 1.0:
-        ha_x, hb_p = h1_x, h1_p
-    else:
-        beta = beta_conjugate(alpha)
-        ha_x = renyi_entropy_cont(rho_x, alpha)
-        hb_p = renyi_entropy_cont(rho_p, beta)
-    renyi = _sum_report("RenyiCont", ha_x + hb_p,
-                        math.log(math.pi * hbar) + conjugate_constant(alpha))
-
-    return [hur, renyi, shannon]
 
 
 def catalog_states(hbar: float = 1.0) -> tuple:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 import sys
 
 import mpmath
@@ -8,11 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from cg_uncert import bounds
 from cg_uncert.bounds import (
+    VERDICT_TOL,
+    RelationReport,
+    beta_conjugate,
+    binned_relation_reports,
     bound_B,
     bound_L,
     bound_R,
     check_coarse_relations,
+    check_continuous_relations,
+    conjugate_constant,
     feasibility_region,
     func_F,
     func_K,
@@ -20,9 +28,8 @@ from cg_uncert.bounds import (
     func_M_inv,
     moment_relation_reports,
 )
-from cg_uncert.coarse import GhfSpec
-from cg_uncert.numerics import find_root_bracketed
-from cg_uncert.relations import DomainError, beta_conjugate, conjugate_constant
+from cg_uncert.coarse import BinnedDistribution, GhfSpec
+from cg_uncert.numerics import DomainError, find_root_bracketed
 from cg_uncert.states import Gaussian, HermiteGauss, Mixture, SquareWell
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -264,6 +271,73 @@ def test_moment_reports_infeasible_inputs():
     opt = reports[-1]
     assert opt.lhs == 0.0
     assert opt.rhs == pytest.approx(bound_L(1.0, 1.0, 1.0, 1.0).log_rhs_heis)
+
+
+# the verdict rule at its edge: a margin of exactly -VERDICT_TOL holds, the
+# next double below it fails on every report path
+_BELOW_TOL = math.nextafter(-VERDICT_TOL, -math.inf)
+
+
+def _with_bound_set(monkeypatch, **fields):
+    real = bounds.bound_L
+    monkeypatch.setattr(bounds, "bound_L", lambda *args: replace(real(*args), **fields))
+
+
+@pytest.mark.parametrize("margin, verdict", [(-VERDICT_TOL, "holds"), (_BELOW_TOL, "violated")])
+def test_verdict_rule_on_continuous_reports(monkeypatch, margin, verdict):
+    # at hbar = 1/(pi e) ShannonCont's right side ln(pi e hbar) is exactly 0,
+    # so its margin is the sum of the two entropies given here
+    monkeypatch.setattr(bounds, "position_density", lambda s: "x")
+    monkeypatch.setattr(bounds, "momentum_density", lambda s: "p")
+    monkeypatch.setattr(bounds, "variance", lambda d: 1.0)
+    monkeypatch.setattr(bounds, "renyi_entropy_cont", lambda d, lam: margin if d == "x" else 0.0)
+    shannon = check_continuous_relations(Gaussian(hbar=1.0 / (math.pi * math.e)))[2]
+    assert (shannon.relation_id, shannon.rhs) == ("ShannonCont", 0.0)
+    assert (shannon.margin, shannon.verdict) == (margin, verdict)
+
+
+@pytest.mark.parametrize("margin, verdict", [(-VERDICT_TOL, "holds"), (_BELOW_TOL, "violated")])
+def test_verdict_rule_on_binned_reports(monkeypatch, margin, verdict):
+    # one bin holds all the mass, so both entropies are 0 and RenyiDiscrete's
+    # margin is -L_alpha
+    _with_bound_set(monkeypatch, l_alpha=-margin)
+    b = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0])
+    renyi = binned_relation_reports(b, b)[0]
+    assert renyi.relation_id == "RenyiDiscrete"
+    assert (renyi.margin, renyi.verdict) == (margin, verdict)
+
+
+@pytest.mark.parametrize("margin, verdict",
+                         [(-VERDICT_TOL, "holds"), (_BELOW_TOL, "infeasible_inputs")])
+def test_verdict_rule_on_moment_reports(monkeypatch, margin, verdict):
+    # K(0) = 1, so at zero moments HeisOptimal's margin is -2 L_1
+    _with_bound_set(monkeypatch, log_rhs_heis=-margin)
+    opt = moment_relation_reports(0.0, 0.0, 1.0, 1.0)[2]
+    assert opt.relation_id == "HeisOptimal"
+    assert (opt.margin, opt.verdict) == (margin, verdict)
+
+
+def test_report_verdict_comes_from_its_margin_only():
+    # no report holds against its margin, and an old positional verdict
+    # string cannot be read as the infeasible flag
+    with pytest.raises(TypeError):
+        RelationReport("HUR", 1.0, 1.0, -1.0, "holds")
+    assert RelationReport("HUR", 1.0, 1.0, -1.0).verdict == "violated"
+    assert RelationReport("HUR", 1.0, 1.0, -1.0, verdict="holds").verdict == "violated"
+    assert RelationReport("HUR", 1.0, 1.0, -1.0, infeasible=True).verdict == "infeasible_inputs"
+    holds = RelationReport("HUR", 1.0, 1.0, 0.0)
+    assert holds.verdict == "holds"
+    assert replace(holds, margin=-1.0).verdict == "violated"
+
+
+def test_replace_keeps_a_failing_verdict_and_the_infeasible_flag():
+    # a gate's self-test forges a failing copy of a holding report by replace
+    holds = RelationReport("HUR", 1.0, 1.0, 0.0)
+    forged = replace(holds, verdict="violated")
+    assert (forged.margin, forged.verdict) == (0.0, "violated")
+    infeasible = RelationReport("HeisOptimal", 0.0, 2.0, -2.0, infeasible=True)
+    copy = replace(infeasible, lhs=-1.0, margin=-3.0)
+    assert (copy.infeasible, copy.verdict) == (True, "infeasible_inputs")
 
 
 def test_moment_reports_feasible_moments_hold():

@@ -433,6 +433,18 @@ def test_bad_offsets_and_seeds_are_rejected_by_name(capsys, argv, name):
     assert err.startswith("error: ") and f"'{name}'" in err
 
 
+@pytest.mark.parametrize("desc, name", [
+    ("gaussian:x0=nan", "x0"),
+    ("gaussian:x0=inf", "x0"),
+    ("gaussian:p0=-inf", "p0"),
+    ("mix:0.5*gaussian+0.5*gaussian:p0=nan", "p0"),
+])
+def test_non_finite_gaussian_locations_are_rejected_by_name(capsys, desc, name):
+    assert main(["check", "--state", desc, "--delta", "0.1", "--delta-p", "0.1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{name} must be finite" in err
+
+
 def test_numeric_overflow_is_not_a_verdict(capsys):
     # exit code 1 means "violated"; a crash inside the numerics must not read as one
     assert main(["check", "--state", "gaussian:x0=1e300"]) == 2

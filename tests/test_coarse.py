@@ -23,8 +23,7 @@ from cg_uncert.coarse import (
     sample_counts,
 )
 from cg_uncert.coarse import _logsumexp
-from cg_uncert.numerics import NonConvergence, gauss_legendre_panels, integrate
-from cg_uncert.relations import DomainError
+from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
 from cg_uncert.specfun import bin_profile_norm, log_erfi
 from cg_uncert.states import (
     Density1D,
@@ -320,6 +319,18 @@ def test_discrete_renyi_uniform_and_ordering():
     skew = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[0.7, 0.2, 0.1])
     hs = [discrete_renyi(skew, a) for a in (0.5, 0.9, 1.0, 1.5, math.inf)]
     assert all(b2 <= a2 + 1e-14 for a2, b2 in zip(hs, hs[1:]))
+
+
+def test_discrete_variance_does_not_drift_with_the_location():
+    # the mean was taken on the bin centres, whose masses sum to 1 - tail, so
+    # the variance gained about (x0 tail)^2: 0.5014851 at x0 = 1e10, 0.5008333 at 0
+    def var_at(x0):
+        return discrete_variance(bin_density(
+            position_density(Gaussian(x0=x0, sigma=1.0 / math.sqrt(2.0))), 0.1))
+
+    ref = var_at(0.0)
+    for x0 in (1e8, 1e10):
+        assert var_at(x0) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_discrete_statistics_are_computed_once_per_order():

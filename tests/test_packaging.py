@@ -1,10 +1,11 @@
-"""Distribution metadata agrees with the package, and the package imports
-nothing beyond numpy at start-up."""
+"""Distribution metadata agrees with the package, the README's module map
+lists its modules, and the package imports nothing beyond numpy at start-up."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import re
 import types
 
 import pytest
@@ -15,6 +16,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PYPROJECT = ROOT / "pyproject.toml"
+README = ROOT / "README.md"
 
 
 def test_distribution_name_and_version():
@@ -39,6 +41,18 @@ def test_every_export_resolves():
     for name in public:
         assert name in listed, f"cg_uncert.{name} is in no module's __all__"
         assert getattr(cg_uncert, name) is listed[name], name
+
+
+def test_readme_module_map_names_every_module():
+    # the map is the README's list of "- `module` — ..." entries after
+    # "Module map:", up to the next heading
+    text = README.read_text(encoding="utf-8")
+    start = text.index("Module map:")
+    section = text[start:text.index("\n#", start)]
+    mapped = re.findall(r"^- `(\w+)` —", section, flags=re.M)
+    modules = sorted(p.stem for p in (ROOT / "src" / "cg_uncert").glob("*.py")
+                     if p.stem != "__init__")
+    assert sorted(mapped) == modules
 
 
 def _import_time_scipy(node) -> list:

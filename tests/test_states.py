@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cg_uncert.numerics import Divergent, gauss_legendre_panels, integrate
-from cg_uncert.relations import DomainError
+from cg_uncert.bounds import check_continuous_relations
+from cg_uncert.numerics import Divergent, DomainError, gauss_legendre_panels, integrate
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -15,7 +15,6 @@ from cg_uncert.states import (
     Mixture,
     SquareWell,
     catalog_states,
-    check_continuous_relations,
     momentum_density,
     position_density,
     renyi_entropy_cont,
@@ -166,6 +165,15 @@ def test_far_tail_masses_against_mpmath(state):
     for lo, g, ref in zip(edges.tolist(), got.tolist(), refs):
         if ref > 1e-290:
             assert float(abs(g - ref) / ref) <= ceiling, f"bin from {lo}: {g!r} vs {ref}"
+
+
+@pytest.mark.parametrize("name", ["x0", "p0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_gaussian_rejects_a_non_finite_location_by_name(name, value):
+    # x0 = nan failed the binning's normalization check, and x0 = inf scanned
+    # a million bins before the tail budget gave out
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        Gaussian(**{name: value})
 
 
 def test_square_well_position():
