@@ -45,7 +45,7 @@ from .numerics import (
     find_root_bracketed,
     integrate,
 )
-from .specfun import ProlateResult, prolate_r00, sinc_eigen_oracle
+from .specfun import ProlateResult, prolate_r00
 from .states import (
     Density1D,
     Gaussian,

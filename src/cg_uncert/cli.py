@@ -269,8 +269,9 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "sample" and cfg.samples < 1:
         raise DescriptorError(f"field 'samples' must be at least 1, got {cfg.samples}")
     if cfg.command in ("check", "sample"):
-        # at 2**52 widths the offset's ulp reaches the bin width, so bin edges
-        # are no longer resolved and verdicts come out false
+        # at 2**52 widths the offset's ulp reaches the bin width, so the value
+        # written no longer fixes where within a bin the grid starts; binning
+        # itself reduces the offset exactly and stays exact to 2**63 widths
         for name, width in (("offset_x", cfg.delta), ("offset_p", cfg.delta_p)):
             v = getattr(cfg, name)
             if not abs(v) < 2.0 ** 52 * width:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
-from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
+from .specfun import _MAX_PROFILE_T, bin_profile_norm, ghf_ent_shape, ghf_var_shape
 from .states import Density1D
 
 __all__ = [
@@ -45,11 +45,6 @@ __all__ = [
 
 EPS_TAIL = 1e-9
 MAX_BINS = 10 ** 6
-
-# |a| eta^2 beyond this makes the profile exp(-a u^2/eta^2) itself overflow
-# pointwise in double precision; the shape functions reach further but the
-# profile could never be evaluated or sampled, so the spec type rejects it.
-_MAX_PROFILE_T = 2500.0
 
 
 class TailBudgetExceeded(RuntimeError):
@@ -74,6 +69,8 @@ class GhfSpec:
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not math.isfinite(self.a):
             raise ValueError("shape parameter a must be finite")
+        # the shape functions' limit on t < 0, applied to both signs; the
+        # profile exp(-a u^2/eta^2) overflows pointwise a little beyond it
         if abs(self.a) * self.eta ** 2 > _MAX_PROFILE_T:
             raise ValueError(
                 f"|a|*eta^2 = {abs(self.a) * self.eta ** 2:g} too extreme "
@@ -121,7 +118,9 @@ class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
     them.  The storage is immutable, so each discrete statistic is computed
-    once per distribution and order and then read from a private memo."""
+    once per distribution and order and then read from a private memo.  The
+    offset is reduced modulo the width once, at construction, and every
+    reader places the bins on the reduced grid."""
 
     width: float
     offset: float
@@ -133,8 +132,7 @@ class BinnedDistribution:
     def __post_init__(self) -> None:
         if not (self.width > 0.0 and math.isfinite(self.width)):
             raise ValueError(f"width must be positive and finite, got {self.width}")
-        if not math.isfinite(self.offset):
-            raise ValueError("offset must be finite")
+        reduced = _reduce_offset(self.offset, self.width)
         j_min, p = int(self.j_min), np.asarray(self.masses, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("need at least one bin")
@@ -156,11 +154,13 @@ class BinnedDistribution:
         if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
         for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
-                            ("probs", _BinView(j_min, p)), ("_j", j), ("_stats", {})):
+                            ("probs", _BinView(j_min, p)), ("_j", j), ("_stats", {}),
+                            ("_reduced", reduced)):
             object.__setattr__(self, name, value)
 
     def center(self, j: int) -> float:
-        return self.offset + j * self.width
+        r, shift = self._reduced
+        return r + (j + shift) * self.width
 
     def arrays(self) -> tuple:
         """(bin indices, probabilities) as aligned read-only numpy arrays,
@@ -181,7 +181,7 @@ class ReconstructedPdf:
 
     def eval(self, x):
         b, g = self.base, self.ghf
-        r, shift = _reduce_offset(b.offset, b.width)  # bins placed on the grid (width, r)
+        r, shift = b._reduced  # bins placed on the grid (width, r)
         x = np.asarray(x, dtype=float)
         j = np.floor((x - r) / b.width + 0.5).astype(np.int64)
         idx = j - (b.j_min + shift)
@@ -209,6 +209,8 @@ def _reduce_offset(offset: float, width: float) -> tuple:
     """(r, k) with r = fmod(offset, width), which is exact, and k the whole
     number of widths it removes: bin j of the grid (width, offset) is bin
     j + k of the grid (width, r).  k must fit the int64 bin labels."""
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be finite, got {offset!r}")
     if not abs(offset) < 2.0 ** 63 * width:
         raise ValueError(f"offset {offset!r} is 2^63 or more bin widths ({width!r}) "
                          f"from 0, beyond the int64 bin labels")
@@ -219,7 +221,7 @@ def _reduce_offset(offset: float, width: float) -> tuple:
 def _centers(b: BinnedDistribution) -> np.ndarray:
     """Bin centres of b taken on its grid with the offset reduced modulo the
     width, where they do not drift with |offset|."""
-    r, shift = _reduce_offset(b.offset, b.width)
+    r, shift = b._reduced
     return r + (b.arrays()[0] + shift).astype(float) * b.width
 
 
@@ -370,9 +372,6 @@ def discrete_variance(b: BinnedDistribution) -> float:
     summing to 1 - tail would add about (z * tail)^2."""
     memo = b._stats
     if "variance" not in memo:
-        # not read here, but every reader of a grid applies the same offset
-        # check, so a grid too far out fails alike in each of them
-        _reduce_offset(b.offset, b.width)
         j, p = b.arrays()
         k = (j - j[np.argmax(p)]).astype(float)
         mean = float(np.dot(p, k))

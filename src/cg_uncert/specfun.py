@@ -1,22 +1,17 @@
-"""Special functions behind the entropic bounds: the error function, the
-radial prolate spheroidal function R00(c, 1) of the first kind, an
-independent sinc-kernel concentration-eigenvalue oracle, and the shape
-functions of the truncated-Gaussian histogram profile (variance and entropy
-of exp(-t v^2) restricted to one bin, as functions of t alone).
+"""Special functions behind the entropic bounds: the radial prolate
+spheroidal function R00(c, 1) of the first kind with the sinc-kernel
+concentration eigenvalue lambda0, and the shape functions of the
+truncated-Gaussian histogram profile (variance and entropy of exp(-t v^2)
+restricted to one bin, as functions of t alone).
 
-Two fully independent routes to the top concentration eigenvalue lambda0 are
-shipped, not just tested:
-
-* prolate_r00 -- Bouwkamp-type Legendre coefficient expansion. The even-order
-  coefficients d_{2k} of the angular function of order (0,0) solve a symmetric
-  tridiagonal eigenproblem (smallest eigenvalue), solved by inverse iteration
-  with a tridiagonal LDL^T solve; R00(c,1) = d_0 / S00(c,0) follows from the
-  integral equation of the angular function at eta = 0, and
-  lambda0 = (2c/pi) R00(c,1)^2.  Numpy and plain floats only: against a
-  60-digit eigensolve, 1 - lambda0 is within 9e-7 relative for c in [8, 12).
-* sinc_eigen_oracle -- Nystrom discretization of the concentration kernel
-  sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre grid, symmetrized by
-  sqrt-weight scaling; top eigenvalue by a dense symmetric eigensolver.
+prolate_r00 takes lambda0 from a Bouwkamp-type Legendre coefficient
+expansion.  The even-order coefficients d_{2k} of the angular function of
+order (0,0) solve a symmetric tridiagonal eigenproblem (smallest eigenvalue),
+solved by inverse iteration with a tridiagonal LDL^T solve; R00(c,1) =
+d_0 / S00(c,0) follows from the integral equation of the angular function at
+eta = 0, and lambda0 = (2c/pi) R00(c,1)^2.  Numpy and plain floats only:
+against a 60-digit eigensolve, 1 - lambda0 is within 9e-7 relative for c in
+[8, 12).
 
 For c beyond ~12 the complement 1 - lambda0 falls under the double-precision
 resolution of lambda0 itself, so ProlateResult additionally carries
@@ -38,13 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NonConvergence
+from .numerics import DomainError, NonConvergence
 
 __all__ = [
-    "log_erfi",
     "ProlateResult",
     "prolate_r00",
-    "sinc_eigen_oracle",
     "two_t_m",
     "ghf_var_shape",
     "ghf_ent_shape",
@@ -59,23 +52,6 @@ def _erfi(x: float) -> float:
     from scipy.special import erfi
 
     return float(erfi(x))
-
-
-# erfi(x) = e^{x^2} / (sqrt(pi) x) * (1 + 1/(2x^2) + 3/(4x^4) + 15/(8x^6) + ...)
-_ERFI_ASYMP = (1.0, 0.5, 0.75, 1.875, 6.5625, 29.53125)
-
-
-def log_erfi(x: float) -> float:
-    """ln erfi(x) for x > 0, safe against the e^{x^2} overflow (x >~ 26)."""
-    if x <= 0.0:
-        raise ValueError("log_erfi requires x > 0")
-    if x < 25.0:
-        return math.log(_erfi(x))
-    inv2 = 1.0 / (x * x)
-    s = 0.0
-    for a in reversed(_ERFI_ASYMP):
-        s = a + s * inv2
-    return x * x - math.log(math.sqrt(math.pi) * x) + math.log(s)
 
 
 @dataclass(frozen=True)
@@ -158,6 +134,8 @@ def prolate_r00(c: float) -> ProlateResult:
     Memoized per c: a report set asks for the same c as its neighbours, and
     the frozen result is safe to share.
     """
+    if not math.isfinite(c):
+        raise ValueError(f"prolate bandwidth parameter c = {c!r} is not finite")
     if c < 0:
         raise ValueError("prolate bandwidth parameter c must be >= 0")
     if 0.0 < c < sys.float_info.min:
@@ -200,33 +178,6 @@ def prolate_r00(c: float) -> ProlateResult:
                          lambda0_deficit=1.0 - lam)
 
 
-def _nystrom_lambda0(c: float, n: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(n)
-    diff = x[:, None] - x[None, :]
-    kern = (c / math.pi) * np.sinc(c * diff / math.pi)
-    sw = np.sqrt(w)
-    sym = sw[:, None] * kern * sw[None, :]
-    return float(np.linalg.eigvalsh(sym)[-1])
-
-
-def sinc_eigen_oracle(c: float) -> float:
-    """Largest eigenvalue of the kernel sin(c(x-y))/(pi(x-y)) on [-1, 1].
-
-    Grid size doubles until two successive estimates agree to 1e-10.
-    """
-    if c <= 0:
-        raise ValueError("sinc kernel bandwidth c must be > 0")
-    n = 64
-    prev = _nystrom_lambda0(c, n)
-    while n <= 4096:
-        n *= 2
-        cur = _nystrom_lambda0(c, n)
-        if abs(cur - prev) <= 1e-10:
-            return cur
-        prev = cur
-    raise NonConvergence(f"Nystrom eigenvalue did not stabilize at c={c}")
-
-
 # ---------------------------------------------------------------------------
 # truncated-Gaussian bin-profile shapes
 #
@@ -265,7 +216,11 @@ _ENT_SERIES = (
 )
 
 _SHAPE_SERIES_CUT = 0.5
-_NEG_LOG_CUT = -625.0
+# The profile range: exp(-t v^2) and its norm overflow from t ~ -2840 on,
+# while at t = -2500 the norm's erfi(25) = 6.1e269 is still finite.  GhfSpec
+# admits no |t| beyond it, and bin_profile_norm, through which every t < 0 is
+# taken, rejects t below -_MAX_PROFILE_T.
+_MAX_PROFILE_T = 2500.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -281,38 +236,32 @@ def bin_profile_norm(t: float) -> float:
     if t > 0.0:
         rt = math.sqrt(t)
         return math.sqrt(math.pi / t) * math.erf(0.5 * rt)
-    if t <= _NEG_LOG_CUT:
-        return math.exp(log_bin_profile_norm(t))
+    if t < -_MAX_PROFILE_T:
+        raise DomainError(f"profile parameter t = {t!r} is below -{_MAX_PROFILE_T:g}")
     s = -t
     return math.sqrt(math.pi / s) * _erfi(0.5 * math.sqrt(s))
 
 
 def log_bin_profile_norm(t: float) -> float:
-    """ln bin_profile_norm(t) for finite t, without overflow on either side.
+    """ln bin_profile_norm(t) for t >= -_MAX_PROFILE_T.
 
     For t > 0 it is ln(sqrt(pi) erf(sqrt(t)/2) / sqrt(t)), which stays
-    accurate down to subnormal t; below _NEG_LOG_CUT it is taken through
-    log_erfi, since the norm itself overflows past t ~ -2840.
+    accurate down to subnormal t and does not underflow for large t.
     """
     if t > 0.0:
         rt = math.sqrt(t)
         return math.log(_SQRT_PI * math.erf(0.5 * rt) / rt)
-    if t <= _NEG_LOG_CUT:
-        s = -t
-        return 0.5 * math.log(math.pi / s) + log_erfi(0.5 * math.sqrt(s))
     return math.log(bin_profile_norm(t))
 
 
 def two_t_m(t: float) -> float:
     """2 t M(t) = exp(-t/4) / bin_profile_norm(t); value 1 at t = 0.
 
-    Decays to 0 as t -> +inf and grows like |t|/2 as t -> -inf; both limits
-    are reached without overflow (log-domain on the far negative branch).
+    Decays to 0 as t -> +inf and grows like |t|/2 for t < 0, down to
+    t = -_MAX_PROFILE_T.
     """
     if t == 0.0:
         return 1.0
-    if t <= _NEG_LOG_CUT:
-        return math.exp(-0.25 * t - log_bin_profile_norm(t))
     return math.exp(-0.25 * t) / bin_profile_norm(t)
 
 

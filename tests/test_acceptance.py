@@ -32,7 +32,7 @@ from cg_uncert.coarse import (
     sample_counts,
 )
 from cg_uncert.numerics import QuadSpec, integrate
-from cg_uncert.specfun import prolate_r00, sinc_eigen_oracle
+from cg_uncert.specfun import prolate_r00
 from cg_uncert.states import (
     SquareWell,
     catalog_states,
@@ -41,6 +41,7 @@ from cg_uncert.states import (
     renyi_entropy_cont,
     variance,
 )
+from oracles import sinc_eigen_oracle
 
 TWO_PI_E = 2.0 * math.pi * math.e
 

@@ -24,7 +24,7 @@ from cg_uncert.coarse import (
 )
 from cg_uncert.coarse import _logsumexp
 from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
-from cg_uncert.specfun import bin_profile_norm, log_erfi
+from cg_uncert.specfun import bin_profile_norm
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -236,11 +236,32 @@ def test_bin_density_rejects_offsets_whose_labels_leave_int64():
         bin_density(far, 1.0, 2.0 ** 63 - 2048)
     b = bin_density(far, 1.0, -(2.0 ** 63 - 2048))
     assert b.j_min > 0 and b.arrays()[0][-1] == b.j_min + b.masses.size - 1
-    # the readers of a grid built directly reduce its offset through the same check
-    far_grid = BinnedDistribution(width=1e-10, offset=1e300, j_min=0, masses=[1.0])
-    for read in (discrete_variance, lambda b: ReconstructedPdf(b, GhfSpec(1e-10)).eval(0.0)):
-        with pytest.raises(ValueError, match="offset"):
-            read(far_grid)
+    # a grid built directly goes through the same check, once, at construction
+    with pytest.raises(ValueError, match="offset"):
+        BinnedDistribution(width=1e-10, offset=1e300, j_min=0, masses=[1.0])
+
+
+def test_non_finite_offsets_are_rejected_as_non_finite():
+    # bin_density called nan and inf "2^63 or more bin widths" from 0
+    d = position_density(Gaussian())
+    for offset in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="offset must be finite"):
+            bin_density(d, 0.1, offset)
+        with pytest.raises(ValueError, match="offset must be finite"):
+            BinnedDistribution(width=0.1, offset=offset, j_min=0, masses=[1.0])
+
+
+def test_bin_centres_do_not_drift_with_the_offset():
+    # centres taken from the raw offset, offset + j eta, were 4.7e-5 widths
+    # off at 1e12 widths, unlike the reconstruction's
+    eta = 0.37
+    offset = 1e12 * eta + 0.1
+    d = position_density(Gaussian())
+    far, near = bin_density(d, eta, offset), bin_density(d, eta, math.fmod(offset, eta))
+    shift = near.j_min - far.j_min
+    assert far.masses.size > 1 and np.array_equal(far.masses, near.masses)
+    for j in far.arrays()[0].tolist():
+        assert abs(far.center(j) - near.center(j + shift)) <= 1e-12 * eta
 
 
 def test_hermite_bins_to_unit_mass_at_the_cap():
@@ -441,7 +462,14 @@ def test_negative_profiles_keep_their_values():
         g = GhfSpec(1.0, a)
         assert (ghf_variance(g), ghf_entropy(g)) == (var, ent)
     assert bin_profile_norm(-3.0) == 1.317960201078476
-    assert log_erfi(3.0) == 7.396331994777922
+
+
+def test_profile_at_the_range_limit_is_finite():
+    g = GhfSpec(1.0, -2500.0)
+    var, ent = ghf_variance(g), ghf_entropy(g)
+    assert 0.0 < var < 0.25 and math.isfinite(ent) and ent < 0.0
+    with pytest.raises(ValueError, match="limit 2500"):
+        GhfSpec(1.0, math.nextafter(-2500.0, -math.inf))
 
 
 def test_reconstruct_requires_matching_width():

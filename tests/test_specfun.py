@@ -5,16 +5,16 @@ import mpmath
 import numpy as np
 import pytest
 
-from cg_uncert.numerics import NonConvergence
+from cg_uncert.numerics import DomainError, NonConvergence
 from cg_uncert.specfun import (
     bin_profile_norm,
     ghf_ent_shape,
     ghf_var_shape,
     log_bin_profile_norm,
     prolate_r00,
-    sinc_eigen_oracle,
     two_t_m,
 )
+from oracles import sinc_eigen_oracle
 
 # ---------------------------------------------------------------------------
 # concentration eigenvalue / R00
@@ -114,6 +114,13 @@ def test_prolate_edge_cases():
     assert far.r00_at_1 == pytest.approx(math.sqrt(math.pi / 800.0), rel=1e-12)
 
 
+def test_prolate_rejects_non_finite_c_by_name():
+    # inf used to give an all-NaN result, and nan failed converting to an int
+    for c in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"parameter c = -?(inf|nan) is not finite"):
+            prolate_r00(c)
+
+
 # ---------------------------------------------------------------------------
 # per-bin profile shape functions
 
@@ -182,10 +189,11 @@ def test_log_bin_profile_norm():
         ref = math.log(bin_profile_norm(float(t)))
         assert log_bin_profile_norm(float(t)) == pytest.approx(ref, rel=1e-13, abs=1e-15), f"t={t}"
     assert log_bin_profile_norm(-625.001) == pytest.approx(math.log(2.3183109800182091e65), rel=1e-12)
-    # subnormal t, and far negative t where the norm itself overflows:
-    # N ~ (2/s) e^{s/4} (1 + 2/s) for s = -t -> inf
+    # subnormal t; far negative t, where the norm itself overflows, is
+    # beyond the profile range and rejected
     assert log_bin_profile_norm(5e-324) == pytest.approx(0.0, abs=1e-15)
-    assert log_bin_profile_norm(-1e4) == pytest.approx(2500.0 + math.log(2e-4 * 1.0002), rel=1e-9)
+    with pytest.raises(DomainError, match="t = -10000.0"):
+        log_bin_profile_norm(-1e4)
 
 
 def test_two_t_m_endpoints():
@@ -196,6 +204,16 @@ def test_two_t_m_endpoints():
     ts = np.linspace(-30.0, 30.0, 121)
     vals = [two_t_m(float(t)) for t in ts]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_profile_functions_reject_t_below_the_range():
+    # t = -2500 is the limit GhfSpec admits; just below it every profile
+    # function is refused
+    below = math.nextafter(-2500.0, -math.inf)
+    for f in (bin_profile_norm, log_bin_profile_norm, two_t_m, ghf_var_shape, ghf_ent_shape):
+        assert math.isfinite(f(-2500.0)), f.__name__
+        with pytest.raises(DomainError, match="below -2500"):
+            f(below)
 
 
 # ---------------------------------------------------------------------------
@@ -244,6 +262,31 @@ def _prolate_mp(c: float, nterms: int = 48) -> tuple:
                           * mpmath.besselj(2 * k + mpmath.mpf(0.5), cm) for k in range(n))
         r00 = abs(num / mpmath.fsum(d))
         return r00, 1 - 2 * cm / mpmath.pi * r00 ** 2
+
+
+def _profile_mp(t: float) -> tuple:
+    """(N, 2tM, V, entropy shape) at t < 0 to 50 digits, from
+    N = sqrt(pi/s) erfi(sqrt(s)/2) with s = -t."""
+    with mpmath.workdps(50):
+        tm = mpmath.mpf(t)
+        s = -tm
+        n = mpmath.sqrt(mpmath.pi / s) * mpmath.erfi(mpmath.sqrt(s) / 2)
+        two_t_m_ = mpmath.exp(-tm / 4) / n
+        w = 1 - two_t_m_
+        return n, two_t_m_, w / (2 * tm), mpmath.log(n) + w / 2
+
+
+def test_negative_profiles_against_mpmath():
+    # the far negative range down to the limit GhfSpec admits; the worst
+    # errors there were 1.8e-13 and 1.8e-11 through a log-domain erfi route
+    worst = [0.0] * 4
+    for t in np.linspace(-2500.0, -625.0, 600):
+        t = float(t)
+        got = (bin_profile_norm(t), two_t_m(t), ghf_var_shape(t), ghf_ent_shape(t))
+        for i, (g, ref) in enumerate(zip(got, _profile_mp(t))):
+            worst[i] = max(worst[i], float(abs((g - ref) / ref)))
+    assert max(worst[:3]) <= 1.5e-13, worst
+    assert worst[3] <= 1.5e-11, worst
 
 
 def test_prolate_deficit_against_mpmath():
