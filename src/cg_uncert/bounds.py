@@ -224,6 +224,13 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 # the M -> F -> K chain
 
 _M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
+# above this u, t = M^{-1}(u) < 5e-7 and M(t) = (1 - t/6 + ...)/(2t): one
+# Newton step on M(t) - u with M' = -M/t removes the eps |ln u| error of the
+# solve on ln M
+_M_INV_POLISH = 2.0 ** 20
+# below this u, K - 1 < 2e-10 and the rounding of F is about 1e-5 of it; K is
+# taken from its closed form there (func_M_inv_and_K)
+_K_CLOSED_FORM = 2.0 ** -40
 
 
 def func_M(t: float) -> float:
@@ -264,7 +271,11 @@ def func_M_inv(u: float) -> float:
         steps += 1
         if steps > 2100:
             raise NonConvergence(f"no upper bracket for M^-1({u})")
-    return find_root_bracketed(lambda t: _log_M(t) - lu, lo, hi, _M_INV_ROOT)
+    t = find_root_bracketed(lambda t: _log_M(t) - lu, lo, hi, _M_INV_ROOT)
+    if u > _M_INV_POLISH:
+        m = func_M(t)
+        t += t * (m - u) / m
+    return t
 
 
 def func_F(u: float, t: float) -> float:
@@ -283,7 +294,8 @@ def func_F(u: float, t: float) -> float:
 
 
 def func_K(u: float) -> float:
-    """Optimal variance factor K(u) = F(u, M^{-1}(u)); K(0) = 1, K >= 1."""
+    """Optimal variance factor K(u) = F(u, M^{-1}(u)); K(0) = 1, and K is
+    nondecreasing."""
     if not (u >= 0.0 and math.isfinite(u)):
         raise DomainError(f"func_K requires u >= 0, got {u}")
     if u == 0.0:
@@ -292,10 +304,18 @@ def func_K(u: float) -> float:
 
 
 def func_M_inv_and_K(u: float) -> tuple:
-    """(M^{-1}(u), K(u)) for u > 0 from one root solve."""
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve.
+
+    At t = M^{-1}(u) the profile variance is V(t) = 1/(2t) - u, so
+    F(u, t) = exp(2tu) / erf(sqrt(t)/2)^2.  Below _K_CLOSED_FORM, where F
+    rounds to within a few ulps of 1, K - 1 is taken from that form as an
+    expm1, precise relative to itself: K then rounds up from 1 as u grows
+    instead of scattering by F's rounding.
+    """
     t = func_M_inv(u)
-    # below u ~ 4e-19 the excess of K over 1 is smaller than the rounding of F
-    return t, max(1.0, func_F(u, t))
+    if u < _K_CLOSED_FORM:
+        return t, 1.0 + math.expm1(2.0 * t * u - 2.0 * math.log1p(-math.erfc(0.5 * math.sqrt(t))))
+    return t, func_F(u, t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ keep their sign.  Example: mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
+import functools
 import io
 import json
 import math
@@ -448,8 +450,16 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call: perfbench/tracing.py patches parse_args
-    on each parser it returns."""
+    """The command-line parser.  It is built once per process and each call
+    returns a shallow copy of it, a new object whose attributes a caller may
+    rebind without touching the shared parser: perfbench/tracing.py patches
+    parse_args on each parser it returns.  Parsing only reads the shared
+    option table."""
+    return copy.copy(_shared_parser())
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
     commands = "".join(f"  {name:<8}{doc}\n" for name, (_, doc) in _COMMANDS.items())
     grammar = (__doc__ or "").split("\n\n", 2)[-1]  # the module docstring from "State"
     p = argparse.ArgumentParser(

@@ -206,6 +206,7 @@ def gauss_legendre_panels(f_vec: Callable[[np.ndarray], np.ndarray],
     hi = np.asarray(hi, dtype=float)
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts = mid[:, None] + half[:, None] * x[None, :]
+    # node-major: row i holds node i of every panel, so each row is contiguous
+    pts = mid[None, :] + half[None, :] * x[:, None]
     vals = f_vec(pts.ravel()).reshape(pts.shape)
-    return half * (vals @ w)
+    return half * (w @ vals)

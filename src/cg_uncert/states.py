@@ -5,7 +5,8 @@ record: density, support, cuts, exact moments and closed-form interval masses
 that keep their relative precision in the far tails.  The families are the
 Gaussian (error functions), the Hermite function (a recurrence), and the
 square-well position (elementary functions) and momentum densities
-(Gauss-Legendre panels on the pole-free form, the sine- and cosine-integral
+(Gauss-Legendre panels on the pole-free form, as many and of as many points
+as the bin width needs, from one rule table; the sine- and cosine-integral
 antiderivative only for very wide bins).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
@@ -303,15 +304,16 @@ def _well_position(n: int, length: float) -> Density1D:
 # (DLMF 6.2.12), summed for x^2 < 1; 9 terms reach 1e-17.
 _CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(9, 0, -1))
 
-# Square-well momentum panel rule, widths in a: a bin up to _WELL_NARROW_BIN
-# wide takes one _WELL_NARROW_ORDER-point Gauss-Legendre panel (relative error
-# at most 3e-12), a wider one panels at most _WELL_PANEL wide of
-# _WELL_PANEL_ORDER points (3e-17), and one wider than _WELL_MAX_PANEL_BIN,
-# where panels would cost more than the narrowest binning, the antiderivative.
-_WELL_NARROW_BIN = 0.125
-_WELL_NARROW_ORDER = 4
+# Square-well momentum panel rule, widths in a.  Bins up to h wide take
+# k = ceil(h / _WELL_PANEL) equal panels of the fewest Gauss-Legendre points
+# n whose limit in _WELL_RULE covers h / k; all bins of one call take the k
+# and n of the widest, so they need one panel call.  At its limit each
+# entry's relative error, worst on panels centred on zeros of sin a, is at
+# most that of the 4-point rule at 0.125 (3.6e-12 on |a| from 3 to 130).
+# Bins wider than _WELL_MAX_PANEL_BIN, where panels would cost more than the
+# narrowest binning, take the antiderivative.
+_WELL_RULE = ((4, 0.125), (5, 0.35), (6, 0.75), (7, 1.5), (8, 2.0), (10, 4.0))
 _WELL_PANEL = 4.0
-_WELL_PANEL_ORDER = 12
 _WELL_MAX_PANEL_BIN = 32768.0
 
 
@@ -338,8 +340,10 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     nearer of a and b to 0 and o = n pi - m >= n pi / 2 the farther: no pole,
     nothing cancels, and the relative error is that of sin m.  Bins take
     Gauss-Legendre panels on it, in p between the given edges so that
-    rounding a to its ulp does not change a narrow bin's width; a bin wider
-    than _WELL_MAX_PANEL_BIN in a takes the difference of the antiderivative
+    rounding a to its ulp does not change a narrow bin's width: one panel
+    call for all bins, with the panel count and order that the widest bin
+    needs (_WELL_RULE).  A bin wider than _WELL_MAX_PANEL_BIN in a takes the
+    difference of the antiderivative
         [-sin^2 a/a + Si(2a) + sin^2 b/b - Si(2b) + (Cin(2a) - Cin(2b))/(n pi)] / 2 pi,
     whose rounding (~1e-16 absolute) is small against the masses of such bins.
     """
@@ -347,42 +351,51 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     npi, scale = 2.0 * c, 2.0 * c * c * half / math.pi
 
     def pdf(p):
-        x = np.abs(np.asarray(p, dtype=float)) * half
+        x = np.abs(np.asarray(p, dtype=float))
+        x *= half
         m = c - x
         # m is 0 or a difference of doubles near c, at least ~1e-16 in size:
         # the shift moves only m = 0, where sin(m) / m becomes exactly 1
         m += 1e-300
         s = np.sin(m)
-        s /= m * (c + x)
+        x += c
+        x *= m
+        s /= x
         s *= s
         s *= scale
         return s
 
+    def panels(lo, hi, h_max):
+        """Masses of the bins [lo, hi], none wider than h_max in a."""
+        k = max(1, math.ceil(h_max / _WELL_PANEL))  # equal panels per bin
+        order = next(n for n, limit in _WELL_RULE if h_max / k <= limit)
+        if k == 1:
+            return gauss_legendre_panels(pdf, lo, hi, order)
+        cuts = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
+        return gauss_legendre_panels(pdf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
+                                     order).reshape(-1, k).sum(axis=1)
+
     def masses(edges):
         p = np.asarray(edges, dtype=float)
-        lo, w = p[:-1], np.diff(p)
-        h = w * half  # bin widths in a
+        h = np.diff(p) * half  # bin widths in a
+        h_max = float(h.max(initial=0.0))
+        if h_max <= _WELL_MAX_PANEL_BIN:
+            return panels(p[:-1], p[1:], h_max)
         out = np.empty(h.size)
-        narrow, wide = h <= _WELL_NARROW_BIN, h > _WELL_MAX_PANEL_BIN
-        if narrow.any():
-            out[narrow] = gauss_legendre_panels(pdf, lo[narrow], p[1:][narrow], _WELL_NARROW_ORDER)
-        mid = ~(narrow | wide)
-        if mid.any():
-            k = math.ceil(float(h[mid].max()) / _WELL_PANEL)  # equal panels per bin
-            cuts = lo[mid, None] + w[mid, None] * (np.arange(k + 1) / k)
-            out[mid] = gauss_legendre_panels(pdf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
-                                             _WELL_PANEL_ORDER).reshape(-1, k).sum(axis=1)
-        if wide.any():
-            # imported on first use: scipy.special takes about 0.3 s to import
-            from scipy.special import sici
+        wide = h > _WELL_MAX_PANEL_BIN
+        rest = ~wide
+        if rest.any():
+            out[rest] = panels(p[:-1][rest], p[1:][rest], float(h[rest].max()))
+        # imported on first use: scipy.special takes about 0.3 s to import
+        from scipy.special import sici
 
-            a = c - p * half
-            b = npi - a
-            (si_a, ci_a), (si_b, ci_b) = sici(2.0 * a), sici(2.0 * b)
-            anti = (-np.sin(a) * np.sinc(a / math.pi) + si_a
-                    + np.sin(b) * np.sinc(b / math.pi) - si_b
-                    + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
-            out[wide] = (anti[:-1] - anti[1:])[wide]
+        a = c - p * half
+        b = npi - a
+        (si_a, ci_a), (si_b, ci_b) = sici(2.0 * a), sici(2.0 * b)
+        anti = (-np.sin(a) * np.sinc(a / math.pi) + si_a
+                + np.sin(b) * np.sinc(b / math.pi) - si_b
+                + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
+        out[wide] = (anti[:-1] - anti[1:])[wide]
         return out
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,

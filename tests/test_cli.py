@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cg_uncert import bounds
+from cg_uncert import bounds, cli
 from cg_uncert.bounds import func_K, func_M, func_M_inv
 from cg_uncert.cli import (
     DescriptorError,
@@ -279,8 +279,22 @@ def test_main_builds_one_parser(monkeypatch, capsys):
         init(self, *a, **k)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._shared_parser.cache_clear()
     assert main(["bounds", "--sweep-points", "1"]) == 0
+    assert main(["kfun", "--sweep-points", "1"]) == 0
     assert len(built) == 1
+
+
+def test_each_built_parser_is_its_own_object():
+    # patching parse_args on one parser, as a tracer does, must leave every
+    # other parser and the shared one untouched
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    first.parse_args = lambda *a, **k: "patched"
+    assert first.parse_args(["check"]) == "patched"
+    assert second.parse_args(["check"]).command == "check"
+    assert "parse_args" not in vars(cli._shared_parser())
+    assert build_parser().parse_args(["kfun"]).command == "kfun"
 
 
 def test_options_may_come_before_the_command(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from cg_uncert.coarse import (
 from cg_uncert.coarse import _logsumexp
 from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
 from cg_uncert.specfun import bin_profile_norm
+from cg_uncert import states as states_mod
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -36,6 +38,7 @@ from cg_uncert.states import (
     renyi_entropy_cont,
     variance,
 )
+from cg_uncert.states import _WELL_RULE
 
 
 def _gauss_bin_oracle(j: int, eta: float, offset: float) -> float:
@@ -142,7 +145,8 @@ def _well_momentum_mass_mp(s: SquareWell, lo: float, hi: float) -> float:
 
 
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
-@pytest.mark.parametrize("log_eta", [-1.5, 0.0, 1.0, 1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("log_eta", [-1.5, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
+                                     2.5, 3.0])
 def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
     # far-tail masses fall below 1e-20; differencing the antiderivative in
     # double precision leaves ~1e-16 per bin, up to 100% of such a mass, so
@@ -156,7 +160,61 @@ def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
     for i in sorted(picks):
         j = b.j_min + i
         ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
-        assert abs(b.masses[i] - ref) <= 1e-10 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
+        assert abs(b.masses[i] - ref) <= 5e-11 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
+
+
+def _count_panel_calls(monkeypatch) -> list:
+    """Record (panels, order) of every Gauss-Legendre call the square-well
+    momentum masses make."""
+    calls = []
+    panels = states_mod.gauss_legendre_panels
+
+    def counting(f_vec, lo, hi, order):
+        calls.append((np.size(lo), order))
+        return panels(f_vec, lo, hi, order)
+
+    monkeypatch.setattr(states_mod, "gauss_legendre_panels", counting)
+    return calls
+
+
+@pytest.mark.parametrize("panels_per_bin, order, width",
+                         [(1, n, limit) for n, limit in _WELL_RULE] + [(2, 10, 8.0), (3, 10, 12.0)])
+def test_square_well_rule_entries_at_their_limits(monkeypatch, panels_per_bin, order, width):
+    # each entry of the panel rule at its limit width in a, and bins of two
+    # and three 4-wide panels, on bins centred on zeros and peaks of sin a.
+    # 3.3e-12 is the 4-point rule's own error at 0.125 on a bin centred on a
+    # zero.  The second term bounds what rounding the nodes to the ulp of a,
+    # |a| eps, does to such a bin, whose density grows like (a - a0)^2: up to
+    # 6 |a| eps / h relative (with it the 4-point rule reaches 6.9e-12 at
+    # |a| = 1266)
+    calls = _count_panel_calls(monkeypatch)
+    s = SquareWell(1)
+    d = momentum_density(s)
+    c, half = 0.5 * math.pi, 0.5  # a = c - |p| L / (2 hbar)
+    h = width * (1.0 - 1e-9)  # inside the limit after the edges round
+    for big_a in np.geomspace(3.0, 3000.0, 9):
+        j = round(big_a / math.pi)
+        for a0 in (-j * math.pi, -(j + 0.5) * math.pi):
+            lo, hi = (c - a0 - 0.5 * h) / half, (c - a0 + 0.5 * h) / half
+            mass = d.interval_masses(np.array([lo, hi]))[0]
+            ref = _well_momentum_mass_mp(s, lo, hi)
+            ceiling = 3.3e-12 + 6.0 * abs(a0) * sys.float_info.epsilon / h
+            assert abs(mass - ref) <= ceiling * ref, f"a0={a0}: {mass!r} vs {ref!r}"
+    assert calls == [(panels_per_bin, order)] * 18  # one call per bin
+
+
+@pytest.mark.parametrize("h, panels_per_bin, order", [
+    (0.1, 1, 4), (0.3, 1, 5), (0.5, 1, 6), (1.0, 1, 7), (1.8, 1, 8), (3.0, 1, 10),
+    (10.0, 3, 10), (99.9, 25, 10), (32767.0, 8192, 10)])
+def test_square_well_masses_make_one_panel_call(monkeypatch, h, panels_per_bin, order):
+    # bins no wider than the antiderivative cap take one Gauss-Legendre call
+    # with the panel count and order of the table, whatever their number
+    calls = _count_panel_calls(monkeypatch)
+    d = momentum_density(SquareWell(3, 1.5))  # a = 3 pi / 2 - 0.75 |p|
+    edges = 0.1 + np.arange(-8, 9) * (h / 0.75)
+    masses = d.interval_masses(edges)
+    assert masses.size == 16 and np.all(masses > 0.0)
+    assert calls == [(16 * panels_per_bin, order)]
 
 
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
