@@ -224,10 +224,6 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 # the M -> F -> K chain
 
 _M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
-# above this u, t = M^{-1}(u) < 5e-7 and M(t) = (1 - t/6 + ...)/(2t): one
-# Newton step on M(t) - u with M' = -M/t removes the eps |ln u| error of the
-# solve on ln M
-_M_INV_POLISH = 2.0 ** 20
 # below this u, K - 1 < 2e-10 and the rounding of F is about 1e-5 of it; K is
 # taken from its closed form there (func_M_inv_and_K)
 _K_CLOSED_FORM = 2.0 ** -40
@@ -272,10 +268,11 @@ def func_M_inv(u: float) -> float:
         if steps > 2100:
             raise NonConvergence(f"no upper bracket for M^-1({u})")
     t = find_root_bracketed(lambda t: _log_M(t) - lu, lo, hi, _M_INV_ROOT)
-    if u > _M_INV_POLISH:
-        m = func_M(t)
-        t += t * (m - u) / m
-    return t
+    # one Newton step on M(t) - u with the exact slope
+    # M' = -M (M + 1/4 + 1/(2t)) removes the eps |ln u| error of the solve
+    # on ln M; scaled by t, so that nothing overflows at subnormal t
+    m = func_M(t)
+    return t + t * (1.0 - u / m) / (t * m + 0.25 * t + 0.5)
 
 
 def func_F(u: float, t: float) -> float:

@@ -267,7 +267,7 @@ def _validate(cfg: RunConfig) -> None:
             raise DescriptorError(f"field 'grid.n' must be at least 1, got {cfg.grid_n}")
         if not (cfg.grid_umax >= 0.0 and math.isfinite(cfg.grid_umax)):
             raise DescriptorError(
-                f"field 'grid.u_max' must be nonnegative, got {cfg.grid_umax}")
+                f"field 'grid.u_max' must be nonnegative and finite, got {cfg.grid_umax}")
     if cfg.command == "sample" and cfg.samples < 1:
         raise DescriptorError(f"field 'samples' must be at least 1, got {cfg.samples}")
     if cfg.command in ("check", "sample"):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
-from .specfun import _MAX_PROFILE_T, bin_profile_norm, ghf_ent_shape, ghf_var_shape
+from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
 from .states import Density1D
 
 __all__ = [
@@ -58,8 +58,10 @@ class WidthMismatch(ValueError):
 @dataclass(frozen=True)
 class GhfSpec:
     """Per-bin histogram profile exp(-a (u/eta)^2) truncated to the bin: flat
-    at a = 0 (the default), concentrated toward the center for a > 0 and
-    toward the edges for a < 0."""
+    at a = 0 (the default) and concentrated toward the center for a > 0, so
+    its variance lies in (0, eta^2/12].  The variance relation's optimal
+    profile, at t = a eta^2 = M^-1(u) > 0, is always of this kind, so the
+    edge-heavy a < 0 is refused."""
 
     eta: float
     a: float = 0.0
@@ -67,14 +69,9 @@ class GhfSpec:
     def __post_init__(self) -> None:
         if not (self.eta > 0.0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if not math.isfinite(self.a):
-            raise ValueError("shape parameter a must be finite")
-        # the shape functions' limit on t < 0, applied to both signs; the
-        # profile exp(-a u^2/eta^2) overflows pointwise a little beyond it
-        if abs(self.a) * self.eta ** 2 > _MAX_PROFILE_T:
-            raise ValueError(
-                f"|a|*eta^2 = {abs(self.a) * self.eta ** 2:g} too extreme "
-                f"to represent (limit {_MAX_PROFILE_T:g})")
+        if not (self.a >= 0.0 and math.isfinite(self.t)):
+            raise ValueError(f"shape parameter a must be nonnegative with a*eta^2 finite, "
+                             f"got a = {self.a} at eta = {self.eta}")
 
     @property
     def t(self) -> float:

@@ -20,8 +20,6 @@ lambda0_deficit computed from the large-c asymptote
 whose correction coefficients were calibrated once against a 60-digit
 eigensolve of the same expansion (relative error <= ~1e-5 at the switch,
 ~1e-7 past c = 16).
-
-Only erfi, for profiles with t < 0, needs scipy.special, imported on first use.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import DomainError, NonConvergence
+from .numerics import NonConvergence
 
 __all__ = [
     "ProlateResult",
@@ -44,14 +42,6 @@ __all__ = [
     "bin_profile_norm",
     "log_bin_profile_norm",
 ]
-
-
-def _erfi(x: float) -> float:
-    # imported on first use: only profiles with a < 0 need erfi, and
-    # scipy.special takes about 0.3 s to import
-    from scipy.special import erfi
-
-    return float(erfi(x))
 
 
 @dataclass(frozen=True)
@@ -181,8 +171,8 @@ def prolate_r00(c: float) -> ProlateResult:
 # ---------------------------------------------------------------------------
 # truncated-Gaussian bin-profile shapes
 #
-# The per-bin profile exp(-t v^2) on v in [-1/2, 1/2) (t = a*eta^2, either
-# sign) has variance eta^2 * ghf_var_shape(t) and Shannon entropy
+# The per-bin profile exp(-t v^2) on v in [-1/2, 1/2) (t = a*eta^2 >= 0)
+# has variance eta^2 * ghf_var_shape(t) and Shannon entropy
 # ln(eta) + ghf_ent_shape(t).  Both reduce to the flat profile at t = 0
 # (1/12 and 0).  The quantity 2tM(t) = exp(-t/4)/bin_profile_norm(t) drives
 # everything, M(t) of the variance relation included; W(t) = 1 - 2tM(t)
@@ -215,53 +205,38 @@ _ENT_SERIES = (
     -157.0 / 12991829760000.0,
 )
 
+# bin_profile_norm's series sum_{k>=0} (-t/4)^k / (k! (2k + 1)), 13 terms:
+# term k divides by 2k + 1, and the next term is term k times -t/(4(k + 1))
+_NORM_SERIES = tuple((2.0 * k - 1.0, 4.0 * k) for k in range(1, 14))
+
 _SHAPE_SERIES_CUT = 0.5
-# The profile range: exp(-t v^2) and its norm overflow from t ~ -2840 on,
-# while at t = -2500 the norm's erfi(25) = 6.1e269 is still finite.  GhfSpec
-# admits no |t| beyond it, and bin_profile_norm, through which every t < 0 is
-# taken, rejects t below -_MAX_PROFILE_T.
-_MAX_PROFILE_T = 2500.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def bin_profile_norm(t: float) -> float:
-    """integral of exp(-t v^2) over v in [-1/2, 1/2], both signs of t."""
+    """integral of exp(-t v^2) over v in [-1/2, 1/2], for t >= 0."""
     if abs(t) <= _SHAPE_SERIES_CUT:
         total = 0.0
         term = 1.0
-        for k in range(1, 14):
-            total += term / (2 * k - 1)
-            term *= -t / (4.0 * k)
+        for odd, step in _NORM_SERIES:
+            total += term / odd
+            term *= -t / step
         return total
-    if t > 0.0:
-        rt = math.sqrt(t)
-        return math.sqrt(math.pi / t) * math.erf(0.5 * rt)
-    if t < -_MAX_PROFILE_T:
-        raise DomainError(f"profile parameter t = {t!r} is below -{_MAX_PROFILE_T:g}")
-    s = -t
-    return math.sqrt(math.pi / s) * _erfi(0.5 * math.sqrt(s))
+    rt = math.sqrt(t)
+    return math.sqrt(math.pi / t) * math.erf(0.5 * rt)
 
 
 def log_bin_profile_norm(t: float) -> float:
-    """ln bin_profile_norm(t) for t >= -_MAX_PROFILE_T.
-
-    For t > 0 it is ln(sqrt(pi) erf(sqrt(t)/2) / sqrt(t)), which stays
-    accurate down to subnormal t and does not underflow for large t.
-    """
-    if t > 0.0:
-        rt = math.sqrt(t)
-        return math.log(_SQRT_PI * math.erf(0.5 * rt) / rt)
-    return math.log(bin_profile_norm(t))
+    """ln bin_profile_norm(t) for t > 0: ln(sqrt(pi) erf(sqrt(t)/2) / sqrt(t)),
+    which stays accurate down to subnormal t and does not underflow for
+    large t."""
+    rt = math.sqrt(t)
+    return math.log(_SQRT_PI * math.erf(0.5 * rt) / rt)
 
 
 def two_t_m(t: float) -> float:
-    """2 t M(t) = exp(-t/4) / bin_profile_norm(t); value 1 at t = 0.
-
-    Decays to 0 as t -> +inf and grows like |t|/2 for t < 0, down to
-    t = -_MAX_PROFILE_T.
-    """
-    if t == 0.0:
-        return 1.0
+    """2 t M(t) = exp(-t/4) / bin_profile_norm(t) for t >= 0; value 1 at
+    t = 0, decaying to 0 as t -> +inf."""
     return math.exp(-0.25 * t) / bin_profile_norm(t)
 
 
@@ -277,7 +252,7 @@ def _w_of_t(t: float) -> float:
 @functools.lru_cache(maxsize=1024)
 def ghf_var_shape(t: float) -> float:
     """Variance of the unit-bin profile: W(t)/(2t), with the t -> 0 limit
-    1/12.  Strictly decreasing, range (0, 1/4).  Memoized per t: every
+    1/12.  Strictly decreasing, range (0, 1/12].  Memoized per t: every
     report set asks again for the flat profile's t = 0."""
     if abs(t) <= _SHAPE_SERIES_CUT:
         # W(t)/(2t) as a polynomial: shift the W series down one power

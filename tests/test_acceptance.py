@@ -192,7 +192,7 @@ def test_criterion_06_decomposition_identities():
             if rng.random() < 0.5:
                 ghf = GhfSpec(eta)
             else:
-                ghf = GhfSpec(eta, rng.uniform(-8.0, 8.0))
+                ghf = GhfSpec(eta, rng.uniform(0.0, 8.0))
             binned = bin_density(dens, eta, offset)
             var_sum, ent_sum = decompose_stats(binned, ghf)
             var_q, ent_q = _reconstruction_stats_by_quadrature(

@@ -268,12 +268,34 @@ def test_m_inverse_round_trip_for_large_u():
         assert abs(func_M(func_M_inv(u)) / u - 1.0) <= 2e-15, f"u={u!r}"
 
 
+def _m_inv_mp(u: float):
+    # Newton on ln M(t) = ln u at 40 digits from the double root, with
+    # d ln M/dt = -(M + 1/4 + 1/(2t))
+    with mpmath.workdps(40):
+        lu, t = mpmath.log(mpmath.mpf(u)), mpmath.mpf(func_M_inv(u))
+        for _ in range(4):
+            log_m = (-t / 4 - mpmath.log(2 * mpmath.sqrt(mpmath.pi * t))
+                     - mpmath.log(mpmath.erf(mpmath.sqrt(t) / 2)))
+            t += (log_m - lu) / (mpmath.exp(log_m) + mpmath.mpf(1) / 4 + 1 / (2 * t))
+        return t
+
+
+def test_m_inverse_against_mpmath_over_the_double_range():
+    # the solve on ln M alone, polished only above u = 2^20 and there with
+    # the small-t slope -M/t, left up to 7.8e-16 on this grid
+    worst = 0.0
+    for u in np.geomspace(1e-300, 1e300, 660):
+        u = float(u)
+        worst = max(worst, float(abs(func_M_inv(u) / _m_inv_mp(u) - 1)))
+    assert worst <= 4e-16
+
+
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 
 
 @settings(max_examples=200, **_SETTINGS)
 @given(log_u=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
-       ts=st.one_of(st.none(), st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0))),
+       ts=st.one_of(st.none(), st.tuples(st.floats(0.0, 50.0), st.floats(0.0, 50.0))),
        log_d=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)))
 def test_k_is_the_minimum_of_f(log_u, ts, log_d):
     # HeisPreopt's margin is ln F(u_x, t_x) + ln F(u_p, t_p) - 2 L_1 for the

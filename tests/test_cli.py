@@ -418,6 +418,58 @@ def test_catalog_path_loads_no_scipy():
     assert lines == [""] + ["0 "] * 8 + [""]
 
 
+_SCIPY_BLOCKED = """
+import contextlib, io, math, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+import cg_uncert.cli as cli
+runs = [
+    ["check", "--state", "gaussian:x0=0.5,p0=-1,sigma=0.8", "--delta", "8", "--delta-p", "8"],
+    ["check", "--state", "hermite:n=4", "--alpha", "0.75"],
+    # the widest square-well momentum bin the panel rule takes: 65536 hbar/L
+    ["check", "--state", "squarewell:n=3,L=1", "--delta", "0.1", "--delta-p", "65536"],
+    ["check", "--state", "mix:0.6*squarewell:n=2+0.4*gaussian:x0=1,sigma=0.5",
+     "--format", "json"],
+    ["bounds", "--sweep-min", "1e-3", "--sweep-max", "1e3", "--sweep-points", "20"],
+    ["kfun", "--sweep-min", "1e-300", "--sweep-max", "1e300", "--sweep-points", "20"],
+    ["region", "--delta", "2", "--delta-p", "0.5", "--grid-n", "8"],
+    ["sample", "--state", "squarewell:n=3", "--delta-p", "0.5", "--samples", "1000"],
+    ["sample", "--state", "hermite:n=2", "--samples", "1000", "--format", "json"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv)
+    print(argv[0], rc)
+from cg_uncert import coarse, states
+b = coarse.bin_density(states.position_density(states.HermiteGauss(3)), 0.7, 0.2)
+for a in (0.0, 4.0, 1e6):
+    g = coarse.GhfSpec(0.7, a)
+    values = [coarse.ghf_variance(g), coarse.ghf_entropy(g), *coarse.decompose_stats(b, g),
+              float(coarse.ReconstructedPdf(b, g).eval(0.3))]
+    print(a, all(map(math.isfinite, values)))
+"""
+
+
+def test_every_command_runs_with_scipy_blocked():
+    # the README promises no scipy on the catalog path; here an import of
+    # any scipy module fails, so a lazy import anywhere on it would show
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _SCIPY_BLOCKED], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == (
+        ["check 0"] * 4 + ["bounds 0", "kfun 0", "region 0", "sample 0", "sample 0"]
+        + ["0.0 True", "4.0 True", "1000000.0 True"])
+
+
 def test_check_malformed_descriptor(capsys):
     rc = main(["check", "--state", "gaussian:sgma=1", "--delta", "1", "--delta-p", "1"])
     assert rc == 2
@@ -572,6 +624,14 @@ def test_region_rejects_width_product_outside_double_range(capsys, width):
     rc = main(["region", "--delta", width, "--delta-p", width, "--grid-n", "2"])
     assert rc == 2
     assert "delta_x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("umax", ["inf", "nan", "-1"])
+def test_region_rejects_bad_grid_umax_by_field_name(capsys, umax):
+    # inf and nan were told only "must be nonnegative"
+    assert main(["region", "--grid-umax", umax, "--grid-n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'grid.u_max' must be nonnegative and finite, got {umax}" in err
 
 
 def test_kfun_solves_one_root_per_row_with_unchanged_columns(tmp_path, monkeypatch):

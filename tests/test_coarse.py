@@ -25,7 +25,6 @@ from cg_uncert.coarse import (
 )
 from cg_uncert.coarse import _logsumexp
 from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
-from cg_uncert.specfun import bin_profile_norm
 from cg_uncert import states as states_mod
 from cg_uncert.states import (
     Density1D,
@@ -464,11 +463,16 @@ def test_ghf_spec_validation():
     for eta in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             GhfSpec(eta)
-    for a in (math.inf, math.nan, 3000.0, -3000.0):
-        with pytest.raises(ValueError):
+    # the profile exp(-a u^2/eta^2) is edge-heavy for a < 0, which the
+    # variance relation's optimum never is
+    for a in (math.inf, math.nan, -3000.0, -1e-3):
+        with pytest.raises(ValueError, match=r"shape parameter a must be nonnegative"):
             GhfSpec(1.0, a)
-    # scaling: the cap is on a * eta^2, not a alone
+    # the only cap is on a * eta^2 staying finite, not on a alone
+    GhfSpec(1.0, 3000.0)
     GhfSpec(0.1, a=100000.0)
+    with pytest.raises(ValueError, match=r"got a = 1e\+308 at eta = 2.0"):
+        GhfSpec(2.0, 1e308)
 
 
 def test_ghf_variance_entropy_flat():
@@ -485,7 +489,7 @@ def test_ghf_small_shape_matches_flat():
 
 def test_ghf_variance_monotone_and_bounded():
     for eta in (1.0, 0.3):
-        avals = np.linspace(-50.0, 50.0, 101)
+        avals = np.linspace(0.0, 50.0, 51)
         vs = [ghf_variance(GhfSpec(eta, float(a))) for a in avals]
         assert all(0.0 < v < eta ** 2 / 4.0 for v in vs)
         assert all(v2 < v1 for v1, v2 in zip(vs, vs[1:]))
@@ -494,7 +498,7 @@ def test_ghf_variance_monotone_and_bounded():
 
 
 def test_ghf_against_direct_quadrature():
-    for eta, a in ((1.0, 4.0), (0.5, -12.0), (2.0, 0.3)):
+    for eta, a in ((1.0, 4.0), (2.0, 0.3)):
         g = GhfSpec(eta, a)
         b = BinnedDistribution(width=eta, offset=0.0, j_min=0, masses=[1.0])
         w = ReconstructedPdf(b, g)
@@ -513,21 +517,15 @@ def test_ghf_against_direct_quadrature():
 # reconstruction and decomposition
 
 
-def test_negative_profiles_keep_their_values():
-    # a < 0 is the only use of erfi, which loads scipy.special on first use
-    for a, var, ent in ((-3.0, 0.10104501067639109, -0.027049792855101562),
-                        (-40.0, 0.22318194035231237, -1.864032155459883)):
-        g = GhfSpec(1.0, a)
-        assert (ghf_variance(g), ghf_entropy(g)) == (var, ent)
-    assert bin_profile_norm(-3.0) == 1.317960201078476
-
-
-def test_profile_at_the_range_limit_is_finite():
-    g = GhfSpec(1.0, -2500.0)
-    var, ent = ghf_variance(g), ghf_entropy(g)
-    assert 0.0 < var < 0.25 and math.isfinite(ent) and ent < 0.0
-    with pytest.raises(ValueError, match="limit 2500"):
-        GhfSpec(1.0, math.nextafter(-2500.0, -math.inf))
+def test_profile_at_the_top_of_the_double_range_is_finite():
+    # a eta^2 above 2500 was refused; far out the profile is a Gaussian of
+    # variance eta^2/(2t) and entropy ln(eta) + ln(pi e/t)/2, t = a eta^2
+    for eta, a in ((1.0, 1e300), (10.0, 1e305)):
+        g = GhfSpec(eta, a)
+        var, ent = ghf_variance(g), ghf_entropy(g)
+        assert var == pytest.approx(eta ** 2 / (2.0 * g.t), rel=1e-15)
+        assert ent == pytest.approx(math.log(eta) + 0.5 * math.log(math.pi * math.e / g.t),
+                                    rel=1e-15)
 
 
 def test_reconstruct_requires_matching_width():
@@ -540,7 +538,7 @@ def test_reconstruct_requires_matching_width():
 
 def test_reconstruction_normalized_and_confined():
     b = bin_density(position_density(Gaussian()), 1.0, 0.0)
-    for g in (GhfSpec(1.0), GhfSpec(1.0, 5.0), GhfSpec(1.0, -5.0)):
+    for g in (GhfSpec(1.0), GhfSpec(1.0, 5.0)):
         w = ReconstructedPdf(b, g)
         d = w.density()
         lo, hi = d.support
@@ -561,7 +559,7 @@ def test_decomposition_identities_against_quadrature():
         s = states[int(rng.integers(len(states)))]
         eta = float(rng.uniform(0.3, 2.0))
         offset = float(rng.uniform(0.0, eta))
-        a = float(rng.uniform(-8.0, 8.0))
+        a = float(rng.uniform(0.0, 8.0))
         b = bin_density(position_density(s), eta, offset)
         g = GhfSpec(eta, a)
         var_dec, ent_dec = decompose_stats(b, g)
@@ -577,7 +575,7 @@ def test_reconstruction_entropy_variance_inequality():
     for _ in range(8):
         eta = float(rng.uniform(0.2, 5.0))
         offset = float(rng.uniform(0.0, eta))
-        a = float(rng.uniform(-20.0, 20.0))
+        a = float(rng.uniform(0.0, 20.0))
         b = bin_density(d, eta, offset)
         g = GhfSpec(eta, a)
         var_w, ent_w = decompose_stats(b, g)

@@ -1,11 +1,15 @@
 """Distribution metadata agrees with the package, the README's module map
-lists its modules, and the package imports nothing beyond numpy at start-up."""
+lists its modules, the package imports nothing beyond numpy at start-up, and
+the test configuration reports a failing test as a failure."""
 
 import ast
 import importlib
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
+import textwrap
 import types
 
 import pytest
@@ -79,3 +83,27 @@ def test_no_module_imports_scipy_at_import_time():
     for path in sources:
         lines = _import_time_scipy(ast.parse(path.read_text(), str(path)))
         assert not lines, f"{path.name} imports scipy at import time on lines {lines}"
+
+
+def test_a_failing_hypothesis_test_fails_the_run_without_aborting_it(tmp_path):
+    # on a failure Hypothesis's pytest plugin imports libcst, which warns that
+    # mypy_extensions.TypedDict is deprecated; filterwarnings = error made
+    # that an INTERNALERROR (exit 3) that stopped the run and its summary
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None, derandomize=True)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 10
+
+        def test_passes():
+            pass
+        """))
+    r = subprocess.run([sys.executable, "-m", "pytest", "-c", str(ROOT / "pytest.ini"),
+                        "--rootdir", str(tmp_path), "-p", "no:cacheprovider", str(probe)],
+                       cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert "PASSED test_probe.py::test_passes" in r.stdout
+    assert "FAILED test_probe.py::test_fails" in r.stdout
