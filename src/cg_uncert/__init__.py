@@ -34,16 +34,13 @@ from .coarse import (
     sample_counts,
 )
 from .numerics import (
-    DEFAULT_QUAD,
     DEFAULT_ROOT,
     Divergent,
     DomainError,
     InvalidBracket,
     NonConvergence,
-    QuadSpec,
     RootSpec,
     find_root_bracketed,
-    integrate,
 )
 from .specfun import ProlateResult, prolate_r00
 from .states import (

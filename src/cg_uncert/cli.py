@@ -47,6 +47,7 @@ from .bounds import (
     func_M_inv_and_K,
 )
 from .coarse import (
+    MAX_WIDTH,
     TailBudgetExceeded,
     WidthMismatch,
     bin_density,
@@ -271,10 +272,14 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "sample" and cfg.samples < 1:
         raise DescriptorError(f"field 'samples' must be at least 1, got {cfg.samples}")
     if cfg.command in ("check", "sample"):
-        # at 2**52 widths the offset's ulp reaches the bin width, so the value
-        # written no longer fixes where within a bin the grid starts; binning
-        # itself reduces the offset exactly and stays exact to 2**63 widths
-        for name, width in (("offset_x", cfg.delta), ("offset_p", cfg.delta_p)):
+        # the variances square the widths; at 2**52 widths the offset's ulp
+        # reaches the bin width, so the value written no longer fixes where
+        # within a bin the grid starts (binning itself reduces the offset
+        # exactly and stays exact to 2**63 widths)
+        for wname, width, name in (("delta", cfg.delta, "offset_x"),
+                                   ("delta_p", cfg.delta_p, "offset_p")):
+            if not width <= MAX_WIDTH:
+                raise DescriptorError(f"field {wname!r} must have a finite square, got {width}")
             v = getattr(cfg, name)
             if not abs(v) < 2.0 ** 52 * width:
                 raise DescriptorError(

@@ -1,7 +1,8 @@
 """Coarse-grained measurement statistics.
 
-Binning of continuous densities into fixed-width windows (from closed-form
-interval masses when the density has them, by panel quadrature otherwise),
+Binning of continuous densities into fixed-width windows, a block of bins
+at a time on its shared edges (from closed-form interval masses when the
+density has them, by adaptive panel quadrature otherwise),
 discrete variances and Renyi entropies of the resulting probability vectors,
 computed once per binning and order, per-bin histogram profiles (one family,
 exp(-a (u/eta)^2) truncated to the bin, whose a = 0 member is the flat bin),
@@ -17,18 +18,20 @@ with center z_j = offset + j eta.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
+from .numerics import DomainError, NonConvergence
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
-from .states import Density1D
+from .states import Density1D, panel_integrals
 
 __all__ = [
     "EPS_TAIL",
     "MAX_BINS",
+    "MAX_WIDTH",
     "TailBudgetExceeded",
     "WidthMismatch",
     "BinnedDistribution",
@@ -45,6 +48,8 @@ __all__ = [
 
 EPS_TAIL = 1e-9
 MAX_BINS = 10 ** 6
+# the widest bin whose square, which every variance takes, is finite
+MAX_WIDTH = math.sqrt(sys.float_info.max)
 
 
 class TailBudgetExceeded(RuntimeError):
@@ -67,8 +72,8 @@ class GhfSpec:
     a: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.eta > 0.0 and math.isfinite(self.eta)):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        if not 0.0 < self.eta <= MAX_WIDTH:
+            raise ValueError(f"eta must be positive with a finite square, got {self.eta}")
         if not (self.a >= 0.0 and math.isfinite(self.t)):
             raise ValueError(f"shape parameter a must be nonnegative with a*eta^2 finite, "
                              f"got a = {self.a} at eta = {self.eta}")
@@ -127,8 +132,8 @@ class BinnedDistribution:
     probs: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not (self.width > 0.0 and math.isfinite(self.width)):
-            raise ValueError(f"width must be positive and finite, got {self.width}")
+        if not 0.0 < self.width <= MAX_WIDTH:
+            raise ValueError(f"width must be positive with a finite square, got {self.width}")
         reduced = _reduce_offset(self.offset, self.width)
         j_min, p = int(self.j_min), np.asarray(self.masses, dtype=float)
         if p.ndim != 1 or p.size == 0:
@@ -189,12 +194,15 @@ class ReconstructedPdf:
         return pj * np.exp(-t * v * v) / (g.eta * bin_profile_norm(t))
 
     def density(self) -> Density1D:
+        # edges formed as bin_density forms them: no sliver of a bin in the next
         b = self.base
-        z, half = _centers(b), 0.5 * b.width
-        mean = float(np.dot(b.masses, z))
+        r, shift = b._reduced
+        k = b.j_min + shift
+        edges = r + (np.arange(k, k + b.masses.size + 1) - 0.5) * b.width
+        mean = float(np.dot(b.masses, _centers(b)))
         m2 = discrete_variance(b) + ghf_variance(self.ghf) + mean ** 2
-        return Density1D(eval=self.eval, support=(float(z[0] - half), float(z[-1] + half)),
-                         discontinuities=tuple((z[1:] - half).tolist()),
+        return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
+                         discontinuities=tuple(edges[1:-1].tolist()),
                          known_mean=mean, known_m2=m2)
 
 
@@ -222,54 +230,17 @@ def _centers(b: BinnedDistribution) -> np.ndarray:
     return r + (b.arrays()[0] + shift).astype(float) * b.width
 
 
-def _bin_edges(j, width: float, offset: float):
-    lo = offset + (np.asarray(j, dtype=float) - 0.5) * width
-    return lo, lo + width
-
-
 def _clean_block_masses(d: Density1D, j_arr: np.ndarray, width: float,
                         offset: float) -> np.ndarray:
-    """Masses of bins lying fully inside the support with no interior cuts,
-    by fixed-order panel quadrature with an order cross-check.  For a density
-    with closed-form interval masses every bin counts as clean, and j_arr is
-    then a contiguous run whose n bins share n + 1 edges."""
+    """Masses of the contiguous run of bins j_arr, whose n bins share n + 1
+    edges: closed-form interval masses when the density has them, adaptive
+    panel quadrature otherwise."""
+    edges = offset + (np.arange(j_arr[0], j_arr[-1] + 2) - 0.5) * width
     if d.interval_masses is not None:
-        edges = offset + (np.arange(j_arr[0], j_arr[-1] + 2) - 0.5) * width
-        return np.maximum(d.interval_masses(edges), 0.0)
-    lo, hi = _bin_edges(j_arr, width, offset)
-    if d.osc_scale is not None:
-        per = max(1, int(math.ceil(2.0 * width / d.osc_scale)))
+        masses = d.interval_masses(edges)
     else:
-        per = 1
-    if per == 1:
-        lo_p, hi_p = lo, hi
-    else:
-        steps = np.arange(per) / per
-        lo_p = (lo[:, None] + width * steps[None, :]).ravel()
-        hi_p = lo_p + width / per
-    v16 = gauss_legendre_panels(d.eval, lo_p, hi_p, 16).reshape(len(j_arr), per).sum(axis=1)
-    v32 = gauss_legendre_panels(d.eval, lo_p, hi_p, 32).reshape(len(j_arr), per).sum(axis=1)
-    bad = np.abs(v32 - v16) > np.maximum(1e-15, 1e-12 * np.abs(v32))
-    if np.any(bad):
-        for i in np.nonzero(bad)[0]:
-            v32[i] = integrate(lambda x: float(d.eval(x)), float(lo[i]), float(hi[i]))
-    return np.maximum(v32, 0.0)
-
-
-def _single_bin_mass(d: Density1D, j: int, width: float, offset: float,
-                     cuts) -> float:
-    lo_s, hi_s = d.support
-    a = offset + (j - 0.5) * width
-    b = a + width
-    a = max(a, lo_s)
-    b = min(b, hi_s)
-    if not a < b:
-        return 0.0
-    points = [a] + [c for c in cuts if a < c < b] + [b]
-    total = 0.0
-    for left, right in zip(points[:-1], points[1:]):
-        total += integrate(lambda x: float(d.eval(x)), left, right)
-    return max(total, 0.0)
+        masses = panel_integrals(d, d.eval, edges)
+    return np.maximum(masses, 0.0)
 
 
 def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
@@ -277,16 +248,16 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
 
     Bins are enumerated outward from the heaviest one until the cumulative
     mass reaches 1 - EPS_TAIL.  Masses come from d.interval_masses when
-    present; otherwise by quadrature, split at density discontinuities and
-    support edges.  Edges are formed from the offset reduced modulo eta; the
-    result keeps the caller's offset and bin labels, and a ValueError names
-    an offset whose labels would leave the int64 range.
+    present; otherwise by adaptive panel quadrature, split at density
+    discontinuities and support edges.  Edges are formed from the offset
+    reduced modulo eta; the result keeps the caller's offset and bin labels,
+    and a ValueError names an offset whose labels would leave the int64
+    range.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
     r, shift = _reduce_offset(offset, eta)  # bins below are labeled on the grid (eta, r)
     lo_s, hi_s = d.support
-    cuts = np.sort(np.asarray(d.discontinuities, dtype=float))
 
     for x0 in (d.known_mean,
                0.5 * (lo_s + hi_s) if math.isfinite(lo_s) and math.isfinite(hi_s) else None,
@@ -295,20 +266,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
             break
 
     def masses_for(j_lo: int, n: int) -> np.ndarray:
-        """Masses of bins j_lo .. j_lo + n - 1: clean bins (inside the support,
-        no cut strictly inside) by one panel-rule call, the rest one by one."""
-        js = np.arange(j_lo, j_lo + n, dtype=np.int64)
-        if d.interval_masses is not None:
-            return _clean_block_masses(d, js, eta, r)
-        a, b = _bin_edges(js, eta, r)
-        clean = ((a >= lo_s) & (b <= hi_s)
-                 & (np.searchsorted(cuts, a, "right") == np.searchsorted(cuts, b, "left")))
-        out = np.empty(n)
-        if clean.any():
-            out[clean] = _clean_block_masses(d, js[clean], eta, r)
-        for i in np.flatnonzero(~clean):
-            out[i] = _single_bin_mass(d, int(js[i]), eta, r, cuts)
-        return out
+        return _clean_block_masses(d, np.arange(j_lo, j_lo + n, dtype=np.int64), eta, r)
 
     j0 = int(math.floor((x0 - r) / eta + 0.5))
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks

@@ -1,35 +1,34 @@
 """Deterministic numerical kernels shared by every other module.
 
-A contract-enforcing wrapper around QUADPACK adaptive Gauss-Kronrod
-quadrature (scipy.integrate, imported on first use), Brent's bracketed root
-finder in plain Python floats, and fixed-order Gauss-Legendre panels.  All
-functions here are pure; callers are responsible for splitting integrals at
-known discontinuities (bin edges, compact-support boundaries) so integrands
-are piecewise smooth.
+Brent's bracketed root finder in plain Python floats, fixed-order
+Gauss-Legendre panels, and the one adaptive quadrature routine built on
+them: many panels of a vectorized integrand at once, each halved until its
+16- and 32-point values agree, summed per group.  All functions here are
+pure; callers are responsible for splitting integrals at known
+discontinuities (bin edges, compact-support boundaries) so integrands are
+piecewise smooth.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "DEFAULT_QUAD",
     "DEFAULT_ROOT",
-    "QuadSpec",
     "RootSpec",
     "NonConvergence",
     "InvalidBracket",
     "Divergent",
     "DomainError",
-    "integrate",
     "find_root_bracketed",
     "gauss_legendre_panels",
+    "adaptive_panels",
 ]
 
 
@@ -50,19 +49,6 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class QuadSpec:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("quadrature tolerances must be strictly positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-@dataclass(frozen=True)
 class RootSpec:
     x_tol: float = 1e-13  # relative bracket width
     max_iter: int = 200
@@ -74,41 +60,7 @@ class RootSpec:
             raise ValueError("max_iter must be >= 1")
 
 
-DEFAULT_QUAD = QuadSpec()
 DEFAULT_ROOT = RootSpec()
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Integral of f over the finite interval [a, b].
-
-    f must be defined and finite on [a, b]; accuracy per spec tolerances for
-    piecewise-smooth integrands. Raises NonConvergence when the subdivision
-    budget runs out.
-    """
-    if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError(f"need finite a < b, got [{a}, {b}]")
-    # scipy.integrate costs about 0.15 s to import, and only user densities,
-    # reconstructions and the continuous checks reach this point
-    from scipy import integrate as _sp_integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", _sp_integrate.IntegrationWarning)
-        try:
-            val, err = _sp_integrate.quad(
-                f, a, b,
-                epsabs=spec.abs_tol, epsrel=spec.rel_tol,
-                limit=spec.max_subdivisions,
-            )
-        except _sp_integrate.IntegrationWarning as exc:
-            raise NonConvergence(f"quadrature on [{a}, {b}] did not converge: {exc}") from exc
-    if not np.isfinite(val):
-        raise NonConvergence(f"quadrature on [{a}, {b}] returned non-finite value")
-    if err > 10 * max(spec.abs_tol, spec.rel_tol * abs(val)):
-        raise NonConvergence(
-            f"quadrature on [{a}, {b}] error estimate {err:.3e} exceeds tolerance"
-        )
-    return val
 
 
 # the smallest positive xtol, so that rtol alone decides even for roots near
@@ -184,15 +136,9 @@ def find_root_bracketed(f: Callable[[float], float], lo: float, hi: float,
     raise NonConvergence(f"root finder exhausted {spec.max_iter} iterations on [{lo}, {hi}]")
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    cached = _GL_CACHE.get(order)
-    if cached is None:
-        cached = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = cached
-    return cached
+    return np.polynomial.legendre.leggauss(order)
 
 
 def gauss_legendre_panels(f_vec: Callable[[np.ndarray], np.ndarray],
@@ -210,3 +156,47 @@ def gauss_legendre_panels(f_vec: Callable[[np.ndarray], np.ndarray],
     pts = mid[None, :] + half[None, :] * x[:, None]
     vals = f_vec(pts.ravel()).reshape(pts.shape)
     return half * (w @ vals)
+
+
+# adaptive_panels: the halving limit, and the most panels one fixed-order
+# call evaluates (2^15 panels of 32 points keep each node array at 8 MB)
+_MAX_HALVINGS = 40
+_CHUNK = 1 << 15
+
+
+def adaptive_panels(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi, group,
+                    n_groups: int) -> np.ndarray:
+    """Integrals of a vectorized integrand over the panels [lo[i], hi[i]],
+    summed per group: panel i joins sum group[i] of n_groups.  A panel whose
+    16- and 32-point Gauss-Legendre values differ by more than
+    max(1e-15 S, 1e-12 |value|) is halved and its halves checked again; S,
+    the sum of |value| over the panels given, scales the floor with the
+    integral.  Raises NonConvergence, naming the first unsettled panel,
+    after 40 halvings or when more than max(2^16, 4 n) of the n panels given
+    are unsettled at once."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    group = np.asarray(group, dtype=np.intp)
+    limit = max(1 << 16, 4 * lo.size)
+    total = np.zeros(n_groups)
+    floor = None
+    for halvings in range(_MAX_HALVINGS + 1):
+        v16, v32 = np.empty(lo.size), np.empty(lo.size)
+        for start in range(0, lo.size, _CHUNK):
+            part = slice(start, start + _CHUNK)
+            v16[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 16)
+            v32[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 32)
+        if floor is None:
+            floor = 1e-15 * float(np.sum(np.abs(v32)))
+        # written so that a NaN counts as unsettled
+        bad = ~(np.abs(v32 - v16) <= np.maximum(floor, 1e-12 * np.abs(v32)))
+        total += np.bincount(group[~bad], v32[~bad], minlength=n_groups)
+        n_bad = int(np.count_nonzero(bad))
+        if n_bad == 0:
+            return total
+        if halvings == _MAX_HALVINGS or n_bad > limit:
+            i = int(np.argmax(bad))
+            raise NonConvergence(f"quadrature on [{float(lo[i])!r}, {float(hi[i])!r}] did not "
+                                 f"settle: {n_bad} panels unsettled after {halvings} halvings")
+        lo, hi, group = lo[bad], hi[bad], group[bad]
+        mid = 0.5 * (lo + hi)
+        lo, hi, group = np.r_[lo, mid], np.r_[mid, hi], np.r_[group, group]

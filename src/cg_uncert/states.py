@@ -11,12 +11,13 @@ antiderivative only for very wide bins).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
 
-Moments and differential Renyi entropies are computed by quadrature: adaptive
-panels over the finite core of the support, then geometrically growing tail
-rings until two consecutive rings fall below the tolerance.  Densities whose
-second moment is not quadrature-reachable (the box eigenstates in momentum,
-whose tails decay like p**-4 under slow oscillation) carry exact moments
-instead and are marked heavy_tail.
+Moments and differential Renyi entropies are computed by quadrature:
+panel_integrals (which also bins densities without closed-form masses) over
+the finite core of the support, then geometrically growing tail rings until
+two consecutive rings fall below the tolerance.  Densities whose second
+moment is not quadrature-reachable (the box eigenstates in momentum, whose
+tails decay like p**-4 under slow oscillation) carry exact moments instead
+and are marked heavy_tail.
 
 The module holds states, densities and density functionals only; the
 relation reports built from them are made in bounds.
@@ -31,12 +32,11 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .numerics import (
-    DEFAULT_QUAD,
     Divergent,
     DomainError,
     NonConvergence,
+    adaptive_panels,
     gauss_legendre_panels,
-    integrate,
 )
 
 __all__ = [
@@ -48,6 +48,7 @@ __all__ = [
     "Density1D",
     "position_density",
     "momentum_density",
+    "panel_integrals",
     "variance",
     "renyi_entropy_cont",
     "catalog_states",
@@ -168,14 +169,15 @@ class Density1D:
     """Normalized probability density on the line.
 
     eval accepts scalars or arrays.  discontinuities lists interior points
-    where the density (or its derivative) breaks so quadratures can split
-    there.  known_mean/known_m2 are exact first and second raw moments when
+    where the density (or its derivative) breaks; quadrature panels end
+    there (halving finds an unlisted jump only slowly, if at all).
+    known_mean/known_m2 are exact first and second raw moments when
     available; heavy_tail marks densities whose second moment must come from
     those fields because tail quadrature will not converge.  osc_scale is the
-    shortest oscillation wavelength in the tails, used to size panel counts.
-    interval_masses, when present, maps n + 1 finite ascending edges to the n
-    masses between them in closed form, with relative precision in the tails;
-    binning then needs no quadrature.
+    shortest oscillation wavelength in the tails; no quadrature panel is
+    wider than half of it.  interval_masses, when present, maps n + 1 finite
+    ascending edges to the n masses between them in closed form, with
+    relative precision in the tails; without it, bins take panel_integrals.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -468,6 +470,7 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
 _MAX_RINGS = 48
 _MAX_PANELS = 1 << 17
 _PANEL_ORDER = 12
+_RING_TOL = 1e-10
 
 
 def _center_and_scale(d: Density1D) -> tuple:
@@ -487,15 +490,14 @@ def _panels_total(f_vec, a: float, b: float, n_panels: int) -> float:
 
 
 def _ring_value(f_vec, a: float, b: float, osc: Optional[float], err_cls) -> float:
-    if osc is not None:
-        n = max(16, int(2.0 * (b - a) / osc) + 1)
-    else:
-        n = 32
+    n = 32 if osc is None else max(16, int(2.0 * (b - a) / osc) + 1)
+    if n > _MAX_PANELS:
+        raise err_cls(f"tail ring [{a}, {b}] needs {n} panels, more than {_MAX_PANELS}")
     prev = _panels_total(f_vec, a, b, n)
     n *= 2
     while n <= _MAX_PANELS:
         cur = _panels_total(f_vec, a, b, n)
-        if abs(cur - prev) <= 0.125 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(cur)):
+        if abs(cur - prev) <= 0.125 * _RING_TOL * max(1.0, abs(cur)):
             return cur
         prev = cur
         n *= 2
@@ -517,7 +519,7 @@ def _tail_sum(f_vec, edge: float, width0: float, direction: int,
         v = _ring_value(f_vec, a, b, osc, err_cls)
         total += v
         width *= 2.0
-        if abs(v) <= 0.25 * max(DEFAULT_QUAD.abs_tol, DEFAULT_QUAD.rel_tol * abs(total)):
+        if abs(v) <= 0.25 * _RING_TOL * max(1.0, abs(total)):
             quiet += 1
             if quiet >= 2:
                 return total
@@ -526,19 +528,35 @@ def _tail_sum(f_vec, edge: float, width0: float, direction: int,
     raise err_cls("tail ring sum did not converge within the ring budget")
 
 
-def _integrate_density(d: Density1D, h, err_cls=NonConvergence) -> float:
-    """Integral of h(x, f(x)) over the support of density f.
+def _split(x: np.ndarray, width: float) -> np.ndarray:
+    """The ascending x, each gap cut into equal parts no wider than width."""
+    k = np.ceil(np.diff(x) / width).astype(np.intp)
+    j = np.repeat(np.arange(k.size), k)
+    f = (np.arange(j.size) - np.repeat(np.cumsum(k) - k, k)) / k[j]
+    return np.append(x[j] + f * (x[j + 1] - x[j]), x[-1])
 
-    h must be vectorized.  The finite core is integrated adaptively piece by
-    piece (split at listed discontinuities); infinite tails are summed over
-    geometrically growing rings with fixed-order panel quadrature.
-    """
+
+def panel_integrals(d: Density1D, f_vec, edges: np.ndarray) -> np.ndarray:
+    """Integrals of the vectorized f_vec between consecutive ascending finite
+    edges, by adaptive_panels: the edges are clipped to the support of d,
+    and the intervals split at its cuts and into panels no wider than half
+    its osc_scale.  Intervals outside the support get 0."""
+    edges = np.clip(np.asarray(edges, dtype=float), *d.support)
+    cuts = np.asarray(d.discontinuities, dtype=float)
+    x = np.unique(np.concatenate((edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])])))
+    if d.osc_scale is not None:
+        x = _split(x, 0.5 * d.osc_scale)
+    return adaptive_panels(f_vec, x[:-1], x[1:], np.searchsorted(edges, x[:-1], "right") - 1,
+                           edges.size - 1)
+
+
+def _integrate_density(d: Density1D, h, err_cls=NonConvergence) -> float:
+    """Integral of h(x, f(x)) over the support of density f, for a
+    vectorized h: panel_integrals over the finite core, and geometrically
+    growing rings of fixed-order panels over infinite tails."""
 
     def f_vec(x):
         return h(x, d.eval(x))
-
-    def f_scalar(x: float) -> float:
-        return float(h(x, d.eval(x)))
 
     lo, hi = d.support
     m, s = _center_and_scale(d)
@@ -547,12 +565,7 @@ def _integrate_density(d: Density1D, h, err_cls=NonConvergence) -> float:
     if not a < b:
         raise ValueError(f"degenerate support [{lo}, {hi}]")
 
-    points = [a]
-    points.extend(c for c in sorted(d.discontinuities) if a < c < b)
-    points.append(b)
-    total = 0.0
-    for left, right in zip(points[:-1], points[1:]):
-        total += integrate(f_scalar, left, right)
+    total = float(panel_integrals(d, f_vec, np.array([a, b]))[0])
     if not math.isfinite(lo):
         total += _tail_sum(f_vec, a, 8.0 * s, -1, d.osc_scale, err_cls)
     if not math.isfinite(hi):

@@ -1,5 +1,9 @@
 """Reference computations that tests compare the package against.
 
+quad is scipy's QUADPACK adaptive Gauss-Kronrod quadrature, a route to
+integrals independent of numerics.adaptive_panels, with its warnings and
+an error estimate above the tolerance raised as NonConvergence.
+
 sinc_eigen_oracle is a route to the top concentration eigenvalue lambda0
 fully independent of specfun.prolate_r00: a Nystrom discretization of the
 concentration kernel sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre
@@ -8,10 +12,28 @@ dense symmetric eigensolver.
 """
 
 import math
+import warnings
 
 import numpy as np
+from scipy import integrate
 
 from cg_uncert.numerics import NonConvergence
+
+
+def quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
+         limit: int = 2000) -> float:
+    """Integral of the scalar function f over the finite interval [a, b]."""
+    if not (math.isfinite(a) and math.isfinite(b) and a < b):
+        raise ValueError(f"need finite a < b, got [{a}, {b}]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, err = integrate.quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=limit)
+        except integrate.IntegrationWarning as exc:
+            raise NonConvergence(f"quadrature on [{a}, {b}] did not converge: {exc}") from exc
+    if not (math.isfinite(val) and err <= 10 * max(abs_tol, rel_tol * abs(val))):
+        raise NonConvergence(f"quadrature on [{a}, {b}] gave {val} with error {err:.3e}")
+    return val
 
 
 def _nystrom_lambda0(c: float, n: int) -> float:

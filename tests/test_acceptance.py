@@ -31,7 +31,6 @@ from cg_uncert.coarse import (
     discrete_variance,
     sample_counts,
 )
-from cg_uncert.numerics import QuadSpec, integrate
 from cg_uncert.specfun import prolate_r00
 from cg_uncert.states import (
     SquareWell,
@@ -41,7 +40,7 @@ from cg_uncert.states import (
     renyi_entropy_cont,
     variance,
 )
-from oracles import sinc_eigen_oracle
+from oracles import quad, sinc_eigen_oracle
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -152,7 +151,7 @@ def test_criterion_05_hur_recovery():
         out.check_budget()
 
 
-_DECOMP_QUAD = QuadSpec(abs_tol=1e-13, rel_tol=1e-12)
+_DECOMP_TOL = dict(abs_tol=1e-13, rel_tol=1e-12)
 
 
 def _reconstruction_stats_by_quadrature(recon, binned):
@@ -165,15 +164,15 @@ def _reconstruction_stats_by_quadrature(recon, binned):
     hi = lo + binned.width
     i0 = i1 = i2 = ent = 0.0
     for a, b in zip(lo, hi):
-        i0 += integrate(dens.eval, a, b, _DECOMP_QUAD)
-        i1 += integrate(lambda x: dens.eval(x) * x, a, b, _DECOMP_QUAD)
-        i2 += integrate(lambda x: dens.eval(x) * x * x, a, b, _DECOMP_QUAD)
+        i0 += quad(dens.eval, a, b, **_DECOMP_TOL)
+        i1 += quad(lambda x: dens.eval(x) * x, a, b, **_DECOMP_TOL)
+        i2 += quad(lambda x: dens.eval(x) * x * x, a, b, **_DECOMP_TOL)
 
         def neg_xlogx(x):
             w = dens.eval(x)
             return np.where(w > 0.0, -w * np.log(np.where(w > 0.0, w, 1.0)), 0.0)
 
-        ent += integrate(neg_xlogx, a, b, _DECOMP_QUAD)
+        ent += quad(neg_xlogx, a, b, **_DECOMP_TOL)
     var = i2 - 2.0 * i1 * i1 + i1 * i1 * i0
     return var, ent
 

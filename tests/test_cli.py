@@ -453,6 +453,19 @@ for a in (0.0, 4.0, 1e6):
     values = [coarse.ghf_variance(g), coarse.ghf_entropy(g), *coarse.decompose_stats(b, g),
               float(coarse.ReconstructedPdf(b, g).eval(0.3))]
     print(a, all(map(math.isfinite, values)))
+# densities without closed-form masses, and the continuous functionals
+import numpy as np
+ramp = states.Density1D(eval=lambda x: np.where((x >= 0.0) & (x <= 2.0), np.where(x < 1.0, 0.25, 0.75), 0.0),
+                        support=(0.0, 2.0), discontinuities=(1.0,))
+print(round(float(coarse.bin_density(ramp, 0.3, 0.1).masses.sum()), 12))
+g = coarse.GhfSpec(0.7, 4.0)
+recon = coarse.ReconstructedPdf(b, g).density()
+print(round(float(coarse.bin_density(recon, 0.7, 0.25).masses.sum()), 12))
+from cg_uncert import bounds
+for _, s in states.catalog_states():
+    for alpha in (1.0, 0.75):
+        bounds.check_continuous_relations(s, alpha)
+print("continuous", len(states.catalog_states()))
 """
 
 
@@ -467,7 +480,7 @@ def test_every_command_runs_with_scipy_blocked():
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == (
         ["check 0"] * 4 + ["bounds 0", "kfun 0", "region 0", "sample 0", "sample 0"]
-        + ["0.0 True", "4.0 True", "1000000.0 True"])
+        + ["0.0 True", "4.0 True", "1000000.0 True", "1.0", "1.0", "continuous 6"])
 
 
 def test_check_malformed_descriptor(capsys):
@@ -509,6 +522,16 @@ def test_non_finite_gaussian_locations_are_rejected_by_name(capsys, desc, name):
     assert main(["check", "--state", desc, "--delta", "0.1", "--delta-p", "0.1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{name} must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["check", "sample"])
+@pytest.mark.parametrize("flag, name", [("--delta", "delta"), ("--delta-p", "delta_p")])
+def test_widths_whose_square_overflows_are_rejected_by_name(capsys, command, flag, name):
+    # above sqrt(DBL_MAX) the discrete variance overflowed: exit 2 with a
+    # bare OverflowError that named no field
+    assert main([command, "--state", "gaussian", flag, "1e200"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: field '{name}' must have a finite square")
 
 
 def test_numeric_overflow_is_not_a_verdict(capsys):

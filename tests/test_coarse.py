@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cg_uncert.coarse import (
     EPS_TAIL,
+    MAX_WIDTH,
     BinnedDistribution,
     GhfSpec,
     ReconstructedPdf,
@@ -24,7 +25,7 @@ from cg_uncert.coarse import (
     sample_counts,
 )
 from cg_uncert.coarse import _logsumexp
-from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels, integrate
+from cg_uncert.numerics import DomainError, NonConvergence, gauss_legendre_panels
 from cg_uncert import states as states_mod
 from cg_uncert.states import (
     Density1D,
@@ -38,6 +39,7 @@ from cg_uncert.states import (
     variance,
 )
 from cg_uncert.states import _WELL_RULE
+from oracles import quad
 
 
 def _gauss_bin_oracle(j: int, eta: float, offset: float) -> float:
@@ -274,9 +276,10 @@ def test_reconstruction_places_bins_on_the_reduced_grid(d):
     assert np.array_equal(far.eval(x), near.eval(x))
     for name in ("support", "discontinuities", "known_mean", "known_m2"):
         assert getattr(d_far, name) == getattr(d_near, name), name
-    # an offset within one width is its own reduction: centres offset + j eta
+    # an offset within one width is its own reduction: centres offset + j eta,
+    # and edges offset + (j - 1/2) eta, formed as bin_density forms them
     assert d_near.known_mean == float(np.dot(b_near.masses, r + b_near.arrays()[0] * eta))
-    assert lo == b_near.center(b_near.j_min) - 0.5 * eta
+    assert lo == r + (b_near.j_min - 0.5) * eta
 
 
 def test_bin_density_rejects_offsets_whose_labels_leave_int64():
@@ -475,6 +478,17 @@ def test_ghf_spec_validation():
         GhfSpec(2.0, 1e308)
 
 
+def test_widths_whose_square_overflows_are_refused_by_name():
+    # eta ** 2 raised a bare OverflowError from GhfSpec's own gate
+    GhfSpec(MAX_WIDTH)
+    BinnedDistribution(width=MAX_WIDTH, offset=0.0, j_min=0, masses=[1.0])
+    for w in (math.nextafter(MAX_WIDTH, math.inf), 1e200):
+        with pytest.raises(ValueError, match=r"^eta must be positive with a finite square"):
+            GhfSpec(w)
+        with pytest.raises(ValueError, match=r"^width must be positive with a finite square"):
+            BinnedDistribution(width=w, offset=0.0, j_min=0, masses=[1.0])
+
+
 def test_ghf_variance_entropy_flat():
     g = GhfSpec(0.4)
     assert ghf_variance(g) == pytest.approx(0.4 ** 2 / 12.0, rel=1e-15)
@@ -502,10 +516,10 @@ def test_ghf_against_direct_quadrature():
         g = GhfSpec(eta, a)
         b = BinnedDistribution(width=eta, offset=0.0, j_min=0, masses=[1.0])
         w = ReconstructedPdf(b, g)
-        mass = integrate(lambda x: float(w.eval(x)), -eta / 2.0, eta / 2.0)
-        m1 = integrate(lambda x: x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
-        m2 = integrate(lambda x: x * x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
-        ent = integrate(
+        mass = quad(lambda x: float(w.eval(x)), -eta / 2.0, eta / 2.0)
+        m1 = quad(lambda x: x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
+        m2 = quad(lambda x: x * x * float(w.eval(x)), -eta / 2.0, eta / 2.0)
+        ent = quad(
             lambda x: -float(w.eval(x)) * math.log(float(w.eval(x))), -eta / 2.0, eta / 2.0)
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert m1 == pytest.approx(0.0, abs=1e-12)  # centroid at the bin center
@@ -548,6 +562,23 @@ def test_reconstruction_normalized_and_confined():
         assert mass == pytest.approx(1.0, abs=1e-8)
         assert float(w.eval(lo - 1.0)) == 0.0
         assert float(w.eval(hi + 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("state", [Gaussian(0.3, 0.0, 0.8), HermiteGauss(4), SquareWell(3, 1.5),
+                                   Mixture(((0.6, Gaussian(-1.0)), (0.4, Gaussian(2.0, 0.5, 1.5))))])
+def test_reconstruction_binned_on_its_own_grid_gives_back_its_masses(state):
+    # the reconstruction has no closed-form masses, so this is the panel
+    # route: its cuts are the grid's edges, bit for bit, and each bin's
+    # profile integrates to 1.  A narrow profile (a = 50) settles on a 32-point
+    # value up to 1.7e-15 off, inside the rule's own 1e-12 relative bound.
+    for eta, offset in ((0.37, 0.11), (1.3, -0.4), (0.01, 0.0), (0.1, 1e6 + 0.03)):
+        b = bin_density(position_density(state), eta, offset)
+        for a, tol in ((0.0, 1e-15), (4.0, 1e-15), (50.0, 4e-15)):
+            d = ReconstructedPdf(b, GhfSpec(eta, a)).density()
+            assert d.interval_masses is None
+            again = bin_density(d, eta, offset)
+            assert again.j_min == b.j_min and again.masses.size == b.masses.size
+            assert np.max(np.abs(again.masses - b.masses)) <= tol, (eta, offset, a)
 
 
 def test_decomposition_identities_against_quadrature():

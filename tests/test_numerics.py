@@ -8,37 +8,72 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from cg_uncert import bounds
+from cg_uncert import bounds, numerics
 from cg_uncert.numerics import (
-    DEFAULT_QUAD,
     InvalidBracket,
     NonConvergence,
-    QuadSpec,
     RootSpec,
+    adaptive_panels,
     find_root_bracketed,
     gauss_legendre_panels,
-    integrate,
 )
+from oracles import quad
 
 
-def test_integrate_known_values():
-    assert integrate(lambda x: x * x, 0.0, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-13)
-    got = integrate(lambda x: math.exp(-x * x / 2.0), -8.0, 8.0)
-    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-12)
+def test_adaptive_panels_known_values():
+    got = adaptive_panels(lambda x: x * x, [0.0], [1.0], [0], 1)
+    assert got.shape == (1,) and got[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    got = adaptive_panels(lambda x: np.exp(-0.5 * x * x), [-8.0], [8.0], [0], 1)[0]
+    assert got == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-14)
+    # one sum per group, in group order; a group with no panel sums to 0
+    lo, hi = np.array([0.0, 1.0, 2.0, 0.0]), np.array([1.0, 2.0, 3.0, math.pi])
+    got = adaptive_panels(np.cos, lo, hi, [2, 0, 2, 1], 4)
+    want = [math.sin(2.0) - math.sin(1.0), 0.0, math.sin(1.0) + math.sin(3.0) - math.sin(2.0), 0.0]
+    assert got == pytest.approx(want, abs=1e-15)
 
 
-def test_integrate_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 0.0, math.inf)
+def test_adaptive_panels_settles_an_unlisted_jump():
+    # a step not given as a panel edge is found by halving the panel that
+    # straddles it.  At x = 1/3 it sits a third of a half-width from the
+    # centre of every panel met on the way down; a step within about 5% of a
+    # panel's centre would settle early and wrongly, since both rules weigh
+    # the two halves of a panel alike.  Listed cuts avoid both problems.
+    third = 1.0 / 3.0
+    got = adaptive_panels(lambda x: np.exp(x) + 0.1 * (x >= third), [0.0], [1.0], [0], 1)[0]
+    assert got == pytest.approx(math.e - 1.0 + 0.1 * (1.0 - third), abs=2e-14)
+    # a step that dominates the integral is still unsettled after 40 halvings
+    with pytest.raises(NonConvergence, match=r"\[0\.33333333333.*after 40 halvings"):
+        adaptive_panels(lambda x: np.exp(x) + 10.0 * (x >= third), [0.0], [1.0], [0], 1)
 
 
-def test_quad_spec_validation():
-    with pytest.raises(ValueError):
-        QuadSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadSpec(max_subdivisions=0)
+def test_adaptive_panels_floor_scales_with_the_integral():
+    # a Gaussian of height 1e-20 on one wide panel: under a fixed 1e-15
+    # floor the first 16- and 32-point values agreed and the 32-point one,
+    # 10% off, was taken
+    f = lambda x: 1e-20 * np.exp(-0.5 * (x / 15.0) ** 2)
+    got = adaptive_panels(f, [-400.0], [400.0], [0], 1)[0]
+    assert got == pytest.approx(1e-20 * 15.0 * math.sqrt(2.0 * math.pi), rel=1e-13)
+
+
+def test_adaptive_panels_evaluates_at_most_a_chunk_per_call(monkeypatch):
+    sizes = []
+    rule = numerics.gauss_legendre_panels
+
+    def counted(f_vec, lo, hi, order):
+        sizes.append(len(lo))
+        return rule(f_vec, lo, hi, order)
+
+    monkeypatch.setattr(numerics, "gauss_legendre_panels", counted)
+    edges = np.linspace(0.0, 1.0, 100_001)
+    got = adaptive_panels(lambda x: 2.0 * x, edges[:-1], edges[1:], np.arange(100_000) // 25_000, 4)
+    assert max(sizes) == 2 ** 15 and sum(sizes) == 2 * 100_000
+    assert got == pytest.approx([1 / 16, 3 / 16, 5 / 16, 7 / 16], rel=1e-12)
+
+
+def test_adaptive_panels_refuses_a_runaway_panel_count():
+    # every panel stays unsettled, so the live count doubles until it passes 2^16
+    with pytest.raises(NonConvergence, match=r"131072 panels unsettled after 17 halvings"):
+        adaptive_panels(lambda x: np.full(x.shape, np.nan), [0.0], [1.0], [0], 1)
 
 
 def test_root_spec_validation():
@@ -144,12 +179,12 @@ def test_gauss_legendre_panels_matches_adaptive():
     f = lambda x: np.exp(-0.5 * x * x)
     edges = np.linspace(-6.0, 6.0, 257)
     total = float(np.sum(gauss_legendre_panels(f, edges[:-1], edges[1:], 16)))
-    ref = integrate(lambda x: math.exp(-0.5 * x * x), -6.0, 6.0)
+    ref = quad(lambda x: math.exp(-0.5 * x * x), -6.0, 6.0)
     assert total == pytest.approx(ref, rel=1e-13)
 
 
 def test_nonconvergence_on_hard_singularity():
-    # endpoint singularity x^{-0.99} exhausts the subdivision budget
-    tight = QuadSpec(abs_tol=1e-13, rel_tol=1e-13, max_subdivisions=3)
-    with pytest.raises(NonConvergence):
-        integrate(lambda x: abs(x) ** -0.99 if x != 0.0 else 1e300, 0.0, 1.0, tight)
+    # the panel at the endpoint singularity x^{-0.99} never settles: its
+    # integral 100 x^{0.01} falls by under 1% a halving
+    with pytest.raises(NonConvergence, match=r"\[0\.0, 9\.094947017729282e-13\].* after 40 halvings"):
+        adaptive_panels(lambda x: np.abs(x) ** -0.99, [0.0], [1.0], [0], 1)

@@ -1,6 +1,7 @@
 """Distribution metadata agrees with the package, the README's module map
-lists its modules, the package imports nothing beyond numpy at start-up, and
-the test configuration reports a failing test as a failure."""
+lists its modules, the package imports nothing beyond numpy at start-up and
+takes only sici from scipy, and the test configuration reports a failing
+test as a failure."""
 
 import ast
 import importlib
@@ -83,6 +84,33 @@ def test_no_module_imports_scipy_at_import_time():
     for path in sources:
         lines = _import_time_scipy(ast.parse(path.read_text(), str(path)))
         assert not lines, f"{path.name} imports scipy at import time on lines {lines}"
+
+
+def _scipy_imports(node, where: str) -> list:
+    """(dotted path of the enclosing functions, module, names) of every scipy
+    import under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = f"{where}.{node.name}" if where else node.name
+    found = []
+    if isinstance(node, ast.Import):
+        found += [(where, a.name, []) for a in node.names if a.name.split(".")[0] == "scipy"]
+    elif isinstance(node, ast.ImportFrom) and node.level == 0:
+        if (node.module or "").split(".")[0] == "scipy":
+            found.append((where, node.module, [a.name for a in node.names]))
+    for child in ast.iter_child_nodes(node):
+        found += _scipy_imports(child, where)
+    return found
+
+
+def test_the_only_scipy_import_is_sici_in_the_square_well_momentum():
+    # every quadrature runs through numerics.adaptive_panels, so scipy's
+    # quad is gone; the sine and cosine integrals of the widest square-well
+    # momentum bins are all that is left
+    found = []
+    for path in sorted((ROOT / "src" / "cg_uncert").glob("*.py")):
+        found += [(path.name, *imp) for imp in
+                  _scipy_imports(ast.parse(path.read_text(), str(path)), "")]
+    assert found == [("states.py", "_well_momentum.masses", "scipy.special", ["sici"])]
 
 
 def test_a_failing_hypothesis_test_fails_the_run_without_aborting_it(tmp_path):

@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import mpmath
 import numpy as np
@@ -7,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cg_uncert.bounds import check_continuous_relations
-from cg_uncert.numerics import Divergent, DomainError, gauss_legendre_panels, integrate
+from cg_uncert.numerics import Divergent, DomainError, gauss_legendre_panels
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -300,6 +305,59 @@ def test_gaussian_renyi_closed_form():
         else:
             ref = 0.5 * math.log(2.0 * math.pi * var) + math.log(lam) / (2.0 * (lam - 1.0))
         assert renyi_entropy_cont(d, lam) == pytest.approx(ref, abs=1e-11), f"lam={lam}"
+
+
+@pytest.mark.parametrize("state, momentum, lam, ref", [
+    # 20-digit mpmath values: the Hermite ones by 30-digit quadrature split
+    # at the zeros of H_n, where |phi_n|^(2 lam) has its kinks
+    (HermiteGauss(7), False, 1.5, "1.7959511199747778939"),
+    (HermiteGauss(2), False, 0.6, "1.6106293407982606936"),
+    (SquareWell(5), True, 3.0, "2.81028557755698381"),
+    (SquareWell(3, 1.5), True, 3.0, "2.3685504359267369"),
+])
+def test_renyi_entropy_against_mpmath(state, momentum, lam, ref):
+    # QUADPACK quad on the finite core was 9.0e-10, 1.4e-11, 3.0e-10 and
+    # 1.5e-12 off; the panel rule is within a few ulps
+    d = momentum_density(state) if momentum else position_density(state)
+    assert abs(renyi_entropy_cont(d, lam) - float(ref)) <= 1e-13
+
+
+def test_square_well_position_entropy_at_a_large_quantum_number():
+    # -int f ln f = ln 2 - 1 for every n; the 19,999 nodes are listed cuts,
+    # and quad took 46 s here for a 1.5e-11 error
+    t0 = time.perf_counter()
+    h = renyi_entropy_cont(position_density(SquareWell(20000)), 1.0)
+    assert abs(h - (math.log(2.0) - 1.0)) <= 1e-11
+    assert time.perf_counter() - t0 < 5.0
+
+
+_PEAK_RSS = """
+import resource, sys
+from cg_uncert.numerics import Divergent, NonConvergence
+from cg_uncert.states import SquareWell, momentum_density, renyi_entropy_cont
+try:
+    renyi_entropy_cont(momentum_density(SquareWell(100000)), 1.0)
+    print("value")
+except (Divergent, NonConvergence) as exc:
+    print(type(exc).__name__)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_square_well_momentum_entropy_at_the_cap_stays_small():
+    # the finite core takes 1.6 million panels, evaluated a chunk at a time;
+    # the first tail ring would take 800,001 and is refused before any of
+    # them is allocated
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _PEAK_RSS], env=env, capture_output=True,
+                       text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    outcome, peak_kib = r.stdout.split()
+    assert outcome in ("Divergent", "NonConvergence")
+    assert int(peak_kib) < 200 * 1024
 
 
 def test_renyi_rejects_bad_order():
