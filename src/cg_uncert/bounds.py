@@ -379,6 +379,11 @@ def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
         # flat-profile product against hbar^2/4
         ("HeisRect", log_product(flat_x, flat_p), 2.0 * math.log(0.5 * hbar)),
     )
+    for rid, lhs_log, rhs_log in products:
+        if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
+            raise DomainError(
+                f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
+                f"(delta_x={dx!r}, delta_p={dp!r}, hbar={hbar!r})")
     out = [RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
                           lhs_log - rhs_log, infeasible=infeasible)
            for rid, lhs_log, rhs_log in products]

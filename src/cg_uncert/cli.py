@@ -285,6 +285,12 @@ def _validate(cfg: RunConfig) -> None:
                 raise DescriptorError(
                     f"field {name!r} must be finite and below 2**52 bin widths "
                     f"in magnitude, got {v}")
+        # HeisPreopt and HeisRect report variance products of at least
+        # (delta^2/12) (delta_p^2/12), finite up to this width product
+        if not cfg.delta * cfg.delta_p <= 12.0 * MAX_WIDTH:
+            raise DescriptorError(
+                f"fields 'delta' and 'delta_p' must have a product of at most "
+                f"{12.0 * MAX_WIDTH!r}, got {cfg.delta} * {cfg.delta_p}")
         if cfg.seed < 0:
             raise DescriptorError(f"field 'seed' must be nonnegative, got {cfg.seed}")
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .numerics import DomainError, NonConvergence
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
-from .states import Density1D, panel_integrals
+from .states import Density1D, grid_edges, panel_integrals
 
 __all__ = [
     "EPS_TAIL",
@@ -197,8 +197,7 @@ class ReconstructedPdf:
         # edges formed as bin_density forms them: no sliver of a bin in the next
         b = self.base
         r, shift = b._reduced
-        k = b.j_min + shift
-        edges = r + (np.arange(k, k + b.masses.size + 1) - 0.5) * b.width
+        edges = grid_edges(r, b.width, b.j_min + shift, b.masses.size)
         mean = float(np.dot(b.masses, _centers(b)))
         m2 = discrete_variance(b) + ghf_variance(self.ghf) + mean ** 2
         return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
@@ -230,16 +229,16 @@ def _centers(b: BinnedDistribution) -> np.ndarray:
     return r + (b.arrays()[0] + shift).astype(float) * b.width
 
 
-def _clean_block_masses(d: Density1D, j_arr: np.ndarray, width: float,
+def _clean_block_masses(d: Density1D, j_arr: range, width: float,
                         offset: float) -> np.ndarray:
-    """Masses of the contiguous run of bins j_arr, whose n bins share n + 1
-    edges: closed-form interval masses when the density has them, adaptive
-    panel quadrature otherwise."""
-    edges = offset + (np.arange(j_arr[0], j_arr[-1] + 2) - 0.5) * width
+    """Masses of the contiguous run of bins j_arr of the grid (width,
+    offset): closed-form interval masses of the run's grid when the density
+    has them, adaptive panel quadrature between its shared edges otherwise."""
+    grid = (offset, width, j_arr[0], len(j_arr))
     if d.interval_masses is not None:
-        masses = d.interval_masses(edges)
+        masses = d.interval_masses(*grid)
     else:
-        masses = panel_integrals(d, d.eval, edges)
+        masses = panel_integrals(d, d.eval, grid_edges(*grid))
     return np.maximum(masses, 0.0)
 
 
@@ -266,7 +265,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
             break
 
     def masses_for(j_lo: int, n: int) -> np.ndarray:
-        return _clean_block_masses(d, np.arange(j_lo, j_lo + n, dtype=np.int64), eta, r)
+        return _clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
 
     j0 = int(math.floor((x0 - r) / eta + 0.5))
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
@@ -306,9 +305,9 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)
     # drop empty bins at the extremes, keep interior zeros and the heaviest seed
-    kept = np.flatnonzero(masses > 0.0)
-    lo = min(int(kept[0]), start - jl)
-    hi = max(int(kept[-1]), start - jl)
+    kept = masses > 0.0
+    lo = min(int(kept.argmax()), start - jl)
+    hi = max(masses.size - 1 - int(kept[::-1].argmax()), start - jl)
     j_min = jl + lo - shift
     if not -2 ** 63 <= j_min < 2 ** 63 - (hi - lo + 1):
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
@@ -327,8 +326,8 @@ def discrete_variance(b: BinnedDistribution) -> float:
     summing to 1 - tail would add about (z * tail)^2."""
     memo = b._stats
     if "variance" not in memo:
-        j, p = b.arrays()
-        k = (j - j[np.argmax(p)]).astype(float)
+        p = b.arrays()[1]
+        k = np.arange(p.size, dtype=float) - float(np.argmax(p))
         mean = float(np.dot(p, k))
         memo["variance"] = float(np.dot(p, (k - mean) ** 2)) * b.width ** 2
     return memo["variance"]
@@ -350,7 +349,8 @@ def discrete_renyi(b: BinnedDistribution, alpha: float) -> float:
 
 
 def _renyi(p: np.ndarray, alpha: float) -> float:
-    p = p[p > 0.0]
+    if not p.all():
+        p = p[p > 0.0]
     if alpha == 1.0:
         return float(-np.dot(p, np.log(p))) + 0.0
     if math.isinf(alpha):

@@ -2,12 +2,15 @@
 
 Each distribution family has one builder that returns its complete Density1D
 record: density, support, cuts, exact moments and closed-form interval masses
-that keep their relative precision in the far tails.  The families are the
-Gaussian (error functions), the Hermite function (a recurrence), and the
-square-well position (elementary functions) and momentum densities
-(Gauss-Legendre panels on the pole-free form, as many and of as many points
-as the bin width needs, from one rule table; the sine- and cosine-integral
-antiderivative only for very wide bins).  position_density and
+that keep their relative precision in the far tails.  Interval masses take a
+block of bins as its grid (r, width, j_lo, n); grid_edges forms its edges the
+one way binning forms them.  The families are the Gaussian (error functions),
+the Hermite function (a recurrence), and the square-well position
+(elementary functions) and momentum densities (Gauss-Legendre panels on the
+pole-free form, as many and of as many points as the bin width needs, from
+one rule table, with the nodes' sines seeded once per run of bins from
+tabulated offsets; the sine- and cosine-integral antiderivative only for
+very wide bins).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
 
@@ -25,6 +28,7 @@ relation reports built from them are made in bounds.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -35,6 +39,7 @@ from .numerics import (
     Divergent,
     DomainError,
     NonConvergence,
+    _gl_nodes,
     adaptive_panels,
     gauss_legendre_panels,
 )
@@ -46,6 +51,7 @@ __all__ = [
     "Mixture",
     "StateModel",
     "Density1D",
+    "grid_edges",
     "position_density",
     "momentum_density",
     "panel_integrals",
@@ -175,9 +181,11 @@ class Density1D:
     available; heavy_tail marks densities whose second moment must come from
     those fields because tail quadrature will not converge.  osc_scale is the
     shortest oscillation wavelength in the tails; no quadrature panel is
-    wider than half of it.  interval_masses, when present, maps n + 1 finite
-    ascending edges to the n masses between them in closed form, with
-    relative precision in the tails; without it, bins take panel_integrals.
+    wider than half of it.  interval_masses, when present, maps a block of
+    bins given as its grid (r, width, j_lo, n), the n bins j_lo .. j_lo + n - 1
+    of the grid (width, r) with edges grid_edges(r, width, j_lo, n), to their
+    masses in closed form, with relative precision in the tails; without it,
+    bins take panel_integrals over those edges.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -187,7 +195,14 @@ class Density1D:
     known_m2: Optional[float] = None
     heavy_tail: bool = False
     osc_scale: Optional[float] = None
-    interval_masses: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    interval_masses: Optional[Callable[[float, float, int, int], np.ndarray]] = None
+
+
+def grid_edges(r: float, width: float, j_lo: int, n: int) -> np.ndarray:
+    """The n + 1 edges r + (j - 1/2) width, j = j_lo .. j_lo + n, of the n
+    bins j_lo .. j_lo + n - 1 of the grid (width, r), each formed from its
+    label, so that neighbouring bins share an edge bit for bit."""
+    return r + (np.arange(j_lo, j_lo + n + 1) - 0.5) * width
 
 
 def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -225,8 +240,8 @@ def _gaussian(mu: float, sd: float) -> Density1D:
         z = (np.asarray(x, dtype=float) - mu) / sd
         return norm * np.exp(-0.5 * z * z)
 
-    def masses(edges):
-        z = (np.asarray(edges, dtype=float) - mu) * scale
+    def masses(r, width, j_lo, count):
+        z = (grid_edges(r, width, j_lo, count) - mu) * scale
         return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
@@ -267,8 +282,8 @@ def _hermite(n: int, sd: float) -> Density1D:
     def pdf(x):
         return _hermite_phi(n, np.asarray(x, dtype=float) / sd)[0] ** 2 / sd
 
-    def masses(edges):
-        z = np.asarray(edges, dtype=float) / sd
+    def masses(r, width, j_lo, count):
+        z = grid_edges(r, width, j_lo, count) / sd
         az = np.abs(z)
         # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n
         return _masses_from_tails(z, 0.5 * _erfc(az) + _hermite_phi(n, az)[1])
@@ -287,8 +302,8 @@ def _well_position(n: int, length: float) -> Density1D:
         inside = (x >= 0.0) & (x <= length)
         return np.where(inside, (2.0 / length) * np.sin(k * x) ** 2, 0.0)
 
-    def masses(edges):
-        x = np.clip(np.asarray(edges, dtype=float), 0.0, length)
+    def masses(r, width, j_lo, count):
+        x = np.clip(grid_edges(r, width, j_lo, count), 0.0, length)
         lo, hi = x[:-1], x[1:]
         w = hi - lo
         # (2/L) int sin^2(kx) over [lo, hi], with sin 2k hi - sin 2k lo as a product
@@ -306,17 +321,56 @@ def _well_position(n: int, length: float) -> Density1D:
 # (DLMF 6.2.12), summed for x^2 < 1; 9 terms reach 1e-17.
 _CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(9, 0, -1))
 
-# Square-well momentum panel rule, widths in a.  Bins up to h wide take
-# k = ceil(h / _WELL_PANEL) equal panels of the fewest Gauss-Legendre points
-# n whose limit in _WELL_RULE covers h / k; all bins of one call take the k
-# and n of the widest, so they need one panel call.  At its limit each
-# entry's relative error, worst on panels centred on zeros of sin a, is at
-# most that of the 4-point rule at 0.125 (3.6e-12 on |a| from 3 to 130).
-# Bins wider than _WELL_MAX_PANEL_BIN, where panels would cost more than the
-# narrowest binning, take the antiderivative.
+# Square-well momentum panel rule, widths in a.  A bin up to h wide takes
+# k = ceil(h / _WELL_PANEL) equal panels of the fewest Gauss-Legendre points n
+# whose limit in _WELL_RULE covers h / k (_well_rule); the bins of a grid share
+# their width, so one rule serves a whole block.  At its limit each entry's
+# relative error, worst on panels centred on zeros of sin a, is at most that
+# of the 4-point rule at 0.125 (3.3e-12 on |a| from 3 to 3000).  The nodes are
+# evaluated as offsets from one seed per _WELL_SEED_BLOCK bins, with one
+# sine-cosine pair per seed and a table of the offsets' sines and cosines
+# built once per width (_well_momentum), so no node is rounded to the ulp of
+# a.  Bins wider than _WELL_MAX_PANEL_BIN, where panels would cost more than
+# the narrowest binning, take the antiderivative.
 _WELL_RULE = ((4, 0.125), (5, 0.35), (6, 0.75), (7, 1.5), (8, 2.0), (10, 4.0))
 _WELL_PANEL = 4.0
 _WELL_MAX_PANEL_BIN = 32768.0
+# bins per seed, and the most bin widths whose tables a density keeps
+_WELL_SEED_BLOCK = 32
+_WELL_TABLES = 8
+# nodes per kernel call: its arrays stay at 128 KiB, which numpy takes from
+# the heap rather than from fresh pages
+_WELL_CHUNK = 1 << 14
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi
+
+
+def _halves(a):
+    """Veltkamp's split of a into two halves of 26 bits each."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, by Dekker's product
+    (|a|, |b| below about 1e300)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _halves(a), _halves(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    t = s - a
+    return s, (a - (s - t)) + (b - t)
+
+
+def _well_rule(h: float) -> tuple:
+    """(k, n): the equal panels per bin and the Gauss-Legendre points per panel
+    of bins h wide in a."""
+    k = max(1, math.ceil(h / _WELL_PANEL))
+    return k, next(n for n, limit in _WELL_RULE if h / k <= limit)
 
 
 def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
@@ -340,17 +394,31 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     (n pi)^2 sin^2 a / (2 pi a^2 b^2) |da/dp|.  Since sin^2 a = sin^2 b, it is
     evaluated as (sin m / (m o))^2 with m = n pi / 2 - |p| L / (2 hbar) the
     nearer of a and b to 0 and o = n pi - m >= n pi / 2 the farther: no pole,
-    nothing cancels, and the relative error is that of sin m.  Bins take
-    Gauss-Legendre panels on it, in p between the given edges so that
-    rounding a to its ulp does not change a narrow bin's width: one panel
-    call for all bins, with the panel count and order that the widest bin
-    needs (_WELL_RULE).  A bin wider than _WELL_MAX_PANEL_BIN in a takes the
-    difference of the antiderivative
+    nothing cancels, and the relative error is that of sin m.
+
+    interval_masses takes a block of bins as its grid and gives each bin
+    Gauss-Legendre panels on this form, the count and order its width needs
+    (_WELL_RULE).  On each side of p = 0, m is affine in p, so every node of
+    a run of _WELL_SEED_BLOCK bins sits at a fixed offset d from the centre
+    m0 of the run's innermost bin, its seed, and
+    sin m = sin m0 cos d - cos m0 sin d.  The offsets, their sines and
+    cosines depend only on the bin width and are tabulated once per width;
+    so are the offsets between the seeds of one chunk of runs.  Each chunk's
+    first seed is formed from its bin label to about eps^2 (error-free
+    products and sums), so a node lies within about eps |d| of its place on
+    the exact grid, not eps |a|: far-tail bins keep the rule's own relative
+    error.  A bin that straddles p = 0 is split there.  A bin wider than
+    _WELL_MAX_PANEL_BIN in a takes the difference of the antiderivative
         [-sin^2 a/a + Si(2a) + sin^2 b/b - Si(2b) + (Cin(2a) - Cin(2b))/(n pi)] / 2 pi,
     whose rounding (~1e-16 absolute) is small against the masses of such bins.
     """
     c, half = 0.5 * n * math.pi, length / (2.0 * hbar)
     npi, scale = 2.0 * c, 2.0 * c * c * half / math.pi
+    # c + c_lo is n pi / 2 to about eps^2: pi = math.pi + _PI_LO
+    c_lo = _two_prod(0.5 * n, math.pi)[1] + 0.5 * n * _PI_LO
+    sin_c = math.sin(c) + c_lo * math.cos(c)
+    cos_c = math.cos(c) - c_lo * math.sin(c)
+    tables = {}  # bin width in p -> node table; at most _WELL_TABLES of them
 
     def pdf(p):
         x = np.abs(np.asarray(p, dtype=float))
@@ -367,27 +435,110 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         s *= scale
         return s
 
-    def panels(lo, hi, h_max):
-        """Masses of the bins [lo, hi], none wider than h_max in a."""
-        k = max(1, math.ceil(h_max / _WELL_PANEL))  # equal panels per bin
-        order = next(n for n, limit in _WELL_RULE if h_max / k <= limit)
-        if k == 1:
-            return gauss_legendre_panels(pdf, lo, hi, order)
-        cuts = lo[:, None] + (hi - lo)[:, None] * (np.arange(k + 1) / k)
-        return gauss_legendre_panels(pdf, cuts[:, :-1].ravel(), cuts[:, 1:].ravel(),
-                                     order).reshape(-1, k).sum(axis=1)
+    def table(width):
+        """The tables of bins width (s in a) wide: frac places each node of
+        a bin from its low edge, in units of the width, and weights (summing
+        to scale) weigh it; d holds the offsets in a of the nodes of a run of
+        bins from the first one's centre, cs their cosines and sines and md
+        ones and -d, as rows; r + r_lo are the offsets k s (bins per run)
+        of the runs of a chunk, to about eps^2, and rcs their cosines and
+        sines, as columns."""
+        if width not in tables:
+            if len(tables) == _WELL_TABLES:
+                del tables[next(iter(tables))]
+            s, s_lo = _two_prod(width, half)
+            k, order = _well_rule(s)
+            x, w = _gl_nodes(order)
+            frac = ((np.arange(k)[:, None] + 0.5 * (x + 1.0)) / k).ravel()
+            per_run = max(1, min(_WELL_SEED_BLOCK, _WELL_CHUNK // frac.size))
+            d = (np.arange(per_run)[:, None] + (frac - 0.5)).ravel() * s
+            # kb s1 and kb s2 are exact: s1 and s2 hold 26 bits, kb fewer than 27
+            kb = float(per_run) * np.arange(max(1, _WELL_CHUNK // d.size))
+            s1, s2 = _halves(s)
+            r, r_lo = _two_sum(kb * s1, kb * s2)
+            r_lo += kb * s_lo
+            sin_r, cos_r = np.sin(r), np.cos(r)
+            tables[width] = (frac, np.tile(w, k) * (0.5 * scale / k), d,
+                             np.array([np.cos(d), np.sin(d)]), np.array([np.ones(d.size), -d]),
+                             r, r_lo,
+                             np.array([cos_r - r_lo * sin_r, sin_r + r_lo * cos_r]).T)
+        return tables[width]
 
-    def masses(edges):
-        p = np.asarray(edges, dtype=float)
-        h = np.diff(p) * half  # bin widths in a
-        h_max = float(h.max(initial=0.0))
-        if h_max <= _WELL_MAX_PANEL_BIN:
-            return panels(p[:-1], p[1:], h_max)
-        out = np.empty(h.size)
-        wide = h > _WELL_MAX_PANEL_BIN
-        rest = ~wide
-        if rest.any():
-            out[rest] = panels(p[:-1][rest], p[1:][rest], float(h[rest].max()))
+    def seeded(sc0, m0, lo, cs, md, weights, near):
+        """Per-bin sums of weights times (sin m / (m o))^2 at m = m0 + lo - d:
+        seeds m0 (rows) with their rounding errors lo and with sc0 holding
+        sin m0 and -cos m0, against node offsets d (columns) with cs holding
+        cos d and sin d and md ones and -d.  Both sin m and m come from
+        outer products, sin m0 cos d - cos m0 sin d and m0 - d, each element
+        rounded once.  The rows near, those that come within 1 of the peak
+        m = 0, take sin m directly: there the rounding of the sum, about
+        eps, is not small against sin m."""
+        sin_m = sc0 @ cs
+        m0_1 = np.ones((m0.size, 2))
+        m0_1[:, 0] = m0
+        m = m0_1 @ md
+        if near.start < near.stop:
+            mn = m[near] + lo[near, None]
+            mn += 1e-300  # as in pdf
+            m[near], sin_m[near] = mn, np.sin(mn)
+        o = npi - m
+        m *= o
+        sin_m /= m
+        sin_m *= sin_m
+        return sin_m.reshape(-1, weights.size) @ weights
+
+    def masses(r, width, j_lo, count):
+        if width * half <= _WELL_MAX_PANEL_BIN:
+            frac, weights, d, cs, md, r_k, r_lo, rcs = table(width)
+            out = np.empty(count)
+
+            def run(i, step, size):
+                """Masses of the size bins i, i + step, ... of the block, all
+                on one side of p = 0, ordered away from it."""
+                per = min(size, d.size // frac.size)
+                cols = per * frac.size
+                dp, csp, mdp, w = d[:cols], cs[:, :cols], md[:, :cols], weights * width
+                res = np.empty(-(-size // per) * per)
+                for first in range(0, size, per * r_k.size):
+                    rows = min(r_k.size, -(-(size - first) // per))
+                    # the chunk's first centre in a, c - step (r + j width) half,
+                    # as a + a_lo to about eps^2
+                    x, e1 = _two_prod(float(j_lo + i + step * first), width)
+                    x, e2 = _two_sum(r, x)
+                    x, e3 = _two_prod(x, half)
+                    a, e4 = _two_sum(c, -step * x)
+                    a_lo = c_lo + e4 - step * (e3 + (e1 + e2) * half)
+                    sin_a, cos_a = math.sin(a), math.cos(a)
+                    sin_a, cos_a = sin_a + a_lo * cos_a, cos_a - a_lo * sin_a
+                    # sin and -cos of the seeds a - r_k, by their sum rule
+                    sc0 = rcs[:rows] @ np.array([[sin_a, -cos_a], [-cos_a, -sin_a]])
+                    near = slice(0, 0)
+                    if a - dp[0] > -1.0 and a - r_k[rows - 1] - dp[-1] < 1.0:
+                        near = slice(*np.searchsorted(r_k[:rows], (a - dp[-1] - 1.0,
+                                                                   a - dp[0] + 1.0)))
+                    res[first:first + rows * per] = seeded(
+                        sc0, a - r_k[:rows], a_lo - r_lo[:rows], csp, mdp, w, near)
+                return res[:size]
+
+            def edge(i):  # the low edge of bin i of the block, as grid_edges forms it
+                return r + (j_lo + i - 0.5) * width
+
+            below = bisect.bisect_right(range(1, count + 1), 0.0, key=edge)  # bins ending <= 0
+            above = bisect.bisect_left(range(count), 0.0, key=edge)  # first bin starting >= 0
+            if below:
+                out[:below] = run(below - 1, -1, below)[::-1]
+            if above < count:
+                out[above:] = run(above, 1, count - above)
+            if below < above:  # bin `below` straddles p = 0: one part on each side, as one row
+                u = np.array([-edge(below), edge(below + 1)])
+                dd = (u[:, None] * (half * frac)).ravel()
+                near = slice(0, 1 if c - dd.max() < 1.0 else 0)
+                out[below] = seeded(np.array([[sin_c, -cos_c]]), np.array([c]), np.array([c_lo]),
+                                    np.array([np.cos(dd), np.sin(dd)]),
+                                    np.array([np.ones(dd.size), -dd]),
+                                    (u[:, None] * weights).ravel(), near)[0]
+            return out
+        p = grid_edges(r, width, j_lo, count)
         # imported on first use: scipy.special takes about 0.3 s to import
         from scipy.special import sici
 
@@ -397,8 +548,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         anti = (-np.sin(a) * np.sinc(a / math.pi) + si_a
                 + np.sin(b) * np.sinc(b / math.pi) - si_b
                 + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
-        out[wide] = (anti[:-1] - anti[1:])[wide]
-        return out
+        return anti[:-1] - anti[1:]
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
                      known_m2=(hbar * n * math.pi / length) ** 2, heavy_tail=True,
@@ -443,9 +593,8 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
             out = out + w * d.eval(x)
         return out
 
-    def masses(edges):
-        edges = np.asarray(edges, dtype=float)
-        return sum(w * d.interval_masses(edges) for w, d in parts)
+    def masses(r, width, j_lo, count):
+        return sum(w * d.interval_masses(r, width, j_lo, count) for w, d in parts)
 
     lo = min(d.support[0] for _, d in parts)
     hi = max(d.support[1] for _, d in parts)

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -322,6 +323,15 @@ def test_f_dominates_k_on_random_pairs():
 
 # ---------------------------------------------------------------------------
 # relation checking
+
+
+@pytest.mark.parametrize("dx, dp, hbar", [(1.3e154, 1.3e154, 1.0), (1.0, 1.0, 1e200)])
+def test_variance_products_that_leave_the_double_range_are_refused(dx, dp, hbar):
+    # HeisPreopt and HeisRect printed Infinity after a numpy overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="leave the double range"):
+            moment_relation_reports(0.0, 0.0, dx, dp, hbar)
 
 
 def test_moment_reports_infeasible_inputs():

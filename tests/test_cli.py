@@ -534,6 +534,31 @@ def test_widths_whose_square_overflows_are_rejected_by_name(capsys, command, fla
     assert err.startswith(f"error: field '{name}' must have a finite square")
 
 
+@pytest.mark.parametrize("command", ["check", "sample"])
+def test_width_products_whose_variance_products_overflow_are_rejected_by_name(capsys, command):
+    # at 1.3e154 x 1.3e154 check exited 0 after a numpy overflow warning and
+    # printed HeisPreopt and HeisRect lhs as Infinity, which is not JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--state", "gaussian", "--delta", "1.3e154",
+                     "--delta-p", "1.3e154"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fields 'delta' and 'delta_p' must have a product")
+
+
+def test_width_products_below_the_limit_keep_their_output(tmp_path):
+    out = tmp_path / "check.json"
+    assert main(["check", "--state", "gaussian", "--delta", "1e77", "--delta-p", "1e77",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == (
+        '[{"lhs":0.0,"margin":0.0,"relation_id":"RenyiDiscrete","rhs":0.0,"verdict":"holds"},'
+        '{"lhs":6.94444444444452e+305,"margin":0.705940833242721,"relation_id":"HeisPreopt",'
+        '"rhs":3.4280827715260896e+305,"verdict":"holds"},'
+        '{"lhs":6.94444444444452e+305,"margin":705.61268970371,"relation_id":"HeisRect",'
+        '"rhs":0.25,"verdict":"holds"},'
+        '{"lhs":0.0,"margin":0.0,"relation_id":"HeisOptimal","rhs":0.0,"verdict":"holds"}]\n')
+
+
 def test_numeric_overflow_is_not_a_verdict(capsys):
     # exit code 1 means "violated"; a crash inside the numerics must not read as one
     assert main(["check", "--state", "gaussian:x0=1e300"]) == 2

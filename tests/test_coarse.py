@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 
 import mpmath
 import numpy as np
@@ -128,7 +127,7 @@ def test_heavy_tail_momentum_binning():
             assert b.probs[j] == pytest.approx(b.probs[-j], rel=1e-8)
 
 
-def _well_momentum_mass_mp(s: SquareWell, lo: float, hi: float) -> float:
+def _well_momentum_mass_mp(s: SquareWell, lo, hi) -> float:
     # 40-digit difference of the Si/Cin antiderivative in a = n pi/2 - p L/(2 hbar)
     with mpmath.workdps(40):
         npi = s.n * mpmath.pi
@@ -145,13 +144,22 @@ def _well_momentum_mass_mp(s: SquareWell, lo: float, hi: float) -> float:
         return float(anti(lo) - anti(hi))
 
 
+def _grid_mass_mp(s: SquareWell, r: float, eta: float, j: int) -> float:
+    # bin j of the exact grid (eta, r): edges r + (j -/+ 1/2) eta, not rounded
+    with mpmath.workdps(40):
+        r, eta = mpmath.mpf(r), mpmath.mpf(eta)
+        return _well_momentum_mass_mp(s, r + (j - mpmath.mpf(0.5)) * eta,
+                                      r + (j + mpmath.mpf(0.5)) * eta)
+
+
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
 @pytest.mark.parametrize("log_eta", [-1.5, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0,
                                      2.5, 3.0])
 def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
     # far-tail masses fall below 1e-20; differencing the antiderivative in
     # double precision leaves ~1e-16 per bin, up to 100% of such a mass, so
-    # the masses must come from the density itself
+    # the masses must come from the density itself.  The references are the
+    # bins of the exact grid, so rounding an edge or a node counts too.
     eta = 10.0 ** log_eta
     offset = 0.3 * eta
     b = bin_density(momentum_density(state), eta, offset)
@@ -160,21 +168,51 @@ def test_square_well_momentum_far_tail_against_mpmath(state, log_eta):
              *np.argsort(b.masses)[:5].tolist()}
     for i in sorted(picks):
         j = b.j_min + i
-        ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
+        ref = _grid_mass_mp(state, offset, eta, j)
         assert abs(b.masses[i] - ref) <= 5e-11 * ref, f"bin {j}: {b.masses[i]!r} vs {ref!r}"
 
 
-def _count_panel_calls(monkeypatch) -> list:
-    """Record (panels, order) of every Gauss-Legendre call the square-well
-    momentum masses make."""
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3)], ids=["well1", "well3"])
+@pytest.mark.parametrize("eta", [0.045, 1.0, 20.0])
+def test_square_well_momentum_bins_mirror(state, eta):
+    # the density is even, so bin j of the grid (eta, r) carries the mass of
+    # bin -j of the grid (eta, -r); the two sides of p = 0 take their seeds
+    # from opposite ends of their runs
+    d = momentum_density(state)
+    b, m = bin_density(d, eta, 0.3 * eta), bin_density(d, eta, -0.3 * eta)
+    mirrored, m_lo = m.masses[::-1], -(m.j_min + m.masses.size - 1)  # labels -j from m_lo on
+    lo = max(b.j_min, m_lo)
+    hi = min(b.j_min + b.masses.size, m_lo + m.masses.size)
+    assert hi - lo >= 0.8 * b.masses.size
+    ours, theirs = b.masses[lo - b.j_min:hi - b.j_min], mirrored[lo - m_lo:hi - m_lo]
+    assert np.all(np.abs(ours - theirs) <= 1e-15 * theirs)
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(2)], ids=["well1", "well2"])
+@pytest.mark.parametrize("eta", [0.045, 1.0, 20.0])
+@pytest.mark.parametrize("phase", [0.5, 0.3], ids=["edge_at_0", "bin_across_0"])
+def test_square_well_momentum_bins_around_zero_against_mpmath(state, eta, phase):
+    # an edge exactly at p = 0 (r = eta / 2), or a bin across it, which is
+    # split there; for n = 2 the density vanishes at 0, so the bins next to
+    # it are small.  The worst is 1.5e-14, at eta = 20
+    d = momentum_density(state)
+    masses = d.interval_masses(phase * eta, eta, -6, 12)
+    for i, mass in enumerate(masses):
+        ref = _grid_mass_mp(state, phase * eta, eta, i - 6)
+        assert abs(mass - ref) <= 3e-14 * ref, f"bin {i - 6}: {mass!r} vs {ref!r}"
+
+
+def _count_rules(monkeypatch) -> list:
+    """Record (panels, order) of every rule the square-well momentum masses
+    take: one per bin width, whatever the number of bins."""
     calls = []
-    panels = states_mod.gauss_legendre_panels
+    rule = states_mod._well_rule
 
-    def counting(f_vec, lo, hi, order):
-        calls.append((np.size(lo), order))
-        return panels(f_vec, lo, hi, order)
+    def counting(h):
+        calls.append(rule(h))
+        return calls[-1]
 
-    monkeypatch.setattr(states_mod, "gauss_legendre_panels", counting)
+    monkeypatch.setattr(states_mod, "_well_rule", counting)
     return calls
 
 
@@ -182,40 +220,37 @@ def _count_panel_calls(monkeypatch) -> list:
                          [(1, n, limit) for n, limit in _WELL_RULE] + [(2, 10, 8.0), (3, 10, 12.0)])
 def test_square_well_rule_entries_at_their_limits(monkeypatch, panels_per_bin, order, width):
     # each entry of the panel rule at its limit width in a, and bins of two
-    # and three 4-wide panels, on bins centred on zeros and peaks of sin a.
-    # 3.3e-12 is the 4-point rule's own error at 0.125 on a bin centred on a
-    # zero.  The second term bounds what rounding the nodes to the ulp of a,
-    # |a| eps, does to such a bin, whose density grows like (a - a0)^2: up to
-    # 6 |a| eps / h relative (with it the 4-point rule reaches 6.9e-12 at
-    # |a| = 1266)
-    calls = _count_panel_calls(monkeypatch)
+    # and three 4-wide panels, on bins of the exact grid centred on zeros and
+    # peaks of sin a.  3.3e-12 is the 4-point rule's own error at 0.125 on a
+    # bin centred on a zero.  Nodes formed in p would be rounded to the ulp
+    # of a, at a cost of up to 6 |a| eps / h (9.2e-12 here at |a| = 3000);
+    # nodes offset from a seed known to eps^2 cost at most 1e-14
+    calls = _count_rules(monkeypatch)
     s = SquareWell(1)
     d = momentum_density(s)
     c, half = 0.5 * math.pi, 0.5  # a = c - |p| L / (2 hbar)
-    h = width * (1.0 - 1e-9)  # inside the limit after the edges round
+    h = width * (1.0 - 1e-9)  # inside the limit
     for big_a in np.geomspace(3.0, 3000.0, 9):
         j = round(big_a / math.pi)
         for a0 in (-j * math.pi, -(j + 0.5) * math.pi):
-            lo, hi = (c - a0 - 0.5 * h) / half, (c - a0 + 0.5 * h) / half
-            mass = d.interval_masses(np.array([lo, hi]))[0]
-            ref = _well_momentum_mass_mp(s, lo, hi)
-            ceiling = 3.3e-12 + 6.0 * abs(a0) * sys.float_info.epsilon / h
-            assert abs(mass - ref) <= ceiling * ref, f"a0={a0}: {mass!r} vs {ref!r}"
-    assert calls == [(panels_per_bin, order)] * 18  # one call per bin
+            r, eta = (c - a0) / half, h / half  # one bin, centred on a0
+            mass = d.interval_masses(r, eta, 0, 1)[0]
+            ref = _grid_mass_mp(s, r, eta, 0)
+            assert abs(mass - ref) <= 3.31e-12 * ref, f"a0={a0}: {mass!r} vs {ref!r}"
+    assert calls == [(panels_per_bin, order)]  # one rule, tabulated once for the width
 
 
 @pytest.mark.parametrize("h, panels_per_bin, order", [
     (0.1, 1, 4), (0.3, 1, 5), (0.5, 1, 6), (1.0, 1, 7), (1.8, 1, 8), (3.0, 1, 10),
     (10.0, 3, 10), (99.9, 25, 10), (32767.0, 8192, 10)])
 def test_square_well_masses_make_one_panel_call(monkeypatch, h, panels_per_bin, order):
-    # bins no wider than the antiderivative cap take one Gauss-Legendre call
-    # with the panel count and order of the table, whatever their number
-    calls = _count_panel_calls(monkeypatch)
+    # bins no wider than the antiderivative cap take one rule, with the panel
+    # count and order of the table, whatever their number
+    calls = _count_rules(monkeypatch)
     d = momentum_density(SquareWell(3, 1.5))  # a = 3 pi / 2 - 0.75 |p|
-    edges = 0.1 + np.arange(-8, 9) * (h / 0.75)
-    masses = d.interval_masses(edges)
+    masses = d.interval_masses(0.1, h / 0.75, -8, 16)
     assert masses.size == 16 and np.all(masses > 0.0)
-    assert calls == [(16 * panels_per_bin, order)]
+    assert calls == [(panels_per_bin, order)]
 
 
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])

@@ -20,6 +20,7 @@ from cg_uncert.states import (
     Mixture,
     SquareWell,
     catalog_states,
+    grid_edges,
     momentum_density,
     position_density,
     renyi_entropy_cont,
@@ -76,14 +77,16 @@ def test_hermite_moments():
 # reproducible examples, nothing written to disk
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
 _scale = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
-_z_edges = st.lists(st.floats(-12.0, 12.0), min_size=2, max_size=24).map(sorted)
+# a block of bins (r, width, j_lo, n) in units of sd, around mu
+_z_grid = st.tuples(st.floats(-12.0, 12.0), _scale, st.integers(-12, 12), st.integers(1, 24))
 
 
-def _assert_same_density(a: Density1D, b: Density1D, mu: float, sd: float, z_edges) -> None:
+def _assert_same_density(a: Density1D, b: Density1D, mu: float, sd: float, z_grid) -> None:
     x = mu + sd * np.linspace(-12.0, 12.0, 97)
     assert np.array_equal(a.eval(x), b.eval(x))
-    edges = mu + sd * np.array(z_edges)
-    assert np.array_equal(a.interval_masses(edges), b.interval_masses(edges))
+    z_r, z_width, j_lo, n = z_grid
+    grid = (mu + sd * z_r, sd * z_width, j_lo, n)
+    assert np.array_equal(a.interval_masses(*grid), b.interval_masses(*grid))
     for name in ("support", "discontinuities", "known_mean", "known_m2", "heavy_tail",
                  "osc_scale"):
         assert repr(getattr(a, name)) == repr(getattr(b, name)), name
@@ -91,21 +94,21 @@ def _assert_same_density(a: Density1D, b: Density1D, mu: float, sd: float, z_edg
 
 @settings(max_examples=60, **_SETTINGS)
 @given(x0=st.floats(-5.0, 5.0), p0=st.floats(-5.0, 5.0), sigma=_scale, hbar=_scale,
-       z_edges=_z_edges)
+       z_grid=_z_grid)
 def test_gaussian_momentum_is_the_position_gaussian_at_the_conjugate_width(
-        x0, p0, sigma, hbar, z_edges):
+        x0, p0, sigma, hbar, z_grid):
     sd = hbar / (2.0 * sigma)
     _assert_same_density(momentum_density(Gaussian(x0, p0, sigma, hbar)),
-                         position_density(Gaussian(p0, 0.0, sd)), p0, sd, z_edges)
+                         position_density(Gaussian(p0, 0.0, sd)), p0, sd, z_grid)
 
 
 @settings(max_examples=60, **_SETTINGS)
-@given(n=st.integers(0, 40), sigma=_scale, hbar=_scale, z_edges=_z_edges)
+@given(n=st.integers(0, 40), sigma=_scale, hbar=_scale, z_grid=_z_grid)
 def test_hermite_momentum_is_the_position_hermite_at_the_conjugate_scale(
-        n, sigma, hbar, z_edges):
+        n, sigma, hbar, z_grid):
     sd = hbar / sigma
     _assert_same_density(momentum_density(HermiteGauss(n, sigma, hbar)),
-                         position_density(HermiteGauss(n, sd)), 0.0, sd, z_edges)
+                         position_density(HermiteGauss(n, sd)), 0.0, sd, z_grid)
 
 
 def test_erfc_against_mpmath():
@@ -151,12 +154,12 @@ def _hermite_tail_mp(n):
                                    HermiteGauss(7, 0.7)], ids=["gauss", "herm2", "herm7"])
 def test_far_tail_masses_against_mpmath(state):
     # out to where the masses underflow; the rounding of the edges' scaled
-    # arguments, not erfc, sets the worst figure (3e-13 on the Gaussian)
+    # arguments, not erfc, sets the worst figure (3e-13 on the Gaussian).
+    # 87 bins from -38 sd to 38 sd, one of them across 0
     d = position_density(state)
     sd = state.sigma
-    edges = np.sort(np.concatenate((np.linspace(-38.0, -3.0, 40), np.linspace(3.0, 38.0, 40)))
-                    * sd + 0.123)
-    edges = np.concatenate((edges[:40], [0.0], edges[40:]))
+    grid = (0.123, 0.875 * sd, -43, 87)
+    edges = grid_edges(*grid)
     if isinstance(state, Gaussian):
         with mpmath.workdps(40):
             refs = _masses_mp(edges, 1 / (mpmath.sqrt(2) * mpmath.mpf(sd)), mpmath.mpf(state.x0),
@@ -166,7 +169,7 @@ def test_far_tail_masses_against_mpmath(state):
         with mpmath.workdps(40):
             refs = _masses_mp(edges, 1 / mpmath.mpf(sd), 0, _hermite_tail_mp(state.n))
         ceiling = 1.3e-13
-    got = d.interval_masses(edges)
+    got = d.interval_masses(*grid)
     for lo, g, ref in zip(edges.tolist(), got.tolist(), refs):
         if ref > 1e-290:
             assert float(abs(g - ref) / ref) <= ceiling, f"bin from {lo}: {g!r} vs {ref}"
