@@ -33,15 +33,7 @@ from .coarse import (
     ghf_variance,
     sample_counts,
 )
-from .numerics import (
-    DEFAULT_ROOT,
-    Divergent,
-    DomainError,
-    InvalidBracket,
-    NonConvergence,
-    RootSpec,
-    find_root_bracketed,
-)
+from .numerics import Divergent, DomainError, NonConvergence
 from .specfun import ProlateResult, prolate_r00
 from .states import (
     Density1D,

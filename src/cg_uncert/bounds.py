@@ -34,7 +34,7 @@ from .coarse import (
     ghf_entropy,
     ghf_variance,
 )
-from .numerics import DomainError, NonConvergence, RootSpec, find_root_bracketed
+from .numerics import DomainError, NonConvergence
 from .specfun import (
     ProlateResult,
     _w_of_t,
@@ -223,7 +223,8 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 # ---------------------------------------------------------------------------
 # the M -> F -> K chain
 
-_M_INV_ROOT = RootSpec(x_tol=1e-15, max_iter=200)
+# the most Newton iterations M^-1 takes; over the double range it needs 7
+_M_INV_STEPS = 50
 # below this u, K - 1 < 2e-10 and the rounding of F is about 1e-5 of it; K is
 # taken from its closed form there (func_M_inv_and_K)
 _K_CLOSED_FORM = 2.0 ** -40
@@ -252,22 +253,21 @@ def func_M_inv(u: float) -> float:
     if not (u > 0.0 and math.isfinite(u)):
         raise DomainError(f"func_M_inv requires u > 0, got {u}")
     lu = math.log(u)
-    # from the small-t form M ~ 1/(2t) - 1/12, written so that it cannot
-    # overflow to t0 = 0 for u near the top of the double range
-    t0 = 0.5 / (u + 1.0 / 12.0)
-    lo = hi = t0
-    steps = 0
-    while _log_M(lo) <= lu:
-        lo *= 0.5
-        steps += 1
-        if steps > 2100:
-            raise NonConvergence(f"no lower bracket for M^-1({u})")
-    while _log_M(hi) >= lu:
-        hi *= 2.0
-        steps += 1
-        if steps > 2100:
-            raise NonConvergence(f"no upper bracket for M^-1({u})")
-    t = find_root_bracketed(lambda t: _log_M(t) - lu, lo, hi, _M_INV_ROOT)
+    # from the small-t form M = 1/(2t) - V(t) with 0 < V <= 1/12: t0 lies
+    # left of the root, and is written so that it cannot overflow to t0 = 0
+    # for u near the top of the double range
+    t = 0.5 / (u + 1.0 / 12.0)
+    # Newton on h(t) = ln M(t) - ln u, with h' = -(M + 1/4 + 1/(2t)): h is
+    # decreasing and convex, so from the left every step rises to the root
+    # and the first one that does not ends the solve; scaled by t, so that
+    # nothing overflows at subnormal t
+    for _ in range(_M_INV_STEPS):
+        step = t * (_log_M(t) - lu) / (0.5 * two_t_m(t) + 0.25 * t + 0.5)
+        if not t + step > t:
+            break
+        t += step
+    else:
+        raise NonConvergence(f"M^-1({u}) still rising after {_M_INV_STEPS} Newton steps")
     # one Newton step on M(t) - u with the exact slope
     # M' = -M (M + 1/4 + 1/(2t)) removes the eps |ln u| error of the solve
     # on ln M; scaled by t, so that nothing overflows at subnormal t

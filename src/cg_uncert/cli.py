@@ -55,7 +55,7 @@ from .coarse import (
     discrete_variance,
     sample_counts,
 )
-from .numerics import Divergent, DomainError, InvalidBracket, NonConvergence
+from .numerics import Divergent, DomainError, NonConvergence
 from .states import Gaussian, HermiteGauss, Mixture, SquareWell, momentum_density, position_density
 
 _LN_2PIE_LIN = 2.0 * math.pi * math.e
@@ -505,7 +505,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 _INPUT_ERRORS = (DescriptorError, DomainError, WidthMismatch, ValueError)
 # ArithmeticError: an overflow or division by zero inside the numerics
-_NUMERIC_ERRORS = (NonConvergence, Divergent, InvalidBracket, TailBudgetExceeded, ArithmeticError)
+_NUMERIC_ERRORS = (NonConvergence, Divergent, TailBudgetExceeded, ArithmeticError)
 
 
 def main(argv=None) -> int:

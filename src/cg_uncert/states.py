@@ -75,6 +75,12 @@ MAX_WELL_N = 100_000
 # state records
 
 
+def _check_width_square(name: str, width: float) -> None:
+    """A marginal's second moment holds the square of its width."""
+    if not math.isfinite(width * width):
+        raise ValueError(f"marginal width {name} = {width!r} squares past the double range")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Coherent Gaussian wave packet centred at (x0, p0) with position
@@ -93,6 +99,8 @@ class Gaussian:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _check_width_square("sigma", self.sigma)
+        _check_width_square("hbar/(2 sigma)", self.hbar / (2.0 * self.sigma))
 
 
 @dataclass(frozen=True)
@@ -131,6 +139,8 @@ class SquareWell:
             raise ValueError(f"length must be positive and finite, got {self.length}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _check_width_square("L", self.length)
+        _check_width_square("hbar n pi/L", self.hbar * self.n * math.pi / self.length)
 
 
 @dataclass(frozen=True)

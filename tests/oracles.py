@@ -4,6 +4,9 @@ quad is scipy's QUADPACK adaptive Gauss-Kronrod quadrature, a route to
 integrals independent of numerics.adaptive_panels, with its warnings and
 an error estimate above the tolerance raised as NonConvergence.
 
+root is scipy's brentq, a bracketed root finder; the package itself solves
+only M(t) = u, by Newton steps.
+
 sinc_eigen_oracle is a route to the top concentration eigenvalue lambda0
 fully independent of specfun.prolate_r00: a Nystrom discretization of the
 concentration kernel sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre
@@ -12,10 +15,11 @@ dense symmetric eigensolver.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 
 from cg_uncert.numerics import NonConvergence
 
@@ -34,6 +38,12 @@ def quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
     if not (math.isfinite(val) and err <= 10 * max(abs_tol, rel_tol * abs(val))):
         raise NonConvergence(f"quadrature on [{a}, {b}] gave {val} with error {err:.3e}")
     return val
+
+
+def root(f, lo: float, hi: float) -> float:
+    """The root of the scalar function f in [lo, hi], where f changes sign,
+    to within 4 eps relative."""
+    return optimize.brentq(f, lo, hi, xtol=5e-324, rtol=4.0 * sys.float_info.epsilon)
 
 
 def _nystrom_lambda0(c: float, n: int) -> float:

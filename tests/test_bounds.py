@@ -6,7 +6,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -30,8 +30,9 @@ from cg_uncert.bounds import (
     moment_relation_reports,
 )
 from cg_uncert.coarse import BinnedDistribution, GhfSpec
-from cg_uncert.numerics import DomainError, find_root_bracketed
+from cg_uncert.numerics import DomainError, NonConvergence
 from cg_uncert.states import Gaussian, HermiteGauss, Mixture, SquareWell
+from oracles import root
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -119,9 +120,8 @@ def test_r_b1_crossing_matches_g_switch():
     signs = np.sign(diffs)
     flips = np.nonzero(signs[:-1] != signs[1:])[0]
     assert len(flips) == 1
-    cross = find_root_bracketed(
-        lambda d: bound_R(d, 1.0) - bound_B(d, 1.0, 1.0, 1.0),
-        float(dds[flips[0]]), float(dds[flips[0] + 1]))
+    cross = root(lambda d: bound_R(d, 1.0) - bound_B(d, 1.0, 1.0, 1.0),
+                 float(dds[flips[0]]), float(dds[flips[0] + 1]))
     # at the crossing the improvement factor leaves g = 1: the two transition
     # points coincide (both sit where R00^2 = 2/e)
     below = bound_L(cross * (1.0 - 1e-7), 1.0, 1.0, 1.0)
@@ -183,6 +183,49 @@ def test_m_inverse_roundtrip_over_the_double_range(log10_u):
     u = 10.0 ** log10_u
     tol = 3e-14 + 4.0 * sys.float_info.epsilon * abs(math.log(u))
     assert abs(func_M(func_M_inv(u)) - u) <= tol * u
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(log10_u=st.floats(-300.0, 300.0))
+def test_m_inverse_matches_scipy_brentq(log10_u):
+    # brentq on M(t) - u in the linear domain, where M is a normal double,
+    # from a bracket of its own
+    u = 10.0 ** log10_u
+    lo = hi = 0.25 / (u + 1.0 / 12.0)
+    while func_M(hi) >= u:
+        hi *= 2.0
+    ref = root(lambda t: func_M(t) - u, lo, hi)
+    assert abs(func_M_inv(u) - ref) <= 4.0 * np.spacing(ref)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(u=st.floats(-323.3, 308.2).map(lambda x: 10.0 ** x))
+@example(u=5e-324)
+@example(u=sys.float_info.max)
+def test_m_inverse_evaluates_log_m_at_most_8_times(u):
+    # the bracket search and Brent solve took up to 90 evaluations of ln M
+    calls = []
+    log_m = bounds._log_M
+
+    def counted(t):
+        calls.append(t)
+        return log_m(t)
+
+    bounds._log_M = counted
+    try:
+        func_M_inv(u)
+    finally:
+        bounds._log_M = log_m
+    assert len(calls) <= 8, f"u={u!r}"
+    # each iterate rose, up to the one that ended the solve
+    assert all(b > a for a, b in zip(calls, calls[1:]))
+
+
+def test_m_inverse_step_budget(monkeypatch):
+    # an ln M that never comes down to ln u keeps every step rising
+    monkeypatch.setattr(bounds, "_log_M", lambda t: 1.0)
+    with pytest.raises(NonConvergence, match="Newton steps"):
+        func_M_inv(1.0)
 
 
 def test_func_f_limits_and_domain():

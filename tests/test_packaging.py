@@ -1,7 +1,7 @@
-"""Distribution metadata agrees with the package, the README's module map
-lists its modules, the package imports nothing beyond numpy at start-up and
-takes only sici from scipy, and the test configuration reports a failing
-test as a failure."""
+"""Distribution metadata agrees with the package, the test extra lists what
+the tests import, the README's module map lists its modules, the package
+imports nothing beyond numpy at start-up and takes only sici from scipy, and
+the test configuration reports a failing test as a failure."""
 
 import ast
 import importlib
@@ -46,6 +46,24 @@ def test_every_export_resolves():
     for name in public:
         assert name in listed, f"cg_uncert.{name} is in no module's __all__"
         assert getattr(cg_uncert, name) is listed[name], name
+
+
+def test_the_test_extra_lists_what_the_tests_import():
+    # the suite takes scipy as an oracle, so it belongs with the test tools
+    # whether or not the runtime needs it; numpy is the one runtime package
+    # the extra may leave out
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    declared = {re.match(r"[\w-]+", req).group(0) for req in extra}
+    local = {p.stem for d in ("tests", "perfbench") for p in (ROOT / d).glob("*.py")}
+    imported = set()
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - local - {"cg_uncert"}
+    assert "scipy" in third_party and third_party - declared == {"numpy"}
 
 
 def test_readme_module_map_names_every_module():

@@ -1,6 +1,7 @@
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -182,6 +183,28 @@ def test_gaussian_rejects_a_non_finite_location_by_name(name, value):
     # a million bins before the tail budget gave out
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         Gaussian(**{name: value})
+
+
+@pytest.mark.parametrize("cls, kwargs, name", [
+    (Gaussian, {"sigma": 1e200}, "sigma"),
+    (Gaussian, {"sigma": 1e-200}, "hbar/(2 sigma)"),
+    (Gaussian, {"hbar": 1e200}, "hbar/(2 sigma)"),
+    (SquareWell, {"n": 1, "length": 1e200}, "L"),
+    (SquareWell, {"n": 1, "length": 1e-200}, "hbar n pi/L"),
+    (SquareWell, {"n": 3, "hbar": 1e200}, "hbar n pi/L"),
+], ids=["gaussian-sigma", "gaussian-small-sigma", "gaussian-hbar", "well-L", "well-small-L",
+        "well-hbar"])
+def test_marginal_widths_whose_square_overflows_are_rejected_by_name(cls, kwargs, name):
+    # the marginals' second moments raised a bare OverflowError (sd ** 2)
+    with pytest.raises(ValueError, match=f"^marginal width {re.escape(name)} = .* squares past"):
+        cls(**kwargs)
+
+
+def test_marginal_widths_just_below_the_square_limit_keep_finite_moments():
+    for s in (Gaussian(sigma=1e154), Gaussian(sigma=1e-154), SquareWell(1, length=1e154),
+              SquareWell(1, length=4e-154)):
+        for d in (position_density(s), momentum_density(s)):
+            assert math.isfinite(d.known_m2) and d.known_m2 > 0.0
 
 
 def test_square_well_position():

@@ -1,14 +1,17 @@
 """The benchmark's tracer finds every program name it wraps.
 
 perfbench/tracing.py times the layers by rebinding named functions of
-cg_uncert (bin_density, _clean_block_masses, find_root_bracketed, ...).  A
-renamed or deleted boundary is skipped and listed in Tracer.missing, so this
-test fails as soon as a change to the library moves one of them.
+cg_uncert (bin_density, _clean_block_masses, prolate_r00, ...).  A renamed
+or deleted boundary is skipped and listed in Tracer.missing, so this test
+fails as soon as a change to the library moves one of them.
 
-The four names below are gone on purpose: every bin mass and every finite
+The five names below are gone on purpose.  Every bin mass and every finite
 quadrature now runs through _clean_block_masses and numerics.adaptive_panels,
 so there is no per-bin fallback, no scipy quad and no fixed-order panel call
-in coarse left to time.  The tracer still counts bins at _clean_block_masses.
+in coarse left to time; the tracer still counts bins at _clean_block_masses.
+M^-1, the one equation the package solves, takes Newton steps on
+ln M(t) - ln u inside bounds.func_M_inv, so there is no bracketed root finder
+either, and bounds.root_fevals reads 0.
 """
 
 import pathlib
@@ -17,6 +20,7 @@ import cg_uncert.coarse as coarse
 
 DELETED = [
     "cg_uncert.coarse._single_bin_mass",
+    "cg_uncert.bounds.find_root_bracketed",
     "cg_uncert.coarse.integrate",
     "cg_uncert.coarse.gauss_legendre_panels",
     "cg_uncert.states.integrate",
