@@ -13,6 +13,13 @@ the bin masses.
 Grid convention: bin j of a grid (width eta, offset) covers
 [offset + (j - 1/2) eta, offset + (j + 1/2) eta), half-open on the right,
 with center z_j = offset + j eta.
+
+A binning stores its masses and nothing else of its size: the bin labels
+are built on the first call of BinnedDistribution.arrays, and every pass over
+the bins after binning (edge trimming, the discrete variance, the Renyi
+entropies, the mean centre) walks the masses _CHUNK bins at a time through
+one reused buffer, so its temporaries stay a chunk or two in size however
+many bins there are.
 """
 
 from __future__ import annotations
@@ -50,6 +57,15 @@ EPS_TAIL = 1e-9
 MAX_BINS = 10 ** 6
 # the widest bin whose square, which every variance takes, is finite
 MAX_WIDTH = math.sqrt(sys.float_info.max)
+# bins per chunk of a pass over the masses: 64 KiB of float64 temporaries,
+# below glibc's 128 KiB mmap threshold, so each chunk reuses heap pages
+# instead of faulting in fresh ones
+_CHUNK = 8192
+# chunk-relative bin offsets 0 .. _CHUNK - 1, exact in float64
+_RAMP = np.arange(_CHUNK, dtype=float)
+# the largest seed label bin_density starts from: its enumeration spans at
+# most MAX_BINS + 2 * 8192 bins, so every label it forms fits int64
+_MAX_SEED = 2 ** 63 - 2 * MAX_BINS
 
 
 class TailBudgetExceeded(RuntimeError):
@@ -119,10 +135,12 @@ class _BinView(Mapping):
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
-    them.  The storage is immutable, so each discrete statistic is computed
-    once per distribution and order and then read from a private memo.  The
-    offset is reduced modulo the width once, at construction, and every
-    reader places the bins on the reduced grid."""
+    them.  The masses, a private copy of the caller's array, are the only
+    storage the size of the binning: the labels are built by the first call
+    of arrays().  The storage is immutable, so each discrete statistic is
+    computed once per distribution and order, chunk by chunk, and then read
+    from a private memo.  The offset is reduced modulo the width once, at
+    construction, and every reader places the bins on the reduced grid."""
 
     width: float
     offset: float
@@ -135,17 +153,17 @@ class BinnedDistribution:
         if not 0.0 < self.width <= MAX_WIDTH:
             raise ValueError(f"width must be positive with a finite square, got {self.width}")
         reduced = _reduce_offset(self.offset, self.width)
-        j_min, p = int(self.j_min), np.asarray(self.masses, dtype=float)
+        j_min, p = int(self.j_min), np.array(self.masses, dtype=float)  # the one copy
         if p.ndim != 1 or p.size == 0:
             raise ValueError("need at least one bin")
         if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
             raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins beyond "
                              f"the int64 range")
-        neg = np.flatnonzero(p < -1e-12)
-        if neg.size:
-            raise ValueError(f"negative probability {p[neg[0]]} in bin {j_min + neg[0]}")
-        p, j = np.maximum(p, 0.0), np.arange(j_min, j_min + p.size, dtype=np.int64)
-        p.flags.writeable = j.flags.writeable = False
+        if p.min() < -1e-12:
+            i = int(np.flatnonzero(p < -1e-12)[0])
+            raise ValueError(f"negative probability {p[i]} in bin {j_min + i}")
+        np.maximum(p, 0.0, out=p)
+        p.flags.writeable = False
         tail = float(self.tail_mass)
         if tail < -1e-12:
             raise ValueError(f"negative tail mass {tail}")
@@ -156,7 +174,7 @@ class BinnedDistribution:
         if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
         for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
-                            ("probs", _BinView(j_min, p)), ("_j", j), ("_stats", {}),
+                            ("probs", _BinView(j_min, p)), ("_j", None), ("_stats", {}),
                             ("_reduced", reduced)):
             object.__setattr__(self, name, value)
 
@@ -165,8 +183,13 @@ class BinnedDistribution:
         return r + (j + shift) * self.width
 
     def arrays(self) -> tuple:
-        """(bin indices, probabilities) as aligned read-only numpy arrays,
-        the stored ones: every call returns the same two objects."""
+        """(bin indices, probabilities) as aligned read-only numpy arrays:
+        the int64 labels are built on the first call and kept, so every call
+        returns the same two objects."""
+        if self._j is None:
+            j = np.arange(self.j_min, self.j_min + self.masses.size, dtype=np.int64)
+            j.flags.writeable = False
+            object.__setattr__(self, "_j", j)
         return self._j, self.masses
 
 
@@ -198,7 +221,7 @@ class ReconstructedPdf:
         b = self.base
         r, shift = b._reduced
         edges = grid_edges(r, b.width, b.j_min + shift, b.masses.size)
-        mean = float(np.dot(b.masses, _centers(b)))
+        mean = _mean_center(b)
         m2 = discrete_variance(b) + ghf_variance(self.ghf) + mean ** 2
         return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
                          discontinuities=tuple(edges[1:-1].tolist()),
@@ -222,11 +245,31 @@ def _reduce_offset(offset: float, width: float) -> tuple:
     return r, round((offset - r) / width)
 
 
-def _centers(b: BinnedDistribution) -> np.ndarray:
-    """Bin centres of b taken on its grid with the offset reduced modulo the
-    width, where they do not drift with |offset|."""
+def _mean_center(b: BinnedDistribution) -> float:
+    """Mean bin centre sum_j p_j z_j of b, with the centres taken on its grid
+    with the offset reduced modulo the width, where they do not drift with
+    |offset|; a chunk of centres at a time."""
     r, shift = b._reduced
-    return r + (b.arrays()[0] + shift).astype(float) * b.width
+    p, j_lo = b.masses, b.j_min + shift
+    z = np.empty(min(p.size, _CHUNK))
+    mean = 0.0
+    for s in range(0, p.size, _CHUNK):
+        pc = p[s:s + _CHUNK]
+        zc = np.multiply(np.arange(j_lo + s, j_lo + s + pc.size, dtype=np.int64), b.width,
+                         out=z[:pc.size])
+        mean += float(np.dot(pc, np.add(r, zc, out=zc)))
+    return mean
+
+
+def _first(p: np.ndarray, compare: np.ufunc, value: float) -> int:
+    """Index of the first entry x of p with compare(x, value), 0 when there is
+    none (as argmax of the mask would give); one chunk at a time."""
+    for s in range(0, p.size, _CHUNK):
+        hit = compare(p[s:s + _CHUNK], value)
+        i = int(np.argmax(hit))
+        if hit[i]:
+            return s + i
+    return 0
 
 
 def _clean_block_masses(d: Density1D, j_arr: range, width: float,
@@ -250,8 +293,8 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     present; otherwise by adaptive panel quadrature, split at density
     discontinuities and support edges.  Edges are formed from the offset
     reduced modulo eta; the result keeps the caller's offset and bin labels,
-    and a ValueError names an offset whose labels would leave the int64
-    range.
+    and a ValueError names a location or an offset whose labels would leave
+    the int64 range.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -267,7 +310,11 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     def masses_for(j_lo: int, n: int) -> np.ndarray:
         return _clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
 
-    j0 = int(math.floor((x0 - r) / eta + 0.5))
+    u = (x0 - r) / eta + 0.5
+    if not abs(u) < _MAX_SEED:
+        raise ValueError(f"location {x0!r} of the density is {abs(u):.3g} bin widths "
+                         f"({eta!r}) from 0, beyond the int64 bin labels")
+    j0 = math.floor(u)
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
     seed = masses_for(j0 - 1, 3)
     start = j0 - 1 + int(np.argmax(seed))
@@ -305,9 +352,8 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)
     # drop empty bins at the extremes, keep interior zeros and the heaviest seed
-    kept = masses > 0.0
-    lo = min(int(kept.argmax()), start - jl)
-    hi = max(masses.size - 1 - int(kept[::-1].argmax()), start - jl)
+    lo = min(_first(masses, np.greater, 0.0), start - jl)
+    hi = max(masses.size - 1 - _first(masses[::-1], np.greater, 0.0), start - jl)
     j_min = jl + lo - shift
     if not -2 ** 63 <= j_min < 2 ** 63 - (hi - lo + 1):
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
@@ -323,13 +369,23 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
 def discrete_variance(b: BinnedDistribution) -> float:
     """Variance of the bin-center distribution sum_j p_j at z_j, taken on
     exact label differences from the heaviest bin: on the centres z, masses
-    summing to 1 - tail would add about (z * tail)^2."""
+    summing to 1 - tail would add about (z * tail)^2.  Two passes, for the
+    mean and then the squared deviations, one chunk of differences at a time."""
     memo = b._stats
     if "variance" not in memo:
-        p = b.arrays()[1]
-        k = np.arange(p.size, dtype=float) - float(np.argmax(p))
-        mean = float(np.dot(p, k))
-        memo["variance"] = float(np.dot(p, (k - mean) ** 2)) * b.width ** 2
+        p = b.masses
+        top = _first(p, np.equal, p.max())  # np.argmax would copy the read-only p
+        k = np.empty(min(p.size, _CHUNK))
+        mean = var = 0.0
+        for s in range(0, p.size, _CHUNK):
+            pc = p[s:s + _CHUNK]
+            mean += float(np.dot(pc, np.add(_RAMP[:pc.size], s - top, out=k[:pc.size])))
+        for s in range(0, p.size, _CHUNK):
+            pc = p[s:s + _CHUNK]
+            kc = np.add(_RAMP[:pc.size], s - top, out=k[:pc.size])
+            kc -= mean
+            var += float(np.dot(pc, np.square(kc, out=kc)))
+        memo["variance"] = var * b.width ** 2
     return memo["variance"]
 
 
@@ -344,29 +400,55 @@ def discrete_renyi(b: BinnedDistribution, alpha: float) -> float:
     key = ("renyi", float(alpha))
     memo = b._stats
     if key not in memo:
-        memo[key] = _renyi(b.arrays()[1], alpha)
+        memo[key] = _renyi(b.masses, alpha)
     return memo[key]
 
 
 def _renyi(p: np.ndarray, alpha: float) -> float:
-    if not p.all():
-        p = p[p > 0.0]
-    if alpha == 1.0:
-        return float(-np.dot(p, np.log(p))) + 0.0
+    """Renyi entropy of the positive entries of p, which need not sum to 1,
+    one chunk of logarithms at a time: sum p ln p for Shannon, and for finite
+    alpha != 1 each chunk's (maximum, count at it, scaled sum) of
+    alpha ln p, combined by _lse_combine."""
     if math.isinf(alpha):
         return -math.log(float(np.max(p))) + 0.0
-    return _logsumexp(alpha * np.log(p)) / (1.0 - alpha) + 0.0
+    buf = np.empty(min(p.size, _CHUNK))
+    total, parts = 0.0, None
+    for s in range(0, p.size, _CHUNK):
+        pc = p[s:s + _CHUNK]
+        if not pc.all():
+            pc = pc[pc > 0.0]
+        a = np.log(pc, out=buf[:pc.size])
+        if alpha == 1.0:
+            total += float(np.dot(pc, a))
+        elif pc.size:
+            a *= alpha
+            terms = _lse_terms(a)
+            parts = terms if parts is None else _lse_combine(parts, terms)
+    if alpha == 1.0:
+        return -total + 0.0
+    m, n, e = parts
+    return float(np.log1p(e / n) + math.log(n) + m) / (1.0 - alpha) + 0.0
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """ln sum exp(a) for finite a: the n terms equal to the maximum m are
-    kept out of the sum, ln(n e^m + s) = m + ln n + log1p(s / n)."""
+def _lse_terms(a: np.ndarray) -> tuple:
+    """(m, n, e) for finite a, which it overwrites: the maximum m, the number
+    n of terms equal to it and the sum e of exp(a - m) over the others, so
+    that ln sum exp(a) = m + ln n + log1p(e / n)."""
     m = a.max()
     top = a == m
-    e = np.exp(a - m)
-    e[top] = 0.0
-    n = np.count_nonzero(top)
-    return float(np.log1p(e.sum() / n) + math.log(n) + m)
+    a -= m
+    np.exp(a, out=a)
+    a[top] = 0.0
+    return m, int(np.count_nonzero(top)), a.sum()
+
+
+def _lse_combine(x: tuple, y: tuple) -> tuple:
+    """The (m, n, e) of two runs of terms from those of each run: the terms
+    at the lower maximum join the sum, scaled to the higher one."""
+    (mx, nx, ex), (my, ny, ey) = (x, y) if x[0] >= y[0] else (y, x)
+    if mx == my:
+        return mx, nx + ny, ex + ey
+    return mx, nx, ex + (ey + ny) * math.exp(my - mx)
 
 
 def ghf_variance(g: GhfSpec) -> float:

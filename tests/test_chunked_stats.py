@@ -1,0 +1,140 @@
+"""Per-bin passes walk the masses in chunks of 8192 bins: across chunk
+boundaries they match exact references, within one chunk they keep the bits
+of the whole-array formulas, and none of them allocates a temporary the size
+of the binning."""
+
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from cg_uncert.coarse import (
+    BinnedDistribution,
+    bin_density,
+    discrete_renyi,
+    discrete_variance,
+)
+from cg_uncert.coarse import _CHUNK, _first
+from cg_uncert.states import SquareWell, momentum_density
+
+SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
+ALPHAS = (0.5, 0.75, 1.0, 1.5, 3.0, math.inf)
+
+
+def _masses(n: int, layout: str) -> np.ndarray:
+    """n normalized masses over six decades with interior zeros.  "last" puts
+    the one heaviest bin in the last chunk; "ties" puts equal heaviest bins in
+    the first, a middle and the last chunk; "hole" also empties the second
+    chunk."""
+    rng = np.random.default_rng(n)
+    raw = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    if n > 2:
+        raw[rng.choice(np.arange(1, n - 1), size=min(5, n - 2), replace=False)] = 0.0
+    if layout == "hole":
+        raw[_CHUNK:2 * _CHUNK] = 0.0
+    heaviest = [max(n - 3, 0)] if layout == "last" else sorted({0, n // 2, n - 1})
+    raw[heaviest] = 2.0
+    return raw / raw.sum()
+
+
+def _binned(p: np.ndarray) -> BinnedDistribution:
+    return BinnedDistribution(width=0.3, offset=0.1, j_min=-7, masses=p)
+
+
+# the whole-array formulas the chunked passes replaced, as the oracle for one chunk
+def _whole_array_variance(p, width):
+    k = np.arange(p.size, dtype=float) - float(np.argmax(p))
+    mean = float(np.dot(p, k))
+    return float(np.dot(p, (k - mean) ** 2)) * width ** 2
+
+
+def _whole_array_renyi(p, alpha):
+    if not p.all():
+        p = p[p > 0.0]
+    if alpha == 1.0:
+        return float(-np.dot(p, np.log(p))) + 0.0
+    if math.isinf(alpha):
+        return -math.log(float(np.max(p))) + 0.0
+    a = alpha * np.log(p)
+    m = a.max()
+    top = a == m
+    e = np.exp(a - m)
+    e[top] = 0.0
+    n = np.count_nonzero(top)
+    return float(np.log1p(e.sum() / n) + math.log(n) + m) / (1.0 - alpha) + 0.0
+
+
+def _reference_variance(p, width):
+    q = p.tolist()
+    top = int(np.argmax(p))
+    mean = math.fsum(x * (i - top) for i, x in enumerate(q))
+    return math.fsum(x * (i - top - mean) ** 2 for i, x in enumerate(q)) * width ** 2
+
+
+def _reference_renyi(p, alpha):
+    q = [x for x in p.tolist() if x > 0.0]
+    if alpha == 1.0:
+        return -math.fsum(x * math.log(x) for x in q)
+    if math.isinf(alpha):
+        return -math.log(max(q))
+    return math.log(math.fsum(x ** alpha for x in q)) / (1.0 - alpha)
+
+
+def _close(got, ref):
+    return abs(got - ref) <= 1e-14 * abs(ref)
+
+
+@pytest.mark.parametrize("n, layout", [(n, layout) for n in SIZES for layout in ("last", "ties")]
+                         + [(SIZES[-1], "hole")])
+def test_statistics_across_chunk_boundaries(n, layout):
+    p = _masses(n, layout)
+    b = _binned(p)
+    assert _close(discrete_variance(b), _reference_variance(b.masses, b.width))
+    for alpha in ALPHAS:
+        assert _close(discrete_renyi(b, alpha), _reference_renyi(b.masses, alpha)), alpha
+    if n <= _CHUNK:
+        assert discrete_variance(b) == _whole_array_variance(b.masses, b.width)
+        for alpha in ALPHAS:
+            assert discrete_renyi(b, alpha) == _whole_array_renyi(b.masses, alpha), alpha
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_first_match_across_chunk_boundaries(n):
+    for i in sorted({0, n // 2, n - 1, min(_CHUNK - 1, n - 1), min(_CHUNK, n - 1)}):
+        p = np.zeros(n)
+        p[i:] = 0.5
+        assert _first(p, np.greater, 0.0) == i == int(np.argmax(p > 0.0))
+        assert _first(p[::-1], np.greater, 0.0) == 0
+        assert _first(p, np.equal, p.max()) == int(np.argmax(p))
+    assert _first(np.zeros(n), np.greater, 0.0) == 0  # as argmax of an all-False mask
+
+
+def test_storage_and_statistics_allocate_no_binning_sized_temporaries():
+    b = bin_density(momentum_density(SquareWell(3, 1.5)), 0.0432)
+    p = b.masses
+    assert p.size > 10 ** 5
+    budget = 128 * 1024
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        c = BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min, masses=p,
+                               tail_mass=b.tail_mass)
+        kept, peak = tracemalloc.get_traced_memory()
+        # one copy of the masses, no labels
+        assert p.nbytes <= kept - start < p.nbytes + budget
+        assert peak - start < p.nbytes + budget
+        for stat in (discrete_variance, lambda x: discrete_renyi(x, 1.0),
+                     lambda x: discrete_renyi(x, 1.5)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            stat(c)
+            assert tracemalloc.get_traced_memory()[1] - before < budget
+    finally:
+        tracemalloc.stop()
+    assert c.masses is not p and np.array_equal(c.masses, p)
+    first, second = c.arrays(), c.arrays()
+    assert first[0] is second[0] and first[1] is second[1] and first[1] is c.masses
+    assert first[0].dtype == np.int64 and first[1].dtype == np.float64
+    assert not (first[0].flags.writeable or first[1].flags.writeable)
+    assert first[0].tolist() == list(range(c.j_min, c.j_min + p.size))

@@ -775,3 +775,14 @@ def test_bad_sweep_bounds_are_rejected_by_field_name(capsys, argv, field):
     assert f"'{field}'" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+
+
+@pytest.mark.parametrize("length", ["1e150", "1e154"])
+def test_locations_beyond_the_int64_labels_are_rejected(capsys, length):
+    # the well's centre, 5e149 unit bins from 0, was a seed label past 2^63:
+    # the edges became an object array and a TypeError exited 1, "violated"
+    assert main(["check", "--state", f"squarewell:n=1,L={length}", "--delta", "1",
+                 "--delta-p", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: location {float(length) / 2!r} of the density is ")
+    assert "bin widths (1.0) from 0, beyond the int64 bin labels" in err
