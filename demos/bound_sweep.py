@@ -8,7 +8,6 @@ arguments; prints a fixed-width table plus the computed crossover.
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from cg_uncert.bounds import bound_B, bound_L, bound_R
 
@@ -23,8 +22,15 @@ def main():
         print(f"{dd:>10.4f} {b_half:>10.5f} {bset.b_alpha:>10.5f} "
               f"{bset.r:>12.5e} {bset.l_alpha:>10.5f} {bset.g:>10.5f}")
 
-    cross = brentq(lambda v: bound_R(v, 1.0, 1.0) - bound_B(v, 1.0, 1.0, 1.0),
-                   5.0, 8.0, xtol=1e-12)
+    # R - B_1 changes sign once on [5, 8]: bisect it
+    lo, hi = 5.0, 8.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if bound_R(mid, 1.0, 1.0) > bound_B(mid, 1.0, 1.0, 1.0):
+            hi = mid
+        else:
+            lo = mid
+    cross = 0.5 * (lo + hi)
     print()
     print(f"R overtakes B_1 at dd/hbar = {cross:.6f}")
     print(f"past that point the Shannon lower bound L_1 stays strictly "

@@ -485,7 +485,8 @@ def sample_counts(b: BinnedDistribution, n: int, seed: int) -> BinnedDistributio
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     p = b.masses
-    counts = np.random.default_rng(seed).multinomial(n, p / math.fsum(p.tolist()))
+    total = math.fsum(x for s in range(0, p.size, _CHUNK) for x in p[s:s + _CHUNK].tolist())
+    counts = np.random.default_rng(seed).multinomial(n, p / total)
     seen = np.flatnonzero(counts)
     lo, hi = int(seen[0]), int(seen[-1])
     return BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min + lo,

@@ -9,8 +9,8 @@ the Hermite function (a recurrence), and the square-well position
 (elementary functions) and momentum densities (Gauss-Legendre panels on the
 pole-free form, as many and of as many points as the bin width needs, from
 one rule table, with the nodes' sines seeded once per run of bins from
-tabulated offsets; the sine- and cosine-integral antiderivative only for
-very wide bins).  position_density and
+tabulated offsets; for very wide bins, differences of a far-tail series,
+as for the Gaussian).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
 
@@ -327,10 +327,6 @@ def _well_position(n: int, length: float) -> Density1D:
         interval_masses=masses)
 
 
-# Cin(x) = int_0^x (1 - cos t)/t dt = sum_k (-1)^(k+1) x^(2k) / (2k (2k)!)
-# (DLMF 6.2.12), summed for x^2 < 1; 9 terms reach 1e-17.
-_CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in range(9, 0, -1))
-
 # Square-well momentum panel rule, widths in a.  A bin up to h wide takes
 # k = ceil(h / _WELL_PANEL) equal panels of the fewest Gauss-Legendre points n
 # whose limit in _WELL_RULE covers h / k (_well_rule); the bins of a grid share
@@ -341,7 +337,7 @@ _CIN_SERIES = tuple((-1) ** (k + 1) / (2 * k * math.factorial(2 * k)) for k in r
 # sine-cosine pair per seed and a table of the offsets' sines and cosines
 # built once per width (_well_momentum), so no node is rounded to the ulp of
 # a.  Bins wider than _WELL_MAX_PANEL_BIN, where panels would cost more than
-# the narrowest binning, take the antiderivative.
+# the narrowest binning, take differences of one-sided tails (_well_far_tail).
 _WELL_RULE = ((4, 0.125), (5, 0.35), (6, 0.75), (7, 1.5), (8, 2.0), (10, 4.0))
 _WELL_PANEL = 4.0
 _WELL_MAX_PANEL_BIN = 32768.0
@@ -352,6 +348,10 @@ _WELL_TABLES = 8
 # the heap rather than from fresh pages
 _WELL_CHUNK = 1 << 14
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi
+_WELL_TAIL_A = 64.0
+_WELL_N_SERIES = [(k + 1) / (k + 3) for k in range(57, -1, -1)]
+_WELL_K = np.arange(14.0)[:, None]
+_WELL_O_COEF = np.array([(-1) ** (k // 2) * math.factorial(k) / 2 ** (k + 1) for k in range(14)])
 
 
 def _halves(a):
@@ -383,18 +383,19 @@ def _well_rule(h: float) -> tuple:
     return k, next(n for n, limit in _WELL_RULE if h / k <= limit)
 
 
-def _cin(x: np.ndarray, ci: np.ndarray) -> np.ndarray:
-    """Cin(x) from ci = Ci(|x|): gamma + ln|x| - Ci(|x|), or its series near 0."""
-    x2 = x * x
-    small = x2 < 1.0
-    out = np.empty_like(x)
-    acc = np.zeros(int(np.count_nonzero(small)))
-    for c in _CIN_SERIES:
-        acc = acc * x2[small] + c
-    out[small] = acc * x2[small]
-    big = ~small
-    out[big] = np.euler_gamma + np.log(np.abs(x[big])) - ci[big]
-    return out
+def _well_far_tail(y: np.ndarray, npi: float) -> np.ndarray:
+    """Mass beyond y >= _WELL_TAIL_A past the square-well momentum peak in a: (n pi)^2 / (4 pi)
+    times the integral from y on of (1 - cos 2s) phi(s), phi = s^-2 (s + n pi)^-2.  Without the
+    cosine: y^-3 sum (k+1)(-q)^k/(k+3) up to q = n pi / y = 1/2 (58 terms), partial fractions
+    beyond.  With it, by parts (DLMF 6.12): 14 derivatives, each by Leibniz's rule a sum of
+    terms of one sign, (-1)^k phi^(k) = k! phi sum_j (j+1)(k-j+1) y^-j (y + n pi)^(j-k)."""
+    u, w, q = 1.0 / y, 1.0 / (y + npi), npi / y
+    n_int = np.where(q <= 0.5, np.polyval(_WELL_N_SERIES, -q) * u ** 3,
+                     (u + w - 2.0 / npi * np.log1p(q)) / (npi * npi))
+    pu, pw = (_WELL_K + 1.0) * u ** _WELL_K, (_WELL_K + 1.0) * w ** _WELL_K
+    t = _WELL_O_COEF[:, None] * [(pu[:k + 1] * pw[k::-1]).sum(0) for k in range(_WELL_K.size)]
+    o_int = (u * w) ** 2 * (t[1::2].sum(0) * np.cos(2.0 * y) - t[0::2].sum(0) * np.sin(2.0 * y))
+    return npi * npi / (4.0 * math.pi) * (n_int - o_int)
 
 
 def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
@@ -417,10 +418,8 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     first seed is formed from its bin label to about eps^2 (error-free
     products and sums), so a node lies within about eps |d| of its place on
     the exact grid, not eps |a|: far-tail bins keep the rule's own relative
-    error.  A bin that straddles p = 0 is split there.  A bin wider than
-    _WELL_MAX_PANEL_BIN in a takes the difference of the antiderivative
-        [-sin^2 a/a + Si(2a) + sin^2 b/b - Si(2b) + (Cin(2a) - Cin(2b))/(n pi)] / 2 pi,
-    whose rounding (~1e-16 absolute) is small against the masses of such bins.
+    error.  A bin that straddles p = 0 is split there.  Bins over
+    _WELL_MAX_PANEL_BIN wide in a take differences of tails (_well_far_tail).
     """
     c, half = 0.5 * n * math.pi, length / (2.0 * hbar)
     npi, scale = 2.0 * c, 2.0 * c * c * half / math.pi
@@ -549,16 +548,16 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
                                     (u[:, None] * weights).ravel(), near)[0]
             return out
         p = grid_edges(r, width, j_lo, count)
-        # imported on first use: scipy.special takes about 0.3 s to import
-        from scipy.special import sici
+        y = np.minimum(np.abs(p), 1e200 / half) * half - c  # y = inf would make cos 2y NaN
+        tail, near = _well_far_tail(np.maximum(y, _WELL_TAIL_A), npi), y < _WELL_TAIL_A
+        if near.any():  # add panels out to the cut, as many as n needs, whatever the width
+            def side(t):  # per unit y, so nodes keep the peak's phase; 1e-300 as in pdf
+                return scale / half * (np.sin(t + 1e-300) / ((t + 1e-300) * (t + npi))) ** 2
 
-        a = c - p * half
-        b = npi - a
-        (si_a, ci_a), (si_b, ci_b) = sici(2.0 * a), sici(2.0 * b)
-        anti = (-np.sin(a) * np.sinc(a / math.pi) + si_a
-                + np.sin(b) * np.sinc(b / math.pi) - si_b
-                + (_cin(2.0 * a, ci_a) - _cin(2.0 * b, ci_b)) / npi) / (2.0 * math.pi)
-        return anti[:-1] - anti[1:]
+            y_in, back = np.unique(np.append(y[near], _WELL_TAIL_A), return_inverse=True)
+            parts = panel_integrals(Density1D(side, (-c, math.inf), osc_scale=math.pi), side, y_in)
+            tail[near] += np.cumsum(parts[::-1])[::-1][back[:-1]]
+        return _masses_from_tails(p, tail)
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
                      known_m2=(hbar * n * math.pi / length) ** 2, heavy_tail=True,

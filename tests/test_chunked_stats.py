@@ -14,6 +14,7 @@ from cg_uncert.coarse import (
     bin_density,
     discrete_renyi,
     discrete_variance,
+    sample_counts,
 )
 from cg_uncert.coarse import _CHUNK, _first
 from cg_uncert.states import SquareWell, momentum_density
@@ -138,3 +139,24 @@ def test_storage_and_statistics_allocate_no_binning_sized_temporaries():
     assert first[0].dtype == np.int64 and first[1].dtype == np.float64
     assert not (first[0].flags.writeable or first[1].flags.writeable)
     assert first[0].tolist() == list(range(c.j_min, c.j_min + p.size))
+
+
+def test_sample_counts_normalizes_without_a_list_of_every_mass():
+    # the sum of the masses is exact either way, so the draw keeps its bits;
+    # a list of all 155,619 masses peaked at 4.98 MB, the normalized masses
+    # and the counts take 2.49 MB
+    b = bin_density(momentum_density(SquareWell(3, 1.5)), 0.03)
+    p = b.masses
+    assert p.size == 155_619
+    sample_counts(b, 10, seed=1)  # the generator's one-time set-up is not the draw's
+    tracemalloc.start()
+    try:
+        emp = sample_counts(b, 10 ** 6, seed=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
+    counts = np.random.default_rng(5).multinomial(10 ** 6, p / math.fsum(p.tolist()))
+    seen = np.flatnonzero(counts)
+    assert emp.j_min == b.j_min + seen[0]
+    assert np.array_equal(emp.masses, counts[seen[0]:seen[-1] + 1] / 10 ** 6)

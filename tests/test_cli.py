@@ -446,6 +446,9 @@ runs = [
     ["check", "--state", "hermite:n=4", "--alpha", "0.75"],
     # the widest square-well momentum bin the panel rule takes: 65536 hbar/L
     ["check", "--state", "squarewell:n=3,L=1", "--delta", "0.1", "--delta-p", "65536"],
+    # wider bins take the far-tail series
+    ["check", "--state", "squarewell:n=1", "--delta", "1e-3", "--delta-p", "1e5"],
+    ["check", "--state", "squarewell:n=3,L=1.5", "--delta", "1e-3", "--delta-p", "1e12"],
     ["check", "--state", "mix:0.6*squarewell:n=2+0.4*gaussian:x0=1,sigma=0.5",
      "--format", "json"],
     ["bounds", "--sweep-min", "1e-3", "--sweep-max", "1e3", "--sweep-points", "20"],
@@ -491,7 +494,7 @@ def test_every_command_runs_with_scipy_blocked():
                        capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == (
-        ["check 0"] * 4 + ["bounds 0", "kfun 0", "region 0", "sample 0", "sample 0"]
+        ["check 0"] * 6 + ["bounds 0", "kfun 0", "region 0", "sample 0", "sample 0"]
         + ["0.0 True", "4.0 True", "1000000.0 True", "1.0", "1.0", "continuous 6"])
 
 

@@ -127,29 +127,33 @@ def test_heavy_tail_momentum_binning():
             assert b.probs[j] == pytest.approx(b.probs[-j], rel=1e-8)
 
 
-def _well_momentum_mass_mp(s: SquareWell, lo, hi) -> float:
-    # 40-digit difference of the Si/Cin antiderivative in a = n pi/2 - p L/(2 hbar)
-    with mpmath.workdps(40):
-        npi = s.n * mpmath.pi
+def _well_anti_mp(n: int, a):
+    # the Si/Cin antiderivative of the square-well momentum density in
+    # a = n pi/2 - p L/(2 hbar), at the working precision
+    npi = n * mpmath.pi
+    b = npi - a
 
-        def cin(x):
-            return mpmath.euler + mpmath.log(abs(x)) - mpmath.ci(abs(x))
+    def cin(x):
+        return mpmath.euler + mpmath.log(abs(x)) - mpmath.ci(abs(x))
 
-        def anti(p):
-            a = npi / 2 - mpmath.mpf(p) * mpmath.mpf(s.length) / (2 * mpmath.mpf(s.hbar))
-            b = npi - a
-            return (-mpmath.sin(a) ** 2 / a + mpmath.si(2 * a) + mpmath.sin(b) ** 2 / b
-                    - mpmath.si(2 * b) + (cin(2 * a) - cin(2 * b)) / npi) / (2 * mpmath.pi)
-
-        return float(anti(lo) - anti(hi))
+    return (-mpmath.sin(a) ** 2 / a + mpmath.si(2 * a) + mpmath.sin(b) ** 2 / b
+            - mpmath.si(2 * b) + (cin(2 * a) - cin(2 * b)) / npi) / (2 * mpmath.pi)
 
 
-def _grid_mass_mp(s: SquareWell, r: float, eta: float, j: int) -> float:
+def _well_momentum_mass_mp(s: SquareWell, lo, hi, dps: int = 40) -> float:
+    # a dps-digit difference of the antiderivative
+    with mpmath.workdps(dps):
+        half = mpmath.mpf(s.length) / (2 * mpmath.mpf(s.hbar))
+        a_lo, a_hi = (s.n * mpmath.pi / 2 - mpmath.mpf(p) * half for p in (lo, hi))
+        return float(_well_anti_mp(s.n, a_lo) - _well_anti_mp(s.n, a_hi))
+
+
+def _grid_mass_mp(s: SquareWell, r: float, eta: float, j: int, dps: int = 40) -> float:
     # bin j of the exact grid (eta, r): edges r + (j -/+ 1/2) eta, not rounded
-    with mpmath.workdps(40):
+    with mpmath.workdps(dps):
         r, eta = mpmath.mpf(r), mpmath.mpf(eta)
         return _well_momentum_mass_mp(s, r + (j - mpmath.mpf(0.5)) * eta,
-                                      r + (j + mpmath.mpf(0.5)) * eta)
+                                      r + (j + mpmath.mpf(0.5)) * eta, dps)
 
 
 @pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
@@ -253,25 +257,70 @@ def test_square_well_masses_make_one_panel_call(monkeypatch, h, panels_per_bin, 
     assert calls == [(panels_per_bin, order)]
 
 
-@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5)], ids=["well1", "well3"])
-@pytest.mark.parametrize("eta", [1e5, 1e6])
+@pytest.mark.parametrize("n", [1, 3, 100, 100_000])
+def test_square_well_far_tail_against_mpmath(n):
+    # the mass beyond y >= 64 past the peak in a, from 1e-6 down to 1e-300,
+    # and across the switch of N from its series to its partial fractions at
+    # q = n pi / y = 1/2.  Just past the switch the partial fractions cancel
+    # by up to 37 times: the worst there is 6.9e-15, elsewhere 5e-16.  The
+    # reference differences the antiderivative, whose terms are O(1), so it
+    # takes 3 digits more per decade of y
+    ys = np.geomspace(64.0, 1e100, 40)
+    ys = np.union1d(ys, [y for y in n * math.pi / np.linspace(0.3, 3.0, 13) if y >= 64.0])
+    tails = states_mod._well_far_tail(ys, n * math.pi)
+    for y, tail in zip(ys.tolist(), tails.tolist()):
+        with mpmath.workdps(30 + 3 * math.ceil(math.log10(y))):
+            ref = _well_anti_mp(n, -mpmath.mpf(y)) + mpmath.mpf(0.5)  # anti(-inf) = -1/2
+            assert abs(tail - ref) <= 1e-14 * ref, f"y={y!r}: {tail!r} vs {float(ref)!r}"
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(3, 1.5), SquareWell(100)],
+                         ids=["well1", "well3", "well100"])
+@pytest.mark.parametrize("eta", [1e5, 1e6, 1e8, 1e12])
 def test_square_well_momentum_wide_bins_against_mpmath(state, eta):
-    # bins over 32768 wide in a take the antiderivative, which is precise in
-    # absolute terms only; the outer bins' masses are 1e-12 and below
+    # bins over 32768 wide in a take differences of far tails.  The outer
+    # masses fall from 4e-11 to 4e-36 as the width grows: a difference of
+    # the antiderivative in double precision, of O(1) terms, read them 3.3e-2
+    # to 4e19 off, and the reference takes 3 digits more per decade of width
     offset = 0.3 * eta
     b = bin_density(momentum_density(state), eta, offset)
+    assert b.masses.size == 3  # the seed trio already holds 1 - EPS_TAIL
     for i, mass in enumerate(b.masses):
         j = b.j_min + i
-        ref = _well_momentum_mass_mp(state, offset + (j - 0.5) * eta, offset + (j + 0.5) * eta)
-        assert abs(mass - ref) <= 1e-15, f"bin {j}: {mass!r} vs {ref!r}"
+        ref = _grid_mass_mp(state, offset, eta, j, 40 + 3 * round(math.log10(eta)))
+        assert abs(mass - ref) <= 5e-11 * ref, f"bin {j}: {mass!r} vs {ref!r}"
+
+
+@pytest.mark.parametrize("state", [SquareWell(1), SquareWell(41), SquareWell(100)],
+                         ids=["well1", "well41", "well100"])
+@pytest.mark.parametrize("eta", [1e5, 1e8])
+def test_square_well_momentum_wide_bins_near_the_peaks_against_mpmath(state, eta):
+    # a wide bin's edge within 64 past a peak in a, at a peak, or between
+    # the peaks (n pi / 2 > 64 from n = 41 on) takes the far tail at 64 plus
+    # the panels out to it.  The worst is 8.8e-15
+    c, half = state.n * math.pi / 2, state.length / (2 * state.hbar)
+    d = momentum_density(state)
+    for a_edge in (0.0, 0.3 * c, c - 0.5, c, c + 1.0, c + 63.9, c + 64.1):
+        r = math.fmod(a_edge / half + 0.5 * eta, eta)
+        j = round((a_edge / half - r) / eta + 0.5)  # bin j of the grid (eta, r) starts there
+        for i, mass in enumerate(d.interval_masses(r, eta, j - 3, 6)):
+            ref = _grid_mass_mp(state, r, eta, j - 3 + i, 40 + 3 * round(math.log10(eta)))
+            assert abs(mass - ref) <= 3e-14 * ref, f"edge {a_edge}, bin {j - 3 + i}: {mass!r}"
 
 
 def test_wide_square_well_bins_keep_their_values():
-    # bins over 32768 wide in a are the only use of sici, which loads
-    # scipy.special on first use
+    # the bits of bins over 32768 wide in a; the outer two are within 2 ulp
+    # of the 55-digit reference (6.949556889388739e-13, 9.950792753784775e-15)
     b = bin_density(momentum_density(SquareWell(3, 1.5)), 1e5, 3e4)
     assert b.j_min == -1
-    assert b.masses.tolist() == [6.948330799616542e-13, 0.999999999999291, 9.936496070395151e-15]
+    assert b.masses.tolist() == [6.949556889388741e-13, 0.9999999999992909, 9.950792753784777e-15]
+
+
+def test_wide_square_well_bins_whose_edges_overflow_in_a():
+    # |p| L / (2 hbar) passes the double range at these edges, where the
+    # tail is 0; taken as inf, it would make cos 2y NaN after a warning
+    d = momentum_density(SquareWell(1, 1.0, 1e-200))
+    assert d.interval_masses(0.0, 4e109, -3, 6).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("d", [position_density(Gaussian()), momentum_density(SquareWell(3, 1.5)),

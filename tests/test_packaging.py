@@ -1,7 +1,7 @@
 """Distribution metadata agrees with the package, the test extra lists what
 the tests import, the README's module map lists its modules, the package
-imports nothing beyond numpy at start-up and takes only sici from scipy, and
-the test configuration reports a failing test as a failure."""
+imports no scipy at start-up or anywhere else and declares numpy as its one
+dependency, and the test configuration reports a failing test as a failure."""
 
 import ast
 import importlib
@@ -95,8 +95,7 @@ def _import_time_scipy(node) -> list:
 
 
 def test_no_module_imports_scipy_at_import_time():
-    # scipy.special alone was over half of the start-up time of the CLI; the
-    # few routines that still need scipy import it inside the function
+    # scipy.special alone was over half of the start-up time of the CLI
     sources = sorted((ROOT / "src" / "cg_uncert").glob("*.py"))
     assert sources
     for path in sources:
@@ -120,15 +119,19 @@ def _scipy_imports(node, where: str) -> list:
     return found
 
 
-def test_the_only_scipy_import_is_sici_in_the_square_well_momentum():
-    # every quadrature runs through numerics.adaptive_panels, so scipy's
-    # quad is gone; the sine and cosine integrals of the widest square-well
-    # momentum bins are all that is left
+def test_the_package_takes_nothing_from_scipy_and_depends_on_numpy_alone():
+    # every quadrature runs through numerics.adaptive_panels and the widest
+    # square-well momentum bins take a far-tail series, so the package needs
+    # numpy alone: scipy is an oracle of the tests, not a dependency
+    sources = sorted((ROOT / "src" / "cg_uncert").glob("*.py"))
+    assert sources
     found = []
-    for path in sorted((ROOT / "src" / "cg_uncert").glob("*.py")):
+    for path in sources:
         found += [(path.name, *imp) for imp in
                   _scipy_imports(ast.parse(path.read_text(), str(path)), "")]
-    assert found == [("states.py", "_well_momentum.masses", "scipy.special", ["sici"])]
+    assert found == []
+    dependencies = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
+    assert [re.match(r"[\w-]+", req).group(0) for req in dependencies] == ["numpy"]
 
 
 def test_a_failing_hypothesis_test_fails_the_run_without_aborting_it(tmp_path):
