@@ -29,6 +29,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -322,16 +323,12 @@ def _fmt(v) -> str:
 
 def _write_table(cfg: RunConfig, header: list, rows: list, meta: dict) -> None:
     if cfg.format == "csv":
-        text_rows = []
-        for k in sorted(meta):
-            text_rows.append(f"# {k}={_fmt(meta[k])}\r\n")
-        out = "".join(text_rows)
         sink = io.StringIO()
+        sink.writelines(f"# {k}={_fmt(meta[k])}\r\n" for k in sorted(meta))
         w = csv.writer(sink)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
-        payload = out + sink.getvalue()
+        w.writerows([_fmt(v) for v in row] for row in rows)
+        payload = sink.getvalue()
     else:
         doc = {"meta": {k: meta[k] for k in sorted(meta)}, "columns": header,
                "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
@@ -348,9 +345,19 @@ def _emit(path: Optional[str], payload: str) -> None:
     if path is None:
         sys.stdout.write(payload)
         sys.stdout.flush()
-    else:
-        with open(path, "w", newline="") as f:
-            f.write(payload)
+        return
+    # Write over the old bytes, then cut a regular file at the payload's end:
+    # an open that truncates makes ext4 write back at close.  A failed write
+    # leaves the file empty, never old bytes that could pass for a report.
+    with io.FileIO(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as raw:
+        end = 0
+        try:
+            with open(raw.fileno(), "w", newline="", closefd=False) as f:
+                f.write(payload)
+            end = raw.tell()
+        finally:
+            if os.path.isfile(path):
+                raw.truncate(end)
 
 
 def _report_dicts(reports) -> list:
@@ -399,10 +406,8 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_region(cfg: RunConfig) -> int:
     axis = [float(v) for v in np.linspace(0.0, cfg.grid_umax, cfg.grid_n)]
     reg = feasibility_region(cfg.delta, cfg.delta_p, axis, axis, cfg.hbar)
-    rows = []
-    for i, ux in enumerate(reg.u_x):
-        for j, up in enumerate(reg.u_p):
-            rows.append([ux, up, int(reg.forbidden[i][j])])
+    rows = [[ux, up, int(reg.forbidden[i][j])]
+            for i, ux in enumerate(reg.u_x) for j, up in enumerate(reg.u_p)]
     meta = {"forbidden_fraction": reg.fraction, "log_rhs_heis": reg.log_rhs}
     _write_table(cfg, ["u_x", "u_p", "forbidden"], rows, meta)
     return 0

@@ -7,11 +7,12 @@ restricted to one bin, as functions of t alone).
 prolate_r00 takes lambda0 from a Bouwkamp-type Legendre coefficient
 expansion.  The even-order coefficients d_{2k} of the angular function of
 order (0,0) solve a symmetric tridiagonal eigenproblem (smallest eigenvalue),
-solved by inverse iteration with a tridiagonal LDL^T solve; R00(c,1) =
+truncated from 8 + 5 sqrt(c) terms on and solved by inverse iteration with a
+tridiagonal LDL^T solve.  One eigvalsh call per c sets the shift; the drift
+check at 16 more terms reuses it once all pivots there are positive.  R00(c,1) =
 d_0 / S00(c,0) follows from the integral equation of the angular function at
-eta = 0, and lambda0 = (2c/pi) R00(c,1)^2.  Numpy and plain floats only:
-against a 60-digit eigensolve, 1 - lambda0 is within 9e-7 relative for c in
-[8, 12).
+eta = 0, and lambda0 = (2c/pi) R00(c,1)^2.  Against a 60-digit eigensolve,
+1 - lambda0 is within 9e-7 relative for c in [8, 12).
 
 For c beyond ~12 the complement 1 - lambda0 falls under the double-precision
 resolution of lambda0 itself, so ProlateResult additionally carries
@@ -72,26 +73,29 @@ def _deficit_asymptote(c: float) -> float:
     return math.exp(lg) * corr
 
 
-def _expansion(c: float, nterms: int) -> tuple[float, float, np.ndarray]:
-    k = np.arange(nterms)
-    r = 2.0 * k
-    diag = r * (r + 1.0) + c * c * (2.0 * r * (r + 1.0) - 1.0) / ((2.0 * r - 1.0) * (2.0 * r + 3.0))
-    rr = 2.0 * np.arange(nterms - 1)
-    off = c * c * (rr + 1.0) * (rr + 2.0) / (
-        (2.0 * rr + 3.0) * np.sqrt((2.0 * rr + 1.0) * (2.0 * rr + 5.0))
-    )
+def _expansion(c: float, nterms: int, mu: float | None = None) -> tuple[float, float, list, float]:
+    diag = [r * (r + 1.0) + c * c * (2.0 * r * (r + 1.0) - 1.0) / ((2.0 * r - 1.0) * (2.0 * r + 3.0))
+            for r in map(float, range(0, 2 * nterms, 2))]
+    off = [c * c * (r + 1.0) * (r + 2.0) / ((2.0 * r + 3.0) * math.sqrt((2.0 * r + 1.0) * (2.0 * r + 5.0)))
+           for r in map(float, range(0, 2 * nterms - 2, 2))]
     # Inverse iteration for the eigenvector of the smallest eigenvalue, with
     # the shift mu just below it: A - mu is then positive definite, so its
-    # LDL^T factors (unit bidiagonal L with multipliers mult, pivots piv)
-    # need no pivoting, and the tail coefficients come out to full relative
-    # precision, which the truncation test below relies on.  Each solve
-    # shrinks the other eigenvectors' share by shift / gap < 1e-6, so three
-    # solves from a flat start reach rounding level.
-    mu = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[0]) - 1e-9 * float(diag[-1])
-    piv, mult = [float(diag[0]) - mu], []
-    for a, e in zip(diag[1:].tolist(), off.tolist()):
-        mult.append(e / piv[-1])
-        piv.append(a - mu - mult[-1] * e)
+    # LDL^T factors need no pivoting and give the tail coefficients to full
+    # relative precision, as the truncation test needs.  A caller's mu is kept
+    # when all pivots are positive (by Sylvester's law of inertia, it then lies
+    # below the spectrum).  Each solve shrinks the other eigenvectors' share
+    # by shift / gap < 1e-6, so three solves from a flat start reach rounding.
+    for fresh in (mu is None, True):
+        if fresh:
+            mu = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[0]) - 1e-9 * diag[-1]
+        piv, mult = [diag[0] - mu], []
+        for a, e in zip(diag[1:], off):
+            mult.append(e / piv[-1])
+            piv.append(a - mu - mult[-1] * e)
+        if min(piv) > 0.0:
+            break
+    else:
+        raise NonConvergence(f"prolate shift at c={c} is not below the spectrum")
     x = [1.0] * nterms
     for _ in range(3):
         for i in range(1, nterms):
@@ -101,28 +105,27 @@ def _expansion(c: float, nterms: int) -> tuple[float, float, np.ndarray]:
             x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
         top = max(map(abs, x))
         x = [v / top for v in x]
-    d = np.array(x) * np.sqrt(4.0 * k + 1.0)  # undo the symmetrizing similarity scaling
-    if d[0] < 0:
-        d = -d
-    # R00(c, 1) = d_0 / S00(c, 0): the integral equation of the angular
-    # function at eta = 0 gives int S00 = 2 d_0 = mu_0 S00(c, 0) with
-    # lambda0 = c mu_0^2 / (2 pi).  S00(c, 0) = sum d_2k P_2k(0) is the peak
-    # of S00, so neither sum cancels, unlike the spherical-Bessel series at
-    # eta = 1, whose sums both shrink like exp(-const*c).
-    p2k0 = np.cumprod(np.concatenate(([1.0], (1.0 - 2.0 * k[1:]) / (2.0 * k[1:]))))
-    r00 = float(d[0] / np.dot(d, p2k0))
+    d = [v * math.sqrt(4.0 * k + 1.0) for k, v in enumerate(x)]  # undo the symmetrizing scaling
+    # R00(c, 1) = d_0 / S00(c, 0), of either sign of d: the integral equation
+    # of the angular function at eta = 0 gives int S00 = 2 d_0 = mu_0 S00(c, 0)
+    # with lambda0 = c mu_0^2 / (2 pi).  S00(c, 0) = sum d_2k P_2k(0) is the
+    # peak of S00, so neither sum cancels, unlike the spherical-Bessel series
+    # at eta = 1, whose sums both shrink like exp(-const*c).
+    r00 = d[0] / math.fsum((-1) ** k * math.comb(2 * k, k) / 4**k * v for k, v in enumerate(d))
     lam = (2.0 * c / math.pi) * r00 * r00
-    return r00, lam, d
+    return r00, lam, d, mu
 
 
 @functools.lru_cache(maxsize=1024)
 def prolate_r00(c: float) -> ProlateResult:
     """R00(c, 1) and the concentration eigenvalue lambda0 = (2c/pi) R00^2.
 
-    Truncation of the coefficient expansion grows until the eigenvalue
-    stabilizes below 1e-12 and the trailing coefficients are negligible.
-    Memoized per c: a report set asks for the same c as its neighbours, and
-    the frozen result is safe to share.
+    Truncation starts at 8 + 5 sqrt(c) terms and grows until the trailing
+    coefficients are negligible; the drift check at 16 more terms reuses
+    the shift of that expansion's one eigvalsh call once its LDL^T pivots
+    all check positive, so a c costs one eigensolve.  Memoized per c: a
+    report set asks for the same c as its neighbours, and the frozen result
+    is safe to share.
     """
     if not math.isfinite(c):
         raise ValueError(f"prolate bandwidth parameter c = {c!r} is not finite")
@@ -149,16 +152,17 @@ def prolate_r00(c: float) -> ProlateResult:
     # Truncation is set by coefficient decay alone: past the plunge region the
     # d_{2k} fall off superexponentially, while the shift of the inverse
     # iteration, and with it the solve's noise, grows like nterms**2, so the
-    # smallest sufficient truncation is also the most accurate one.
-    nterms = max(32, int(c) + 24)
+    # smallest sufficient truncation is also the most accurate one.  The
+    # start is a term or more above the least that passes below the switch.
+    nterms = 8 + int(5.0 * math.sqrt(c))
     while True:
-        r00, lam, d = _expansion(c, nterms)
-        if abs(d[-1]) < 1e-24 * np.max(np.abs(d)):
+        r00, lam, d, mu = _expansion(c, nterms)
+        if abs(d[-1]) < 1e-24 * max(map(abs, d)):
             break
         nterms += max(16, nterms // 2)
         if nterms > 4000:
             raise NonConvergence(f"prolate expansion failed to stabilize at c={c}")
-    r00_chk, lam_chk, _ = _expansion(c, nterms + 16)
+    r00_chk, lam_chk, _, _ = _expansion(c, nterms + 16, mu)
     drift = abs(lam - lam_chk) + abs(r00 - r00_chk)
     if drift > 1e-8:
         raise NonConvergence(f"prolate expansion unstable at c={c} (drift {drift:.2e})")

@@ -1,4 +1,6 @@
 import argparse
+import errno
+import io
 import json
 import math
 import os
@@ -664,6 +666,71 @@ def test_csv_output_is_crlf_and_roundtrip_precise(tmp_path):
     for r in rows:
         dd = float(r[0])
         assert float(r[1]) == bound_B(dd, 1.0, 1.0, 0.5)  # 17 digits round-trip
+
+
+_OUT_CASES = [
+    ["check", "--state", "gaussian", "--delta", "1", "--delta-p", "1"],
+    ["bounds", "--sweep-min", "0.3", "--sweep-max", "3", "--sweep-points", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _OUT_CASES, ids=["check-json", "bounds-csv"])
+def test_out_file_is_rewritten_in_place(tmp_path, capsysbinary, argv):
+    # --out holds exactly the stdout bytes, whatever it held before, and an
+    # existing file keeps its inode and mode, as an open for "w" keeps them
+    assert main(argv) == 0
+    expected = capsysbinary.readouterr().out
+    out = tmp_path / "report"
+    out.write_bytes(b"x" * 10_000)
+    out.chmod(0o640)
+    before = out.stat()
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == expected
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert len(expected) < 10_000 and (argv[0] == "check" or b"\r\n" in expected)
+    # a new file is created with the payload alone
+    fresh = tmp_path / "new"
+    assert main(argv + ["--out", str(fresh)]) == 0
+    assert fresh.read_bytes() == expected
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_out_to_a_character_device_is_not_truncated(capsys):
+    # truncating a character device fails with EINVAL, which would exit 2
+    assert main(_OUT_CASES[0] + ["--out", "/dev/null"]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
+class _DiskFull(io.TextIOWrapper):
+    """A text file whose write gets half the payload to disk, then fails."""
+
+    def write(self, s):
+        super().write(s[: len(s) // 2])
+        self.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+def test_failed_write_leaves_the_out_file_empty(tmp_path, monkeypatch, capsys):
+    # the old "holds" report must not survive, whole or in part, next to an
+    # io error: a crash never looks like a verdict
+    out = tmp_path / "report.json"
+    assert main(_OUT_CASES[0] + ["--out", str(out)]) == 0
+    assert all(r["verdict"] == "holds" for r in json.loads(out.read_text()))
+    capsys.readouterr()
+    opened, real_open = [], os.open
+    monkeypatch.setattr(os, "open", lambda *a, **k: opened.append(real_open(*a, **k)) or opened[-1])
+
+    def full_open(file, mode="r", newline=None, closefd=True):
+        return _DiskFull(open(file, mode.replace("w", "wb"), closefd=closefd), newline=newline)
+
+    monkeypatch.setattr(cli, "open", full_open, raising=False)
+    assert main(_OUT_CASES[0] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert out.read_bytes() == b""
+    assert len(opened) == 1
+    with pytest.raises(OSError):
+        os.fstat(opened[0])  # the descriptor was closed
 
 
 def test_bounds_sweep_reaches_fine_graining_limit(capsys):

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from cg_uncert import specfun
 from cg_uncert.numerics import NonConvergence
 from cg_uncert.specfun import (
     bin_profile_norm,
@@ -97,6 +98,56 @@ def test_prolate_is_memoized_per_c():
     assert prolate_r00(1.25) is prolate_r00(1.25)
     assert prolate_r00(13.0) is prolate_r00(13.0)
     assert prolate_r00(1.25) is not prolate_r00(1.5)
+
+
+def _count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
+    return calls
+
+
+def test_prolate_makes_one_eigensolve_per_fresh_c(monkeypatch):
+    # the drift check at 16 more terms reuses the first expansion's shift,
+    # and the asymptotic branch makes none
+    calls = _count_eigvalsh(monkeypatch)
+    for c in np.logspace(-6, math.log10(12.0), 40, endpoint=False):
+        calls.clear()
+        prolate_r00.__wrapped__(float(c))
+        assert len(calls) == 1, f"c={c}: {calls}"
+    for c in (12.0, 12.5, 30.0, 400.0):
+        calls.clear()
+        prolate_r00.__wrapped__(c)
+        assert calls == [], f"c={c}"
+
+
+def test_prolate_truncation_is_sized_by_c():
+    # the start grows with c from 8 terms, so a fixed floor of 32 fails this
+    for c in np.logspace(-6, math.log10(12.0), 200, endpoint=False):
+        assert 0 < prolate_r00.__wrapped__(float(c)).terms_used <= 26, f"c={c}"
+
+
+@pytest.mark.parametrize("c", [0.3, 5.0, 11.5])
+def test_prolate_shift_above_the_spectrum_is_solved_afresh(monkeypatch, c):
+    n = 30
+    fresh = specfun._expansion(c, n)
+    diag0 = c * c / 3.0  # A[0, 0]; the smallest eigenvalue lies below it
+    calls = _count_eigvalsh(monkeypatch)
+    # first pivot negative, and a shift between the smallest eigenvalue and
+    # A[0, 0], whose negative pivot comes later
+    for mu in (diag0 + 1.0, 0.5 * (fresh[3] + diag0)):
+        calls.clear()
+        assert specfun._expansion(c, n, mu) == fresh
+        assert calls == [n]
+    # a shift that passes the pivot check is kept, with no eigensolve
+    calls.clear()
+    r00, lam, _, mu = specfun._expansion(c, n, fresh[3] - 1e-6)
+    assert calls == [] and mu == fresh[3] - 1e-6
+    assert abs(r00 - fresh[0]) <= 1e-15 and abs(lam - fresh[1]) <= 1e-15
+    # an eigensolve whose shift fails the check too is a numerical failure
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([diag0 + 1.0]))
+    with pytest.raises(NonConvergence, match="not below the spectrum"):
+        specfun._expansion(c, n)
 
 
 def test_prolate_edge_cases():
@@ -282,7 +333,7 @@ def test_prolate_deficit_against_mpmath():
 
 
 def test_prolate_r00_against_mpmath():
-    for c in (1e-3, 0.3, 1.0, 2.0, 4.0, 6.0) + MP_C_GRID:
+    for c in (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 6.0) + MP_C_GRID:
         ref, _ = _prolate_mp(c)
         got = prolate_r00.__wrapped__(c).r00_at_1
         assert float(abs(got - ref) / ref) <= 1e-15, f"c={c}"
