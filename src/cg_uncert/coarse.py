@@ -221,11 +221,9 @@ class ReconstructedPdf:
         b = self.base
         r, shift = b._reduced
         edges = grid_edges(r, b.width, b.j_min + shift, b.masses.size)
-        mean = _mean_center(b)
-        m2 = discrete_variance(b) + ghf_variance(self.ghf) + mean ** 2
         return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
-                         discontinuities=tuple(edges[1:-1].tolist()),
-                         known_mean=mean, known_m2=m2)
+                         discontinuities=tuple(edges[1:-1].tolist()), known_mean=_mean_center(b),
+                         known_var=discrete_variance(b) + ghf_variance(self.ghf))
 
 
 # ---------------------------------------------------------------------------

@@ -66,15 +66,17 @@ _CHUNK = 1 << 15
 
 
 def adaptive_panels(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi, group,
-                    n_groups: int) -> np.ndarray:
+                    n_groups: int, scale: float = 0.0) -> np.ndarray:
     """Integrals of a vectorized integrand over the panels [lo[i], hi[i]],
     summed per group: panel i joins sum group[i] of n_groups.  A panel whose
     16- and 32-point Gauss-Legendre values differ by more than
     max(1e-15 S, 1e-12 |value|) is halved and its halves checked again; S,
-    the sum of |value| over the panels given, scales the floor with the
-    integral.  Raises NonConvergence, naming the first unsettled panel,
-    after 40 halvings or when more than max(2^16, 4 n) of the n panels given
-    are unsettled at once."""
+    the larger of scale and the sum of |value| over the panels given, scales
+    the floor with the integral (a caller integrating one piece of a larger
+    integral passes that integral's magnitude as scale).  Raises
+    NonConvergence, naming the first unsettled panel, after 40 halvings or
+    when more than max(2^16, 4 n) of the n panels given are unsettled at
+    once."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     group = np.asarray(group, dtype=np.intp)
     limit = max(1 << 16, 4 * lo.size)
@@ -87,7 +89,7 @@ def adaptive_panels(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi, group,
             v16[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 16)
             v32[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 32)
         if floor is None:
-            floor = 1e-15 * float(np.sum(np.abs(v32)))
+            floor = 1e-15 * max(float(np.sum(np.abs(v32))), scale)
         # written so that a NaN counts as unsettled
         bad = ~(np.abs(v32 - v16) <= np.maximum(floor, 1e-12 * np.abs(v32)))
         total += np.bincount(group[~bad], v32[~bad], minlength=n_groups)

@@ -14,13 +14,15 @@ as for the Gaussian).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
 
-Moments and differential Renyi entropies are computed by quadrature:
-panel_integrals (which also bins densities without closed-form masses) over
-the finite core of the support, then geometrically growing tail rings until
-two consecutive rings fall below the tolerance.  Densities whose second
-moment is not quadrature-reachable (the box eigenstates in momentum, whose
-tails decay like p**-4 under slow oscillation) carry exact moments instead
-and are marked heavy_tail.
+Moments and differential Renyi entropies are computed by quadrature, all
+through panel_integrals (which also bins densities without closed-form
+masses): the finite core of the support, 8 standard deviations either side
+of the known mean where the support is infinite, then tail rings of doubling
+width, settled against the core's magnitude, until two consecutive rings
+fall below the tolerance.  Densities whose variance is not
+quadrature-reachable (the box eigenstates in momentum, whose tails decay
+like p**-4 under slow oscillation) carry it exactly instead and are marked
+heavy_tail.
 
 The module holds states, densities and density functionals only; the
 relation reports built from them are made in bounds.
@@ -35,14 +37,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .numerics import (
-    Divergent,
-    DomainError,
-    NonConvergence,
-    _gl_nodes,
-    adaptive_panels,
-    gauss_legendre_panels,
-)
+from .numerics import Divergent, DomainError, NonConvergence, _gl_nodes, adaptive_panels
 
 __all__ = [
     "Gaussian",
@@ -76,7 +71,7 @@ MAX_WELL_N = 100_000
 
 
 def _check_width_square(name: str, width: float) -> None:
-    """A marginal's second moment holds the square of its width."""
+    """A marginal's variance holds the square of its width."""
     if not math.isfinite(width * width):
         raise ValueError(f"marginal width {name} = {width!r} squares past the double range")
 
@@ -187,9 +182,10 @@ class Density1D:
     eval accepts scalars or arrays.  discontinuities lists interior points
     where the density (or its derivative) breaks; quadrature panels end
     there (halving finds an unlisted jump only slowly, if at all).
-    known_mean/known_m2 are exact first and second raw moments when
-    available; heavy_tail marks densities whose second moment must come from
-    those fields because tail quadrature will not converge.  osc_scale is the
+    known_mean/known_var are the exact mean and variance when available;
+    they centre and size the quadrature core, and heavy_tail marks densities
+    whose variance must come from known_var because tail quadrature will not
+    converge.  osc_scale is the
     shortest oscillation wavelength in the tails; no quadrature panel is
     wider than half of it.  interval_masses, when present, maps a block of
     bins given as its grid (r, width, j_lo, n), the n bins j_lo .. j_lo + n - 1
@@ -202,7 +198,7 @@ class Density1D:
     support: tuple
     discontinuities: tuple = ()
     known_mean: Optional[float] = None
-    known_m2: Optional[float] = None
+    known_var: Optional[float] = None
     heavy_tail: bool = False
     osc_scale: Optional[float] = None
     interval_masses: Optional[Callable[[float, float, int, int], np.ndarray]] = None
@@ -255,7 +251,7 @@ def _gaussian(mu: float, sd: float) -> Density1D:
         return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
-                     known_m2=sd ** 2 + mu ** 2, interval_masses=masses)
+                     known_var=sd ** 2, interval_masses=masses)
 
 
 def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
@@ -299,7 +295,7 @@ def _hermite(n: int, sd: float) -> Density1D:
         return _masses_from_tails(z, 0.5 * _erfc(az) + _hermite_phi(n, az)[1])
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
-                     known_m2=sd * sd * (n + 0.5), interval_masses=masses)
+                     known_var=sd * sd * (n + 0.5), interval_masses=masses)
 
 
 def _well_position(n: int, length: float) -> Density1D:
@@ -323,7 +319,7 @@ def _well_position(n: int, length: float) -> Density1D:
         eval=pdf, support=(0.0, length),
         discontinuities=tuple(m * length / n for m in range(1, n)),
         known_mean=length / 2.0,
-        known_m2=length * length * (1.0 / 3.0 - 1.0 / (2.0 * (n * math.pi) ** 2)),
+        known_var=length * length * (1.0 / 12.0 - 1.0 / (2.0 * (n * math.pi) ** 2)),
         interval_masses=masses)
 
 
@@ -560,7 +556,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         return _masses_from_tails(p, tail)
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
-                     known_m2=(hbar * n * math.pi / length) ** 2, heavy_tail=True,
+                     known_var=(hbar * n * math.pi / length) ** 2, heavy_tail=True,
                      osc_scale=2.0 * math.pi * hbar / length, interval_masses=masses)
 
 
@@ -608,16 +604,15 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
     lo = min(d.support[0] for _, d in parts)
     hi = max(d.support[1] for _, d in parts)
     cuts = set()
-    mean = m2 = 0.0
     for w, d in parts:
         cuts.update(d.discontinuities)
         # component support edges become kinks of the mixture when interior
         cuts.update(e for e in d.support if math.isfinite(e) and lo < e < hi)
-        mean += w * d.known_mean
-        m2 += w * d.known_m2
+    mean = sum(w * d.known_mean for w, d in parts)
+    var = sum(w * (d.known_var + (d.known_mean - mean) ** 2) for w, d in parts)
     oscs = [d.osc_scale for _, d in parts if d.osc_scale is not None]
     return Density1D(eval=pdf, support=(lo, hi), discontinuities=tuple(sorted(cuts)),
-                     known_mean=mean, known_m2=m2,
+                     known_mean=mean, known_var=var,
                      heavy_tail=any(d.heavy_tail for _, d in parts),
                      osc_scale=min(oscs) if oscs else None, interval_masses=masses)
 
@@ -625,65 +620,12 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
 # ---------------------------------------------------------------------------
 # quadrature over densities
 
+# tail rings: the most per side, the most panels one ring of an oscillating
+# density may take, and the ring size, against max(1, |integral|), below which
+# two rings in a row end a tail
 _MAX_RINGS = 48
-_MAX_PANELS = 1 << 17
-_PANEL_ORDER = 12
+_MAX_RING_PANELS = 1 << 16
 _RING_TOL = 1e-10
-
-
-def _center_and_scale(d: Density1D) -> tuple:
-    m = d.known_mean if d.known_mean is not None else 0.0
-    if d.known_mean is not None and d.known_m2 is not None:
-        var = max(d.known_m2 - d.known_mean ** 2, 0.0)
-        s = math.sqrt(var) if var > 0.0 else 1.0
-    else:
-        s = 1.0
-    return m, s
-
-
-def _panels_total(f_vec, a: float, b: float, n_panels: int) -> float:
-    edges = np.linspace(a, b, n_panels + 1)
-    vals = gauss_legendre_panels(f_vec, edges[:-1], edges[1:], _PANEL_ORDER)
-    return float(np.sum(vals))
-
-
-def _ring_value(f_vec, a: float, b: float, osc: Optional[float], err_cls) -> float:
-    n = 32 if osc is None else max(16, int(2.0 * (b - a) / osc) + 1)
-    if n > _MAX_PANELS:
-        raise err_cls(f"tail ring [{a}, {b}] needs {n} panels, more than {_MAX_PANELS}")
-    prev = _panels_total(f_vec, a, b, n)
-    n *= 2
-    while n <= _MAX_PANELS:
-        cur = _panels_total(f_vec, a, b, n)
-        if abs(cur - prev) <= 0.125 * _RING_TOL * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-        n *= 2
-    raise err_cls(f"tail panel refinement stalled on [{a}, {b}]")
-
-
-def _tail_sum(f_vec, edge: float, width0: float, direction: int,
-              osc: Optional[float], err_cls) -> float:
-    total = 0.0
-    width = width0
-    quiet = 0
-    for _ in range(_MAX_RINGS):
-        if direction > 0:
-            a, b = edge, edge + width
-            edge = b
-        else:
-            a, b = edge - width, edge
-            edge = a
-        v = _ring_value(f_vec, a, b, osc, err_cls)
-        total += v
-        width *= 2.0
-        if abs(v) <= 0.25 * _RING_TOL * max(1.0, abs(total)):
-            quiet += 1
-            if quiet >= 2:
-                return total
-        else:
-            quiet = 0
-    raise err_cls("tail ring sum did not converge within the ring budget")
 
 
 def _split(x: np.ndarray, width: float) -> np.ndarray:
@@ -694,52 +636,69 @@ def _split(x: np.ndarray, width: float) -> np.ndarray:
     return np.append(x[j] + f * (x[j + 1] - x[j]), x[-1])
 
 
-def panel_integrals(d: Density1D, f_vec, edges: np.ndarray) -> np.ndarray:
+def panel_integrals(d: Density1D, f_vec, edges: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Integrals of the vectorized f_vec between consecutive ascending finite
-    edges, by adaptive_panels: the edges are clipped to the support of d,
-    and the intervals split at its cuts and into panels no wider than half
-    its osc_scale.  Intervals outside the support get 0."""
+    edges, by adaptive_panels (scale passed on): the edges are clipped to
+    the support of d, and the intervals split at its cuts and into panels no
+    wider than half its osc_scale.  Intervals outside the support get 0."""
     edges = np.clip(np.asarray(edges, dtype=float), *d.support)
     cuts = np.asarray(d.discontinuities, dtype=float)
     x = np.unique(np.concatenate((edges, cuts[(cuts > edges[0]) & (cuts < edges[-1])])))
     if d.osc_scale is not None:
         x = _split(x, 0.5 * d.osc_scale)
     return adaptive_panels(f_vec, x[:-1], x[1:], np.searchsorted(edges, x[:-1], "right") - 1,
-                           edges.size - 1)
+                           edges.size - 1, scale)
 
 
-def _integrate_density(d: Density1D, h, err_cls=NonConvergence) -> float:
+def _integrate_density(d: Density1D, h) -> float:
     """Integral of h(x, f(x)) over the support of density f, for a
-    vectorized h: panel_integrals over the finite core, and geometrically
-    growing rings of fixed-order panels over infinite tails."""
+    vectorized h, all by panel_integrals: over the finite core, which an
+    infinite support ends 8 standard deviations from the mean, then over
+    rings of doubling width, 8 standard deviations first, out along each
+    infinite tail until two rings in a row are negligible.  Ring panels
+    settle against the core's magnitude.  Raises Divergent when a tail does
+    not settle within _MAX_RINGS rings, or when a ring of an oscillating
+    density would take more than _MAX_RING_PANELS panels."""
 
     def f_vec(x):
         return h(x, d.eval(x))
 
     lo, hi = d.support
-    m, s = _center_and_scale(d)
+    m = d.known_mean or 0.0
+    s = math.sqrt(d.known_var) if d.known_var else 1.0
     a = lo if math.isfinite(lo) else m - 8.0 * s
     b = hi if math.isfinite(hi) else m + 8.0 * s
     if not a < b:
         raise ValueError(f"degenerate support [{lo}, {hi}]")
 
     total = float(panel_integrals(d, f_vec, np.array([a, b]))[0])
-    if not math.isfinite(lo):
-        total += _tail_sum(f_vec, a, 8.0 * s, -1, d.osc_scale, err_cls)
-    if not math.isfinite(hi):
-        total += _tail_sum(f_vec, b, 8.0 * s, +1, d.osc_scale, err_cls)
+    scale = abs(total)
+    for edge, end, sign in ((a, lo, -1.0), (b, hi, 1.0)):
+        width, rings, quiet = 8.0 * s, 0, 0
+        while not math.isfinite(end) and quiet < 2:
+            if rings == _MAX_RINGS:
+                raise Divergent(f"tail did not settle within {_MAX_RINGS} rings, out to {edge!r}")
+            if d.osc_scale is not None and 2.0 * width > _MAX_RING_PANELS * d.osc_scale:
+                raise Divergent(f"tail ring of width {width!r} needs more than "
+                                f"{_MAX_RING_PANELS} panels")
+            far = edge + sign * width
+            v = float(panel_integrals(d, f_vec, np.array(sorted((edge, far))), scale)[0])
+            total += v
+            edge, width, rings = far, 2.0 * width, rings + 1
+            quiet = quiet + 1 if abs(v) <= 0.25 * _RING_TOL * max(1.0, abs(total)) else 0
     return total
 
 
 def variance(d: Density1D) -> float:
-    """Variance of the density; exact moments are used where quadrature
-    cannot reach the tails."""
+    """Variance of the density, known_var where quadrature cannot reach the
+    tails.  The mean is taken relative to known_mean, m + int (x - m) f, so
+    that a density far from the origin keeps its mean's digits."""
     if d.heavy_tail:
-        if d.known_mean is None or d.known_m2 is None:
-            raise Divergent("second moment of a heavy-tailed density with no "
-                            "exact moments attached")
-        return d.known_m2 - d.known_mean ** 2
-    mean = _integrate_density(d, lambda x, f: x * f)
+        if d.known_var is None:
+            raise Divergent("variance of a heavy-tailed density with no exact variance attached")
+        return d.known_var
+    m = d.known_mean or 0.0
+    mean = m + _integrate_density(d, lambda x, f: (x - m) * f)
     return _integrate_density(d, lambda x, f: (x - mean) ** 2 * f)
 
 
@@ -758,12 +717,12 @@ def renyi_entropy_cont(d: Density1D, lam: float) -> float:
     if not (lam > 0.0 and math.isfinite(lam)):
         raise DomainError(f"entropy order must be positive and finite, got {lam}")
     if lam == 1.0:
-        return _integrate_density(d, _h_shannon, err_cls=Divergent)
+        return _integrate_density(d, _h_shannon)
 
     def h_pow(x, f):
         return np.power(np.maximum(np.asarray(f, dtype=float), 0.0), lam)
 
-    integral = _integrate_density(d, h_pow, err_cls=Divergent)
+    integral = _integrate_density(d, h_pow)
     if not integral > 0.0:
         raise NonConvergence(f"power integral came out nonpositive ({integral})")
     return math.log(integral) / (1.0 - lam)

@@ -591,8 +591,13 @@ def test_width_products_below_the_limit_keep_their_output(tmp_path):
 
 
 def test_numeric_overflow_is_not_a_verdict(capsys):
-    # exit code 1 means "violated"; a crash inside the numerics must not read as one
+    # exit code 1 means "violated"; a crash inside the numerics must not read as one.
+    # A Gaussian's stored variance does not square its location, so this one
+    # meets the binning's location gate; a mixture's variance squares the
+    # spread of its components' means
     assert main(["check", "--state", "gaussian:x0=1e300"]) == 2
+    assert "error: location 1e+300 " in capsys.readouterr().err
+    assert main(["check", "--state", "mix:0.5*gaussian:x0=1e300+0.5*gaussian"]) == 2
     assert "numeric error: OverflowError" in capsys.readouterr().err
 
 

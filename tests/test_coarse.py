@@ -358,7 +358,7 @@ def test_reconstruction_places_bins_on_the_reduced_grid(d):
     lo, hi = d_near.support
     x = np.linspace(lo - eta, hi + eta, 4001)
     assert np.array_equal(far.eval(x), near.eval(x))
-    for name in ("support", "discontinuities", "known_mean", "known_m2"):
+    for name in ("support", "discontinuities", "known_mean", "known_var"):
         assert getattr(d_far, name) == getattr(d_near, name), name
     # an offset within one width is its own reduction: centres offset + j eta,
     # and edges offset + (j - 1/2) eta, formed as bin_density forms them; the

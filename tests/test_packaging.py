@@ -1,7 +1,8 @@
 """Distribution metadata agrees with the package, the test extra lists what
 the tests import, the README's module map lists its modules, the package
 imports no scipy at start-up or anywhere else and declares numpy as its one
-dependency, and the test configuration reports a failing test as a failure."""
+dependency, only numerics takes fixed-order Gauss-Legendre panels, and the
+test configuration reports a failing test as a failure."""
 
 import ast
 import importlib
@@ -132,6 +133,35 @@ def test_the_package_takes_nothing_from_scipy_and_depends_on_numpy_alone():
     assert found == []
     dependencies = tomllib.loads(PYPROJECT.read_text())["project"]["dependencies"]
     assert [re.match(r"[\w-]+", req).group(0) for req in dependencies] == ["numpy"]
+
+
+def _fixed_order_uses(node) -> list:
+    """Line numbers under node that import, name or call
+    gauss_legendre_panels."""
+    name = "gauss_legendre_panels"
+    found = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.ImportFrom) and any(a.name == name for a in sub.names):
+            found.append(sub.lineno)
+        elif isinstance(sub, ast.Name) and sub.id == name:
+            found.append(sub.lineno)
+        elif isinstance(sub, ast.Attribute) and sub.attr == name:
+            found.append(sub.lineno)
+    return found
+
+
+def test_only_numerics_takes_fixed_order_panels():
+    # every quadrature, the tail rings of the continuous functionals among
+    # them, runs through numerics.adaptive_panels, which alone calls the
+    # fixed-order rule; the square-well momentum masses take their nodes from
+    # numerics._gl_nodes, not from fixed-order panels
+    sources = sorted((ROOT / "src" / "cg_uncert").glob("*.py"))
+    assert sources
+    for path in sources:
+        if path.stem == "numerics":
+            continue
+        lines = _fixed_order_uses(ast.parse(path.read_text(), str(path)))
+        assert not lines, f"{path.name} uses gauss_legendre_panels on lines {lines}"
 
 
 def test_a_failing_hypothesis_test_fails_the_run_without_aborting_it(tmp_path):

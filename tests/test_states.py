@@ -62,7 +62,7 @@ def test_gaussian_moments():
     assert variance(momentum_density(s)) == pytest.approx(1.0, rel=1e-11)
     dx = position_density(s)
     assert dx.known_mean == pytest.approx(0.7)
-    assert dx.known_m2 == pytest.approx(0.25 + 0.49)
+    assert dx.known_var == pytest.approx(0.25)
 
 
 def test_hermite_moments():
@@ -88,7 +88,7 @@ def _assert_same_density(a: Density1D, b: Density1D, mu: float, sd: float, z_gri
     z_r, z_width, j_lo, n = z_grid
     grid = (mu + sd * z_r, sd * z_width, j_lo, n)
     assert np.array_equal(a.interval_masses(*grid), b.interval_masses(*grid))
-    for name in ("support", "discontinuities", "known_mean", "known_m2", "heavy_tail",
+    for name in ("support", "discontinuities", "known_mean", "known_var", "heavy_tail",
                  "osc_scale"):
         assert repr(getattr(a, name)) == repr(getattr(b, name)), name
 
@@ -204,7 +204,7 @@ def test_marginal_widths_just_below_the_square_limit_keep_finite_moments():
     for s in (Gaussian(sigma=1e154), Gaussian(sigma=1e-154), SquareWell(1, length=1e154),
               SquareWell(1, length=4e-154)):
         for d in (position_density(s), momentum_density(s)):
-            assert math.isfinite(d.known_m2) and d.known_m2 > 0.0
+            assert math.isfinite(d.known_var) and d.known_var > 0.0
 
 
 def test_square_well_position():
@@ -278,18 +278,67 @@ def test_square_well_momentum_moments():
     dp = momentum_density(s)
     kn = 2 * math.pi / 2.0
     assert dp.known_mean == 0.0
-    assert dp.known_m2 == pytest.approx((0.7 * kn) ** 2, rel=1e-14)
+    assert dp.known_var == pytest.approx((0.7 * kn) ** 2, rel=1e-14)
     # p^{-4} tails: variance must come from the known moments, not quadrature
     assert dp.heavy_tail
     assert variance(dp) == pytest.approx((0.7 * kn) ** 2, rel=1e-14)
 
 
+def _cauchy() -> Density1D:
+    return Density1D(eval=lambda x: 1.0 / (math.pi * (1.0 + np.asarray(x, dtype=float) ** 2)),
+                     support=(-math.inf, math.inf), heavy_tail=True)
+
+
 def test_heavy_tail_without_moments_diverges():
-    cauchy = Density1D(
-        eval=lambda x: 1.0 / (math.pi * (1.0 + np.asarray(x) ** 2)),
-        support=(-math.inf, math.inf), heavy_tail=True)
     with pytest.raises(Divergent):
-        variance(cauchy)
+        variance(_cauchy())
+
+
+def _student_t2() -> Density1D:
+    # Student's t with 2 degrees of freedom: mean 0, tails like |x|^-3, so
+    # its second moment grows like ln x without end
+    return Density1D(eval=lambda x: (2.0 + np.asarray(x, dtype=float) ** 2) ** -1.5,
+                     support=(-math.inf, math.inf))
+
+
+def test_a_divergent_variance_is_divergent():
+    # tails not marked heavy whose variance grows without end run out of
+    # rings, which raised NonConvergence for variances and Divergent for
+    # entropies alike; both are a tail that does not settle
+    with pytest.raises(Divergent, match="did not settle"):
+        variance(_student_t2())
+
+
+def test_cauchy_entropies():
+    # f^(1/2) falls like 1/|x|, so the order-1/2 integral diverges; Shannon
+    # converges to ln(4 pi) (the ring sum's cut-off, 2.5e-11 a ring, leaves
+    # 5e-11)
+    with pytest.raises(Divergent):
+        renyi_entropy_cont(_cauchy(), 0.5)
+    assert abs(renyi_entropy_cont(_cauchy(), 1.0) - math.log(4.0 * math.pi)) <= 1e-10
+
+
+def test_variance_far_from_the_origin():
+    # the mean is taken relative to known_mean: 1e6 + int (x - 1e6) f read
+    # 1.0000053e-4 as int x f, 5.3e-6 relative off, and 1.7e-10 now; the
+    # rest is nodes rounded to ulp(1e6), which only binning each density in
+    # its own frame removes
+    got = variance(position_density(Gaussian(1e6, 0.0, 0.01)))
+    assert abs(got - 1e-4) <= 1e-9 * 1e-4
+
+
+def test_coherent_state_far_from_the_origin_holds_hur():
+    # the raw second moment 1e14 + 1e-4 left a variance of exactly 0, so the
+    # core fell back to unit width, its one panel missed the 0.01-wide peak,
+    # and the variance, the entropy and the HUR verdict read 0, 0, "violated"
+    s = Gaussian(1e7, 0.0, 0.01)
+    d = position_density(s)
+    assert d.known_var == 1e-4
+    assert abs(variance(d) - 1e-4) <= 1e-9 * 1e-4
+    h = 0.5 * math.log(2.0 * math.pi * math.e * 1e-4)
+    assert abs(renyi_entropy_cont(d, 1.0) - h) <= 1e-9 * abs(h)
+    hur = check_continuous_relations(s, alpha=1.0)[0]
+    assert hur.relation_id == "HUR" and hur.verdict == "holds"
 
 
 def test_mixture_density_linearity_and_moments():
@@ -304,7 +353,7 @@ def test_mixture_density_linearity_and_moments():
     mean = 0.6 * -1.0 + 0.4 * 2.0
     m2 = 0.6 * (1.0 + 1.0) + 0.4 * (1.5 ** 2 + 4.0)
     assert dm.known_mean == pytest.approx(mean)
-    assert dm.known_m2 == pytest.approx(m2)
+    assert dm.known_var == pytest.approx(m2 - mean * mean)
     assert variance(dm) == pytest.approx(m2 - mean * mean, rel=1e-11)
 
 
@@ -348,6 +397,29 @@ def test_renyi_entropy_against_mpmath(state, momentum, lam, ref):
     assert abs(renyi_entropy_cont(d, lam) - float(ref)) <= 1e-13
 
 
+# Shannon entropies of square-well momentum marginals, with p^-4 tails.  Each
+# reference is math.fsum of 80-point Gauss-Legendre panels, each a sixteenth
+# of osc_scale wide, over |p| <= 4e5 (beyond, -f ln f holds about 1e-15):
+#     x, w = np.polynomial.legendre.leggauss(80)
+#     h = d.osc_scale / 16
+#     edges = np.arange(-ceil(4e5 / h), ceil(4e5 / h) + 1) * h  # in chunks
+#     p = mid + half * x[:, None]; panel = half * (w @ -f ln f(p))
+#     math.fsum(all panels)
+# 100-point panels a 32nd wide agree within 3e-15.  40-point panels a quarter
+# wide read 1.3e-12, 1.5e-11 and 1.5e-11 low: each panel ends on a double zero
+# of f, where -f ln f has a t^2 ln t kink.
+@pytest.mark.parametrize("n, length, ref", [
+    (1, 1.0, 2.518890907078633),
+    (3, 1.5, 2.654529714614599),
+    (5, 1.0, 3.1826519929140975),
+])
+def test_square_well_momentum_shannon_against_fine_panels(n, length, ref):
+    # the tail rings stop after two rings below 2.5e-11 |H| in a row, which
+    # leaves 1.3e-12, 4.5e-13 and 2.0e-12
+    h = renyi_entropy_cont(momentum_density(SquareWell(n, length)), 1.0)
+    assert abs(h - ref) <= 3e-12
+
+
 def test_square_well_position_entropy_at_a_large_quantum_number():
     # -int f ln f = ln 2 - 1 for every n; the 19,999 nodes are listed cuts,
     # and quad took 46 s here for a 1.5e-11 error
@@ -373,8 +445,8 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
 def test_square_well_momentum_entropy_at_the_cap_stays_small():
     # the finite core takes 1.6 million panels, evaluated a chunk at a time;
-    # the first tail ring would take 800,001 and is refused before any of
-    # them is allocated
+    # the first tail ring would take 800,000, more than 2^16, and is refused
+    # before any of them is allocated
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))

@@ -5,10 +5,12 @@ cg_uncert (bin_density, _clean_block_masses, prolate_r00, ...).  A renamed
 or deleted boundary is skipped and listed in Tracer.missing, so this test
 fails as soon as a change to the library moves one of them.
 
-The five names below are gone on purpose.  Every bin mass and every finite
+The six names below are gone on purpose.  Every bin mass and every finite
 quadrature now runs through _clean_block_masses and numerics.adaptive_panels,
 so there is no per-bin fallback, no scipy quad and no fixed-order panel call
 in coarse left to time; the tracer still counts bins at _clean_block_masses.
+The tail rings of the continuous functionals go through panel_integrals too,
+so states calls no fixed-order panels either, and numerics.gl_points reads 0.
 M^-1, the one equation the package solves, takes Newton steps on
 ln M(t) - ln u inside bounds.func_M_inv, so there is no bracketed root finder
 either, and bounds.root_fevals reads 0.
@@ -24,6 +26,7 @@ DELETED = [
     "cg_uncert.coarse.integrate",
     "cg_uncert.coarse.gauss_legendre_panels",
     "cg_uncert.states.integrate",
+    "cg_uncert.states.gauss_legendre_panels",
 ]
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
