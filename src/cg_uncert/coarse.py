@@ -14,12 +14,11 @@ Grid convention: bin j of a grid (width eta, offset) covers
 [offset + (j - 1/2) eta, offset + (j + 1/2) eta), half-open on the right,
 with center z_j = offset + j eta.
 
-A binning stores its masses and nothing else of its size: the bin labels
-are built on the first call of BinnedDistribution.arrays, and every pass over
-the bins after binning (edge trimming, the discrete variance, the Renyi
-entropies, the mean centre) walks the masses _CHUNK bins at a time through
-one reused buffer, so its temporaries stay a chunk or two in size however
-many bins there are.
+A binning stores its first label and its masses and nothing else of their
+size, and every pass over the bins after binning (edge trimming, locating the
+heaviest bin, the discrete variance, the Renyi entropies) walks the masses
+_CHUNK bins at a time through one reused buffer, so its temporaries stay a
+chunk or two in size however many bins there are.
 """
 
 from __future__ import annotations
@@ -136,11 +135,12 @@ class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
     them.  The masses, a private copy of the caller's array, are the only
-    storage the size of the binning: the labels are built by the first call
-    of arrays().  The storage is immutable, so each discrete statistic is
-    computed once per distribution and order, chunk by chunk, and then read
-    from a private memo.  The offset is reduced modulo the width once, at
-    construction, and every reader places the bins on the reduced grid."""
+    storage the size of the binning; no labels are stored.  The storage is
+    immutable, so the heaviest bin is located once and each discrete
+    statistic is computed once per distribution and order, chunk by chunk,
+    and then read from a private memo.  The offset is reduced modulo the
+    width once, at construction, and every reader places the bins on the
+    reduced grid."""
 
     width: float
     offset: float
@@ -174,23 +174,12 @@ class BinnedDistribution:
         if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
         for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
-                            ("probs", _BinView(j_min, p)), ("_j", None), ("_stats", {}),
-                            ("_reduced", reduced)):
+                            ("probs", _BinView(j_min, p)), ("_stats", {}), ("_reduced", reduced)):
             object.__setattr__(self, name, value)
 
     def center(self, j: int) -> float:
         r, shift = self._reduced
         return r + (j + shift) * self.width
-
-    def arrays(self) -> tuple:
-        """(bin indices, probabilities) as aligned read-only numpy arrays:
-        the int64 labels are built on the first call and kept, so every call
-        returns the same two objects."""
-        if self._j is None:
-            j = np.arange(self.j_min, self.j_min + self.masses.size, dtype=np.int64)
-            j.flags.writeable = False
-            object.__setattr__(self, "_j", j)
-        return self._j, self.masses
 
 
 @dataclass(frozen=True)
@@ -221,9 +210,11 @@ class ReconstructedPdf:
         b = self.base
         r, shift = b._reduced
         edges = grid_edges(r, b.width, b.j_min + shift, b.masses.size)
+        var = discrete_variance(b)  # keeps the heaviest bin and the mean offset from it
+        mean = b.center(b.j_min + b._stats["top"]) + b.width * b._stats["mean"]
         return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
-                         discontinuities=tuple(edges[1:-1].tolist()), known_mean=_mean_center(b),
-                         known_var=discrete_variance(b) + ghf_variance(self.ghf))
+                         discontinuities=tuple(edges[1:-1].tolist()), known_mean=mean,
+                         known_var=var + ghf_variance(self.ghf))
 
 
 # ---------------------------------------------------------------------------
@@ -241,22 +232,6 @@ def _reduce_offset(offset: float, width: float) -> tuple:
                          f"from 0, beyond the int64 bin labels")
     r = math.fmod(offset, width)
     return r, round((offset - r) / width)
-
-
-def _mean_center(b: BinnedDistribution) -> float:
-    """Mean bin centre sum_j p_j z_j of b, with the centres taken on its grid
-    with the offset reduced modulo the width, where they do not drift with
-    |offset|; a chunk of centres at a time."""
-    r, shift = b._reduced
-    p, j_lo = b.masses, b.j_min + shift
-    z = np.empty(min(p.size, _CHUNK))
-    mean = 0.0
-    for s in range(0, p.size, _CHUNK):
-        pc = p[s:s + _CHUNK]
-        zc = np.multiply(np.arange(j_lo + s, j_lo + s + pc.size, dtype=np.int64), b.width,
-                         out=z[:pc.size])
-        mean += float(np.dot(pc, np.add(r, zc, out=zc)))
-    return mean
 
 
 def _first(p: np.ndarray, compare: np.ufunc, value: float) -> int:
@@ -315,7 +290,6 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     j0 = math.floor(u)
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
     seed = masses_for(j0 - 1, 3)
-    start = j0 - 1 + int(np.argmax(seed))
     left, right = [], []
     jl, jr = j0 - 1, j0 + 1
     cum = float(seed.sum())
@@ -349,9 +323,9 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)
-    # drop empty bins at the extremes, keep interior zeros and the heaviest seed
-    lo = min(_first(masses, np.greater, 0.0), start - jl)
-    hi = max(masses.size - 1 - _first(masses[::-1], np.greater, 0.0), start - jl)
+    # drop empty bins at both extremes, keep interior zeros
+    lo = _first(masses, np.greater, 0.0)
+    hi = masses.size - 1 - _first(masses[::-1], np.greater, 0.0)
     j_min = jl + lo - shift
     if not -2 ** 63 <= j_min < 2 ** 63 - (hi - lo + 1):
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
@@ -364,15 +338,25 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
 # discrete statistics
 
 
+def _top(b: BinnedDistribution, p: np.ndarray) -> int:
+    """Index in p, b's masses, of b's first heaviest bin: located on the
+    first call and kept in b's memo."""
+    memo = b._stats
+    if "top" not in memo:
+        memo["top"] = _first(p, np.equal, p.max())  # np.argmax would copy the read-only p
+    return memo["top"]
+
+
 def discrete_variance(b: BinnedDistribution) -> float:
     """Variance of the bin-center distribution sum_j p_j at z_j, taken on
     exact label differences from the heaviest bin: on the centres z, masses
     summing to 1 - tail would add about (z * tail)^2.  Two passes, for the
-    mean and then the squared deviations, one chunk of differences at a time."""
+    mean and then the squared deviations, one chunk of differences at a time;
+    the mean, in widths from the heaviest bin, is kept next to the variance."""
     memo = b._stats
     if "variance" not in memo:
         p = b.masses
-        top = _first(p, np.equal, p.max())  # np.argmax would copy the read-only p
+        top = _top(b, p)
         k = np.empty(min(p.size, _CHUNK))
         mean = var = 0.0
         for s in range(0, p.size, _CHUNK):
@@ -383,7 +367,7 @@ def discrete_variance(b: BinnedDistribution) -> float:
             kc = np.add(_RAMP[:pc.size], s - top, out=k[:pc.size])
             kc -= mean
             var += float(np.dot(pc, np.square(kc, out=kc)))
-        memo["variance"] = var * b.width ** 2
+        memo["mean"], memo["variance"] = mean, var * b.width ** 2
     return memo["variance"]
 
 
@@ -398,19 +382,23 @@ def discrete_renyi(b: BinnedDistribution, alpha: float) -> float:
     key = ("renyi", float(alpha))
     memo = b._stats
     if key not in memo:
-        memo[key] = _renyi(b.masses, alpha)
+        p = b.masses
+        memo[key] = _renyi(p, alpha, _top(b, p))
     return memo[key]
 
 
-def _renyi(p: np.ndarray, alpha: float) -> float:
-    """Renyi entropy of the positive entries of p, which need not sum to 1,
-    one chunk of logarithms at a time: sum p ln p for Shannon, and for finite
-    alpha != 1 each chunk's (maximum, count at it, scaled sum) of
-    alpha ln p, combined by _lse_combine."""
+def _renyi(p: np.ndarray, alpha: float, top: int) -> float:
+    """Renyi entropy of the positive entries of p, which need not sum to 1
+    and whose first maximum is p[top], one chunk of logarithms at a time:
+    sum p ln p for Shannon, and for finite alpha != 1 ln sum exp(a) of
+    a = alpha ln p as m + ln n + log1p(e / n), with m = a[top], n the number
+    of terms equal to m and e the sum of exp(a - m) over the others."""
     if math.isinf(alpha):
-        return -math.log(float(np.max(p))) + 0.0
+        return -math.log(float(p[top])) + 0.0
     buf = np.empty(min(p.size, _CHUNK))
-    total, parts = 0.0, None
+    # the same np.log as each chunk's, so that m is that chunk's entry bit for bit
+    m = alpha * np.log(p[top:top + 1])[0]
+    total, n = 0.0, 0
     for s in range(0, p.size, _CHUNK):
         pc = p[s:s + _CHUNK]
         if not pc.all():
@@ -418,35 +406,17 @@ def _renyi(p: np.ndarray, alpha: float) -> float:
         a = np.log(pc, out=buf[:pc.size])
         if alpha == 1.0:
             total += float(np.dot(pc, a))
-        elif pc.size:
-            a *= alpha
-            terms = _lse_terms(a)
-            parts = terms if parts is None else _lse_combine(parts, terms)
+            continue
+        a *= alpha
+        at_m = a == m
+        n += int(np.count_nonzero(at_m))
+        a -= m
+        np.exp(a, out=a)
+        a[at_m] = 0.0
+        total += a.sum()
     if alpha == 1.0:
         return -total + 0.0
-    m, n, e = parts
-    return float(np.log1p(e / n) + math.log(n) + m) / (1.0 - alpha) + 0.0
-
-
-def _lse_terms(a: np.ndarray) -> tuple:
-    """(m, n, e) for finite a, which it overwrites: the maximum m, the number
-    n of terms equal to it and the sum e of exp(a - m) over the others, so
-    that ln sum exp(a) = m + ln n + log1p(e / n)."""
-    m = a.max()
-    top = a == m
-    a -= m
-    np.exp(a, out=a)
-    a[top] = 0.0
-    return m, int(np.count_nonzero(top)), a.sum()
-
-
-def _lse_combine(x: tuple, y: tuple) -> tuple:
-    """The (m, n, e) of two runs of terms from those of each run: the terms
-    at the lower maximum join the sum, scaled to the higher one."""
-    (mx, nx, ex), (my, ny, ey) = (x, y) if x[0] >= y[0] else (y, x)
-    if mx == my:
-        return mx, nx + ny, ex + ey
-    return mx, nx, ex + (ey + ny) * math.exp(my - mx)
+    return float(np.log1p(total / n) + math.log(n) + m) / (1.0 - alpha) + 0.0
 
 
 def ghf_variance(g: GhfSpec) -> float:

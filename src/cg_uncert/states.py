@@ -239,7 +239,9 @@ def _erfc(z: np.ndarray) -> np.ndarray:
 
 def _gaussian(mu: float, sd: float) -> Density1D:
     """Normal density with mean mu and standard deviation sd; masses from
-    erfc tails."""
+    erfc tails, on edges formed relative to mu: mu is reduced modulo the bin
+    width as the grid offset is, so edges far from the origin do not round to
+    ulp(mu)."""
     norm, scale = 1.0 / (sd * math.sqrt(2.0 * math.pi)), 1.0 / (sd * math.sqrt(2.0))
 
     def pdf(x):
@@ -247,7 +249,9 @@ def _gaussian(mu: float, sd: float) -> Density1D:
         return norm * np.exp(-0.5 * z * z)
 
     def masses(r, width, j_lo, count):
-        z = (grid_edges(r, width, j_lo, count) - mu) * scale
+        mu_r = math.fmod(mu, width)  # exact: mu is mu_r plus k_mu whole widths
+        k_mu = round((mu - mu_r) / width)
+        z = grid_edges(r - mu_r, width, j_lo - k_mu, count) * scale
         return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
 
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,

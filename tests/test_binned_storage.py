@@ -1,5 +1,5 @@
-"""Dense binned storage: a BinnedDistribution holds (j_min, masses) once and
-exposes probs as a read-only view over them."""
+"""Dense binned storage: a BinnedDistribution holds (j_min, masses) once, no
+labels, and exposes probs as a read-only view over them."""
 
 import dataclasses
 import math
@@ -49,15 +49,13 @@ def test_bin_density_conserves_mass_on_contiguous_bins(state, momentum, log_eta,
     eta = 10.0 ** log_eta
     d = (momentum_density if momentum else position_density)(state)
     b = bin_density(d, eta, frac * eta)
-    j, p = b.arrays()
-    assert j.dtype == np.int64 and p.dtype == np.float64
-    assert j.shape == p.shape and j[0] == b.j_min
-    assert np.all(np.diff(j) == 1)
-    assert list(b.probs) == j.tolist()
+    p = b.masses
+    assert isinstance(b.j_min, int) and p.dtype == np.float64 and p.ndim == 1
+    assert list(b.probs) == list(range(b.j_min, b.j_min + p.size))
     assert np.all(p >= 0.0) and 0.0 <= b.tail_mass <= EPS_TAIL
     assert abs(math.fsum(p.tolist()) + b.tail_mass - 1.0) <= 1e-9
-    # empty extremes are trimmed; only the heaviest seed bin could be kept empty
-    assert p.size == 1 or (p[0] > 0.0 and p[-1] > 0.0)
+    # empty bins are trimmed from both extremes
+    assert p[0] > 0.0 and p[-1] > 0.0
 
 
 @settings(max_examples=30, **_SETTINGS)
@@ -93,23 +91,15 @@ def test_storage_is_read_only():
         b.probs[0] = 1.0
     with pytest.raises(TypeError):
         del b.probs[0]
-    j, p = b.arrays()
-    for arr in (j, p):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    p = b.masses
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0] = 0
     with pytest.raises(AttributeError):
         b.masses = np.array([1.0])
     # the input array is copied, never aliased
     m[0] = 0.9
     assert b.probs[0] == 0.5 and b.masses[0] == 0.5
-
-
-def test_arrays_returns_the_stored_objects():
-    b = bin_density(position_density(Gaussian()), 0.3, 0.1)
-    first, second = b.arrays(), b.arrays()
-    assert first[0] is second[0] and first[1] is second[1]
-    assert first[1] is b.masses
 
 
 def test_construction_rejects_invalid_bins():

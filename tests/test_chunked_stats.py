@@ -134,11 +134,19 @@ def test_storage_and_statistics_allocate_no_binning_sized_temporaries():
     finally:
         tracemalloc.stop()
     assert c.masses is not p and np.array_equal(c.masses, p)
-    first, second = c.arrays(), c.arrays()
-    assert first[0] is second[0] and first[1] is second[1] and first[1] is c.masses
-    assert first[0].dtype == np.int64 and first[1].dtype == np.float64
-    assert not (first[0].flags.writeable or first[1].flags.writeable)
-    assert first[0].tolist() == list(range(c.j_min, c.j_min + p.size))
+    assert c.masses.dtype == np.float64 and not c.masses.flags.writeable
+
+
+def test_a_binning_holds_no_array_but_its_masses():
+    b = bin_density(momentum_density(SquareWell(3, 1.5)), 0.0432)
+    assert b.masses.size > 10 ** 5
+    discrete_variance(b)
+    for alpha in (1.0, 1.5, math.inf):
+        discrete_renyi(b, alpha)
+    # the fields, the probs view, the statistics memo and the reduced offset
+    held = [v for v in (*vars(b).values(), *vars(b.probs).values(), *b._stats.values(),
+                        *b._reduced) if isinstance(v, np.ndarray)]
+    assert len(held) == 2 and all(a is b.masses for a in held)
 
 
 def test_sample_counts_normalizes_without_a_list_of_every_mass():

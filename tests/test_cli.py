@@ -861,3 +861,21 @@ def test_locations_beyond_the_int64_labels_are_rejected(capsys, length):
     err = capsys.readouterr().err
     assert err.startswith(f"error: location {float(length) / 2!r} of the density is ")
     assert "bin widths (1.0) from 0, beyond the int64 bin labels" in err
+
+
+def test_a_gaussian_far_from_the_origin_keeps_its_verdicts(capsys):
+    # the grid edges rounded to ulp(x0) = 0.016 at x0 = 1e14, a sixth of a
+    # bin: RenyiDiscrete read -1.22e-3, "violated", against +1.665e-3 at 0
+    def margins(loc):
+        rc = main(["check", "--state", f"gaussian:{loc},sigma=0.7071067811865476",
+                   "--delta", "0.1", "--delta-p", "0.1"])
+        reports = json.loads(capsys.readouterr().out)
+        assert rc == 0 and all(r["verdict"] == "holds" for r in reports), loc
+        return [r["margin"] for r in reports]
+
+    ref = margins("x0=0")
+    for loc in ("x0=1e13", "x0=1e14", "x0=1e16", "p0=1e14"):
+        assert margins(loc) == pytest.approx(ref, rel=0.0, abs=2e-11), loc
+    assert main(["check", "--state", "gaussian:x0=1e18,sigma=0.7071067811865476",
+                 "--delta", "0.1", "--delta-p", "0.1"]) == 2
+    assert "location 1e+18 of the density" in capsys.readouterr().err

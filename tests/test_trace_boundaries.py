@@ -5,7 +5,7 @@ cg_uncert (bin_density, _clean_block_masses, prolate_r00, ...).  A renamed
 or deleted boundary is skipped and listed in Tracer.missing, so this test
 fails as soon as a change to the library moves one of them.
 
-The six names below are gone on purpose.  Every bin mass and every finite
+The seven names below are gone on purpose.  Every bin mass and every finite
 quadrature now runs through _clean_block_masses and numerics.adaptive_panels,
 so there is no per-bin fallback, no scipy quad and no fixed-order panel call
 in coarse left to time; the tracer still counts bins at _clean_block_masses.
@@ -14,6 +14,9 @@ so states calls no fixed-order panels either, and numerics.gl_points reads 0.
 M^-1, the one equation the package solves, takes Newton steps on
 ln M(t) - ln u inside bounds.func_M_inv, so there is no bracketed root finder
 either, and bounds.root_fevals reads 0.
+A binning stores no labels, so there is no BinnedDistribution.arrays to
+time (the tracer names a class owner without its module), and
+coarse.arrays_calls reads 0.
 """
 
 import pathlib
@@ -21,6 +24,7 @@ import pathlib
 import cg_uncert.coarse as coarse
 
 DELETED = [
+    "BinnedDistribution.arrays",
     "cg_uncert.coarse._single_bin_mass",
     "cg_uncert.bounds.find_root_bracketed",
     "cg_uncert.coarse.integrate",
