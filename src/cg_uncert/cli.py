@@ -38,10 +38,10 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
+    _check_widths,
     binned_relation_reports,
     bound_B,
     bound_L,
-    check_coarse_relations,
     feasibility_region,
     func_K,
     func_M,
@@ -395,10 +395,21 @@ def cmd_kfun(cfg: RunConfig) -> int:
     return 0
 
 
+def _bin_axes(state, cfg: RunConfig):
+    """Both marginals, binned; a ValueError names the fields that place and bin the axis."""
+    for marginal, place, width, offset in (
+            (position_density, "the state's 'x0' or a well's 'L'", "delta", cfg.offset_x),
+            (momentum_density, "the state's 'p0'", "delta_p", cfg.offset_p)):
+        try:
+            yield bin_density(marginal(state), getattr(cfg, width), offset)
+        except ValueError as e:
+            raise DescriptorError(f"{e}: placed by {place}, binned at field {width!r}") from e
+
+
 def cmd_check(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
-    reports = check_coarse_relations(state, cfg.delta, cfg.delta_p, cfg.alpha,
-                                     offsets=(cfg.offset_x, cfg.offset_p))
+    _check_widths(cfg.delta, cfg.delta_p, cfg.hbar)  # before binning, as the library checks
+    reports = binned_relation_reports(*_bin_axes(state, cfg), cfg.alpha, cfg.hbar)
     _emit(cfg.out, _json_line(_report_dicts(reports)))
     return 0 if all(r.verdict == "holds" for r in reports) else 1
 
@@ -439,8 +450,7 @@ def _axis_sample(exact, n, seed, alpha):
 
 def cmd_sample(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
-    exact_x = bin_density(position_density(state), cfg.delta, cfg.offset_x)
-    exact_p = bin_density(momentum_density(state), cfg.delta_p, cfg.offset_p)
+    exact_x, exact_p = _bin_axes(state, cfg)
     emp_x, stats_x = _axis_sample(exact_x, cfg.samples, cfg.seed, cfg.alpha)
     emp_p, stats_p = _axis_sample(exact_p, cfg.samples, cfg.seed + 1, cfg.alpha)
     reports = binned_relation_reports(emp_x, emp_p, cfg.alpha, cfg.hbar)

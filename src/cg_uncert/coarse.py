@@ -2,9 +2,10 @@
 
 Binning of continuous densities into fixed-width windows, a block of bins
 at a time on its shared edges (from closed-form interval masses when the
-density has them, by adaptive panel quadrature otherwise),
-discrete variances and Renyi entropies of the resulting probability vectors,
-computed once per binning and order, per-bin histogram profiles (one family,
+density has them, by adaptive panel quadrature otherwise; the first blocks
+out to the density's reach in one call), discrete variances and Renyi
+entropies of the resulting probability vectors, computed once per binning
+and order, per-bin histogram profiles (one family,
 exp(-a (u/eta)^2) truncated to the bin, whose a = 0 member is the flat bin),
 densities reconstructed from binned data, the variance/entropy decomposition
 identities, and finite-statistics sampling by exact multinomial draws over
@@ -65,6 +66,7 @@ _RAMP = np.arange(_CHUNK, dtype=float)
 # the largest seed label bin_density starts from: its enumeration spans at
 # most MAX_BINS + 2 * 8192 bins, so every label it forms fits int64
 _MAX_SEED = 2 ** 63 - 2 * MAX_BINS
+_FIRST_BLOCKS = 8  # blocks per side, 16 ... 2048 bins, in the seed trio's call
 
 
 class TailBudgetExceeded(RuntimeError):
@@ -261,8 +263,10 @@ def _clean_block_masses(d: Density1D, j_arr: range, width: float,
 def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
     """Bin a density on the grid (eta, offset).
 
-    Bins are enumerated outward from the heaviest one until the cumulative
-    mass reaches 1 - EPS_TAIL.  Masses come from d.interval_masses when
+    Bins are enumerated outward from a seed trio in doubling blocks (16 to
+    8192 bins) until the cumulative mass reaches 1 - EPS_TAIL; the seed trio
+    and the blocks out to the first past d.reach take one call, and the reach
+    changes only the number of calls.  Masses come from d.interval_masses when
     present; otherwise by adaptive panel quadrature, split at density
     discontinuities and support edges.  Edges are formed from the offset
     reduced modulo eta; the result keeps the caller's offset and bin labels,
@@ -280,14 +284,27 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
         if x0 is not None and math.isfinite(x0):
             break
 
-    def masses_for(j_lo: int, n: int) -> np.ndarray:
-        return _clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
-
     u = (x0 - r) / eta + 0.5
     if not abs(u) < _MAX_SEED:
         raise ValueError(f"location {x0!r} of the density is {abs(u):.3g} bin widths "
                          f"({eta!r}) from 0, beyond the int64 bin labels")
     j0 = math.floor(u)
+    # one call for the seed trio and the first blocks of each side that the
+    # loop below would take, out to the first past d.reach or the support
+    lo_w, hi_w = d.reach(EPS_TAIL) if d.reach is not None else (math.inf, -math.inf)
+    w_lo, w_hi = j0 - 1, j0 + 1
+    for k in range(_FIRST_BLOCKS):
+        if r + (w_lo - 0.5) * eta > max(lo_w, lo_s):
+            w_lo -= 16 << k
+        if r + (w_hi + 0.5) * eta < min(hi_w, hi_s):
+            w_hi += 16 << k
+    window = _clean_block_masses(d, range(w_lo, w_hi + 1), eta, r)
+
+    def masses_for(j_lo: int, n: int) -> np.ndarray:
+        if w_lo <= j_lo and j_lo + n <= w_hi + 1:
+            return window[j_lo - w_lo:j_lo - w_lo + n]
+        return _clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
+
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
     seed = masses_for(j0 - 1, 3)
     left, right = [], []

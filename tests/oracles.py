@@ -12,6 +12,10 @@ fully independent of specfun.prolate_r00: a Nystrom discretization of the
 concentration kernel sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre
 grid, symmetrized by sqrt-weight scaling, with the top eigenvalue from a
 dense symmetric eigensolver.
+
+block_binning is coarse.bin_density as it was before the seed trio and the
+first blocks of each side shared one call: one _clean_block_masses call per
+block of the doubling schedule.
 """
 
 import math
@@ -21,6 +25,7 @@ import warnings
 import numpy as np
 from scipy import integrate, optimize
 
+from cg_uncert import coarse
 from cg_uncert.numerics import NonConvergence
 
 
@@ -71,3 +76,54 @@ def sinc_eigen_oracle(c: float) -> float:
             return cur
         prev = cur
     raise NonConvergence(f"Nystrom eigenvalue did not stabilize at c={c}")
+
+
+def block_binning(d, eta: float, offset: float = 0.0) -> tuple:
+    """(j_min, masses, tail_mass) of d binned on the grid (eta, offset) block
+    by block: the seed trio around the known mean (else the support's
+    midpoint, else 0), then blocks of 16, 32, ... 8192 bins, left before
+    right, until the mass reaches 1 - EPS_TAIL; empty end bins trimmed.
+    Raises TailBudgetExceeded past MAX_BINS bins."""
+    r, shift = coarse._reduce_offset(offset, eta)
+    lo_s, hi_s = d.support
+    mid = 0.5 * (lo_s + hi_s)
+    x0 = next(x for x in (d.known_mean, mid, 0.0) if x is not None and math.isfinite(x))
+    j0 = math.floor((x0 - r) / eta + 0.5)
+
+    def block(j_lo, n):
+        return coarse._clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
+
+    seed = block(j0 - 1, 3)
+    left, right = [], []
+    jl, jr, cum = j0 - 1, j0 + 1, float(seed.sum())
+    size_l = size_r = 16
+    open_l = open_r = True
+    target = 1.0 - coarse.EPS_TAIL
+    while cum < target:
+        if not (open_l or open_r):
+            raise NonConvergence(f"binning stalled at cumulative mass {cum!r}")
+        if jr - jl + 1 > coarse.MAX_BINS:
+            raise coarse.TailBudgetExceeded(
+                f"more than {coarse.MAX_BINS} bins needed to reach 1 - {coarse.EPS_TAIL}")
+        if open_l:
+            if r + (jl - 0.5) * eta <= lo_s:
+                open_l = False
+            else:
+                jl -= size_l
+                left.append(block(jl, size_l))
+                cum += float(left[-1].sum())
+                size_l = min(2 * size_l, 8192)
+        if cum >= target:
+            break
+        if open_r:
+            if r + (jr + 0.5) * eta >= hi_s:
+                open_r = False
+            else:
+                right.append(block(jr + 1, size_r))
+                cum += float(right[-1].sum())
+                jr += size_r
+                size_r = min(2 * size_r, 8192)
+    masses = np.concatenate(left[::-1] + [seed] + right)
+    kept = np.flatnonzero(masses > 0.0)
+    lo, hi = int(kept[0]), int(kept[-1])
+    return jl + lo - shift, masses[lo:hi + 1], max(0.0, 1.0 - cum)

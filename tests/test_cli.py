@@ -863,6 +863,25 @@ def test_locations_beyond_the_int64_labels_are_rejected(capsys, length):
     assert "bin widths (1.0) from 0, beyond the int64 bin labels" in err
 
 
+@pytest.mark.parametrize("command", ["check", "sample"])
+@pytest.mark.parametrize("loc, fields", [
+    ("x0=1e18", ("'x0'", "'delta'")),
+    ("x0=1e300", ("'x0'", "'delta'")),
+    ("p0=1e18", ("'p0'", "'delta_p'")),
+])
+def test_a_location_beyond_the_int64_labels_names_its_fields(capsys, command, loc, fields):
+    # both axes read "location 1e+18 of the density is 1e+19 bin widths (0.1)
+    # from 0, beyond the int64 bin labels", naming neither x0 nor p0
+    rc = main([command, "--state", f"gaussian:{loc},sigma=0.7071067811865476",
+               "--delta", "0.1", "--delta-p", "0.05"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error: location ")
+    assert "beyond the int64 bin labels: placed by" in err
+    assert all(f in err for f in fields)
+    other = {"'x0'": "'p0'", "'p0'": "'x0'"}[fields[0]]
+    assert other not in err
+
+
 def test_a_gaussian_far_from_the_origin_keeps_its_verdicts(capsys):
     # the grid edges rounded to ulp(x0) = 0.016 at x0 = 1e14, a sixth of a
     # bin: RenyiDiscrete read -1.22e-3, "violated", against +1.665e-3 at 0
