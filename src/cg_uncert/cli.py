@@ -450,6 +450,7 @@ def _axis_sample(exact, n, seed, alpha):
 
 def cmd_sample(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
+    _check_widths(cfg.delta, cfg.delta_p, cfg.hbar)  # before binning, as in cmd_check
     exact_x, exact_p = _bin_axes(state, cfg)
     emp_x, stats_x = _axis_sample(exact_x, cfg.samples, cfg.seed, cfg.alpha)
     emp_p, stats_p = _axis_sample(exact_p, cfg.samples, cfg.seed + 1, cfg.alpha)

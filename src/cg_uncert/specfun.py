@@ -4,23 +4,16 @@ concentration eigenvalue lambda0, and the shape functions of the
 truncated-Gaussian histogram profile (variance and entropy of exp(-t v^2)
 restricted to one bin, as functions of t alone).
 
-prolate_r00 takes lambda0 from a Bouwkamp-type Legendre coefficient
-expansion.  The even-order coefficients d_{2k} of the angular function of
-order (0,0) solve a symmetric tridiagonal eigenproblem (smallest eigenvalue),
-truncated from 8 + 5 sqrt(c) terms on and solved by inverse iteration with a
-tridiagonal LDL^T solve.  One eigvalsh call per c sets the shift; the drift
-check at 16 more terms reuses it once all pivots there are positive.  R00(c,1) =
-d_0 / S00(c,0) follows from the integral equation of the angular function at
-eta = 0, and lambda0 = (2c/pi) R00(c,1)^2.  Against a 60-digit eigensolve,
-1 - lambda0 is within 9e-7 relative for c in [8, 12).
-
-For c beyond ~12 the complement 1 - lambda0 falls under the double-precision
-resolution of lambda0 itself, so ProlateResult additionally carries
-lambda0_deficit computed from the large-c asymptote
-    1 - lambda0 ~ 4 sqrt(pi c) e^{-2c} (1 - 7/(16c) + d2/c^2 + d3/c^3),
-whose correction coefficients were calibrated once against a 60-digit
-eigensolve of the same expansion (relative error <= ~1e-5 at the switch,
-~1e-7 past c = 16).
+prolate_r00 sums one of two checked-in Chebyshev series, built by
+tests/gen_prolate_table.py from a high-precision Legendre-expansion
+eigensolve (2c/ln 10 + 60 digits).  For c in [0, 2], R00(c, 1) =
+1 + c^2 S(c^2), and lambda0 = (2c/pi) R00^2.  For c past 2, lambda0 is
+near 1 and the complement 1 - lambda0 carries the precision:
+    1 - lambda0 = 4 sqrt(pi c) e^{-2c} e^{g(c)},
+with g a series in x = 2/c over c in [2, 380] (g -> 0 as c -> inf; past
+380 the complement underflows to 0 whatever g is, and x is clamped to its
+end).  Against the reference, lambda0 is within 2e-15 relative where it is
+below 1/2, and 1 - lambda0 within 1e-14 relative where it is not.
 """
 
 from __future__ import annotations
@@ -29,10 +22,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
-
-from .numerics import NonConvergence
 
 __all__ = [
     "ProlateResult",
@@ -50,82 +39,68 @@ class ProlateResult:
     c: float
     r00_at_1: float
     lambda0: float
-    terms_used: int  # 0 on the closed-form branches (c = 0 and large c)
-    est_error: float
+    terms_used: int  # Chebyshev coefficients summed
     # 1 - lambda0 evaluated without cancellation; authoritative for large c
     # where the lambda0 field itself rounds to 1.0.
     lambda0_deficit: float
 
 
-# Calibrated against the 60-digit reference (see module docstring).
-_DEFICIT_D2 = -0.1757821481
-_DEFICIT_D3 = -0.40141706
-_DEFICIT_SWITCH = 12.0
+# Chebyshev coefficients from tests/gen_prolate_table.py; its --check mode
+# rebuilds and compares them.  S(c^2) = (R00(c, 1) - 1)/c^2 in
+# t = c^2/2 - 1 over c in [0, 2]:
+_R00_SERIES = (
+    -0.048461800570712525, 0.006718850732415452, -0.00036381735884660017,
+    1.134868452887099e-05, 2.1210113234614886e-07, -4.791221625041045e-08,
+    1.9107849163827254e-09, 1.1410962280134154e-10, -1.8445613540753143e-11,
+    6.970843161698917e-13, 5.77157424420945e-14, -8.710067801697773e-15,
+    3.107654287478506e-16, 3.1965480114529783e-17,
+)
+# g(c) = ln[(1 - lambda0)/(4 sqrt(pi c) e^{-2c})] in t = (760/c - 191)/189,
+# that is x = 2/c over c in [2, 380]:
+_G_SERIES = (
+    -0.18514168935140937, -0.2163303473864575, -0.03403902781387414,
+    0.0016430474282128878, 0.004073614979664024, 0.00019715770313373445,
+    -0.0006659283712624855, -9.253620584112088e-06, 0.00013131378511360684,
+    -1.801008897869429e-05, -2.4487831264543918e-05, 9.95851470096589e-06,
+    2.6718025220506886e-06, -3.178551873996781e-06, 5.382201788895646e-07,
+    5.51927425429756e-07, -3.8041737425450626e-07, 4.1245287113542985e-08,
+    8.039415338882305e-08, -5.565446165902276e-08, 9.044744891295417e-09,
+    1.1101395818745572e-08, -9.696683549347563e-09, 2.752535044920107e-09,
+    1.2835626174503917e-09, -1.759374258910992e-09, 7.898933851557291e-10,
+    3.075496533773003e-11, -2.8834676669103656e-10, 2.0033461971327743e-10,
+    -4.983947759740963e-11, -3.197083104328792e-11, 4.216846091346775e-11,
+    -2.1668352521076006e-11, 2.1056543742929865e-12, 6.148609086188751e-12,
+    -5.80259660402085e-12, 2.5455169910150217e-12, 2.0681953390819753e-14,
+    -9.733677814391065e-13, 8.301813763906461e-13, -3.5124001884376654e-13,
+    -1.0355371859566216e-14, 1.4546964487091877e-13, -1.2664384906050738e-13,
+    5.758755905176622e-14, -2.4875859078159398e-15, -2.07014160553399e-14,
+    2.0281217065503294e-14, -1.0667374279663647e-14, 1.8373880976717646e-15,
+    2.617871212996746e-15, -3.271852807294175e-15, 2.080356034750386e-15,
+    -6.630060724218055e-16, -2.2141685277988837e-16, 4.9769285447070045e-16,
+    -4.005005074948102e-16, 1.8843746073035563e-16, -1.82092667437677e-17,
+    -6.250469759917872e-17, 7.138224001164738e-17, -4.586465245886759e-17,
+    1.605478435290894e-17, 3.4658250982146397e-18, -1.0643358892833001e-17,
+    9.573613375527553e-18, -5.323804821725357e-18,
+)
+
+_SEAM = 2.0
+_4_SQRT_PI = 4.0 * math.sqrt(math.pi)
 
 
-def _deficit_asymptote(c: float) -> float:
-    # log-domain guard first: e^{-2c} underflows past c ~ 354, and c**3
-    # overflows past c ~ 5.6e102
-    lg = math.log(4.0 * math.sqrt(math.pi * c)) - 2.0 * c
-    if lg < -745.0:
-        return 0.0
-    corr = 1.0 - 7.0 / (16.0 * c) + _DEFICIT_D2 / c**2 + _DEFICIT_D3 / c**3
-    return math.exp(lg) * corr
-
-
-def _expansion(c: float, nterms: int, mu: float | None = None) -> tuple[float, float, list, float]:
-    diag = [r * (r + 1.0) + c * c * (2.0 * r * (r + 1.0) - 1.0) / ((2.0 * r - 1.0) * (2.0 * r + 3.0))
-            for r in map(float, range(0, 2 * nterms, 2))]
-    off = [c * c * (r + 1.0) * (r + 2.0) / ((2.0 * r + 3.0) * math.sqrt((2.0 * r + 1.0) * (2.0 * r + 5.0)))
-           for r in map(float, range(0, 2 * nterms - 2, 2))]
-    # Inverse iteration for the eigenvector of the smallest eigenvalue, with
-    # the shift mu just below it: A - mu is then positive definite, so its
-    # LDL^T factors need no pivoting and give the tail coefficients to full
-    # relative precision, as the truncation test needs.  A caller's mu is kept
-    # when all pivots are positive (by Sylvester's law of inertia, it then lies
-    # below the spectrum).  Each solve shrinks the other eigenvectors' share
-    # by shift / gap < 1e-6, so three solves from a flat start reach rounding.
-    for fresh in (mu is None, True):
-        if fresh:
-            mu = float(np.linalg.eigvalsh(np.diag(diag) + np.diag(off, -1))[0]) - 1e-9 * diag[-1]
-        piv, mult = [diag[0] - mu], []
-        for a, e in zip(diag[1:], off):
-            mult.append(e / piv[-1])
-            piv.append(a - mu - mult[-1] * e)
-        if min(piv) > 0.0:
-            break
-    else:
-        raise NonConvergence(f"prolate shift at c={c} is not below the spectrum")
-    x = [1.0] * nterms
-    for _ in range(3):
-        for i in range(1, nterms):
-            x[i] -= mult[i - 1] * x[i - 1]
-        x[-1] /= piv[-1]
-        for i in range(nterms - 2, -1, -1):
-            x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
-        top = max(map(abs, x))
-        x = [v / top for v in x]
-    d = [v * math.sqrt(4.0 * k + 1.0) for k, v in enumerate(x)]  # undo the symmetrizing scaling
-    # R00(c, 1) = d_0 / S00(c, 0), of either sign of d: the integral equation
-    # of the angular function at eta = 0 gives int S00 = 2 d_0 = mu_0 S00(c, 0)
-    # with lambda0 = c mu_0^2 / (2 pi).  S00(c, 0) = sum d_2k P_2k(0) is the
-    # peak of S00, so neither sum cancels, unlike the spherical-Bessel series
-    # at eta = 1, whose sums both shrink like exp(-const*c).
-    r00 = d[0] / math.fsum((-1) ** k * math.comb(2 * k, k) / 4**k * v for k, v in enumerate(d))
-    lam = (2.0 * c / math.pi) * r00 * r00
-    return r00, lam, d, mu
+def _chebyshev(coeffs: tuple, t: float) -> float:
+    # Clenshaw's recurrence for sum_k coeffs[k] T_k(t)
+    b1 = b2 = 0.0
+    for a in reversed(coeffs[1:]):
+        b1, b2 = a + 2.0 * t * b1 - b2, b1
+    return coeffs[0] + t * b1 - b2
 
 
 @functools.lru_cache(maxsize=1024)
 def prolate_r00(c: float) -> ProlateResult:
-    """R00(c, 1) and the concentration eigenvalue lambda0 = (2c/pi) R00^2.
-
-    Truncation starts at 8 + 5 sqrt(c) terms and grows until the trailing
-    coefficients are negligible; the drift check at 16 more terms reuses
-    the shift of that expansion's one eigvalsh call once its LDL^T pivots
-    all check positive, so a c costs one eigensolve.  Memoized per c: a
-    report set asks for the same c as its neighbours, and the frozen result
-    is safe to share.
+    """R00(c, 1) and the concentration eigenvalue lambda0 = (2c/pi) R00^2,
+    from the series for R00 up to c = 2 and the one for 1 - lambda0 past it.
+    Memoized per c: a report set asks for the same c as its neighbours, and
+    the frozen result is safe to share.
     """
     if not math.isfinite(c):
         raise ValueError(f"prolate bandwidth parameter c = {c!r} is not finite")
@@ -135,41 +110,21 @@ def prolate_r00(c: float) -> ProlateResult:
         # lambda0 ~ 2c/pi would be subnormal, with too few significant bits
         # for R = -ln lambda0; bound_L rejects such width products too
         raise ValueError(f"prolate bandwidth parameter c = {c!r} is subnormal")
-    if c == 0.0:
-        return ProlateResult(c=0.0, r00_at_1=1.0, lambda0=0.0, terms_used=0,
-                             est_error=0.0, lambda0_deficit=1.0)
-    if c >= _DEFICIT_SWITCH:
-        # 1 - lambda0 is below 1e-9 here, so the rounding of lambda0 near 1
-        # leaves it fewer and fewer correct digits, while the calibrated
-        # deficit expansion is at its best: the eigenvalue and R00 both come
-        # from the deficit.
-        deficit = _deficit_asymptote(c)
-        lam = 1.0 - deficit
-        r00 = math.sqrt(math.pi * lam / (2.0 * c))
-        return ProlateResult(c=float(c), r00_at_1=r00, lambda0=lam,
-                             terms_used=0, est_error=3e-5 * deficit,
-                             lambda0_deficit=deficit)
-    # Truncation is set by coefficient decay alone: past the plunge region the
-    # d_{2k} fall off superexponentially, while the shift of the inverse
-    # iteration, and with it the solve's noise, grows like nterms**2, so the
-    # smallest sufficient truncation is also the most accurate one.  The
-    # start is a term or more above the least that passes below the switch.
-    nterms = 8 + int(5.0 * math.sqrt(c))
-    while True:
-        r00, lam, d, mu = _expansion(c, nterms)
-        if abs(d[-1]) < 1e-24 * max(map(abs, d)):
-            break
-        nterms += max(16, nterms // 2)
-        if nterms > 4000:
-            raise NonConvergence(f"prolate expansion failed to stabilize at c={c}")
-    r00_chk, lam_chk, _, _ = _expansion(c, nterms + 16, mu)
-    drift = abs(lam - lam_chk) + abs(r00 - r00_chk)
-    if drift > 1e-8:
-        raise NonConvergence(f"prolate expansion unstable at c={c} (drift {drift:.2e})")
-    est = max(drift, 5e-15)
-    return ProlateResult(c=float(c), r00_at_1=r00, lambda0=lam,
-                         terms_used=nterms, est_error=est,
-                         lambda0_deficit=1.0 - lam)
+    c = float(c)
+    if c <= _SEAM:
+        r00 = 1.0 + c * c * _chebyshev(_R00_SERIES, 0.5 * c * c - 1.0)
+        lam = (2.0 * c / math.pi) * r00 * r00
+        return ProlateResult(c=c, r00_at_1=r00, lambda0=lam,
+                             terms_used=len(_R00_SERIES), lambda0_deficit=1.0 - lam)
+    g = _chebyshev(_G_SERIES, max(-1.0, (760.0 / c - 191.0) / 189.0))
+    # e^{-2c} as the square of e^{-c}, whose argument is exact and which
+    # stays normal up to c = 708: the product rounds once, on its last step
+    half = math.exp(-c)
+    deficit = half * (_4_SQRT_PI * math.sqrt(c) * math.exp(g)) * half
+    lam = 1.0 - deficit
+    # 0.5 pi lam / c, not pi lam / (2c): 2c overflows past c = 2^1023
+    return ProlateResult(c=c, r00_at_1=math.sqrt(0.5 * math.pi * lam / c), lambda0=lam,
+                         terms_used=len(_G_SERIES), lambda0_deficit=deficit)
 
 
 # ---------------------------------------------------------------------------

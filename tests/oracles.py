@@ -13,15 +13,22 @@ concentration kernel sin(c(x-y))/(pi(x-y)) on [-1,1] over a Gauss-Legendre
 grid, symmetrized by sqrt-weight scaling, with the top eigenvalue from a
 dense symmetric eigensolver.
 
+prolate_mp is the high-precision reference for lambda0 that the tables in
+specfun are built from (tests/gen_prolate_table.py) and checked against: the
+Legendre coefficients of the angular function S00 from Rayleigh-quotient
+iteration in mpmath, and R00(c, 1) = d_0 / S00(c, 0).
+
 block_binning is coarse.bin_density as it was before the seed trio and the
 first blocks of each side shared one call: one _clean_block_masses call per
 block of the doubling schedule.
 """
 
+import functools
 import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 from scipy import integrate, optimize
 
@@ -76,6 +83,56 @@ def sinc_eigen_oracle(c: float) -> float:
             return cur
         prev = cur
     raise NonConvergence(f"Nystrom eigenvalue did not stabilize at c={c}")
+
+
+@functools.lru_cache(maxsize=None)
+def prolate_mp(c, finer: bool = False) -> tuple:
+    """(R00(c, 1), 1 - lambda0) as mpmath numbers, for c > 0 (a float or an
+    mpf), at 2c/ln 10 + 60 digits over 40 + 1.3c Legendre terms; finer takes
+    1.5 times the terms and 40 more digits, to check the first.
+
+    1 - lambda0 falls like e^{-2c}, so it keeps about 60 digits after the
+    cancellation in 1 - (2c/pi) R00^2.  The even-order coefficients d_2k of
+    S00 are the eigenvector of the smallest eigenvalue of a symmetric
+    tridiagonal matrix, found by Rayleigh-quotient iteration from a dense
+    double-precision start; each step cubes the error, so five reach the
+    working precision.  R00(c, 1) = d_0 / S00(c, 0), S00(c, 0) =
+    sum d_2k P_2k(0), a sum that does not cancel."""
+    nterms = 40 + int(1.3 * float(c))
+    dps = 60 + int(2.0 * float(c) / math.log(10.0))
+    if finer:
+        nterms, dps = nterms * 3 // 2, dps + 40
+    n = nterms
+    with mpmath.workdps(dps):
+        cc = mpmath.mpf(c) ** 2
+        diag = [mpmath.mpf(2 * k * (2 * k + 1)) + cc * (2 * (2 * k) * (2 * k + 1) - 1)
+                / ((4 * k - 1) * (4 * k + 3)) for k in range(n)]
+        off = [cc * (2 * k + 1) * (2 * k + 2)
+               / ((4 * k + 3) * mpmath.sqrt((4 * k + 1) * (4 * k + 5))) for k in range(n - 1)]
+        dense = np.diag([float(v) for v in diag]) + np.diag([float(v) for v in off], -1)
+        x = [mpmath.mpf(float(v)) for v in np.linalg.eigh(dense)[1][:, 0]]
+        for _ in range(5):
+            ax = [diag[i] * x[i] + (off[i - 1] * x[i - 1] if i else 0)
+                  + (off[i] * x[i + 1] if i < n - 1 else 0) for i in range(n)]
+            sigma = mpmath.fsum(a * b for a, b in zip(x, ax)) / mpmath.fsum(v * v for v in x)
+            # Thomas solve of (A - sigma) y = x
+            w, g = [mpmath.mpf(0)] * n, [mpmath.mpf(0)] * n
+            piv = diag[0] - sigma
+            w[0], g[0] = off[0] / piv, x[0] / piv
+            for i in range(1, n):
+                piv = diag[i] - sigma - off[i - 1] * w[i - 1]
+                w[i] = off[i] / piv if i < n - 1 else 0
+                g[i] = (x[i] - off[i - 1] * g[i - 1]) / piv
+            y = g[:]
+            for i in range(n - 2, -1, -1):
+                y[i] = g[i] - w[i] * y[i + 1]
+            norm = mpmath.sqrt(mpmath.fsum(v * v for v in y))
+            x = [v / norm for v in y]
+        d = [x[k] * mpmath.sqrt(4 * k + 1) for k in range(n)]
+        s0 = mpmath.fsum((-1) ** k * mpmath.binomial(2 * k, k) / mpmath.mpf(4) ** k * d[k]
+                         for k in range(n))
+        r00 = abs(d[0] / s0)
+        return r00, 1 - 2 * mpmath.mpf(c) / mpmath.pi * r00 ** 2
 
 
 def block_binning(d, eta: float, offset: float = 0.0) -> tuple:

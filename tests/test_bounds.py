@@ -113,6 +113,14 @@ def test_bound_set_invariants():
             assert bs.log_rhs_heis == pytest.approx(2.0 * max(b1, bs.r), rel=1e-15)
 
 
+def test_bound_set_where_twice_c_overflows():
+    # c = 1.25e308, where 2c overflows: R underflows to 0 and g overflows,
+    # and neither raises
+    bs = bound_L(1e154, 1e154, 0.2)
+    assert bs.r == 0.0 and bs.l_alpha == 0.0 and bs.g == math.inf
+    assert bs.log_rhs_heis == 0.0
+
+
 def test_r_b1_crossing_matches_g_switch():
     # R - B_1 changes sign exactly once on the sweep range
     dds = np.geomspace(0.1, 100.0, 400)

@@ -403,7 +403,7 @@ def loaded():
 print(loaded())
 for state in ("gaussian:x0=0.5,p0=-1,sigma=0.8", "hermite:n=7,sigma=1.2", "squarewell:n=3,L=1.5",
               "mix:0.6*squarewell:n=2+0.4*gaussian:x0=1,sigma=0.5"):
-    for delta in ("1", "8"):  # c = delta^2/4 below and above the prolate switch at 12
+    for delta in ("1", "8"):  # c = delta^2/4 on each of the prolate tables, seam at c = 2
         with contextlib.redirect_stdout(io.StringIO()):
             rc = cli.main(["check", "--state", state, "--delta", delta, "--delta-p", delta,
                            "--offset-x", "0.3", "--offset-p", "0.1"])
@@ -766,6 +766,19 @@ def test_bounds_rejects_subnormal_width_product(capsys):
     rc = main(["bounds", "--sweep-min", "1e-320", "--sweep-max", "1", "--sweep-points", "2"])
     assert rc == 2
     assert "sweep.min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", ["1e-160", "1e-200"])
+def test_sample_rejects_a_width_product_below_the_normal_range_before_binning(
+        monkeypatch, capsys, width):
+    # the width product is refused before any bin is computed, by field name
+    def no_binning(*args, **kwargs):
+        raise AssertionError("binning reached")
+
+    monkeypatch.setattr(cli, "_bin_axes", no_binning)
+    assert main(["sample", "--delta", width, "--delta-p", width, "--samples", "10"]) == 2
+    err = capsys.readouterr().err
+    assert "delta_x" in err and "delta_p" in err and "binning reached" not in err
 
 
 @pytest.mark.parametrize("width", ["1e-200", "1e200"])

@@ -150,6 +150,19 @@ def _fixed_order_uses(node) -> list:
     return found
 
 
+def test_specfun_takes_nothing_but_the_standard_library():
+    # lambda0 is summed from checked-in tables, with no eigensolve at run
+    # time, so specfun needs neither numpy nor the rest of the package
+    path = ROOT / "src" / "cg_uncert" / "specfun.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            imported.update(a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert imported and imported <= set(sys.stdlib_module_names), imported
+
+
 def test_only_numerics_takes_fixed_order_panels():
     # every quadrature, the tail rings of the continuous functionals among
     # them, runs through numerics.adaptive_panels, which alone calls the

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cg_uncert import specfun
-from cg_uncert.numerics import NonConvergence
 from cg_uncert.specfun import (
     bin_profile_norm,
     ghf_ent_shape,
@@ -15,7 +14,7 @@ from cg_uncert.specfun import (
     prolate_r00,
     two_t_m,
 )
-from oracles import sinc_eigen_oracle
+from oracles import prolate_mp, sinc_eigen_oracle
 
 # ---------------------------------------------------------------------------
 # concentration eigenvalue / R00
@@ -27,18 +26,14 @@ LAM_REF = {
 }
 R00_REF_C1 = 0.948371951196200
 
-# frozen 1 - lambda0 references from the 60-digit eigensolve; tolerance per
-# point reflects which branch computes it (expansion below c = 12, calibrated
-# asymptote at and above)
+# frozen 1 - lambda0 references from a 60-digit eigensolve, each tolerance
+# set by the digits the frozen value carries
 DEFICIT_REF = [
-    # expansion side: deficit = 1 - lambda0 carries the eigensolve's absolute
-    # noise (~1e-12), so its relative tolerance widens as the deficit shrinks
-    (10.0, 4.40880806e-8, 5e-4),
-    # asymptote side: deterministic formula, calibrated residual
-    (12.0, 8.92009265194e-10, 2e-5),
-    (13.0, 1.26046553e-10, 1e-5),
-    (16.0, 3.49044078e-13, 1e-6),
-    (20.0, 1.31688446e-16, 1e-6),
+    (10.0, 4.40880806e-8, 2e-9),
+    (12.0, 8.92009265194e-10, 1e-12),
+    (13.0, 1.26046553e-10, 1e-8),
+    (16.0, 3.49044078e-13, 3e-9),
+    (20.0, 1.31688446e-16, 3e-9),
 ]
 
 
@@ -79,17 +74,19 @@ def test_prolate_identity_lambda_from_r00():
             res.lambda0, rel=1e-12)
 
 
-def test_prolate_branch_seam():
-    below = prolate_r00(11.999999)
-    above = prolate_r00(12.000001)
-    assert below.terms_used > 0
-    assert above.terms_used == 0
-    # the eigenvalue itself hands over seamlessly (absolute statement); the
-    # deficit is ~9e-10 at the switch, so the expansion side's ~1e-12 absolute
-    # eigensolve noise caps cross-branch deficit agreement near 1e-3 relative
-    assert abs(above.lambda0 - below.lambda0) < 1e-11
-    rel = abs(above.lambda0_deficit - below.lambda0_deficit) / above.lambda0_deficit
-    assert rel < 5e-3
+def test_prolate_table_seam():
+    # the series for R00 hands over to the one for 1 - lambda0 at c = 2: both
+    # give the same deficit there, and lambda0 keeps rising across the seam
+    r00 = 1.0 + 4.0 * specfun._chebyshev(specfun._R00_SERIES, 1.0)
+    below = 1.0 - (4.0 / math.pi) * r00 * r00
+    above = (specfun._4_SQRT_PI * math.sqrt(2.0) * math.exp(-4.0)
+             * math.exp(specfun._chebyshev(specfun._G_SERIES, 1.0)))
+    assert abs(above - below) <= 4e-15 * below
+    assert prolate_r00.__wrapped__(2.0).terms_used == len(specfun._R00_SERIES)
+    assert prolate_r00.__wrapped__(2.0 + 1e-15).terms_used == len(specfun._G_SERIES)
+    cs = np.linspace(2.0 - 1e-6, 2.0 + 1e-6, 401)
+    lams = [prolate_r00.__wrapped__(float(c)).lambda0 for c in cs]
+    assert all(b > a for a, b in zip(lams, lams[1:]))
 
 
 def test_prolate_is_memoized_per_c():
@@ -98,56 +95,6 @@ def test_prolate_is_memoized_per_c():
     assert prolate_r00(1.25) is prolate_r00(1.25)
     assert prolate_r00(13.0) is prolate_r00(13.0)
     assert prolate_r00(1.25) is not prolate_r00(1.5)
-
-
-def _count_eigvalsh(monkeypatch) -> list:
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(len(a)) or real(a))
-    return calls
-
-
-def test_prolate_makes_one_eigensolve_per_fresh_c(monkeypatch):
-    # the drift check at 16 more terms reuses the first expansion's shift,
-    # and the asymptotic branch makes none
-    calls = _count_eigvalsh(monkeypatch)
-    for c in np.logspace(-6, math.log10(12.0), 40, endpoint=False):
-        calls.clear()
-        prolate_r00.__wrapped__(float(c))
-        assert len(calls) == 1, f"c={c}: {calls}"
-    for c in (12.0, 12.5, 30.0, 400.0):
-        calls.clear()
-        prolate_r00.__wrapped__(c)
-        assert calls == [], f"c={c}"
-
-
-def test_prolate_truncation_is_sized_by_c():
-    # the start grows with c from 8 terms, so a fixed floor of 32 fails this
-    for c in np.logspace(-6, math.log10(12.0), 200, endpoint=False):
-        assert 0 < prolate_r00.__wrapped__(float(c)).terms_used <= 26, f"c={c}"
-
-
-@pytest.mark.parametrize("c", [0.3, 5.0, 11.5])
-def test_prolate_shift_above_the_spectrum_is_solved_afresh(monkeypatch, c):
-    n = 30
-    fresh = specfun._expansion(c, n)
-    diag0 = c * c / 3.0  # A[0, 0]; the smallest eigenvalue lies below it
-    calls = _count_eigvalsh(monkeypatch)
-    # first pivot negative, and a shift between the smallest eigenvalue and
-    # A[0, 0], whose negative pivot comes later
-    for mu in (diag0 + 1.0, 0.5 * (fresh[3] + diag0)):
-        calls.clear()
-        assert specfun._expansion(c, n, mu) == fresh
-        assert calls == [n]
-    # a shift that passes the pivot check is kept, with no eigensolve
-    calls.clear()
-    r00, lam, _, mu = specfun._expansion(c, n, fresh[3] - 1e-6)
-    assert calls == [] and mu == fresh[3] - 1e-6
-    assert abs(r00 - fresh[0]) <= 1e-15 and abs(lam - fresh[1]) <= 1e-15
-    # an eigensolve whose shift fails the check too is a numerical failure
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([diag0 + 1.0]))
-    with pytest.raises(NonConvergence, match="not below the spectrum"):
-        specfun._expansion(c, n)
 
 
 def test_prolate_edge_cases():
@@ -258,49 +205,12 @@ def test_two_t_m_endpoints():
 # ---------------------------------------------------------------------------
 # accuracy against mpmath
 
-# the c grid of the accuracy ledger: where 1 - lambda0 is smallest on the
-# expansion branch, and so hardest to resolve
-MP_C_GRID = (8.0, 9.0, 10.0, 10.5, 11.0, 11.5, 11.8, 11.9, 11.99, 11.999999)
-
-
-def _prolate_mp(c: float, nterms: int = 48) -> tuple:
-    """(R00(c, 1), 1 - lambda0) at 50 digits, independent of prolate_r00:
-    Rayleigh-quotient iteration on the symmetrized tridiagonal matrix from a
-    dense double-precision start, then the spherical-Bessel series
-    R00 = sum (-1)^k d_2k j_2k(c) / sum d_2k at xi = 1."""
-    n = nterms
-    with mpmath.workdps(50):
-        cc = mpmath.mpf(c) ** 2
-        diag = [mpmath.mpf(2 * k * (2 * k + 1)) + cc * (2 * (2 * k) * (2 * k + 1) - 1)
-                / ((4 * k - 1) * (4 * k + 3)) for k in range(n)]
-        off = [cc * (2 * k + 1) * (2 * k + 2)
-               / ((4 * k + 3) * mpmath.sqrt((4 * k + 1) * (4 * k + 5))) for k in range(n - 1)]
-        dense = np.diag([float(v) for v in diag]) + np.diag([float(v) for v in off], -1)
-        vals, vecs = np.linalg.eigh(dense)
-        x = [mpmath.mpf(float(v)) for v in vecs[:, 0]]
-        for _ in range(4):
-            ax = [diag[i] * x[i] + (off[i - 1] * x[i - 1] if i else 0)
-                  + (off[i] * x[i + 1] if i < n - 1 else 0) for i in range(n)]
-            sigma = mpmath.fsum(a * b for a, b in zip(x, ax)) / mpmath.fsum(v * v for v in x)
-            # Thomas solve of (A - sigma) y = x
-            w, g = [mpmath.mpf(0)] * n, [mpmath.mpf(0)] * n
-            piv = diag[0] - sigma
-            w[0], g[0] = (off[0] / piv if n > 1 else 0), x[0] / piv
-            for i in range(1, n):
-                piv = diag[i] - sigma - off[i - 1] * w[i - 1]
-                w[i] = off[i] / piv if i < n - 1 else 0
-                g[i] = (x[i] - off[i - 1] * g[i - 1]) / piv
-            y = g[:]
-            for i in range(n - 2, -1, -1):
-                y[i] = g[i] - w[i] * y[i + 1]
-            norm = mpmath.sqrt(mpmath.fsum(v * v for v in y))
-            x = [v / norm for v in y]
-        d = [x[k] * mpmath.sqrt(4 * k + 1) for k in range(n)]
-        cm = mpmath.mpf(c)
-        num = mpmath.fsum((-1) ** k * d[k] * mpmath.sqrt(mpmath.pi / (2 * cm))
-                          * mpmath.besselj(2 * k + mpmath.mpf(0.5), cm) for k in range(n))
-        r00 = abs(num / mpmath.fsum(d))
-        return r00, 1 - 2 * cm / mpmath.pi * r00 ** 2
+# points of the accuracy ledger, part of the check grid of
+# tests/gen_prolate_table.py: where 1 - lambda0 was hardest to resolve before
+# the tables (up to c = 12), and on out towards its underflow
+MP_C_GRID = (8.0, 9.0, 10.0, 10.5, 11.0, 11.5, 11.8, 11.9, 11.99, 11.999999, 12.0,
+             16.0, 30.0, 60.0, 120.0, 300.0)
+SMALL_C = (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 6.0)
 
 
 def _profile_mp(t: float) -> tuple:
@@ -322,18 +232,34 @@ def test_wide_profiles_against_mpmath():
 
 
 def test_prolate_deficit_against_mpmath():
-    # 1 - lambda0 is 9e-10 at the top of the grid; the Bessel-series ratio
-    # in double precision had up to 1.7e-3 relative error there
-    worst = 0.0
-    for c in MP_C_GRID:
-        _, ref = _prolate_mp(c)
+    # 1 - lambda0 is within 1e-14 relative wherever lambda0 >= 1/2, and
+    # lambda0 within 2e-15 where it is smaller
+    for c in SMALL_C + MP_C_GRID:
+        _, ref = prolate_mp(c)
+        got = prolate_r00.__wrapped__(c)
+        if got.lambda0 < 0.5:
+            assert float(abs(got.lambda0 / (1 - ref) - 1)) <= 2e-15, f"c={c}"
+        else:
+            assert float(abs(got.lambda0_deficit / ref - 1)) <= 1e-14, f"c={c}"
+
+
+def test_prolate_deficit_underflows_gracefully():
+    # e^{-2c} is taken as (e^{-c})^2, so 1 - lambda0 rounds once as it passes
+    # through the subnormal range, and reaches 0 past c = 374.7
+    for c in (356.0, 365.0, 374.0, 374.8):
+        _, ref = prolate_mp(c)
         got = prolate_r00.__wrapped__(c).lambda0_deficit
-        worst = max(worst, float(abs(got - ref) / ref))
-    assert worst <= 1e-6
+        assert float(abs(got - ref)) <= 1e-14 * ref + 5e-324, f"c={c}"
+    cs = np.geomspace(2.0, 1e308, 400).tolist() + [sys.float_info.max]
+    res = [prolate_r00.__wrapped__(c) for c in cs]
+    deficits = [r.lambda0_deficit for r in res]
+    assert all(b < a or b == 0.0 for a, b in zip(deficits, deficits[1:]))
+    assert deficits[-1] == 0.0 and prolate_r00(374.0).lambda0_deficit > 0.0
+    assert all(0.0 < r.r00_at_1 < 1.0 for r in res)
 
 
 def test_prolate_r00_against_mpmath():
-    for c in (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 2.0, 4.0, 6.0) + MP_C_GRID:
-        ref, _ = _prolate_mp(c)
+    for c in SMALL_C + MP_C_GRID:
+        ref, _ = prolate_mp(c)
         got = prolate_r00.__wrapped__(c).r00_at_1
         assert float(abs(got - ref) / ref) <= 1e-15, f"c={c}"
