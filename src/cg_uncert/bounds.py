@@ -18,6 +18,7 @@ forms and ln(lhs) - ln(rhs) for product forms, and whose verdict follows.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import KW_ONLY, dataclass
@@ -203,9 +204,12 @@ def bound_R(delta_x: float, delta_p: float, hbar: float = 1.0) -> float:
     return _neg_log_lambda0(prolate_r00(delta_x * delta_p / (4.0 * hbar)))
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
             alpha: float = 1.0) -> BoundSet:
-    """Full bound set at one configuration; see BoundSet."""
+    """Full bound set at one configuration; see BoundSet.  Memoized per
+    configuration, argument types included: every report set on a width pair
+    asks for the same set, and the frozen result is safe to share."""
     _check_widths(delta_x, delta_p, hbar)
     b_alpha = bound_B(delta_x, delta_p, hbar, alpha)
     b_one = bound_B(delta_x, delta_p, hbar, 1.0)
@@ -300,8 +304,10 @@ def func_K(u: float) -> float:
     return func_M_inv_and_K(u)[1]
 
 
+@functools.lru_cache(maxsize=1024)
 def func_M_inv_and_K(u: float) -> tuple:
-    """(M^{-1}(u), K(u)) for u > 0 from one root solve.
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve.  Memoized per u:
+    every report set on a binning asks for the same pair again.
 
     At t = M^{-1}(u) the profile variance is V(t) = 1/(2t) - u, so
     F(u, t) = exp(2tu) / erf(sqrt(t)/2)^2.  Below _K_CLOSED_FORM, where F

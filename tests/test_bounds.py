@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 import sys
@@ -13,6 +14,7 @@ from scipy.optimize import minimize_scalar
 from cg_uncert import bounds
 from cg_uncert.bounds import (
     VERDICT_TOL,
+    BoundSet,
     RelationReport,
     beta_conjugate,
     binned_relation_reports,
@@ -29,9 +31,16 @@ from cg_uncert.bounds import (
     func_M_inv,
     moment_relation_reports,
 )
-from cg_uncert.coarse import BinnedDistribution, GhfSpec
+from cg_uncert.coarse import BinnedDistribution, GhfSpec, bin_density, discrete_variance
 from cg_uncert.numerics import DomainError, NonConvergence
-from cg_uncert.states import Gaussian, HermiteGauss, Mixture, SquareWell
+from cg_uncert.states import (
+    Gaussian,
+    HermiteGauss,
+    Mixture,
+    SquareWell,
+    momentum_density,
+    position_density,
+)
 from oracles import root
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -589,3 +598,135 @@ def test_feasibility_region_validation():
         feasibility_region(1.0, 1.0, [], [0.0])
     with pytest.raises(DomainError):
         feasibility_region(1.0, 1.0, [-0.5], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# memoized kernels: M^-1 and K per u, the bound set per configuration
+
+_BOUND_FIELDS = [f.name for f in dataclasses.fields(BoundSet)]
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values of one type; floats bit for bit."""
+    if type(a) is not type(b):
+        return False
+    return a.hex() == b.hex() if isinstance(a, float) else a == b
+
+
+def _same_bound_set(a: BoundSet, b: BoundSet) -> bool:
+    return all(_same_bits(getattr(a, name), getattr(b, name)) for name in _BOUND_FIELDS)
+
+
+def _counting(monkeypatch, owner, attr: str) -> list:
+    """Rebind owner.attr to a wrapper that records each call's first argument."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
+def test_fresh_memos_clears_every_numeric_memo(fresh_memos):
+    names = {f.__name__ for f in fresh_memos}
+    assert {"prolate_r00", "ghf_var_shape", "ghf_ent_shape",
+            "func_M_inv_and_K", "bound_L"} <= names
+    assert all(f.cache_info().currsize == 0 for f in fresh_memos)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(u=st.floats(-323.3, math.log10(1.7e308)).map(lambda x: 10.0 ** x))
+@example(u=5e-324)
+@example(u=1.7e308)
+def test_memoized_m_inverse_and_k_keep_every_bit(u):
+    fresh = bounds.func_M_inv_and_K.__wrapped__(u)
+    for _ in range(2):  # a miss or a hit, then a hit
+        got = bounds.func_M_inv_and_K(u)
+        assert type(got) is tuple and len(got) == 2
+        assert all(_same_bits(a, b) for a, b in zip(got, fresh)), f"u={u!r}"
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(dx=_sigma(-3.0, 3.0), dp=_sigma(-3.0, 3.0), hbar=_sigma(-3.0, 3.0),
+       alpha=st.floats(0.5, 1.0))
+@example(dx=1.0, dp=1.0, hbar=1.0, alpha=0.5)
+def test_memoized_bound_set_keeps_every_field_and_type(dx, dp, hbar, alpha):
+    fresh = bound_L.__wrapped__(dx, dp, hbar, alpha)
+    for _ in range(2):
+        assert _same_bound_set(bound_L(dx, dp, hbar, alpha), fresh)
+
+
+_INT_AND_FLOAT = [((1, 1, 1, 1), (1.0, 1.0, 1.0, 1.0)),
+                  ((1.0, 1.0, 1.0, 1), (1.0, 1.0, 1.0, 1.0)),
+                  ((2.0, 3, 1.0, 1), (2.0, 3.0, 1.0, 1.0))]
+
+
+@pytest.mark.parametrize("first, second", _INT_AND_FLOAT + [(b, a) for a, b in _INT_AND_FLOAT])
+def test_bound_set_memo_keeps_int_and_float_arguments_apart(fresh_memos, first, second):
+    # 1 == 1.0 with one hash: a memo blind to types would hand the first
+    # caller's int alpha (or width) to the second
+    for args in (first, second, first):
+        got = bound_L(*args)
+        assert _same_bound_set(got, bound_L.__wrapped__(*args))
+        assert [type(getattr(got, name)) for name in _BOUND_FIELDS[:4]] == [type(a) for a in args]
+
+
+@pytest.mark.parametrize("u", [0.0, -0.0, math.nan, math.inf, -1.0])
+def test_m_inverse_and_k_memo_keeps_no_bad_input(fresh_memos, u):
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            bounds.func_M_inv_and_K(u)
+    info = bounds.func_M_inv_and_K.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.3)])
+def test_bound_set_memo_keeps_no_bad_input(fresh_memos, args):
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            bound_L(*args)
+    info = bound_L.cache_info()
+    assert (info.hits, info.currsize) == (0, 0)
+
+
+def test_a_grid_of_report_sets_solves_once_per_binning_and_width_pair(fresh_memos, monkeypatch):
+    # every report set solved M^-1 for both of its binnings and built its
+    # bound set afresh: 108 solves and 54 eigenvalues for this grid, where 12
+    # binnings and 27 configurations need 12 and 27
+    states = (Gaussian(0.1, -0.2, 1.0), HermiteGauss(2, 0.8))
+    widths = (0.3, 0.7, 1.5)
+    alphas = (0.5, 0.75, 1.0)
+    binned = {(i, axis, w): bin_density(make(s), w, 0.013)
+              for i, s in enumerate(states)
+              for axis, make in (("x", position_density), ("p", momentum_density))
+              for w in widths}
+    us = {key: discrete_variance(b) / b.width ** 2 for key, b in binned.items()}
+    assert len(set(us.values())) == 12 and min(us.values()) > 0.0
+    solves = _counting(monkeypatch, bounds, "func_M_inv")
+    eigenvalues = _counting(monkeypatch, bounds, "prolate_r00")
+    runs = [(i, wx, wp, a, binned_relation_reports(binned[i, "x", wx], binned[i, "p", wp],
+                                                   alpha=a)[-1])
+            for i in range(len(states)) for wx in widths for wp in widths for a in alphas]
+    assert sorted(solves) == sorted(set(us.values()))
+    assert len(eigenvalues) == len(widths) ** 2 * len(alphas)
+    monkeypatch.undo()
+    # every report carries the values an uncached solve and bound set give
+    k = bounds.func_M_inv_and_K.__wrapped__
+    for i, wx, wp, a, opt in runs:
+        lhs = math.log(k(us[i, "x", wx])[1]) + math.log(k(us[i, "p", wp])[1])
+        assert (opt.relation_id, opt.lhs) == ("HeisOptimal", lhs)
+        assert opt.rhs == bound_L.__wrapped__(wx, wp, 1.0, a).log_rhs_heis
+
+
+def test_feasibility_region_solves_each_axis_point_once(fresh_memos, monkeypatch):
+    # the region command passes one axis as both u_x and u_p, and the second
+    # was solved again point for point; u = 0 takes no solve, K(0) = 1
+    axis = [float(v) for v in np.linspace(0.0, 2.0, 33)]
+    solves = _counting(monkeypatch, bounds, "func_M_inv")
+    reg = feasibility_region(2.0, 1.0, axis, axis)
+    assert sorted(solves) == axis[1:]
+    lk = np.array([0.0] + [math.log(bounds.func_M_inv_and_K.__wrapped__(u)[1]) for u in axis[1:]])
+    assert np.array_equal(reg.forbidden, lk[:, None] + lk[None, :] < reg.log_rhs)

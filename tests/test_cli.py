@@ -796,9 +796,10 @@ def test_region_rejects_bad_grid_umax_by_field_name(capsys, umax):
     assert f"field 'grid.u_max' must be nonnegative and finite, got {umax}" in err
 
 
-def test_kfun_solves_one_root_per_row_with_unchanged_columns(tmp_path, monkeypatch):
+def test_kfun_solves_one_root_per_row_with_unchanged_columns(tmp_path, monkeypatch, fresh_memos):
     # each row took M^-1 twice, once for its column and once inside K;
-    # sharing the root must not move a bit of either column
+    # sharing the root must not move a bit of either column.  The memos are
+    # cleared first: a row whose u an earlier test solved would take no solve
     solves = []
     solve = bounds.func_M_inv
 

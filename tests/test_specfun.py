@@ -19,10 +19,11 @@ from oracles import prolate_mp, sinc_eigen_oracle
 # ---------------------------------------------------------------------------
 # concentration eigenvalue / R00
 
-# frozen reference values (40+ digit eigensolve of the sinc kernel)
+# frozen reference values: the 60-digit oracles.prolate_mp eigenvalues,
+# 0.57258178063789512222... and 0.88055992231730930270..., rounded to double
 LAM_REF = {
     1.0: 0.5725817806378951,
-    2.0: 0.8805599223173105,
+    2.0: 0.8805599223173093,
 }
 R00_REF_C1 = 0.948371951196200
 
@@ -40,7 +41,7 @@ DEFICIT_REF = [
 def test_prolate_frozen_eigenvalues():
     for c, lam in LAM_REF.items():
         got = prolate_r00(c)
-        assert got.lambda0 == pytest.approx(lam, rel=1e-12)
+        assert got.lambda0 == pytest.approx(lam, rel=4e-16)
         assert got.lambda0 + got.lambda0_deficit == pytest.approx(1.0, abs=1e-13)
     assert prolate_r00(1.0).r00_at_1 == pytest.approx(R00_REF_C1, rel=1e-12)
 
