@@ -415,25 +415,22 @@ def moment_relation_reports(var_x: float, var_p: float, delta_x: float,
     return _heis_reports(var_x, var_p, bset, ghfs, infeasible=True)
 
 
-def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0,
-                            ghfs: Optional[tuple] = None) -> list:
+def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0) -> list:
     """All four coarse-grained reports for a binned conjugate pair.
 
-    bx, bp are BinnedDistributions of position and momentum; ghfs optionally
-    supplies the per-bin profile pair for the pre-optimization relation
-    (flat profiles, GhfSpec(width), by default).
+    bx, bp are BinnedDistributions of position and momentum; the
+    pre-optimization relation takes flat per-bin profiles, GhfSpec(width).
     """
     bset = bound_L(bx.width, bp.width, hbar, alpha)
     beta = beta_conjugate(alpha)
     lhs = discrete_renyi(bx, alpha) + discrete_renyi(bp, beta)
     renyi = RelationReport("RenyiDiscrete", lhs, bset.l_alpha, lhs - bset.l_alpha)
     return [renyi] + _heis_reports(discrete_variance(bx), discrete_variance(bp),
-                                   bset, ghfs, infeasible=False)
+                                   bset, None, infeasible=False)
 
 
 def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,
-                           alpha: float = 1.0, offsets: tuple = (0.0, 0.0),
-                           ghfs: Optional[tuple] = None) -> list:
+                           alpha: float = 1.0, offsets: tuple = (0.0, 0.0)) -> list:
     """Bin a state's marginals and report all four coarse-grained relations.
 
     offsets = (position grid offset, momentum grid offset).
@@ -441,7 +438,7 @@ def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,
     _check_widths(delta_x, delta_p, state.hbar)
     bx = bin_density(position_density(state), delta_x, offsets[0])
     bp = bin_density(momentum_density(state), delta_p, offsets[1])
-    return binned_relation_reports(bx, bp, alpha=alpha, hbar=state.hbar, ghfs=ghfs)
+    return binned_relation_reports(bx, bp, alpha=alpha, hbar=state.hbar)
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from .numerics import DomainError, NonConvergence
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
-from .states import Density1D, grid_edges, panel_integrals
+from .states import Density1D, grid_edges, panel_integrals, split_widths
 
 __all__ = [
     "EPS_TAIL",
@@ -224,16 +224,14 @@ class ReconstructedPdf:
 
 
 def _reduce_offset(offset: float, width: float) -> tuple:
-    """(r, k) with r = fmod(offset, width), which is exact, and k the whole
-    number of widths it removes: bin j of the grid (width, offset) is bin
-    j + k of the grid (width, r).  k must fit the int64 bin labels."""
+    """split_widths(offset, width), for an offset that is finite and whose
+    whole-width count k fits the int64 bin labels."""
     if not math.isfinite(offset):
         raise ValueError(f"offset must be finite, got {offset!r}")
     if not abs(offset) < 2.0 ** 63 * width:
         raise ValueError(f"offset {offset!r} is 2^63 or more bin widths ({width!r}) "
                          f"from 0, beyond the int64 bin labels")
-    r = math.fmod(offset, width)
-    return r, round((offset - r) / width)
+    return split_widths(offset, width)
 
 
 def _first(p: np.ndarray, compare: np.ufunc, value: float) -> int:
@@ -284,11 +282,11 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
         if x0 is not None and math.isfinite(x0):
             break
 
-    u = (x0 - r) / eta + 0.5
-    if not abs(u) < _MAX_SEED:
-        raise ValueError(f"location {x0!r} of the density is {abs(u):.3g} bin widths "
+    x0_r, k0 = split_widths(x0, eta)
+    j0 = k0 + math.floor((x0_r - r) / eta + 0.5)  # the bin of x0 on the grid (eta, r)
+    if not abs(j0) < _MAX_SEED:
+        raise ValueError(f"location {x0!r} of the density is {abs(x0 - r) / eta:.3g} bin widths "
                          f"({eta!r}) from 0, beyond the int64 bin labels")
-    j0 = math.floor(u)
     # one call for the seed trio and the first blocks of each side that the
     # loop below would take, out to the first past d.reach or the support
     lo_w, hi_w = d.reach(EPS_TAIL) if d.reach is not None else (math.inf, -math.inf)

@@ -48,6 +48,7 @@ __all__ = [
     "StateModel",
     "Density1D",
     "grid_edges",
+    "split_widths",
     "position_density",
     "momentum_density",
     "panel_integrals",
@@ -214,6 +215,17 @@ def grid_edges(r: float, width: float, j_lo: int, n: int) -> np.ndarray:
     return r + (np.arange(j_lo, j_lo + n + 1) - 0.5) * width
 
 
+def split_widths(x: float, width: float) -> tuple:
+    """(r, k) with r = fmod(x, width), which is exact, and k the integer with
+    x = r + k width exactly: x / width truncated, in integer arithmetic on the
+    exact ratios of the two doubles.  Bin j of the grid (width, x) is bin
+    j + k of the grid (width, r).  x finite, width positive and finite."""
+    a, b = float(x).as_integer_ratio()
+    c, d = float(width).as_integer_ratio()
+    k = abs(a) * d // (b * c)
+    return math.fmod(x, width), k if a >= 0 else -k
+
+
 def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Interval masses between edges z given tail[i], the mass beyond z[i] on
     its own side of 0 (above it for z >= 0, below it for z < 0).  Intervals on
@@ -251,8 +263,7 @@ def _gaussian(mu: float, sd: float) -> Density1D:
         return norm * np.exp(-0.5 * z * z)
 
     def masses(r, width, j_lo, count):
-        mu_r = math.fmod(mu, width)  # exact: mu is mu_r plus k_mu whole widths
-        k_mu = round((mu - mu_r) / width)
+        mu_r, k_mu = split_widths(mu, width)
         z = grid_edges(r - mu_r, width, j_lo - k_mu, count) * scale
         return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
 
@@ -644,11 +655,13 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
         cuts.update(d.discontinuities)
         # component support edges become kinks of the mixture when interior
         cuts.update(e for e in d.support if math.isfinite(e) and lo < e < hi)
-    mean = sum(w * d.known_mean for w, d in parts)
-    var = sum(w * (d.known_var + (d.known_mean - mean) ** 2) for w, d in parts)
+    # moments about the first mean, from which nearby means differ exactly
+    m0 = d0.known_mean
+    dm = sum(w * (d.known_mean - m0) for w, d in parts)
+    var = sum(w * (d.known_var + (d.known_mean - m0 - dm) ** 2) for w, d in parts)
     oscs = [d.osc_scale for _, d in parts if d.osc_scale is not None]
     return Density1D(eval=pdf, support=(lo, hi), discontinuities=tuple(sorted(cuts)),
-                     known_mean=mean, known_var=var,
+                     known_mean=m0 + dm, known_var=var,
                      heavy_tail=any(d.heavy_tail for _, d in parts),
                      osc_scale=min(oscs) if oscs else None, interval_masses=masses,
                      reach=reach)

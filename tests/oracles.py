@@ -18,6 +18,10 @@ specfun are built from (tests/gen_prolate_table.py) and checked against: the
 Legendre coefficients of the angular function S00 from Rayleigh-quotient
 iteration in mpmath, and R00(c, 1) = d_0 / S00(c, 0).
 
+split_widths is the exact reduction of a coordinate by a width in rational
+arithmetic (fractions.Fraction), against which states.split_widths and every
+label it fixes are checked.
+
 block_binning is coarse.bin_density as it was before the seed trio and the
 first blocks of each side shared one call: one _clean_block_masses call per
 block of the doubling schedule.
@@ -27,6 +31,7 @@ import functools
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -133,6 +138,15 @@ def prolate_mp(c, finer: bool = False) -> tuple:
                          for k in range(n))
         r00 = abs(d[0] / s0)
         return r00, 1 - 2 * mpmath.mpf(c) / mpmath.pi * r00 ** 2
+
+
+def split_widths(x: float, width: float) -> tuple:
+    """(r, k) with k = trunc(x / width) and r = x - k width, both exact, r as
+    the double it is (fmod's remainder is always one)."""
+    k = math.trunc(Fraction(x) / Fraction(width))
+    r = Fraction(x) - k * Fraction(width)
+    assert Fraction(float(r)) == r
+    return float(r), k
 
 
 def block_binning(d, eta: float, offset: float = 0.0) -> tuple:

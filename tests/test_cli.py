@@ -35,6 +35,7 @@ from cg_uncert.states import (
     Mixture,
     SquareWell,
 )
+from oracles import split_widths
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -517,16 +518,67 @@ def test_bad_numeric_input(capsys):
     (["check", "--offset-x", "nan"], "offset_x"),
     (["check", "--offset-x", "inf"], "offset_x"),
     (["check", "--offset-p", "1e300"], "offset_p"),
-    # at 2**53 widths the offset's ulp is two bin widths: the grid printed a
-    # false "violated" and exited 1
-    (["check", "--state", "gaussian", "--delta", "1", "--delta-p", "1",
-      "--offset-x", "9007199254740992"], "offset_x"),
+    # 2^63 widths: the bin labels would leave int64
+    (["check", "--offset-x", "1e300"], "offset_x"),
     (["sample", "--seed", "-1"], "seed"),
 ])
 def test_bad_offsets_and_seeds_are_rejected_by_name(capsys, argv, name):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{name}'" in err
+
+
+def test_a_mixture_far_from_the_origin_keeps_its_reports(capsys):
+    # whole widths counted in floats put the two components' bins different
+    # numbers of labels off at x0 = 1e17: HeisRect read lhs 10.5604 for 16.3588
+    def reports(a, b):
+        desc = f"mix:0.5*gaussian:x0={a!r},sigma=1+0.5*gaussian:x0={b!r},sigma=1"
+        assert main(["check", "--state", desc, "--delta", "0.1", "--delta-p", "0.1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    far, near = reports(1e17, 1e17 + 16.0), reports(1000.0, 1016.0)
+    assert [r["relation_id"] for r in far] == [r["relation_id"] for r in near]
+    for f, n in zip(far, near):
+        assert f["verdict"] == n["verdict"] == "holds"
+        for key in ("lhs", "rhs", "margin"):
+            assert f[key] == pytest.approx(n[key], rel=1e-12, abs=0.0), (f, key)
+
+
+def test_offsets_follow_the_int64_label_rule(capsys):
+    # offsets of 2^52 widths or more exited 2 on a rule of the CLI's own;
+    # the library bins them exactly, so whole widths move the labels and
+    # nothing else, out to 2^63 widths
+    def run(offset):
+        rc = main(["check", "--state", "gaussian", "--delta", "1", "--delta-p", "1",
+                   f"--offset-x={offset}"])
+        return rc, capsys.readouterr()
+
+    ref = run("0")
+    assert ref[0] == 0 and ref[1].err == ""
+    for offset in ("9007199254740992", "-9007199254740992", "4e18"):
+        assert run(offset) == ref, offset
+    for offset in ("9.3e18", "-1e19"):
+        rc, got = run(offset)
+        assert rc == 2 and "int64" in got.err and "'offset_x'" in got.err, offset
+
+
+def test_a_far_offset_moves_only_the_sample_labels(capsys):
+    # -3.21e18 is -8675675675675675779 widths of 0.37 plus fmod(-3.21e18, 0.37);
+    # counted in floats, the labels started at 8675675675675675632
+    def doc(offset):
+        assert main(["sample", "--state", "gaussian", "--delta", "0.37",
+                     f"--offset-x={offset!r}", "--samples", "1000", "--seed", "1"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    r, k = split_widths(-3.21e18, 0.37)
+    far, near = doc(-3.21e18), doc(r)
+    bins = far["position"]["chi2"]["per_bin"]
+    assert bins[0]["bin"] == 8675675675675675763
+    for row in bins:
+        row["bin"] += k
+    assert far["position"].pop("offset") == -3.21e18
+    assert near["position"].pop("offset") == r
+    assert far == near
 
 
 @pytest.mark.parametrize("desc, name", [

@@ -38,7 +38,7 @@ from cg_uncert.states import (
     variance,
 )
 from cg_uncert.states import _WELL_RULE
-from oracles import quad
+from oracles import quad, split_widths
 
 
 def _gauss_bin_oracle(j: int, eta: float, offset: float) -> float:
@@ -330,10 +330,10 @@ def test_bin_density_reduces_the_offset_modulo_the_width(d):
     # it directly moved a unit Gaussian's Shannon entropy by 8.5e-6
     eta = 0.37
     offset = 1e12 * eta + 0.1
-    r = math.fmod(offset, eta)
+    r, k = split_widths(offset, eta)
     far, near = bin_density(d, eta, offset), bin_density(d, eta, r)
     assert far.offset == offset
-    assert far.j_min == near.j_min - round((offset - r) / eta)
+    assert far.j_min == near.j_min - k
     assert abs(far.center(far.j_min) - near.center(near.j_min)) < 1e-3 * eta
     assert np.array_equal(far.masses, near.masses)
     assert far.tail_mass == near.tail_mass
@@ -441,6 +441,26 @@ def test_bin_centres_do_not_drift_with_the_offset():
     assert far.masses.size > 1 and np.array_equal(far.masses, near.masses)
     for j in range(far.j_min, far.j_min + far.masses.size):
         assert abs(far.center(j) - near.center(j + shift)) <= 1e-12 * eta
+
+
+def test_labels_far_from_the_origin_are_exact():
+    # whole widths counted in floats put j_min 131 labels off at offset
+    # -3.21e18 (8675675675675675632), and a Gaussian placed there as far off
+    eta = 0.37
+    d = position_density(Gaussian())
+    for offset in (-3.21e18, 1.2345678e16, -(2.0 ** 62) * eta, 1e18 + 0.1):
+        r, k = split_widths(offset, eta)
+        far, near = bin_density(d, eta, offset), bin_density(d, eta, r)
+        assert far.j_min == near.j_min - k, offset
+        assert np.array_equal(far.masses, near.masses) and far.tail_mass == near.tail_mass
+    assert bin_density(d, eta, -3.21e18).j_min == 8675675675675675763
+    for x0 in (-3.21e18, 1.2345678e16, 1e17 + 16.0):
+        r, k = split_widths(x0, eta)
+        for marginal, at in ((position_density, lambda x: Gaussian(x0=x)),
+                             (momentum_density, lambda x: Gaussian(p0=x, sigma=0.5))):
+            far, near = bin_density(marginal(at(x0)), eta), bin_density(marginal(at(r)), eta)
+            assert far.j_min == near.j_min + k, (x0, marginal)
+            assert np.array_equal(far.masses, near.masses) and far.tail_mass == near.tail_mass
 
 
 def test_hermite_bins_to_unit_mass_at_the_cap():

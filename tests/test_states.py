@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cg_uncert import coarse
 from cg_uncert.bounds import check_continuous_relations
 from cg_uncert.numerics import Divergent, DomainError, gauss_legendre_panels
 from cg_uncert.states import (
@@ -25,9 +26,11 @@ from cg_uncert.states import (
     momentum_density,
     position_density,
     renyi_entropy_cont,
+    split_widths,
     variance,
 )
 from cg_uncert.states import _erfc
+import oracles
 
 
 def _mass(d: Density1D) -> float:
@@ -183,6 +186,39 @@ def test_gaussian_rejects_a_non_finite_location_by_name(name, value):
     # a million bins before the tail budget gave out
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         Gaussian(**{name: value})
+
+
+def test_split_widths_counts_whole_widths_exactly():
+    # counted in floats, round((x - fmod(x, w)) / w) was 131 widths off at
+    # x = -3.21e18 and 1 off at 1.2345678e16, for w = 0.37
+    rng = np.random.default_rng(28)
+    n = 20_000
+    widths = 10.0 ** rng.uniform(-290.0, 280.0, n)
+    xs = rng.choice([-1.0, 1.0], n) * widths * 2.0 ** rng.uniform(-4.0, 63.0, n)
+    whole = np.round(rng.uniform(-2.0 ** 62, 2.0 ** 62, 200)) * 0.37  # near whole widths
+    pairs = list(zip(xs.tolist(), widths.tolist())) + [(x, 0.37) for x in whole.tolist()]
+    pairs += [(-3.21e18, 0.37), (1.2345678e16, 0.37), (0.0, 0.37), (-0.0, 0.37),
+              (0.37, 0.37), (-0.37, 0.37), (2.0 ** 62 * 0.37, 0.37), (5e-324, 1e-300)]
+    for x, w in pairs:
+        assert abs(x) < 2.0 ** 63 * w
+        assert split_widths(x, w) == oracles.split_widths(x, w), (x, w)
+    for x in (-3.21e18, 1.2345678e16):
+        ref = oracles.split_widths(x, 0.37)
+        assert coarse._reduce_offset(x, 0.37) == ref
+    assert split_widths(-3.21e18, 0.37)[1] == -8675675675675675779
+
+
+def test_mixture_moments_are_taken_about_the_first_mean():
+    # in absolute coordinates the mean 1e17 + 8 rounds to a neighbouring
+    # double, 16 from both components, and the variance read 129.0
+    for a, b in ((1e17, 1e17 + 16.0), (1000.0, 1016.0)):
+        for marginal, at in ((position_density, lambda x: Gaussian(x0=x)),
+                             (momentum_density, lambda x: Gaussian(p0=x, sigma=0.5))):
+            d = marginal(Mixture(((0.5, at(a)), (0.5, at(b)))))
+            assert d.known_var == 65.0, (a, marginal)
+            assert abs(d.known_mean - (a + 8.0)) <= 8.0
+    d = position_density(Mixture(((0.25, Gaussian(x0=2.0)), (0.75, Gaussian(x0=-2.0)))))
+    assert (d.known_mean, d.known_var) == (-1.0, 4.0)
 
 
 @pytest.mark.parametrize("cls, kwargs, name", [
