@@ -14,6 +14,8 @@ flat bin is its t = 0 member, GhfSpec(eta), with F(u, 0) = 2 pi e (u + 1/12).
 Every relation is reported here, the three continuous and the four
 coarse-grained ones, as a RelationReport whose margin is lhs - rhs for sum
 forms and ln(lhs) - ln(rhs) for product forms, and whose verdict follows.
+The three variance relations take one axis's share each from its variance
+and width; a binning's share is computed once and kept in its memo.
 """
 
 from __future__ import annotations
@@ -361,42 +363,60 @@ def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
     return [hur] + [RelationReport(rid, lhs, rhs, lhs - rhs) for rid, lhs, rhs in sums]
 
 
-def _heis_reports(var_x: float, var_p: float, bset: BoundSet,
-                  ghfs: Optional[tuple], infeasible: bool) -> list:
-    """The three variance-product reports from discrete second moments;
-    ghfs is the profile pair of HeisPreopt, the flat pair when None."""
-    for name, v in (("var_x", var_x), ("var_p", var_p)):
-        if not (v >= 0.0 and math.isfinite(v)):
-            raise DomainError(f"{name} must be nonnegative and finite, got {v}")
-    dx, dp, hbar = bset.delta_x, bset.delta_p, bset.hbar
-    flat_x, flat_p = GhfSpec(dx), GhfSpec(dp)
-    ghf_x, ghf_p = (flat_x, flat_p) if ghfs is None else ghfs
-    _check_profile_width(ghf_x, dx, "position")
-    _check_profile_width(ghf_p, dp, "momentum")
+# the narrowest width whose square, which the variance relations take, is a
+# normal double: the lower counterpart of coarse.MAX_WIDTH
+_MIN_WIDTH = math.sqrt(sys.float_info.min)
+_AXES = (("position", "var_x", "delta_x"), ("momentum", "var_p", "delta_p"))
 
-    def log_product(gx: GhfSpec, gp: GhfSpec) -> float:
-        return math.log(var_x + ghf_variance(gx)) + math.log(var_p + ghf_variance(gp))
 
+def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -> tuple:
+    """One axis's share of the variance relations, on bins eta wide with the
+    HeisPreopt profile ghf (flat when None): ln(var + profile variance) and
+    2 H(profile) of HeisPreopt, ln(var + eta^2/12) of HeisRect and
+    ln K(var/eta^2) of HeisOptimal.  axis is an _AXES entry, whose fields a
+    DomainError names."""
+    name, var_name, width_name = axis
+    if not (var >= 0.0 and math.isfinite(var)):
+        raise DomainError(f"{var_name} must be nonnegative and finite, got {var}")
+    if not eta >= _MIN_WIDTH:
+        raise DomainError(f"{width_name} must be at least {_MIN_WIDTH!r}, so that its square "
+                          f"is a normal double, got {eta!r}")
+    flat = GhfSpec(eta)
+    ghf = flat if ghf is None else ghf
+    _check_profile_width(ghf, eta, name)
+    ln_rect = math.log(var + ghf_variance(flat))
+    ln_pre = ln_rect if ghf == flat else math.log(var + ghf_variance(ghf))
+    return ln_pre, 2.0 * ghf_entropy(ghf), ln_rect, math.log(func_K(var / eta ** 2))
+
+
+def _binned_factors(b, axis: tuple) -> tuple:
+    """_axis_factors of a binning with flat profiles, computed on the first
+    report set that reads it and kept in its memo next to its variance."""
+    memo = b._stats
+    if "heis" not in memo:
+        memo["heis"] = _axis_factors(discrete_variance(b), b.width, None, axis)
+    return memo["heis"]
+
+
+def _heis_reports(fx: tuple, fp: tuple, bset: BoundSet, infeasible: bool) -> list:
+    """The three variance-product reports from the two axes' _axis_factors."""
+    (pre_x, ent_x, rect_x, lk_x), (pre_p, ent_p, rect_p, lk_p) = fx, fp
     products = (
         # profile-smoothed product against the pre-optimization entropy bound
-        ("HeisPreopt", log_product(ghf_x, ghf_p),
-         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x) + 2.0 * ghf_entropy(ghf_p)
-         - 2.0 * _LN_2PIE),
+        ("HeisPreopt", pre_x + pre_p, bset.log_rhs_heis + ent_x + ent_p - 2.0 * _LN_2PIE),
         # flat-profile product against hbar^2/4
-        ("HeisRect", log_product(flat_x, flat_p), 2.0 * math.log(0.5 * hbar)),
+        ("HeisRect", rect_x + rect_p, 2.0 * math.log(0.5 * bset.hbar)),
     )
     for rid, lhs_log, rhs_log in products:
         if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
             raise DomainError(
                 f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
-                f"(delta_x={dx!r}, delta_p={dp!r}, hbar={hbar!r})")
+                f"(delta_x={bset.delta_x!r}, delta_p={bset.delta_p!r}, hbar={bset.hbar!r})")
     out = [RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
                           lhs_log - rhs_log, infeasible=infeasible)
            for rid, lhs_log, rhs_log in products]
-
     # optimized form, kept in the log domain
-    lhs = (math.log(func_K(var_x / dx ** 2))
-           + math.log(func_K(var_p / dp ** 2)))
+    lhs = lk_x + lk_p
     out.append(RelationReport("HeisOptimal", lhs, bset.log_rhs_heis,
                               lhs - bset.log_rhs_heis, infeasible=infeasible))
     return out
@@ -412,7 +432,9 @@ def moment_relation_reports(var_x: float, var_p: float, delta_x: float,
     such moments.
     """
     bset = bound_L(delta_x, delta_p, hbar, 1.0)
-    return _heis_reports(var_x, var_p, bset, ghfs, infeasible=True)
+    ghf_x, ghf_p = ghfs or (None, None)
+    return _heis_reports(_axis_factors(var_x, delta_x, ghf_x, _AXES[0]),
+                         _axis_factors(var_p, delta_p, ghf_p, _AXES[1]), bset, infeasible=True)
 
 
 def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0) -> list:
@@ -425,8 +447,8 @@ def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0) -> li
     beta = beta_conjugate(alpha)
     lhs = discrete_renyi(bx, alpha) + discrete_renyi(bp, beta)
     renyi = RelationReport("RenyiDiscrete", lhs, bset.l_alpha, lhs - bset.l_alpha)
-    return [renyi] + _heis_reports(discrete_variance(bx), discrete_variance(bp),
-                                   bset, None, infeasible=False)
+    return [renyi] + _heis_reports(_binned_factors(bx, _AXES[0]), _binned_factors(bp, _AXES[1]),
+                                   bset, infeasible=False)
 
 
 def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,

@@ -5,9 +5,11 @@ at a time on its shared edges (from closed-form interval masses when the
 density has them, by adaptive panel quadrature otherwise; the first blocks
 out to the density's reach in one call), discrete variances and Renyi
 entropies of the resulting probability vectors, computed once per binning
-and order, per-bin histogram profiles (one family,
+and order (the memo also keeps the binning's share of the variance relations,
+which bounds computes), per-bin histogram profiles (one family,
 exp(-a (u/eta)^2) truncated to the bin, whose a = 0 member is the flat bin),
-densities reconstructed from binned data, the variance/entropy decomposition
+densities reconstructed from binned data (each point in the bin its exact
+residual places it in), the variance/entropy decomposition
 identities, and finite-statistics sampling by exact multinomial draws over
 the bin masses.
 
@@ -33,7 +35,8 @@ import numpy as np
 
 from .numerics import DomainError, NonConvergence
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
-from .states import Density1D, grid_edges, panel_integrals, split_widths
+from .states import (Density1D, _two_prod, _two_sum, grid_edges, panel_integrals,
+                     split_widths)
 
 __all__ = [
     "EPS_TAIL",
@@ -199,11 +202,21 @@ class ReconstructedPdf:
         b, g = self.base, self.ghf
         r, shift = b._reduced  # bins placed on the grid (width, r)
         x = np.asarray(x, dtype=float)
-        j = np.floor((x - r) / b.width + 0.5).astype(np.int64)
-        idx = j - (b.j_min + shift)
+        w, h = b.width, 0.5 * b.width
+        # the float label j is a bin or more off past about 2^52 widths: the
+        # residual x - r - j w, from error-free sums and products, moves it by
+        # whole bins, and then by one where x lies beyond an exact edge
+        # r + (j +- 1/2) w (d exact, d_lo to about eps^2 |x|)
+        j = np.floor((x - r) / w + 0.5)
+        (s, e), (p, q) = _two_sum(x, -r), _two_prod(j, w)
+        m = np.floor(((s - p) + (e - q)) / w + 0.5)
+        pm, qm = _two_prod(m, w)
+        d, d_lo = (s - p) - pm, (e - q) - qm
+        k = ((d - h) + d_lo >= 0.0) - ((d + h) + d_lo < 0.0).astype(float)
+        idx = j.astype(np.int64) + (m + k).astype(np.int64) - (b.j_min + shift)
         valid = (idx >= 0) & (idx < b.masses.size)
         pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
-        v = (x - (r + j * b.width)) / g.eta
+        v = ((d - k * w) + d_lo) / g.eta
         t = g.t
         return pj * np.exp(-t * v * v) / (g.eta * bin_profile_norm(t))
 

@@ -25,6 +25,12 @@ label it fixes are checked.
 block_binning is coarse.bin_density as it was before the seed trio and the
 first blocks of each side shared one call: one _clean_block_masses call per
 block of the doubling schedule.
+
+heis_reports is bounds._heis_reports, verbatim, as it was before each
+binning kept its share of the variance relations in its memo: from the two
+discrete variances, the bound set and an optional profile pair, every
+per-axis factor recomputed for each report set.  Reports are compared with
+it bit for bit.
 """
 
 import functools
@@ -32,13 +38,16 @@ import math
 import sys
 import warnings
 from fractions import Fraction
+from typing import Optional
 
 import mpmath
 import numpy as np
 from scipy import integrate, optimize
 
 from cg_uncert import coarse
-from cg_uncert.numerics import NonConvergence
+from cg_uncert.bounds import _LN_2PIE, _LN_MAX_FLOAT, BoundSet, RelationReport, func_K
+from cg_uncert.coarse import GhfSpec, _check_profile_width, ghf_entropy, ghf_variance
+from cg_uncert.numerics import DomainError, NonConvergence
 
 
 def quad(f, a: float, b: float, abs_tol: float = 1e-10, rel_tol: float = 1e-10,
@@ -198,3 +207,44 @@ def block_binning(d, eta: float, offset: float = 0.0) -> tuple:
     kept = np.flatnonzero(masses > 0.0)
     lo, hi = int(kept[0]), int(kept[-1])
     return jl + lo - shift, masses[lo:hi + 1], max(0.0, 1.0 - cum)
+
+
+def heis_reports(var_x: float, var_p: float, bset: BoundSet,
+                 ghfs: Optional[tuple], infeasible: bool) -> list:
+    """The three variance-product reports from discrete second moments;
+    ghfs is the profile pair of HeisPreopt, the flat pair when None."""
+    for name, v in (("var_x", var_x), ("var_p", var_p)):
+        if not (v >= 0.0 and math.isfinite(v)):
+            raise DomainError(f"{name} must be nonnegative and finite, got {v}")
+    dx, dp, hbar = bset.delta_x, bset.delta_p, bset.hbar
+    flat_x, flat_p = GhfSpec(dx), GhfSpec(dp)
+    ghf_x, ghf_p = (flat_x, flat_p) if ghfs is None else ghfs
+    _check_profile_width(ghf_x, dx, "position")
+    _check_profile_width(ghf_p, dp, "momentum")
+
+    def log_product(gx: GhfSpec, gp: GhfSpec) -> float:
+        return math.log(var_x + ghf_variance(gx)) + math.log(var_p + ghf_variance(gp))
+
+    products = (
+        # profile-smoothed product against the pre-optimization entropy bound
+        ("HeisPreopt", log_product(ghf_x, ghf_p),
+         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x) + 2.0 * ghf_entropy(ghf_p)
+         - 2.0 * _LN_2PIE),
+        # flat-profile product against hbar^2/4
+        ("HeisRect", log_product(flat_x, flat_p), 2.0 * math.log(0.5 * hbar)),
+    )
+    for rid, lhs_log, rhs_log in products:
+        if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
+            raise DomainError(
+                f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
+                f"(delta_x={dx!r}, delta_p={dp!r}, hbar={hbar!r})")
+    out = [RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
+                          lhs_log - rhs_log, infeasible=infeasible)
+           for rid, lhs_log, rhs_log in products]
+
+    # optimized form, kept in the log domain
+    lhs = (math.log(func_K(var_x / dx ** 2))
+           + math.log(func_K(var_p / dp ** 2)))
+    out.append(RelationReport("HeisOptimal", lhs, bset.log_rhs_heis,
+                              lhs - bset.log_rhs_heis, infeasible=infeasible))
+    return out

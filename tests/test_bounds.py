@@ -31,17 +31,24 @@ from cg_uncert.bounds import (
     func_M_inv,
     moment_relation_reports,
 )
-from cg_uncert.coarse import BinnedDistribution, GhfSpec, bin_density, discrete_variance
+from cg_uncert.coarse import (
+    BinnedDistribution,
+    GhfSpec,
+    bin_density,
+    discrete_variance,
+    sample_counts,
+)
 from cg_uncert.numerics import DomainError, NonConvergence
 from cg_uncert.states import (
     Gaussian,
     HermiteGauss,
     Mixture,
     SquareWell,
+    catalog_states,
     momentum_density,
     position_density,
 )
-from oracles import root
+from oracles import heis_reports, root
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -707,10 +714,14 @@ def test_a_grid_of_report_sets_solves_once_per_binning_and_width_pair(fresh_memo
     assert len(set(us.values())) == 12 and min(us.values()) > 0.0
     solves = _counting(monkeypatch, bounds, "func_M_inv")
     eigenvalues = _counting(monkeypatch, bounds, "prolate_r00")
+    # K was looked up twice per report set, 108 times; each binning keeps its
+    # ln K in its memo, so K is read once per binning
+    k_reads = _counting(monkeypatch, bounds, "func_K")
     runs = [(i, wx, wp, a, binned_relation_reports(binned[i, "x", wx], binned[i, "p", wp],
                                                    alpha=a)[-1])
             for i in range(len(states)) for wx in widths for wp in widths for a in alphas]
     assert sorted(solves) == sorted(set(us.values()))
+    assert sorted(k_reads) == sorted(us.values())
     assert len(eigenvalues) == len(widths) ** 2 * len(alphas)
     monkeypatch.undo()
     # every report carries the values an uncached solve and bound set give
@@ -730,3 +741,105 @@ def test_feasibility_region_solves_each_axis_point_once(fresh_memos, monkeypatch
     assert sorted(solves) == axis[1:]
     lk = np.array([0.0] + [math.log(bounds.func_M_inv_and_K.__wrapped__(u)[1]) for u in axis[1:]])
     assert np.array_equal(reg.forbidden, lk[:, None] + lk[None, :] < reg.log_rhs)
+
+
+# ---------------------------------------------------------------------------
+# per-binning variance factors: each binning's share of HeisPreopt, HeisRect
+# and HeisOptimal is computed once and kept in its memo
+
+
+def _same_reports(got: list, want: list) -> bool:
+    fields = [f.name for f in dataclasses.fields(RelationReport)]
+    return len(got) == len(want) and all(
+        _same_bits(getattr(a, name), getattr(b, name))
+        for a, b in zip(got, want) for name in fields)
+
+
+def _reference_reports(bx, bp, alpha: float, hbar: float = 1.0) -> list:
+    bset = bound_L(bx.width, bp.width, hbar, alpha)
+    renyi = binned_relation_reports(bx, bp, alpha, hbar)[0]
+    return [renyi] + heis_reports(discrete_variance(bx), discrete_variance(bp), bset, None,
+                                  infeasible=False)
+
+
+def test_an_acceptance_grid_of_report_sets_keeps_every_bit():
+    # 6 catalog states x 6 widths per axis x 2 offsets x 3 orders: 1296
+    # report sets on 144 binnings, each report read twice, so that both a
+    # fresh binning memo and a kept one are compared
+    widths = [float(w) for w in np.geomspace(10.0 ** -1.5, 10.0 ** 1.5, 6)]
+    count = 0
+    for _, state in catalog_states():
+        rho_x, rho_p = position_density(state), momentum_density(state)
+        for frac in (0.0, 0.5):
+            bxs = [bin_density(rho_x, w, frac * w) for w in widths]
+            bps = [bin_density(rho_p, w, frac * w) for w in widths]
+            for bx in bxs:
+                for bp in bps:
+                    for alpha in (0.5, 0.8, 1.0):
+                        for _ in range(2):
+                            assert _same_reports(binned_relation_reports(bx, bp, alpha),
+                                                 _reference_reports(bx, bp, alpha))
+                        count += 1
+    assert count == 1296
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_report_sets_on_empirical_binnings_keep_every_bit(seed):
+    for state, dx, dp in ((Gaussian(0.3, -0.1, 0.8), 0.2, 0.5), (SquareWell(3, 1.5), 0.1, 0.7),
+                          (HermiteGauss(2, 0.8), 0.6, 0.3)):
+        bx = sample_counts(bin_density(position_density(state), dx), 1000, seed)
+        bp = sample_counts(bin_density(momentum_density(state), dp), 1000, seed + 1)
+        for alpha in (0.5, 0.8, 1.0):
+            assert _same_reports(binned_relation_reports(bx, bp, alpha),
+                                 _reference_reports(bx, bp, alpha))
+
+
+@pytest.mark.parametrize("a_x, a_p", [(None, None), (0.0, 0.0), (2.0, 0.0), (0.0, 5.0),
+                                      (0.3, 40.0), (1e3, 1e-6)])
+def test_moment_reports_keep_every_bit(a_x, a_p):
+    for var_x, var_p, dx, dp, hbar in ((0.0, 0.0, 1.0, 1.0, 1.0), (0.3, 1.7, 0.2, 2.5, 1.0),
+                                      (1e-9, 4e3, 7.0, 0.01, 0.5), (2.0, 0.0, 1e3, 1e-3, 3.0)):
+        ghfs = None if a_x is None else (GhfSpec(dx, a_x), GhfSpec(dp, a_p))
+        bset = bound_L(dx, dp, hbar, 1.0)
+        assert _same_reports(moment_relation_reports(var_x, var_p, dx, dp, hbar, ghfs),
+                             heis_reports(var_x, var_p, bset, ghfs, infeasible=True))
+
+
+def test_a_binning_whose_variance_overflows_is_refused_on_every_read():
+    # the variance (3 widths)^2 / 4 at a width of 1.3e154 is inf: nothing is
+    # kept in the memo, so the second report set raises as the first did
+    wide = BinnedDistribution(width=1.3e154, offset=0.0, j_min=0, masses=[0.5, 0.0, 0.0, 0.5])
+    narrow = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0])
+    for bx, bp, name in ((wide, narrow, "var_x"), (narrow, wide, "var_p")):
+        for _ in range(2):
+            with pytest.raises(DomainError, match=f"{name} must be nonnegative and finite, got inf"):
+                binned_relation_reports(bx, bp)
+    assert "heis" not in wide._stats
+
+
+@pytest.mark.parametrize("var_x, var_p, dx, dp, name", [
+    (1.0, 1.0, 1e-170, 1e150, "delta_x"),  # dx^2 was 0: ZeroDivisionError
+    (0.0, 1.0, 1e-170, 1e150, "delta_x"),  # ln(0 + 0): ValueError
+    (1.0, 1.0, 1e150, 1e-170, "delta_p"),
+    (0.0, 0.0, 1e150, math.nextafter(math.sqrt(sys.float_info.min), 0.0), "delta_p"),
+])
+def test_widths_whose_square_underflows_are_refused_by_name(var_x, var_p, dx, dp, name):
+    with pytest.raises(DomainError, match=f"{name} must be at least .* got {min(dx, dp)!r}"):
+        moment_relation_reports(var_x, var_p, dx, dp)
+    # the entropy bounds take no square, and keep such widths
+    assert bound_L(dx, dp).log_rhs_heis > 0.0
+
+
+def test_binnings_whose_width_squares_underflow_are_refused_by_name():
+    fine = BinnedDistribution(width=1e-170, offset=0.0, j_min=0, masses=[1.0])
+    coarse = BinnedDistribution(width=1e150, offset=0.0, j_min=0, masses=[1.0])
+    for bx, bp, name in ((fine, coarse, "delta_x"), (coarse, fine, "delta_p")):
+        with pytest.raises(DomainError, match=f"{name} must be at least .* got 1e-170"):
+            binned_relation_reports(bx, bp)
+
+
+def test_the_narrowest_width_with_a_normal_square_is_kept():
+    w = math.sqrt(sys.float_info.min)
+    assert w * w == sys.float_info.min
+    opt = moment_relation_reports(0.0, 0.0, w, 1e150)[2]
+    assert opt.lhs == 0.0 and opt.verdict == "infeasible_inputs"

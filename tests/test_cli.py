@@ -629,6 +629,29 @@ def test_width_products_whose_variance_products_overflow_are_rejected_by_name(ca
     assert err.startswith("error: fields 'delta' and 'delta_p' must have a product")
 
 
+@pytest.mark.parametrize("command", ["check", "sample"])
+@pytest.mark.parametrize("args, name", [
+    (["--state", "gaussian:sigma=1e-168", "--delta", "1e-170", "--delta-p", "1e-33"], "delta_x"),
+    (["--state", "gaussian:sigma=5e-33", "--delta", "1e-33", "--delta-p", "1e-170"], "delta_p"),
+])
+def test_widths_whose_square_underflows_are_rejected_by_name(capsys, command, args, name):
+    # the squared width was 0, and ln(0 + 0) exited 2 with "math domain error"
+    assert main([command, *args, "--hbar", "1e-200", "--samples", "10"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {name} must be at least 1.4916681462400413e-154, so that its square is a "
+        f"normal double, got 1e-170\n")
+
+
+def test_variance_relation_sides_beyond_the_double_range_keep_their_message(capsys):
+    # HeisRect's right side (hbar/2)^2 leaves the double range; the message
+    # comes from the report assembly after both binnings
+    assert main(["check", "--state", "gaussian:sigma=1000", "--hbar", "1e156",
+                 "--delta", "100", "--delta-p", "5e151"]) == 2
+    assert capsys.readouterr().err == (
+        "error: HeisPreopt sides exp(717.0235852116605) and exp(717.0202546530223) leave the "
+        "double range (delta_x=100.0, delta_p=5e+151, hbar=1e+156)\n")
+
+
 def test_width_products_below_the_limit_keep_their_output(tmp_path):
     out = tmp_path / "check.json"
     assert main(["check", "--state", "gaussian", "--delta", "1e77", "--delta-p", "1e77",

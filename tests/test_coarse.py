@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from cg_uncert.states import (
     HermiteGauss,
     Mixture,
     SquareWell,
+    grid_edges,
     momentum_density,
     position_density,
     renyi_entropy_cont,
@@ -691,6 +693,34 @@ def test_profile_at_the_top_of_the_double_range_is_finite():
         assert var == pytest.approx(eta ** 2 / (2.0 * g.t), rel=1e-15)
         assert ent == pytest.approx(math.log(eta) + 0.5 * math.log(math.pi * math.e / g.t),
                                     rel=1e-15)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e14, 2e15, -2e15])
+def test_reconstruction_far_from_the_origin_reads_each_bin_at_its_centre(x0):
+    # past about 2^52 widths the float label floor((x - r)/width + 1/2) put 17
+    # of the 35 centres at 2e15 in a neighbouring bin, 0.030 off a largest
+    # mass of 0.145; each double centre's exact label is its bin's
+    b = bin_density(position_density(Gaussian(x0=x0)), 0.37)
+    centres = np.array([b.center(b.j_min + i) for i in range(b.masses.size)])
+    assert centres.size == 35
+    assert np.array_equal(ReconstructedPdf(b, GhfSpec(0.37)).eval(centres), b.masses / 0.37)
+
+
+@pytest.mark.parametrize("x0, offset", [(0.0, 0.1), (1e14, 0.0), (3e17, -0.2)])
+def test_reconstruction_finds_the_exact_bin_at_and_beside_every_edge(x0, offset):
+    # edges formed as bin_density forms them, and their neighbouring doubles,
+    # are labelled by exact rational arithmetic; the float label put 21 of
+    # these points at x0 = 0 in the wrong bin
+    eta = 0.37
+    b = bin_density(position_density(Gaussian(x0=x0)), eta, offset)
+    r, shift = b._reduced
+    edges = grid_edges(r, eta, b.j_min + shift, b.masses.size)
+    x = np.concatenate([edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+                        np.linspace(edges[0] - eta, edges[-1] + eta, 2001)])
+    labels = [math.floor((Fraction(v) - Fraction(r)) / Fraction(eta) + Fraction(1, 2))
+              - (b.j_min + shift) for v in x.tolist()]
+    want = [b.masses[i] / eta if 0 <= i < b.masses.size else 0.0 for i in labels]
+    assert np.array_equal(ReconstructedPdf(b, GhfSpec(eta)).eval(x), want)
 
 
 def test_reconstruct_requires_matching_width():
