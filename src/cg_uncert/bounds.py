@@ -83,7 +83,7 @@ _LN_MAX_FLOAT = math.log(sys.float_info.max)
 VERDICT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class RelationReport:
     """One relation's two sides and margin; the verdict follows from the
     margin: "holds" when margin >= -VERDICT_TOL, otherwise "violated", or
@@ -104,10 +104,13 @@ class RelationReport:
     infeasible: bool = False
     verdict: str = "holds"  # "holds" | "violated" | "infeasible_inputs"
 
-    def __post_init__(self) -> None:
-        if self.verdict == "holds" and not self.margin >= -VERDICT_TOL:
-            failed = "infeasible_inputs" if self.infeasible else "violated"
-            object.__setattr__(self, "verdict", failed)
+    def __init__(self, relation_id: str, lhs: float, rhs: float, margin: float, *,
+                 infeasible: bool = False, verdict: str = "holds") -> None:
+        if verdict == "holds" and not margin >= -VERDICT_TOL:
+            verdict = "infeasible_inputs" if infeasible else "violated"
+        d = self.__dict__  # all six fields in one step, past the frozen __setattr__
+        d["relation_id"], d["lhs"], d["rhs"], d["margin"], d["infeasible"], d["verdict"] = (
+            relation_id, lhs, rhs, margin, infeasible, verdict)
 
 
 def beta_conjugate(alpha: float) -> float:
@@ -386,7 +389,11 @@ def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -
     _check_profile_width(ghf, eta, name)
     ln_rect = math.log(var + ghf_variance(flat))
     ln_pre = ln_rect if ghf == flat else math.log(var + ghf_variance(ghf))
-    return ln_pre, 2.0 * ghf_entropy(ghf), ln_rect, math.log(func_K(var / eta ** 2))
+    u = var / eta ** 2
+    if not math.isfinite(u):
+        raise DomainError(f"{var_name}/{width_name}^2 overflows: {var_name}={var!r}, "
+                          f"{width_name}={eta!r}")
+    return ln_pre, 2.0 * ghf_entropy(ghf), ln_rect, math.log(func_K(u))
 
 
 def _binned_factors(b, axis: tuple) -> tuple:
@@ -398,28 +405,29 @@ def _binned_factors(b, axis: tuple) -> tuple:
     return memo["heis"]
 
 
-def _heis_reports(fx: tuple, fp: tuple, bset: BoundSet, infeasible: bool) -> list:
-    """The three variance-product reports from the two axes' _axis_factors."""
-    (pre_x, ent_x, rect_x, lk_x), (pre_p, ent_p, rect_p, lk_p) = fx, fp
-    products = (
-        # profile-smoothed product against the pre-optimization entropy bound
-        ("HeisPreopt", pre_x + pre_p, bset.log_rhs_heis + ent_x + ent_p - 2.0 * _LN_2PIE),
-        # flat-profile product against hbar^2/4
-        ("HeisRect", rect_x + rect_p, 2.0 * math.log(0.5 * bset.hbar)),
-    )
-    for rid, lhs_log, rhs_log in products:
-        if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
-            raise DomainError(
-                f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
-                f"(delta_x={bset.delta_x!r}, delta_p={bset.delta_p!r}, hbar={bset.hbar!r})")
-    out = [RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
+def _product_report(rid: str, lhs_log: float, rhs_log: float, bset: BoundSet,
+                    infeasible: bool) -> RelationReport:
+    """A product relation's report from the logs of its two sides."""
+    if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
+        raise DomainError(
+            f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
+            f"(delta_x={bset.delta_x!r}, delta_p={bset.delta_p!r}, hbar={bset.hbar!r})")
+    return RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
                           lhs_log - rhs_log, infeasible=infeasible)
-           for rid, lhs_log, rhs_log in products]
-    # optimized form, kept in the log domain
-    lhs = lk_x + lk_p
-    out.append(RelationReport("HeisOptimal", lhs, bset.log_rhs_heis,
-                              lhs - bset.log_rhs_heis, infeasible=infeasible))
-    return out
+
+
+def _heis_reports(fx: tuple, fp: tuple, bset: BoundSet, infeasible: bool) -> list:
+    """The three variance-product reports from the two axes' _axis_factors: the
+    profile-smoothed product against the pre-optimization entropy bound, the
+    flat-profile product against hbar^2/4, and the optimized form in the log domain."""
+    (pre_x, ent_x, rect_x, lk_x), (pre_p, ent_p, rect_p, lk_p) = fx, fp
+    rhs = bset.log_rhs_heis
+    return [_product_report("HeisPreopt", pre_x + pre_p, rhs + ent_x + ent_p - 2.0 * _LN_2PIE,
+                            bset, infeasible),
+            _product_report("HeisRect", rect_x + rect_p, 2.0 * math.log(0.5 * bset.hbar),
+                            bset, infeasible),
+            RelationReport("HeisOptimal", lk_x + lk_p, rhs, lk_x + lk_p - rhs,
+                           infeasible=infeasible)]
 
 
 def moment_relation_reports(var_x: float, var_p: float, delta_x: float,

@@ -146,7 +146,11 @@ def _parse_simple(text: str, hbar: float):
         raise DescriptorError(f"state field 'n' must be an integer, got {n}")
     if kind == "hermite":
         return HermiteGauss(n=int(n), sigma=vals.get("sigma", 1.0), hbar=hbar)
-    return SquareWell(n=int(n), length=vals.get("L", 1.0), hbar=hbar)
+    length = vals.get("L", 1.0)
+    if not (length > 0.0 and math.isfinite(length)):
+        raise DescriptorError(f"state field 'L' of {kind!r}: must be positive and finite, "
+                              f"got {length}")
+    return SquareWell(n=int(n), length=length, hbar=hbar)
 
 
 def parse_state(text: str, hbar: float = 1.0):
@@ -387,7 +391,7 @@ def cmd_kfun(cfg: RunConfig) -> int:
 
 
 def _bin_axes(state, cfg: RunConfig):
-    """Both marginals, binned; a ValueError names the fields that place and bin the axis."""
+    """Both marginals, binned; an error names the fields that place or bin the axis."""
     for marginal, place, width, offset in (
             (position_density, "the state's 'x0' or a well's 'L'", "delta", "offset_x"),
             (momentum_density, "the state's 'p0'", "delta_p", "offset_p")):
@@ -396,6 +400,8 @@ def _bin_axes(state, cfg: RunConfig):
         except ValueError as e:
             raise DescriptorError(f"{e}: placed by {place}, binned at fields {width!r} "
                                   f"and {offset!r}") from e
+        except TailBudgetExceeded as e:
+            raise TailBudgetExceeded(f"{e}: binned at fields {width!r} and {offset!r}") from e
 
 
 def cmd_check(cfg: RunConfig) -> int:

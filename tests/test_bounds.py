@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 from dataclasses import replace
 import sys
 import warnings
@@ -480,6 +482,42 @@ def test_replace_keeps_a_failing_verdict_and_the_infeasible_flag():
     assert (copy.infeasible, copy.verdict) == (True, "infeasible_inputs")
 
 
+def test_a_report_keeps_its_frozen_dataclass_contract():
+    # RelationReport fills its fields in its own __init__; everything a
+    # frozen dataclass promises still holds
+    r = RelationReport("HeisRect", 2.5, 0.25, math.log(10.0))
+    assert [f.name for f in dataclasses.fields(RelationReport)] == [
+        "relation_id", "lhs", "rhs", "margin", "infeasible", "verdict"]
+    assert [f.kw_only for f in dataclasses.fields(RelationReport)] == [False] * 4 + [True] * 2
+    for name in ("relation_id", "lhs", "verdict", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(r, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(r, name)
+    assert repr(r) == ("RelationReport(relation_id='HeisRect', lhs=2.5, rhs=0.25, "
+                       "margin=2.302585092994046, infeasible=False, verdict='holds')")
+    twin = RelationReport("HeisRect", 2.5, 0.25, math.log(10.0))
+    assert twin == r and hash(twin) == hash(r) and twin is not r
+    assert r != RelationReport("HeisRect", 2.5, 0.25, math.log(10.0), infeasible=True)
+    assert r != RelationReport("HeisRect", 2.5, 0.25, math.log(10.0), verdict="violated")
+    failing = RelationReport("HeisOptimal", -1.0, 0.5, -1.5, infeasible=True)
+    assert failing.verdict == "infeasible_inputs"
+    for same in (pickle.loads(pickle.dumps(r)), pickle.loads(pickle.dumps(failing)),
+                 copy.copy(r), copy.deepcopy(failing)):
+        assert type(same) is RelationReport and same in (r, failing)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            same.margin = 0.0
+    assert pickle.loads(pickle.dumps(failing)).verdict == "infeasible_inputs"
+    with pytest.raises(TypeError):
+        RelationReport("HUR", 1.0, 1.0, 0.0, False)
+    with pytest.raises(TypeError):
+        RelationReport("HUR", 1.0, 1.0)
+    # the tolerance edge: a margin of exactly -VERDICT_TOL holds, a NaN fails
+    assert RelationReport("HUR", 1.0, 1.0, -VERDICT_TOL).verdict == "holds"
+    assert RelationReport("HUR", 1.0, 1.0, math.nan).verdict == "violated"
+    assert RelationReport("HUR", 1.0, 1.0, math.nan, infeasible=True).verdict == "infeasible_inputs"
+
+
 def test_moment_reports_feasible_moments_hold():
     # Gaussian-like moments: comfortably inside the allowed region
     reports = moment_relation_reports(1.0 + 1.0 / 12.0, 0.25 + 1.0 / 12.0, 1.0, 1.0)
@@ -803,6 +841,43 @@ def test_moment_reports_keep_every_bit(a_x, a_p):
         bset = bound_L(dx, dp, hbar, 1.0)
         assert _same_reports(moment_relation_reports(var_x, var_p, dx, dp, hbar, ghfs),
                              heis_reports(var_x, var_p, bset, ghfs, infeasible=True))
+
+
+@pytest.mark.parametrize("flat", [True, False])
+def test_the_direct_assembly_matches_the_oracle_on_profile_pairs(flat):
+    # _heis_reports builds its three reports without a tuple of products: the
+    # same bits, float types and verdicts as the oracle, holding and failing,
+    # with either infeasible flag
+    verdicts = set()
+    for var_x, var_p, dx, dp, hbar in ((0.0, 0.0, 1.0, 1.0, 1.0), (0.3, 1.7, 0.2, 2.5, 1.0),
+                                      (1e-9, 4e3, 7.0, 0.01, 0.5), (2.0, 0.0, 1e3, 1e-3, 3.0),
+                                      (0.01, 0.02, 0.5, 0.5, 1.0)):
+        ghfs = ((GhfSpec(dx), GhfSpec(dp)) if flat
+                else (GhfSpec(dx, 0.7), GhfSpec(dp, 3.0)))
+        bset = bound_L(dx, dp, hbar, 1.0)
+        fx = bounds._axis_factors(var_x, dx, ghfs[0], bounds._AXES[0])
+        fp = bounds._axis_factors(var_p, dp, ghfs[1], bounds._AXES[1])
+        for infeasible in (False, True):
+            got = bounds._heis_reports(fx, fp, bset, infeasible)
+            want = heis_reports(var_x, var_p, bset, ghfs, infeasible=infeasible)
+            assert [r.relation_id for r in got] == ["HeisPreopt", "HeisRect", "HeisOptimal"]
+            assert _same_reports(got, want)
+            assert all(type(getattr(r, k)) is float for r in got for k in ("lhs", "rhs", "margin"))
+            verdicts.update(r.verdict for r in got)
+    assert verdicts == {"holds", "violated", "infeasible_inputs"}
+
+
+@pytest.mark.parametrize("args, name, var, width", [
+    ((1e300, 1.0, 1e-10, 1.0), "var_x/delta_x^2", "var_x=1e+300", "delta_x=1e-10"),
+    ((1.0, 1e300, 1.0, 1e-10), "var_p/delta_p^2", "var_p=1e+300", "delta_p=1e-10"),
+    ((1.7e308, 0.0, 0.5, 1.0), "var_x/delta_x^2", "var_x=1.7e+308", "delta_x=0.5"),
+])
+def test_a_variance_ratio_that_overflows_is_refused_by_name(args, name, var, width):
+    # var/eta^2 = inf reached func_K, whose "func_K requires u >= 0, got inf"
+    # named no field
+    with pytest.raises(DomainError) as e:
+        moment_relation_reports(*args)
+    assert str(e.value) == f"{name} overflows: {var}, {width}"
 
 
 def test_a_binning_whose_variance_overflows_is_refused_on_every_read():

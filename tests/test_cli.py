@@ -27,6 +27,7 @@ from cg_uncert.cli import (
     main,
     parse_state,
 )
+from cg_uncert.coarse import MAX_BINS
 from cg_uncert.states import (
     MAX_HERMITE_N,
     MAX_WELL_N,
@@ -152,6 +153,19 @@ def test_parse_state_caps_n(kind, cap, capsys):
         parse_state(f"{kind}:n=1e20")
     assert main(["check", "--state", f"{kind}:n=1e20"]) == 2
     assert f"exceeds the cap {cap}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("length", ["-1", "0", "inf", "nan"])
+def test_a_bad_well_length_names_the_descriptor_key(capsys, length):
+    # the library's "length must be positive and finite" named a field the
+    # user never typed; the descriptor calls it L
+    with pytest.raises(DescriptorError, match="state field 'L' of 'squarewell': must be"):
+        parse_state(f"squarewell:n=1,L={length}")
+    for state in (f"squarewell:L={length}", f"mix:0.5*gaussian+0.5*squarewell:L={length}"):
+        assert main(["check", "--state", state]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: state field 'L' of 'squarewell': must be positive and finite, "
+                       f"got {float(length)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +983,19 @@ def test_a_location_beyond_the_int64_labels_names_its_fields(capsys, command, lo
     assert all(f in err for f in fields)
     other = {"'x0'": "'p0'", "'p0'": "'x0'"}[fields[0]]
     assert other not in err
+
+
+@pytest.mark.parametrize("argv, fields", [
+    (["check", "--delta", "1e-7"], ("'delta'", "'offset_x'")),
+    (["check", "--delta-p", "1e-7"], ("'delta_p'", "'offset_p'")),
+    (["sample", "--delta-p", "1e-7", "--samples", "10"], ("'delta_p'", "'offset_p'")),
+])
+def test_a_binning_past_the_bin_budget_names_its_fields(capsys, argv, fields):
+    # both axes printed the same bare "more than 1000000 bins needed" line
+    assert main([*argv, "--state", "gaussian"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"numeric error: TailBudgetExceeded: more than {MAX_BINS} bins needed to "
+                   f"reach 1 - 1e-09: binned at fields {fields[0]} and {fields[1]}\n")
 
 
 def test_a_gaussian_far_from_the_origin_keeps_its_verdicts(capsys):

@@ -22,6 +22,7 @@ coarse.arrays_calls reads 0.
 import pathlib
 
 import cg_uncert.coarse as coarse
+from cg_uncert import bounds, states
 
 DELETED = [
     "BinnedDistribution.arrays",
@@ -49,3 +50,33 @@ def test_tracer_finds_every_boundary(monkeypatch):
     finally:
         tracer.restore()
     assert coarse._clean_block_masses is original
+
+
+def test_report_sets_call_the_globals_the_tracer_rebinds(monkeypatch):
+    # the tracer times bounds.bound_L, discrete_renyi, discrete_variance and
+    # func_K by rebinding them in the bounds namespace; a report set that
+    # reached them another way would drop out of its layer times.  A warm
+    # set reads the variance factors from the binning memo, so it asks
+    # neither discrete_variance nor func_K.
+    calls = {}
+
+    def counted(name):
+        real = getattr(bounds, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    names = ("bound_L", "discrete_renyi", "discrete_variance", "func_K")
+    for name in names:
+        monkeypatch.setattr(bounds, name, counted(name))
+    state = states.Gaussian(0.2, -0.1, 0.9)
+    bx = coarse.bin_density(states.position_density(state), 0.4, 0.1)
+    bp = coarse.bin_density(states.momentum_density(state), 0.7)
+    cold = bounds.binned_relation_reports(bx, bp, 0.8)
+    assert calls == {"bound_L": 1, "discrete_renyi": 2, "discrete_variance": 2, "func_K": 2}
+    calls.clear()
+    warm = bounds.binned_relation_reports(bx, bp, 0.8)
+    assert calls == {"bound_L": 1, "discrete_renyi": 2}
+    assert warm == cold and all(r.verdict == "holds" for r in warm)
