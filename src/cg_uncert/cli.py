@@ -50,13 +50,12 @@ from .bounds import (
 from .coarse import (
     MAX_WIDTH,
     TailBudgetExceeded,
-    WidthMismatch,
     bin_density,
     discrete_renyi,
     discrete_variance,
     sample_counts,
 )
-from .numerics import Divergent, DomainError, NonConvergence
+from .numerics import Divergent, NonConvergence
 from .states import Gaussian, HermiteGauss, Mixture, SquareWell, momentum_density, position_density
 
 _LN_2PIE_LIN = 2.0 * math.pi * math.e
@@ -517,9 +516,10 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-_INPUT_ERRORS = (DescriptorError, DomainError, WidthMismatch, ValueError)
-# ArithmeticError: an overflow or division by zero inside the numerics
-_NUMERIC_ERRORS = (NonConvergence, Divergent, TailBudgetExceeded, ArithmeticError)
+_INPUT_ERRORS = ValueError  # DescriptorError, DomainError and WidthMismatch among them
+# ArithmeticError: an overflow or division by zero inside the numerics;
+# MemoryError: a request too large to allocate
+_NUMERIC_ERRORS = (NonConvergence, Divergent, TailBudgetExceeded, ArithmeticError, MemoryError)
 
 
 def main(argv=None) -> int:

@@ -4,13 +4,12 @@ Each distribution family has one builder that returns its complete Density1D
 record: density, support, cuts, exact moments and closed-form interval masses
 that keep their relative precision in the far tails.  Interval masses take a
 block of bins as its grid (r, width, j_lo, n); grid_edges forms its edges the
-one way binning forms them.  The families are the Gaussian (error functions),
-the Hermite function (a recurrence), and the square-well position
-(elementary functions) and momentum densities (Gauss-Legendre panels on the
-pole-free form, as many and of as many points as the bin width needs, from
-one rule table, with the nodes' sines seeded once per run of bins from
-tabulated offsets; for very wide bins, differences of a far-tail series,
-as for the Gaussian).  position_density and
+one way binning forms them.  The families are the Hermite-Gaussian one (error
+functions and a recurrence; a Gaussian is its n = 0 member about its centre)
+and the square-well position (elementary functions) and momentum densities
+(Gauss-Legendre panels on the pole-free form, sized by the bin width from one
+rule table, nodes' sines seeded once per run of bins from tabulated offsets;
+far-tail series differences for very wide bins).  position_density and
 momentum_density only pick a family and its parameters: a Gaussian or Hermite
 momentum marginal is the same family at the conjugate width.
 
@@ -72,9 +71,9 @@ MAX_WELL_N = 100_000
 # state records
 
 
-def _check_width_square(name: str, width: float) -> None:
-    """A marginal's variance holds the square of its width."""
-    if not math.isfinite(width * width):
+def _check_width_square(name: str, width: float, factor: float = 1.0) -> None:
+    """A marginal's variance is factor times the square of its width."""
+    if not math.isfinite(width * width * factor):
         raise ValueError(f"marginal width {name} = {width!r} squares past the double range")
 
 
@@ -117,6 +116,8 @@ class HermiteGauss:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
             raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _check_width_square("sigma", self.sigma, self.n + 0.5)
+        _check_width_square("hbar/sigma", self.hbar / self.sigma, self.n + 0.5)
 
 
 @dataclass(frozen=True)
@@ -251,27 +252,6 @@ def _erfc(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gaussian(mu: float, sd: float) -> Density1D:
-    """Normal density with mean mu and standard deviation sd; masses from
-    erfc tails, on edges formed relative to mu: mu is reduced modulo the bin
-    width as the grid offset is, so edges far from the origin do not round to
-    ulp(mu)."""
-    norm, scale = 1.0 / (sd * math.sqrt(2.0 * math.pi)), 1.0 / (sd * math.sqrt(2.0))
-
-    def pdf(x):
-        z = (np.asarray(x, dtype=float) - mu) / sd
-        return norm * np.exp(-0.5 * z * z)
-
-    def masses(r, width, j_lo, count):
-        mu_r, k_mu = split_widths(mu, width)
-        z = grid_edges(r - mu_r, width, j_lo - k_mu, count) * scale
-        return _masses_from_tails(z, 0.5 * _erfc(np.abs(z)))
-
-    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
-                     known_var=sd ** 2, interval_masses=masses,
-                     reach=_reach(mu, sd * math.sqrt(2.0), 0))  # erfc^-1(eps) sqrt(2) sd
-
-
 def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
     """(phi_n(xi), T_n(xi)): the orthonormal Hermite function and
     T_n = sum_{k=1}^n phi_k phi_{k-1} / sqrt(2k), for which the distribution
@@ -285,7 +265,7 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
     # phi_n and T_n are 0 in double precision long before |xi| = 1e6
     xi = np.clip(np.asarray(xi, dtype=float), -1e6, 1e6)
     log_scale = -0.5 * xi * xi
-    prev = np.full(xi.shape, math.pi ** -0.25)
+    prev = math.pi ** -0.25
     cur, tail = prev, np.zeros(xi.shape)
     if n >= 1:
         cur = math.sqrt(2.0) * xi * prev
@@ -297,7 +277,7 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
             big = np.maximum(np.abs(cur), np.abs(prev))
             cur, prev, tail = cur / big, prev / big, tail / (big * big)
             log_scale += np.log(big)
-    return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale)
+    return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale) if n else tail
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,26 +293,30 @@ def _tail_point(n: int, eps: float) -> float:
     return hi
 
 
-def _reach(center: float, scale: float, n: int) -> Callable[[float], tuple]:
-    """The reach of a density phi_n((x - center) / scale)^2 / scale."""
-    return lambda eps: tuple(center + s * scale * _tail_point(n, eps) for s in (-1.0, 1.0))
-
-
-def _hermite(n: int, sd: float) -> Density1D:
-    """Density phi_n(x/sd)^2 / sd of the n-th Hermite function at scale sd."""
+def _hermite(n: int, sd: float, mu: float = 0.0, var: Optional[float] = None) -> Density1D:
+    """Density phi_n((x - mu)/sd)^2 / sd of the n-th Hermite function at scale sd
+    about mu, of variance var, sd^2 (n + 1/2) unless given: n = 0 is N(mu, sd^2/2).
+    Masses take edges relative to mu reduced modulo the bin width, as the grid
+    offset is, so that edges far from the origin do not round to ulp(mu)."""
 
     def pdf(x):
-        return _hermite_phi(n, np.asarray(x, dtype=float) / sd)[0] ** 2 / sd
+        return _hermite_phi(n, (np.asarray(x, dtype=float) - mu) / sd)[0] ** 2 / sd
 
     def masses(r, width, j_lo, count):
-        z = grid_edges(r, width, j_lo, count) / sd
-        az = np.abs(z)
-        # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n
-        return _masses_from_tails(z, 0.5 * _erfc(az) + _hermite_phi(n, az)[1])
+        mu_r, k_mu = split_widths(mu, width)
+        z = grid_edges(r - mu_r, width, j_lo - k_mu, count) / sd
+        # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n, and T_0 = 0
+        tail = 0.5 * _erfc(np.abs(z))
+        if n:
+            tail += _hermite_phi(n, np.abs(z))[1]
+        return _masses_from_tails(z, tail)
 
-    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
-                     known_var=sd * sd * (n + 0.5), interval_masses=masses,
-                     reach=_reach(0.0, sd, n))
+    def reach(eps):
+        return mu - sd * _tail_point(n, eps), mu + sd * _tail_point(n, eps)
+
+    return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
+                     known_var=sd * sd * (n + 0.5) if var is None else var,
+                     interval_masses=masses, reach=reach)
 
 
 def _well_position(n: int, length: float) -> Density1D:
@@ -606,7 +590,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
 def position_density(s: StateModel) -> Density1D:
     """Closed-form position marginal of the state."""
     if isinstance(s, Gaussian):
-        return _gaussian(s.x0, s.sigma)
+        return _hermite(0, s.sigma * math.sqrt(2.0), s.x0, s.sigma ** 2)
     if isinstance(s, HermiteGauss):
         return _hermite(s.n, s.sigma)
     if isinstance(s, SquareWell):
@@ -620,7 +604,8 @@ def momentum_density(s: StateModel) -> Density1D:
     """Closed-form momentum marginal of the state: a Gaussian of width
     hbar/(2 sigma) at p0, a Hermite function at scale hbar/sigma."""
     if isinstance(s, Gaussian):
-        return _gaussian(s.p0, s.hbar / (2.0 * s.sigma))
+        sd = s.hbar / (2.0 * s.sigma)
+        return _hermite(0, sd * math.sqrt(2.0), s.p0, sd ** 2)
     if isinstance(s, HermiteGauss):
         return _hermite(s.n, s.hbar / s.sigma)
     if isinstance(s, SquareWell):

@@ -622,9 +622,12 @@ def test_widths_whose_square_overflows_are_rejected_by_name(capsys, command, fla
     (["--state", "gaussian:sigma=1e-200"], "hbar/(2 sigma)"),
     (["--state", "squarewell:n=1,L=1e-200"], "hbar n pi/L"),
     (["--state", "mix:0.5*gaussian+0.5*squarewell:n=1,L=1e200"], "L"),
+    (["--state", "hermite:n=2,sigma=1e200"], "sigma"),
+    (["--state", "hermite:n=2,sigma=1e-200"], "hbar/sigma"),
 ])
 def test_state_widths_whose_square_overflows_are_rejected_by_name(capsys, args, name):
-    # the marginal's second moment exited 2 with a bare OverflowError
+    # the marginal's second moment exited 2 with a bare OverflowError, a
+    # Hermite function's with a TailBudgetExceeded
     assert main(["check", *args, "--delta", "1", "--delta-p", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: marginal width {name} = ")
@@ -688,6 +691,13 @@ def test_numeric_overflow_is_not_a_verdict(capsys):
     assert "error: location 1e+300 " in capsys.readouterr().err
     assert main(["check", "--state", "mix:0.5*gaussian:x0=1e300+0.5*gaussian"]) == 2
     assert "numeric error: OverflowError" in capsys.readouterr().err
+
+
+def test_a_request_too_large_to_allocate_is_not_a_verdict(capsys):
+    # 10^15 sweep points ask numpy for 7.1 PiB, past any address space; the
+    # uncaught MemoryError exited 1, which reads as "violated"
+    assert main(["bounds", "--sweep-points", "1000000000000000"]) == 2
+    assert capsys.readouterr().err.startswith("numeric error: MemoryError: ")
 
 
 def test_region_origin_and_single_cell(capsys):

@@ -106,6 +106,18 @@ def test_gaussian_momentum_is_the_position_gaussian_at_the_conjugate_width(
                          position_density(Gaussian(p0, 0.0, sd)), p0, sd, z_grid)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 1.0 / math.sqrt(2.0), 1.0, 2.5])
+@pytest.mark.parametrize("width, offset", [(0.05, 0.0), (0.3, 0.11), (1.7, -0.4)])
+def test_a_gaussian_bins_as_the_ground_state_hermite_function(sigma, width, offset):
+    # N(0, sigma^2) is phi_0(x / (sigma sqrt 2))^2 / (sigma sqrt 2), and one
+    # builder makes both, so they bin bit for bit alike
+    g = coarse.bin_density(position_density(Gaussian(0.0, 0.0, sigma)), width, offset)
+    h = coarse.bin_density(position_density(HermiteGauss(0, sigma * math.sqrt(2.0))), width,
+                           offset)
+    assert (g.j_min, g.tail_mass) == (h.j_min, h.tail_mass)
+    assert np.array_equal(g.masses, h.masses)
+
+
 @settings(max_examples=60, **_SETTINGS)
 @given(n=st.integers(0, 40), sigma=_scale, hbar=_scale, z_grid=_z_grid)
 def test_hermite_momentum_is_the_position_hermite_at_the_conjugate_scale(
@@ -228,17 +240,26 @@ def test_mixture_moments_are_taken_about_the_first_mean():
     (SquareWell, {"n": 1, "length": 1e200}, "L"),
     (SquareWell, {"n": 1, "length": 1e-200}, "hbar n pi/L"),
     (SquareWell, {"n": 3, "hbar": 1e200}, "hbar n pi/L"),
+    (HermiteGauss, {"n": 2, "sigma": 1e200}, "sigma"),
+    (HermiteGauss, {"n": 2, "sigma": 1e-200}, "hbar/sigma"),
+    (HermiteGauss, {"n": 3, "hbar": 1e200}, "hbar/sigma"),
+    (HermiteGauss, {"n": 1000, "sigma": 1e153}, "sigma"),
+    (HermiteGauss, {"n": 1000, "sigma": 1e-153}, "hbar/sigma"),
 ], ids=["gaussian-sigma", "gaussian-small-sigma", "gaussian-hbar", "well-L", "well-small-L",
-        "well-hbar"])
+        "well-hbar", "hermite-sigma", "hermite-small-sigma", "hermite-hbar",
+        "hermite-n-sigma", "hermite-n-small-sigma"])
 def test_marginal_widths_whose_square_overflows_are_rejected_by_name(cls, kwargs, name):
-    # the marginals' second moments raised a bare OverflowError (sd ** 2)
+    # the marginals' second moments raised a bare OverflowError (sd ** 2); a
+    # Hermite function's, sd^2 (n + 1/2), came out inf, and its variance()
+    # raised NonConvergence
     with pytest.raises(ValueError, match=f"^marginal width {re.escape(name)} = .* squares past"):
         cls(**kwargs)
 
 
 def test_marginal_widths_just_below_the_square_limit_keep_finite_moments():
     for s in (Gaussian(sigma=1e154), Gaussian(sigma=1e-154), SquareWell(1, length=1e154),
-              SquareWell(1, length=4e-154)):
+              SquareWell(1, length=4e-154), HermiteGauss(0, 1.3e154), HermiteGauss(0, 7.7e-155),
+              HermiteGauss(1000, 4e152), HermiteGauss(1000, 2.5e-153)):
         for d in (position_density(s), momentum_density(s)):
             assert math.isfinite(d.known_var) and d.known_var > 0.0
 
