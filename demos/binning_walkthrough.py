@@ -33,7 +33,7 @@ def main():
         binned = bin_density(dens, eta)
         var = discrete_variance(binned)
         ent = discrete_renyi(binned, 1.0)
-        print(f"{eta:>8.3f} {len(binned.probs):>6d} {var:>14.8f} "
+        print(f"{eta:>8.3f} {binned.masses.size:>6d} {var:>14.8f} "
               f"{var - 1.0:>12.2e} {ent:>10.5f}")
     print("the discrete variance sits eta^2/12 above the continuous value\n")
 

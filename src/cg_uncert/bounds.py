@@ -309,10 +309,8 @@ def func_K(u: float) -> float:
     return func_M_inv_and_K(u)[1]
 
 
-@functools.lru_cache(maxsize=1024)
 def func_M_inv_and_K(u: float) -> tuple:
-    """(M^{-1}(u), K(u)) for u > 0 from one root solve.  Memoized per u:
-    every report set on a binning asks for the same pair again.
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve.
 
     At t = M^{-1}(u) the profile variance is V(t) = 1/(2t) - u, so
     F(u, t) = exp(2tu) / erf(sqrt(t)/2)^2.  Below _K_CLOSED_FORM, where F
@@ -502,7 +500,8 @@ def feasibility_region(delta_x: float, delta_p: float, u_x: Sequence[float],
     if not ux or not up:
         raise ValueError("need at least one point on each axis")
     lkx = np.array([math.log(func_K(u)) for u in ux])
-    lkp = np.array([math.log(func_K(u)) for u in up])
+    # region passes one axis as both: its points are solved once
+    lkp = lkx if up == ux else np.array([math.log(func_K(u)) for u in up])
     bad = lkx[:, None] + lkp[None, :] < bset.log_rhs_heis
     bad.flags.writeable = False
     return FeasibilityRegion(

@@ -429,14 +429,16 @@ def _axis_sample(exact, n, seed, alpha):
                       "shannon": discrete_renyi(b, 1.0),
                       "renyi_alpha": discrete_renyi(b, alpha)}
     # draws land only in exact bins with p > 0, so those bins cover every count
+    counts = np.zeros(exact.masses.size, dtype=np.int64)
+    lo = emp.j_min - exact.j_min
+    counts[lo:lo + emp.masses.size] = np.rint(emp.masses * n)
     per_bin = []
     chi2 = 0.0
-    for jj, p in exact.probs.items():
-        observed = int(round(emp.probs.get(jj, 0.0) * n))
+    for i, (p, observed) in enumerate(zip(exact.masses.tolist(), counts.tolist())):
         expected = n * p
         term = (observed - expected) ** 2 / expected if expected > 0.0 else 0.0
         chi2 += term
-        per_bin.append({"bin": jj, "observed": observed, "expected": expected,
+        per_bin.append({"bin": exact.j_min + i, "observed": observed, "expected": expected,
                         "chi2_term": term})
     stats["chi2"] = {"total": chi2, "dof": max(len(per_bin) - 1, 1),
                      "per_bin": per_bin}

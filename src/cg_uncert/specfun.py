@@ -18,7 +18,6 @@ below 1/2, and 1 - lambda0 within 1e-14 relative where it is not.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -95,12 +94,9 @@ def _chebyshev(coeffs: tuple, t: float) -> float:
     return coeffs[0] + t * b1 - b2
 
 
-@functools.lru_cache(maxsize=1024)
 def prolate_r00(c: float) -> ProlateResult:
     """R00(c, 1) and the concentration eigenvalue lambda0 = (2c/pi) R00^2,
     from the series for R00 up to c = 2 and the one for 1 - lambda0 past it.
-    Memoized per c: a report set asks for the same c as its neighbours, and
-    the frozen result is safe to share.
     """
     if not math.isfinite(c):
         raise ValueError(f"prolate bandwidth parameter c = {c!r} is not finite")
@@ -208,11 +204,9 @@ def _w_of_t(t: float) -> float:
     return 1.0 - two_t_m(t)
 
 
-@functools.lru_cache(maxsize=1024)
 def ghf_var_shape(t: float) -> float:
     """Variance of the unit-bin profile: W(t)/(2t), with the t -> 0 limit
-    1/12.  Strictly decreasing, range (0, 1/12].  Memoized per t: every
-    report set asks again for the flat profile's t = 0."""
+    1/12.  Strictly decreasing, range (0, 1/12]."""
     if abs(t) <= _SHAPE_SERIES_CUT:
         # W(t)/(2t) as a polynomial: shift the W series down one power
         v = 0.0
@@ -222,7 +216,6 @@ def ghf_var_shape(t: float) -> float:
     return _w_of_t(t) / (2.0 * t)
 
 
-@functools.lru_cache(maxsize=1024)
 def ghf_ent_shape(t: float) -> float:
     """Entropy of the unit-bin profile minus the flat-profile value:
     ln(bin_profile_norm(t)) + W(t)/2, nonpositive, 0 at t = 0."""

@@ -266,10 +266,10 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
     xi = np.clip(np.asarray(xi, dtype=float), -1e6, 1e6)
     log_scale = -0.5 * xi * xi
     prev = math.pi ** -0.25
-    cur, tail = prev, np.zeros(xi.shape)
-    if n >= 1:
-        cur = math.sqrt(2.0) * xi * prev
-        tail = cur * prev * math.sqrt(0.5)
+    if not n:  # the Gaussian, with T_0 = 0
+        return prev * np.exp(log_scale), 0.0
+    cur = math.sqrt(2.0) * xi * prev
+    tail = cur * prev * math.sqrt(0.5)
     for k in range(2, n + 1):
         cur, prev = xi * math.sqrt(2.0 / k) * cur - math.sqrt((k - 1) / k) * prev, cur
         tail += cur * prev / math.sqrt(2.0 * k)
@@ -277,7 +277,7 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
             big = np.maximum(np.abs(cur), np.abs(prev))
             cur, prev, tail = cur / big, prev / big, tail / (big * big)
             log_scale += np.log(big)
-    return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale) if n else tail
+    return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale)
 
 
 @functools.lru_cache(maxsize=256)
@@ -358,9 +358,7 @@ def _well_position(n: int, length: float) -> Density1D:
 _WELL_RULE = ((4, 0.125), (5, 0.35), (6, 0.75), (7, 1.5), (8, 2.0), (10, 4.0))
 _WELL_PANEL = 4.0
 _WELL_MAX_PANEL_BIN = 32768.0
-# bins per seed, and the most bin widths whose tables a density keeps
-_WELL_SEED_BLOCK = 32
-_WELL_TABLES = 8
+_WELL_SEED_BLOCK = 32  # bins per seed
 # nodes per kernel call: its arrays stay at 128 KiB, which numpy takes from
 # the heap rather than from fresh pages
 _WELL_CHUNK = 1 << 14
@@ -444,7 +442,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     c_lo = _two_prod(0.5 * n, math.pi)[1] + 0.5 * n * _PI_LO
     sin_c = math.sin(c) + c_lo * math.cos(c)
     cos_c = math.cos(c) - c_lo * math.sin(c)
-    tables = {}  # bin width in p -> node table; at most _WELL_TABLES of them
+    tables = {}  # bin width in p -> node table, of the last width binned
 
     def pdf(p):
         x = np.abs(np.asarray(p, dtype=float))
@@ -470,8 +468,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         of the runs of a chunk, to about eps^2, and rcs their cosines and
         sines, as columns."""
         if width not in tables:
-            if len(tables) == _WELL_TABLES:
-                del tables[next(iter(tables))]
+            tables.clear()
             s, s_lo = _two_prod(width, half)
             k, order = _well_rule(s)
             x, w = _gl_nodes(order)

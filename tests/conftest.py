@@ -9,8 +9,7 @@ NUMERIC_MODULES = (bounds, coarse, numerics, specfun, states)
 
 def numeric_memos() -> list:
     """Every lru_cache-memoized function defined in the numeric modules
-    (prolate_r00, ghf_var_shape, ghf_ent_shape, func_M_inv_and_K, bound_L,
-    ...), each once."""
+    (bound_L, states._tail_point and numerics._gl_nodes), each once."""
     return [f for m in NUMERIC_MODULES for f in vars(m).values()
             if hasattr(f, "cache_clear") and getattr(f, "__module__", None) == m.__name__]
 

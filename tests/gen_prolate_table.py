@@ -99,7 +99,7 @@ def check_grid() -> bool:
     for c in CHECK_GRID:
         t = 0.5 * c * c - 1.0 if c <= 2.0 else (760.0 / c - 191.0) / 189.0
         assert min(abs(t - node) for node in nodes) > 1e-6, f"c = {c} is a node"
-        got = specfun.prolate_r00.__wrapped__(c)
+        got = specfun.prolate_r00(c)
         _, deficit = prolate_mp(c)
         if got.lambda0 < 0.5:
             err = float(abs(got.lambda0 / (1 - deficit) - 1))

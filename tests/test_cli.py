@@ -27,7 +27,7 @@ from cg_uncert.cli import (
     main,
     parse_state,
 )
-from cg_uncert.coarse import MAX_BINS
+from cg_uncert.coarse import MAX_BINS, bin_density, sample_counts
 from cg_uncert.states import (
     MAX_HERMITE_N,
     MAX_WELL_N,
@@ -35,6 +35,8 @@ from cg_uncert.states import (
     HermiteGauss,
     Mixture,
     SquareWell,
+    momentum_density,
+    position_density,
 )
 from oracles import split_widths
 
@@ -748,6 +750,29 @@ def test_sample_deterministic_bytes(tmp_path):
     assert abs(pos["empirical"]["variance"] - pos["exact"]["variance"]) < 0.2
     assert pos["chi2"]["total"] >= 0.0
     assert all(r["verdict"] == "holds" for r in doc["relations"])
+
+
+def test_sample_counts_sit_at_their_exact_bin_labels(capsys):
+    # 1000 draws on bins 0.1 wide leave the outer exact bins empty, so the
+    # empirical range starts inside the exact one; the minimum-uncertainty
+    # state can read violated on 1000 draws, so either verdict exit passes
+    desc, n, seed = "gaussian:sigma=0.7071067811865476", 1000, 1
+    assert main(["sample", "--state", desc, "--delta", "0.1", "--delta-p", "0.1",
+                 "--samples", str(n), "--seed", str(seed)]) in (0, 1)
+    doc = json.loads(capsys.readouterr().out)
+    state = parse_state(desc)
+    for axis, marginal, axis_seed in (("position", position_density, seed),
+                                      ("momentum", momentum_density, seed + 1)):
+        exact = bin_density(marginal(state), 0.1, 0.0)
+        emp = sample_counts(exact, n=n, seed=axis_seed)
+        assert emp.j_min > exact.j_min, axis
+        rows = doc[axis]["chi2"]["per_bin"]
+        assert [r["bin"] for r in rows] == list(range(exact.j_min, exact.j_min + exact.masses.size))
+        assert sum(r["observed"] for r in rows) == n
+        for r in rows:
+            i = r["bin"] - emp.j_min
+            want = round(emp.masses[i] * n) if 0 <= i < emp.masses.size else 0
+            assert r["observed"] == want, (axis, r["bin"])
 
 
 def test_sample_single_draw_degenerate(capsys):

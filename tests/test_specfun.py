@@ -83,19 +83,11 @@ def test_prolate_table_seam():
     above = (specfun._4_SQRT_PI * math.sqrt(2.0) * math.exp(-4.0)
              * math.exp(specfun._chebyshev(specfun._G_SERIES, 1.0)))
     assert abs(above - below) <= 4e-15 * below
-    assert prolate_r00.__wrapped__(2.0).terms_used == len(specfun._R00_SERIES)
-    assert prolate_r00.__wrapped__(2.0 + 1e-15).terms_used == len(specfun._G_SERIES)
+    assert prolate_r00(2.0).terms_used == len(specfun._R00_SERIES)
+    assert prolate_r00(2.0 + 1e-15).terms_used == len(specfun._G_SERIES)
     cs = np.linspace(2.0 - 1e-6, 2.0 + 1e-6, 401)
-    lams = [prolate_r00.__wrapped__(float(c)).lambda0 for c in cs]
+    lams = [prolate_r00(float(c)).lambda0 for c in cs]
     assert all(b > a for a, b in zip(lams, lams[1:]))
-
-
-def test_prolate_is_memoized_per_c():
-    # a report set asks for the same c as its neighbours; the frozen result
-    # is computed once and shared
-    assert prolate_r00(1.25) is prolate_r00(1.25)
-    assert prolate_r00(13.0) is prolate_r00(13.0)
-    assert prolate_r00(1.25) is not prolate_r00(1.5)
 
 
 def test_prolate_edge_cases():
@@ -237,7 +229,7 @@ def test_prolate_deficit_against_mpmath():
     # lambda0 within 2e-15 where it is smaller
     for c in SMALL_C + MP_C_GRID:
         _, ref = prolate_mp(c)
-        got = prolate_r00.__wrapped__(c)
+        got = prolate_r00(c)
         if got.lambda0 < 0.5:
             assert float(abs(got.lambda0 / (1 - ref) - 1)) <= 2e-15, f"c={c}"
         else:
@@ -249,10 +241,10 @@ def test_prolate_deficit_underflows_gracefully():
     # through the subnormal range, and reaches 0 past c = 374.7
     for c in (356.0, 365.0, 374.0, 374.8):
         _, ref = prolate_mp(c)
-        got = prolate_r00.__wrapped__(c).lambda0_deficit
+        got = prolate_r00(c).lambda0_deficit
         assert float(abs(got - ref)) <= 1e-14 * ref + 5e-324, f"c={c}"
     cs = np.geomspace(2.0, 1e308, 400).tolist() + [sys.float_info.max]
-    res = [prolate_r00.__wrapped__(c) for c in cs]
+    res = [prolate_r00(c) for c in cs]
     deficits = [r.lambda0_deficit for r in res]
     assert all(b < a or b == 0.0 for a, b in zip(deficits, deficits[1:]))
     assert deficits[-1] == 0.0 and prolate_r00(374.0).lambda0_deficit > 0.0
@@ -262,5 +254,5 @@ def test_prolate_deficit_underflows_gracefully():
 def test_prolate_r00_against_mpmath():
     for c in SMALL_C + MP_C_GRID:
         ref, _ = prolate_mp(c)
-        got = prolate_r00.__wrapped__(c).r00_at_1
+        got = prolate_r00(c).r00_at_1
         assert float(abs(got - ref) / ref) <= 1e-15, f"c={c}"

@@ -118,6 +118,18 @@ def test_a_gaussian_bins_as_the_ground_state_hermite_function(sigma, width, offs
     assert np.array_equal(g.masses, h.masses)
 
 
+@pytest.mark.parametrize("sigma", [0.3, 1.0 / math.sqrt(2.0), 1.0, 2.5])
+def test_gaussian_pdf_out_to_infinity(sigma):
+    # the n = 0 pdf takes no Hermite recurrence; its argument is still
+    # clipped, so 1e200 and inf raise no overflow warning (warnings are errors)
+    far = [1e6, -1e6, 1.0000001e6, 1e200, -1e300, math.inf, -math.inf]
+    x = np.concatenate((np.linspace(-8.0, 8.0, 8192) * sigma, far))
+    got = position_density(Gaussian(0.0, 0.0, sigma)).eval(x)
+    ref = np.exp(-0.5 * (x[:-len(far)] / sigma) ** 2) / (sigma * math.sqrt(2.0 * math.pi))
+    assert np.allclose(got[:-len(far)], ref, rtol=1e-13, atol=0.0)
+    assert np.array_equal(got[-len(far):], np.zeros(len(far)))
+
+
 @settings(max_examples=60, **_SETTINGS)
 @given(n=st.integers(0, 40), sigma=_scale, hbar=_scale, z_grid=_z_grid)
 def test_hermite_momentum_is_the_position_hermite_at_the_conjugate_scale(
