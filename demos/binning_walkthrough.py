@@ -6,8 +6,8 @@ A Gaussian marginal is binned at progressively finer widths.  Discrete
 statistics converge to the continuous ones from above (each bin adds the
 profile variance of the histogram cell), and the reconstruction identities
 hold to quadrature precision at every width.  Every per-bin profile is a
-GhfSpec(eta, a), exp(-a (u/eta)^2) truncated to the bin, with a >= 0; a = 0
-is the flat bin.
+GhfSpec(t=...), exp(-t (u/eta)^2) truncated to a bin eta wide, with shape
+t >= 0; t = 0 is the flat bin.
 """
 
 from cg_uncert.cli import parse_state
@@ -26,7 +26,7 @@ def main():
     state = parse_state("gaussian:sigma=1")
     dens = position_density(state)
 
-    print("flat profile (a = 0), Gaussian sigma=1")
+    print("flat profile (t = 0), Gaussian sigma=1")
     print(f"{'width':>8} {'bins':>6} {'discrete var':>14} {'var - 1':>12} "
           f"{'H (nats)':>10}")
     for eta in (2.0, 1.0, 0.5, 0.25):
@@ -39,8 +39,8 @@ def main():
 
     eta = 0.8
     binned = bin_density(dens, eta, offset=0.3)
-    for label, ghf in (("flat (a=0)", GhfSpec(eta)),
-                       ("narrow gaussian (a=4)", GhfSpec(eta, 4.0))):
+    for label, ghf in (("flat (t=0)", GhfSpec()),
+                       ("narrow gaussian (t=2.56)", GhfSpec(t=4.0 * eta ** 2))):
         var_sum, ent_sum = decompose_stats(binned, ghf)
         dens = ReconstructedPdf(binned, ghf).density()
         var_q, ent_q = variance(dens), renyi_entropy_cont(dens, 1.0)

@@ -24,7 +24,6 @@ from .coarse import (
     GhfSpec,
     ReconstructedPdf,
     TailBudgetExceeded,
-    WidthMismatch,
     bin_density,
     decompose_stats,
     discrete_renyi,

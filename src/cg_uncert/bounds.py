@@ -9,7 +9,7 @@ scaled discrete variance u = sigma^2/width^2 into the optimal factor K(u),
 giving the product relation ln K(u_x) + ln K(u_p) >= 2 L_1 and, from it,
 the forbidden region in the (u_x, u_p) plane.  K(u) is the minimum over t of
 F(u, t), the factor a truncated-Gaussian bin profile exp(-t v^2) gives; the
-flat bin is its t = 0 member, GhfSpec(eta), with F(u, 0) = 2 pi e (u + 1/12).
+flat bin is its t = 0 member, GhfSpec(), with F(u, 0) = 2 pi e (u + 1/12).
 
 Every relation is reported here, the three continuous and the four
 coarse-grained ones, as a RelationReport whose margin is lhs - rhs for sum
@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .coarse import (
+    MAX_WIDTH,
     GhfSpec,
-    _check_profile_width,
     bin_density,
     discrete_renyi,
     discrete_variance,
@@ -367,7 +367,8 @@ def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
 # the narrowest width whose square, which the variance relations take, is a
 # normal double: the lower counterpart of coarse.MAX_WIDTH
 _MIN_WIDTH = math.sqrt(sys.float_info.min)
-_AXES = (("position", "var_x", "delta_x"), ("momentum", "var_p", "delta_p"))
+_AXES = (("var_x", "delta_x"), ("var_p", "delta_p"))
+_FLAT = GhfSpec()
 
 
 def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -> tuple:
@@ -376,22 +377,23 @@ def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -
     2 H(profile) of HeisPreopt, ln(var + eta^2/12) of HeisRect and
     ln K(var/eta^2) of HeisOptimal.  axis is an _AXES entry, whose fields a
     DomainError names."""
-    name, var_name, width_name = axis
+    var_name, width_name = axis
     if not (var >= 0.0 and math.isfinite(var)):
         raise DomainError(f"{var_name} must be nonnegative and finite, got {var}")
     if not eta >= _MIN_WIDTH:
         raise DomainError(f"{width_name} must be at least {_MIN_WIDTH!r}, so that its square "
                           f"is a normal double, got {eta!r}")
-    flat = GhfSpec(eta)
-    ghf = flat if ghf is None else ghf
-    _check_profile_width(ghf, eta, name)
-    ln_rect = math.log(var + ghf_variance(flat))
-    ln_pre = ln_rect if ghf == flat else math.log(var + ghf_variance(ghf))
+    if not eta <= MAX_WIDTH:
+        raise DomainError(f"{width_name} must be at most {MAX_WIDTH!r}, so that its square "
+                          f"is finite, got {eta!r}")
+    ghf = _FLAT if ghf is None else ghf
+    ln_rect = math.log(var + ghf_variance(_FLAT, eta))
+    ln_pre = ln_rect if ghf == _FLAT else math.log(var + ghf_variance(ghf, eta))
     u = var / eta ** 2
     if not math.isfinite(u):
         raise DomainError(f"{var_name}/{width_name}^2 overflows: {var_name}={var!r}, "
                           f"{width_name}={eta!r}")
-    return ln_pre, 2.0 * ghf_entropy(ghf), ln_rect, math.log(func_K(u))
+    return ln_pre, 2.0 * ghf_entropy(ghf, eta), ln_rect, math.log(func_K(u))
 
 
 def _binned_factors(b, axis: tuple) -> tuple:
@@ -435,7 +437,8 @@ def moment_relation_reports(var_x: float, var_p: float, delta_x: float,
 
     The moments are taken at face value, so a failed inequality is verdicted
     infeasible_inputs: no physical state binned on these grids can produce
-    such moments.
+    such moments.  ghfs is HeisPreopt's (position, momentum) profile pair,
+    flat when None; each profile is applied on its axis's width.
     """
     bset = bound_L(delta_x, delta_p, hbar, 1.0)
     ghf_x, ghf_p = ghfs or (None, None)
@@ -447,7 +450,7 @@ def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0) -> li
     """All four coarse-grained reports for a binned conjugate pair.
 
     bx, bp are BinnedDistributions of position and momentum; the
-    pre-optimization relation takes flat per-bin profiles, GhfSpec(width).
+    pre-optimization relation takes flat per-bin profiles, GhfSpec().
     """
     bset = bound_L(bx.width, bp.width, hbar, alpha)
     beta = beta_conjugate(alpha)

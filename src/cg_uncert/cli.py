@@ -518,7 +518,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-_INPUT_ERRORS = ValueError  # DescriptorError, DomainError and WidthMismatch among them
+_INPUT_ERRORS = ValueError  # DescriptorError and DomainError among them
 # ArithmeticError: an overflow or division by zero inside the numerics;
 # MemoryError: a request too large to allocate
 _NUMERIC_ERRORS = (NonConvergence, Divergent, TailBudgetExceeded, ArithmeticError, MemoryError)

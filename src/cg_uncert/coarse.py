@@ -7,7 +7,7 @@ out to the density's reach in one call), discrete variances and Renyi
 entropies of the resulting probability vectors, computed once per binning
 and order (the memo also keeps the binning's share of the variance relations,
 which bounds computes), per-bin histogram profiles (one family,
-exp(-a (u/eta)^2) truncated to the bin, whose a = 0 member is the flat bin),
+exp(-t (u/eta)^2) truncated to the bin, whose t = 0 member is the flat bin),
 densities reconstructed from binned data (each point in the bin its exact
 residual places it in), the variance/entropy decomposition
 identities, and finite-statistics sampling by exact multinomial draws over
@@ -43,7 +43,6 @@ __all__ = [
     "MAX_BINS",
     "MAX_WIDTH",
     "TailBudgetExceeded",
-    "WidthMismatch",
     "BinnedDistribution",
     "GhfSpec",
     "ReconstructedPdf",
@@ -76,37 +75,19 @@ class TailBudgetExceeded(RuntimeError):
     """Bin enumeration hit the bin budget before capturing 1 - EPS_TAIL."""
 
 
-class WidthMismatch(ValueError):
-    """Histogram profile width does not match the binned grid width."""
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GhfSpec:
-    """Per-bin histogram profile exp(-a (u/eta)^2) truncated to the bin: flat
-    at a = 0 (the default) and concentrated toward the center for a > 0, so
-    its variance lies in (0, eta^2/12].  The variance relation's optimal
-    profile, at t = a eta^2 = M^-1(u) > 0, is always of this kind, so the
-    edge-heavy a < 0 is refused."""
+    """Per-bin histogram profile exp(-t (u/eta)^2), u the offset from the center
+    of a bin eta wide, truncated to the bin: flat at t = 0 (the default) and
+    concentrated toward the center for t > 0, so its variance lies in
+    (0, eta^2/12].  The variance relation's optimal profile, t = M^-1(u) > 0, is
+    always of this kind, so the edge-heavy t < 0 is refused.  eta is not stored."""
 
-    eta: float
-    a: float = 0.0
+    t: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eta <= MAX_WIDTH:
-            raise ValueError(f"eta must be positive with a finite square, got {self.eta}")
-        if not (self.a >= 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"shape parameter a must be nonnegative with a*eta^2 finite, "
-                             f"got a = {self.a} at eta = {self.eta}")
-
-    @property
-    def t(self) -> float:
-        return self.a * self.eta ** 2
-
-
-def _check_profile_width(g: GhfSpec, width: float, axis: str = "grid") -> None:
-    """Raise WidthMismatch unless the profile width matches the bin width."""
-    if abs(g.eta - width) > 1e-12 * width:
-        raise WidthMismatch(f"{axis} profile width {g.eta} != bin width {width}")
+        if not (self.t >= 0.0 and math.isfinite(self.t)):
+            raise ValueError(f"shape t must be nonnegative and finite, got {self.t}")
 
 
 class _BinView(Mapping):
@@ -195,9 +176,6 @@ class ReconstructedPdf:
     base: BinnedDistribution
     ghf: GhfSpec
 
-    def __post_init__(self) -> None:
-        _check_profile_width(self.ghf, self.base.width)
-
     def eval(self, x):
         b, g = self.base, self.ghf
         r, shift = b._reduced  # bins placed on the grid (width, r)
@@ -216,9 +194,9 @@ class ReconstructedPdf:
         idx = j.astype(np.int64) + (m + k).astype(np.int64) - (b.j_min + shift)
         valid = (idx >= 0) & (idx < b.masses.size)
         pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
-        v = ((d - k * w) + d_lo) / g.eta
+        v = ((d - k * w) + d_lo) / w
         t = g.t
-        return pj * np.exp(-t * v * v) / (g.eta * bin_profile_norm(t))
+        return pj * np.exp(-t * v * v) / (w * bin_profile_norm(t))
 
     def density(self) -> Density1D:
         # edges formed as bin_density forms them: no sliver of a bin in the next
@@ -229,7 +207,7 @@ class ReconstructedPdf:
         mean = b.center(b.j_min + b._stats["top"]) + b.width * b._stats["mean"]
         return Density1D(eval=self.eval, support=(float(edges[0]), float(edges[-1])),
                          discontinuities=tuple(edges[1:-1].tolist()), known_mean=mean,
-                         known_var=var + ghf_variance(self.ghf))
+                         known_var=var + ghf_variance(self.ghf, b.width))
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +425,25 @@ def _renyi(p: np.ndarray, alpha: float, top: int) -> float:
     return float(np.log1p(total / n) + math.log(n) + m) / (1.0 - alpha) + 0.0
 
 
-def ghf_variance(g: GhfSpec) -> float:
-    """Variance of the per-bin profile around the bin center (eta^2/12 when
-    flat)."""
-    return g.eta ** 2 * ghf_var_shape(g.t)
+def ghf_variance(g: GhfSpec, eta: float) -> float:
+    """Variance of the per-bin profile on bins eta wide (eta^2/12 when flat)."""
+    if not 0.0 < eta <= MAX_WIDTH:
+        raise ValueError(f"eta must be positive with a finite square, got {eta}")
+    return eta ** 2 * ghf_var_shape(g.t)
 
 
-def ghf_entropy(g: GhfSpec) -> float:
-    """Shannon entropy of the per-bin profile (maximal, ln eta, when flat)."""
-    return math.log(g.eta) + ghf_ent_shape(g.t)
+def ghf_entropy(g: GhfSpec, eta: float) -> float:
+    """Shannon entropy of the per-bin profile on bins eta wide (maximal, ln eta, when flat)."""
+    if not 0.0 < eta <= MAX_WIDTH:
+        raise ValueError(f"eta must be positive with a finite square, got {eta}")
+    return math.log(eta) + ghf_ent_shape(g.t)
 
 
 def decompose_stats(b: BinnedDistribution, g: GhfSpec) -> tuple:
     """(variance, Shannon entropy) of the reconstructed density via the exact
     decomposition: discrete part plus profile part."""
-    _check_profile_width(g, b.width)
-    return (discrete_variance(b) + ghf_variance(g),
-            discrete_renyi(b, 1.0) + ghf_entropy(g))
+    return (discrete_variance(b) + ghf_variance(g, b.width),
+            discrete_renyi(b, 1.0) + ghf_entropy(g, b.width))
 
 
 # ---------------------------------------------------------------------------

@@ -126,7 +126,7 @@ def prolate_r00(c: float) -> ProlateResult:
 # ---------------------------------------------------------------------------
 # truncated-Gaussian bin-profile shapes
 #
-# The per-bin profile exp(-t v^2) on v in [-1/2, 1/2) (t = a*eta^2 >= 0)
+# The per-bin profile exp(-t v^2) on v = u/eta in [-1/2, 1/2) (t >= 0)
 # has variance eta^2 * ghf_var_shape(t) and Shannon entropy
 # ln(eta) + ghf_ent_shape(t).  Both reduce to the flat profile at t = 0
 # (1/12 and 0).  The quantity 2tM(t) = exp(-t/4)/bin_profile_norm(t) drives

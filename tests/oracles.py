@@ -46,7 +46,7 @@ from scipy import integrate, optimize
 
 from cg_uncert import coarse
 from cg_uncert.bounds import _LN_2PIE, _LN_MAX_FLOAT, BoundSet, RelationReport, func_K
-from cg_uncert.coarse import GhfSpec, _check_profile_width, ghf_entropy, ghf_variance
+from cg_uncert.coarse import GhfSpec, ghf_entropy, ghf_variance
 from cg_uncert.numerics import DomainError, NonConvergence
 
 
@@ -217,21 +217,19 @@ def heis_reports(var_x: float, var_p: float, bset: BoundSet,
         if not (v >= 0.0 and math.isfinite(v)):
             raise DomainError(f"{name} must be nonnegative and finite, got {v}")
     dx, dp, hbar = bset.delta_x, bset.delta_p, bset.hbar
-    flat_x, flat_p = GhfSpec(dx), GhfSpec(dp)
-    ghf_x, ghf_p = (flat_x, flat_p) if ghfs is None else ghfs
-    _check_profile_width(ghf_x, dx, "position")
-    _check_profile_width(ghf_p, dp, "momentum")
+    flat = GhfSpec()
+    ghf_x, ghf_p = (flat, flat) if ghfs is None else ghfs
 
     def log_product(gx: GhfSpec, gp: GhfSpec) -> float:
-        return math.log(var_x + ghf_variance(gx)) + math.log(var_p + ghf_variance(gp))
+        return math.log(var_x + ghf_variance(gx, dx)) + math.log(var_p + ghf_variance(gp, dp))
 
     products = (
         # profile-smoothed product against the pre-optimization entropy bound
         ("HeisPreopt", log_product(ghf_x, ghf_p),
-         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x) + 2.0 * ghf_entropy(ghf_p)
+         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x, dx) + 2.0 * ghf_entropy(ghf_p, dp)
          - 2.0 * _LN_2PIE),
         # flat-profile product against hbar^2/4
-        ("HeisRect", log_product(flat_x, flat_p), 2.0 * math.log(0.5 * hbar)),
+        ("HeisRect", log_product(flat, flat), 2.0 * math.log(0.5 * hbar)),
     )
     for rid, lhs_log, rhs_log in products:
         if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:

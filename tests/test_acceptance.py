@@ -190,9 +190,9 @@ def test_criterion_06_decomposition_identities():
             eta = 10.0 ** rng.uniform(-1.0, 1.0)
             offset = rng.uniform(0.0, eta)
             if rng.random() < 0.5:
-                ghf = GhfSpec(eta)
+                ghf = GhfSpec()
             else:
-                ghf = GhfSpec(eta, rng.uniform(0.0, 8.0))
+                ghf = GhfSpec(t=rng.uniform(0.0, 8.0) * eta ** 2)
             binned = bin_density(dens, eta, offset)
             var_sum, ent_sum = decompose_stats(binned, ghf)
             var_q, ent_q = _reconstruction_stats_by_quadrature(

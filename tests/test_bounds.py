@@ -34,6 +34,7 @@ from cg_uncert.bounds import (
     moment_relation_reports,
 )
 from cg_uncert.coarse import (
+    MAX_WIDTH,
     BinnedDistribution,
     GhfSpec,
     bin_density,
@@ -373,7 +374,7 @@ def test_k_is_the_minimum_of_f(log_u, ts, log_d):
     # t = M^-1(u) (ts None) the two coincide
     (dx, dp), (ux, up) = [10.0 ** v for v in log_d], [10.0 ** v for v in log_u]
     tx, tp = ts if ts is not None else (func_M_inv(ux), func_M_inv(up))
-    ghfs = (GhfSpec(dx, tx / dx ** 2), GhfSpec(dp, tp / dp ** 2))
+    ghfs = (GhfSpec(t=tx), GhfSpec(t=tp))
     reports = {r.relation_id: r for r in
                moment_relation_reports(ux * dx * dx, up * dp * dp, dx, dp, ghfs=ghfs)}
     gap = reports["HeisPreopt"].margin - reports["HeisOptimal"].margin
@@ -815,7 +816,7 @@ def test_report_sets_on_empirical_binnings_keep_every_bit(seed):
 def test_moment_reports_keep_every_bit(a_x, a_p):
     for var_x, var_p, dx, dp, hbar in ((0.0, 0.0, 1.0, 1.0, 1.0), (0.3, 1.7, 0.2, 2.5, 1.0),
                                       (1e-9, 4e3, 7.0, 0.01, 0.5), (2.0, 0.0, 1e3, 1e-3, 3.0)):
-        ghfs = None if a_x is None else (GhfSpec(dx, a_x), GhfSpec(dp, a_p))
+        ghfs = None if a_x is None else (GhfSpec(t=a_x * dx ** 2), GhfSpec(t=a_p * dp ** 2))
         bset = bound_L(dx, dp, hbar, 1.0)
         assert _same_reports(moment_relation_reports(var_x, var_p, dx, dp, hbar, ghfs),
                              heis_reports(var_x, var_p, bset, ghfs, infeasible=True))
@@ -830,8 +831,8 @@ def test_the_direct_assembly_matches_the_oracle_on_profile_pairs(flat):
     for var_x, var_p, dx, dp, hbar in ((0.0, 0.0, 1.0, 1.0, 1.0), (0.3, 1.7, 0.2, 2.5, 1.0),
                                       (1e-9, 4e3, 7.0, 0.01, 0.5), (2.0, 0.0, 1e3, 1e-3, 3.0),
                                       (0.01, 0.02, 0.5, 0.5, 1.0)):
-        ghfs = ((GhfSpec(dx), GhfSpec(dp)) if flat
-                else (GhfSpec(dx, 0.7), GhfSpec(dp, 3.0)))
+        ghfs = ((GhfSpec(), GhfSpec()) if flat
+                else (GhfSpec(t=0.7 * dx ** 2), GhfSpec(t=3.0 * dp ** 2)))
         bset = bound_L(dx, dp, hbar, 1.0)
         fx = bounds._axis_factors(var_x, dx, ghfs[0], bounds._AXES[0])
         fp = bounds._axis_factors(var_p, dp, ghfs[1], bounds._AXES[1])
@@ -881,6 +882,20 @@ def test_widths_whose_square_underflows_are_refused_by_name(var_x, var_p, dx, dp
         moment_relation_reports(var_x, var_p, dx, dp)
     # the entropy bounds take no square, and keep such widths
     assert bound_L(dx, dp).log_rhs_heis > 0.0
+
+
+def test_widths_whose_square_overflows_are_refused_by_name():
+    # the two-field profile refused such a width as "eta", a name no caller
+    # passes
+    wide = math.nextafter(MAX_WIDTH, math.inf)
+    for dx, dp, name in ((1e200, 1e-200, "delta_x"), (wide, 1.0, "delta_x"),
+                         (1.0, 1e200, "delta_p"), (1e-100, wide, "delta_p")):
+        with pytest.raises(DomainError) as e:
+            moment_relation_reports(1.0, 1.0, dx, dp)
+        assert str(e.value) == (f"{name} must be at most {MAX_WIDTH!r}, so that its square is "
+                                f"finite, got {max(dx, dp)!r}")
+    # the widest width with a finite square is kept
+    assert len(moment_relation_reports(1.0, 1.0, 1.0, MAX_WIDTH)) == 3
 
 
 def test_binnings_whose_width_squares_underflow_are_refused_by_name():

@@ -483,8 +483,8 @@ for argv in runs:
 from cg_uncert import coarse, states
 b = coarse.bin_density(states.position_density(states.HermiteGauss(3)), 0.7, 0.2)
 for a in (0.0, 4.0, 1e6):
-    g = coarse.GhfSpec(0.7, a)
-    values = [coarse.ghf_variance(g), coarse.ghf_entropy(g), *coarse.decompose_stats(b, g),
+    g = coarse.GhfSpec(t=a * 0.7 ** 2)
+    values = [coarse.ghf_variance(g, 0.7), coarse.ghf_entropy(g, 0.7), *coarse.decompose_stats(b, g),
               float(coarse.ReconstructedPdf(b, g).eval(0.3))]
     print(a, all(map(math.isfinite, values)))
 # densities without closed-form masses, and the continuous functionals
@@ -492,7 +492,7 @@ import numpy as np
 ramp = states.Density1D(eval=lambda x: np.where((x >= 0.0) & (x <= 2.0), np.where(x < 1.0, 0.25, 0.75), 0.0),
                         support=(0.0, 2.0), discontinuities=(1.0,))
 print(round(float(coarse.bin_density(ramp, 0.3, 0.1).masses.sum()), 12))
-g = coarse.GhfSpec(0.7, 4.0)
+g = coarse.GhfSpec(t=4.0 * 0.7 ** 2)
 recon = coarse.ReconstructedPdf(b, g).density()
 print(round(float(coarse.bin_density(recon, 0.7, 0.25).masses.sum()), 12))
 from cg_uncert import bounds

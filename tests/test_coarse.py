@@ -15,7 +15,6 @@ from cg_uncert.coarse import (
     GhfSpec,
     ReconstructedPdf,
     TailBudgetExceeded,
-    WidthMismatch,
     bin_density,
     decompose_stats,
     discrete_renyi,
@@ -352,7 +351,7 @@ def test_reconstruction_places_bins_on_the_reduced_grid(d):
     eta = 0.37
     offset = 1e12 * eta + 0.1
     r = math.fmod(offset, eta)
-    g = GhfSpec(eta, 2.0)
+    g = GhfSpec(t=2.0 * eta ** 2)
     b_near = bin_density(d, eta, r)
     far = ReconstructedPdf(bin_density(d, eta, offset), g)
     near = ReconstructedPdf(b_near, g)
@@ -614,59 +613,61 @@ def test_discrete_renyi_degenerate_and_domain():
 
 
 def test_ghf_spec_validation():
-    assert [f.name for f in dataclasses.fields(GhfSpec)] == ["eta", "a"]
-    assert GhfSpec(0.4) == GhfSpec(0.4, 0.0) and GhfSpec(0.4).t == 0.0
-    for eta in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            GhfSpec(eta)
-    # the profile exp(-a u^2/eta^2) is edge-heavy for a < 0, which the
+    # the profile is its shape alone: the width is the binning's
+    assert [f.name for f in dataclasses.fields(GhfSpec)] == ["t"]
+    assert GhfSpec() == GhfSpec(t=0.0) and GhfSpec().t == 0.0
+    # a positional value was the width of the two-field profile
+    with pytest.raises(TypeError):
+        GhfSpec(0.4)
+    # the profile exp(-t u^2/eta^2) is edge-heavy for t < 0, which the
     # variance relation's optimum never is
-    for a in (math.inf, math.nan, -3000.0, -1e-3):
-        with pytest.raises(ValueError, match=r"shape parameter a must be nonnegative"):
-            GhfSpec(1.0, a)
-    # the only cap is on a * eta^2 staying finite, not on a alone
-    GhfSpec(1.0, 3000.0)
-    GhfSpec(0.1, a=100000.0)
-    with pytest.raises(ValueError, match=r"got a = 1e\+308 at eta = 2.0"):
-        GhfSpec(2.0, 1e308)
+    for t in (-1e-3, -3000.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^shape t must be nonnegative and finite"):
+            GhfSpec(t=t)
+    # the only cap is on t staying finite
+    assert GhfSpec(t=1e308).t == 1e308
 
 
 def test_widths_whose_square_overflows_are_refused_by_name():
-    # eta ** 2 raised a bare OverflowError from GhfSpec's own gate
-    GhfSpec(MAX_WIDTH)
     BinnedDistribution(width=MAX_WIDTH, offset=0.0, j_min=0, masses=[1.0])
     for w in (math.nextafter(MAX_WIDTH, math.inf), 1e200):
-        with pytest.raises(ValueError, match=r"^eta must be positive with a finite square"):
-            GhfSpec(w)
         with pytest.raises(ValueError, match=r"^width must be positive with a finite square"):
             BinnedDistribution(width=w, offset=0.0, j_min=0, masses=[1.0])
+    # a profile's variance and entropy take the width from the caller, and
+    # refuse by name the widths that the two-field profile refused
+    g = GhfSpec()
+    assert math.isfinite(ghf_variance(g, MAX_WIDTH)) and math.isfinite(ghf_entropy(g, MAX_WIDTH))
+    for w in (math.nextafter(MAX_WIDTH, math.inf), 1e200, math.inf, 0.0, -1.0, math.nan):
+        for f in (ghf_variance, ghf_entropy):
+            with pytest.raises(ValueError, match=r"^eta must be positive with a finite square"):
+                f(g, w)
 
 
 def test_ghf_variance_entropy_flat():
-    g = GhfSpec(0.4)
-    assert ghf_variance(g) == pytest.approx(0.4 ** 2 / 12.0, rel=1e-15)
-    assert ghf_entropy(g) == pytest.approx(math.log(0.4), rel=1e-15)
+    g = GhfSpec()
+    assert ghf_variance(g, 0.4) == pytest.approx(0.4 ** 2 / 12.0, rel=1e-15)
+    assert ghf_entropy(g, 0.4) == pytest.approx(math.log(0.4), rel=1e-15)
 
 
 def test_ghf_small_shape_matches_flat():
-    g = GhfSpec(1.0, 1e-9)
-    assert ghf_variance(g) == pytest.approx(1.0 / 12.0, abs=1e-10)
-    assert ghf_entropy(g) == pytest.approx(0.0, abs=1e-10)
+    g = GhfSpec(t=1e-9)
+    assert ghf_variance(g, 1.0) == pytest.approx(1.0 / 12.0, abs=1e-10)
+    assert ghf_entropy(g, 1.0) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ghf_variance_monotone_and_bounded():
     for eta in (1.0, 0.3):
         avals = np.linspace(0.0, 50.0, 51)
-        vs = [ghf_variance(GhfSpec(eta, float(a))) for a in avals]
+        vs = [ghf_variance(GhfSpec(t=float(a) * eta ** 2), eta) for a in avals]
         assert all(0.0 < v < eta ** 2 / 4.0 for v in vs)
         assert all(v2 < v1 for v1, v2 in zip(vs, vs[1:]))
-        hs = [ghf_entropy(GhfSpec(eta, float(a))) for a in avals]
+        hs = [ghf_entropy(GhfSpec(t=float(a) * eta ** 2), eta) for a in avals]
         assert all(h <= math.log(eta) + 1e-15 for h in hs)
 
 
 def test_ghf_against_direct_quadrature():
     for eta, a in ((1.0, 4.0), (2.0, 0.3)):
-        g = GhfSpec(eta, a)
+        g = GhfSpec(t=a * eta ** 2)
         b = BinnedDistribution(width=eta, offset=0.0, j_min=0, masses=[1.0])
         w = ReconstructedPdf(b, g)
         mass = quad(lambda x: float(w.eval(x)), -eta / 2.0, eta / 2.0)
@@ -676,8 +677,8 @@ def test_ghf_against_direct_quadrature():
             lambda x: -float(w.eval(x)) * math.log(float(w.eval(x))), -eta / 2.0, eta / 2.0)
         assert mass == pytest.approx(1.0, abs=1e-10)
         assert m1 == pytest.approx(0.0, abs=1e-12)  # centroid at the bin center
-        assert m2 == pytest.approx(ghf_variance(g), rel=1e-9)
-        assert ent == pytest.approx(ghf_entropy(g), abs=1e-9)
+        assert m2 == pytest.approx(ghf_variance(g, eta), rel=1e-9)
+        assert ent == pytest.approx(ghf_entropy(g, eta), abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -685,11 +686,11 @@ def test_ghf_against_direct_quadrature():
 
 
 def test_profile_at_the_top_of_the_double_range_is_finite():
-    # a eta^2 above 2500 was refused; far out the profile is a Gaussian of
-    # variance eta^2/(2t) and entropy ln(eta) + ln(pi e/t)/2, t = a eta^2
+    # t above 2500 was refused; far out the profile is a Gaussian of
+    # variance eta^2/(2t) and entropy ln(eta) + ln(pi e/t)/2
     for eta, a in ((1.0, 1e300), (10.0, 1e305)):
-        g = GhfSpec(eta, a)
-        var, ent = ghf_variance(g), ghf_entropy(g)
+        g = GhfSpec(t=a * eta ** 2)
+        var, ent = ghf_variance(g, eta), ghf_entropy(g, eta)
         assert var == pytest.approx(eta ** 2 / (2.0 * g.t), rel=1e-15)
         assert ent == pytest.approx(math.log(eta) + 0.5 * math.log(math.pi * math.e / g.t),
                                     rel=1e-15)
@@ -703,7 +704,7 @@ def test_reconstruction_far_from_the_origin_reads_each_bin_at_its_centre(x0):
     b = bin_density(position_density(Gaussian(x0=x0)), 0.37)
     centres = np.array([b.center(b.j_min + i) for i in range(b.masses.size)])
     assert centres.size == 35
-    assert np.array_equal(ReconstructedPdf(b, GhfSpec(0.37)).eval(centres), b.masses / 0.37)
+    assert np.array_equal(ReconstructedPdf(b, GhfSpec()).eval(centres), b.masses / 0.37)
 
 
 @pytest.mark.parametrize("x0, offset", [(0.0, 0.1), (1e14, 0.0), (3e17, -0.2)])
@@ -720,20 +721,12 @@ def test_reconstruction_finds_the_exact_bin_at_and_beside_every_edge(x0, offset)
     labels = [math.floor((Fraction(v) - Fraction(r)) / Fraction(eta) + Fraction(1, 2))
               - (b.j_min + shift) for v in x.tolist()]
     want = [b.masses[i] / eta if 0 <= i < b.masses.size else 0.0 for i in labels]
-    assert np.array_equal(ReconstructedPdf(b, GhfSpec(eta)).eval(x), want)
-
-
-def test_reconstruct_requires_matching_width():
-    b = bin_density(position_density(Gaussian()), 1.0, 0.0)
-    with pytest.raises(WidthMismatch):
-        ReconstructedPdf(b, GhfSpec(0.5))
-    with pytest.raises(WidthMismatch):
-        decompose_stats(b, GhfSpec(0.5))
+    assert np.array_equal(ReconstructedPdf(b, GhfSpec()).eval(x), want)
 
 
 def test_reconstruction_normalized_and_confined():
     b = bin_density(position_density(Gaussian()), 1.0, 0.0)
-    for g in (GhfSpec(1.0), GhfSpec(1.0, 5.0)):
+    for g in (GhfSpec(), GhfSpec(t=5.0)):
         w = ReconstructedPdf(b, g)
         d = w.density()
         lo, hi = d.support
@@ -755,7 +748,7 @@ def test_reconstruction_binned_on_its_own_grid_gives_back_its_masses(state):
     for eta, offset in ((0.37, 0.11), (1.3, -0.4), (0.01, 0.0), (0.1, 1e6 + 0.03)):
         b = bin_density(position_density(state), eta, offset)
         for a, tol in ((0.0, 1e-15), (4.0, 1e-15), (50.0, 4e-15)):
-            d = ReconstructedPdf(b, GhfSpec(eta, a)).density()
+            d = ReconstructedPdf(b, GhfSpec(t=a * eta ** 2)).density()
             assert d.interval_masses is None
             again = bin_density(d, eta, offset)
             assert again.j_min == b.j_min and again.masses.size == b.masses.size
@@ -773,7 +766,7 @@ def test_decomposition_identities_against_quadrature():
         offset = float(rng.uniform(0.0, eta))
         a = float(rng.uniform(0.0, 8.0))
         b = bin_density(position_density(s), eta, offset)
-        g = GhfSpec(eta, a)
+        g = GhfSpec(t=a * eta ** 2)
         var_dec, ent_dec = decompose_stats(b, g)
         d = ReconstructedPdf(b, g).density()
         assert variance(d) == pytest.approx(var_dec, abs=1e-8)
@@ -789,7 +782,7 @@ def test_reconstruction_entropy_variance_inequality():
         offset = float(rng.uniform(0.0, eta))
         a = float(rng.uniform(0.0, 20.0))
         b = bin_density(d, eta, offset)
-        g = GhfSpec(eta, a)
+        g = GhfSpec(t=a * eta ** 2)
         var_w, ent_w = decompose_stats(b, g)
         assert 0.5 * math.log(2.0 * math.pi * math.e * var_w) >= ent_w - 1e-9
 

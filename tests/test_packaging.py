@@ -1,14 +1,18 @@
 """Distribution metadata agrees with the package, the test extra lists what
-the tests import, the README's module map lists its modules, the package
+the tests import, the README's module map lists its modules and its examples
+run, the package
 imports no scipy at start-up or anywhere else and declares numpy as its one
 dependency, only numerics takes fixed-order Gauss-Legendre panels, and the
 test configuration reports a failing test as a failure."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pathlib
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -17,6 +21,7 @@ import types
 import pytest
 
 import cg_uncert
+from cg_uncert import cli
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -78,6 +83,26 @@ def test_readme_module_map_names_every_module():
                      if p.stem != "__init__")
     assert sorted(mapped) == modules
 
+
+def test_the_readme_examples_run():
+    # each python block runs as written, and each command of the command-line
+    # section, run in-process, exits 0 with output
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(block, str(README), "exec"), {})
+    start = text.index("## Command line")
+    sh = re.search(r"^```sh\n(.*?)^```", text[start:], flags=re.M | re.S).group(1)
+    commands = [shlex.split(line) for line in sh.replace("\\\n", " ").splitlines()
+                if line.startswith("cg-uncert ")]
+    assert [argv[1] for argv in commands] == ["bounds", "kfun", "check", "region", "sample"]
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv[1:])
+        assert rc == 0 and out.getvalue(), argv
 
 def _import_time_scipy(node) -> list:
     """Line numbers of scipy imports that run when the module is imported:

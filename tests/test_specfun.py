@@ -217,7 +217,7 @@ def _profile_mp(t: float) -> tuple:
 
 
 def test_wide_profiles_against_mpmath():
-    # GhfSpec admits any finite t = a eta^2 >= 0; widths past 2500 were refused
+    # GhfSpec admits any finite shape t >= 0; t past 2500 was refused
     for t in (1e3, 1e6, 1e12, 1e300):
         var_ref, ent_ref = _profile_mp(t)
         assert abs(ghf_var_shape(t) / var_ref - 1) <= 1e-13, f"t={t}"
