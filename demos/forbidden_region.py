@@ -13,7 +13,7 @@ from cg_uncert.bounds import feasibility_region
 
 def chart(dd):
     grid = np.concatenate(([0.0], np.geomspace(1e-5, 1.0, 23)))
-    region = feasibility_region(dd, 1.0, grid, grid)
+    region = feasibility_region(dd, 1.0, grid)
     print(f"dd/hbar = {dd:g}   forbidden fraction {region.fraction:.4f}   "
           f"log rhs {region.log_rhs:.4e}")
     for i in range(len(grid) - 1, -1, -1):

@@ -7,9 +7,10 @@ bound R that stays tight when the bins are coarse, and their maximum
 L_alpha.  On the variance side, the chain M -> M^{-1} -> F -> K turns the
 scaled discrete variance u = sigma^2/width^2 into the optimal factor K(u),
 giving the product relation ln K(u_x) + ln K(u_p) >= 2 L_1 and, from it,
-the forbidden region in the (u_x, u_p) plane.  K(u) is the minimum over t of
-F(u, t), the factor a truncated-Gaussian bin profile exp(-t v^2) gives; the
-flat bin is its t = 0 member, GhfSpec(), with F(u, 0) = 2 pi e (u + 1/12).
+the forbidden region in the (u_x, u_p) plane, symmetric in its two axes.
+K(u) is the minimum over t of F(u, t), the factor a truncated-Gaussian bin
+profile exp(-t v^2) gives; the flat bin is its t = 0 member, with
+F(u, 0) = 2 pi e (u + 1/12), and HeisPreopt reports it.
 
 Every relation is reported here, the three continuous and the four
 coarse-grained ones, as a RelationReport whose margin is lhs - rhs for sum
@@ -24,19 +25,11 @@ import functools
 import math
 import sys
 from dataclasses import KW_ONLY, dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .coarse import (
-    MAX_WIDTH,
-    GhfSpec,
-    bin_density,
-    discrete_renyi,
-    discrete_variance,
-    ghf_entropy,
-    ghf_variance,
-)
+from .coarse import MAX_WIDTH, bin_density, discrete_renyi, discrete_variance
 from .numerics import DomainError, NonConvergence
 from .specfun import (
     ProlateResult,
@@ -368,15 +361,13 @@ def check_continuous_relations(s: StateModel, alpha: float = 1.0) -> list:
 # normal double: the lower counterpart of coarse.MAX_WIDTH
 _MIN_WIDTH = math.sqrt(sys.float_info.min)
 _AXES = (("var_x", "delta_x"), ("var_p", "delta_p"))
-_FLAT = GhfSpec()
 
 
-def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -> tuple:
-    """One axis's share of the variance relations, on bins eta wide with the
-    HeisPreopt profile ghf (flat when None): ln(var + profile variance) and
-    2 H(profile) of HeisPreopt, ln(var + eta^2/12) of HeisRect and
-    ln K(var/eta^2) of HeisOptimal.  axis is an _AXES entry, whose fields a
-    DomainError names."""
+def _axis_factors(var: float, eta: float, axis: tuple) -> tuple:
+    """One axis's share of the variance relations, on flat bins eta wide:
+    ln(var + eta^2/12) of HeisPreopt and HeisRect, 2 ln eta, twice the flat
+    bin's entropy, of HeisPreopt, and ln K(var/eta^2) of HeisOptimal.  axis
+    is an _AXES entry, whose fields a DomainError names."""
     var_name, width_name = axis
     if not (var >= 0.0 and math.isfinite(var)):
         raise DomainError(f"{var_name} must be nonnegative and finite, got {var}")
@@ -386,22 +377,20 @@ def _axis_factors(var: float, eta: float, ghf: Optional[GhfSpec], axis: tuple) -
     if not eta <= MAX_WIDTH:
         raise DomainError(f"{width_name} must be at most {MAX_WIDTH!r}, so that its square "
                           f"is finite, got {eta!r}")
-    ghf = _FLAT if ghf is None else ghf
-    ln_rect = math.log(var + ghf_variance(_FLAT, eta))
-    ln_pre = ln_rect if ghf == _FLAT else math.log(var + ghf_variance(ghf, eta))
+    ln_rect = math.log(var + eta ** 2 * ghf_var_shape(0.0))
     u = var / eta ** 2
     if not math.isfinite(u):
         raise DomainError(f"{var_name}/{width_name}^2 overflows: {var_name}={var!r}, "
                           f"{width_name}={eta!r}")
-    return ln_pre, 2.0 * ghf_entropy(ghf, eta), ln_rect, math.log(func_K(u))
+    return ln_rect, 2.0 * math.log(eta), math.log(func_K(u))
 
 
 def _binned_factors(b, axis: tuple) -> tuple:
-    """_axis_factors of a binning with flat profiles, computed on the first
-    report set that reads it and kept in its memo next to its variance."""
+    """_axis_factors of a binning, computed on the first report set that
+    reads it and kept in its memo next to its variance."""
     memo = b._stats
     if "heis" not in memo:
-        memo["heis"] = _axis_factors(discrete_variance(b), b.width, None, axis)
+        memo["heis"] = _axis_factors(discrete_variance(b), b.width, axis)
     return memo["heis"]
 
 
@@ -418,11 +407,11 @@ def _product_report(rid: str, lhs_log: float, rhs_log: float, bset: BoundSet,
 
 def _heis_reports(fx: tuple, fp: tuple, bset: BoundSet, infeasible: bool) -> list:
     """The three variance-product reports from the two axes' _axis_factors: the
-    profile-smoothed product against the pre-optimization entropy bound, the
-    flat-profile product against hbar^2/4, and the optimized form in the log domain."""
-    (pre_x, ent_x, rect_x, lk_x), (pre_p, ent_p, rect_p, lk_p) = fx, fp
+    flat-bin product against the pre-optimization entropy bound and against
+    hbar^2/4, and the optimized form in the log domain."""
+    (rect_x, ent_x, lk_x), (rect_p, ent_p, lk_p) = fx, fp
     rhs = bset.log_rhs_heis
-    return [_product_report("HeisPreopt", pre_x + pre_p, rhs + ent_x + ent_p - 2.0 * _LN_2PIE,
+    return [_product_report("HeisPreopt", rect_x + rect_p, rhs + ent_x + ent_p - 2.0 * _LN_2PIE,
                             bset, infeasible),
             _product_report("HeisRect", rect_x + rect_p, 2.0 * math.log(0.5 * bset.hbar),
                             bset, infeasible),
@@ -431,26 +420,24 @@ def _heis_reports(fx: tuple, fp: tuple, bset: BoundSet, infeasible: bool) -> lis
 
 
 def moment_relation_reports(var_x: float, var_p: float, delta_x: float,
-                            delta_p: float, hbar: float = 1.0,
-                            ghfs: Optional[tuple] = None) -> list:
-    """Variance-product reports for hypothetical discrete second moments.
+                            delta_p: float, hbar: float = 1.0) -> list:
+    """HeisPreopt, HeisRect and HeisOptimal reports for hypothetical discrete
+    second moments on flat bins.
 
     The moments are taken at face value, so a failed inequality is verdicted
     infeasible_inputs: no physical state binned on these grids can produce
-    such moments.  ghfs is HeisPreopt's (position, momentum) profile pair,
-    flat when None; each profile is applied on its axis's width.
+    such moments.
     """
     bset = bound_L(delta_x, delta_p, hbar, 1.0)
-    ghf_x, ghf_p = ghfs or (None, None)
-    return _heis_reports(_axis_factors(var_x, delta_x, ghf_x, _AXES[0]),
-                         _axis_factors(var_p, delta_p, ghf_p, _AXES[1]), bset, infeasible=True)
+    return _heis_reports(_axis_factors(var_x, delta_x, _AXES[0]),
+                         _axis_factors(var_p, delta_p, _AXES[1]), bset, infeasible=True)
 
 
 def binned_relation_reports(bx, bp, alpha: float = 1.0, hbar: float = 1.0) -> list:
     """All four coarse-grained reports for a binned conjugate pair.
 
-    bx, bp are BinnedDistributions of position and momentum; the
-    pre-optimization relation takes flat per-bin profiles, GhfSpec().
+    bx, bp are BinnedDistributions of position and momentum; the variance
+    relations read each binning's share from its memo, on flat bins.
     """
     bset = bound_L(bx.width, bp.width, hbar, alpha)
     beta = beta_conjugate(alpha)
@@ -478,35 +465,30 @@ def check_coarse_relations(state: StateModel, delta_x: float, delta_p: float,
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityRegion:
-    """Forbidden-region scan over scaled variances u = sigma^2 / width^2.
+    """Forbidden-region scan over scaled variances u = sigma^2 / width^2 on
+    the square grid u x u.
 
-    forbidden[i, j] is True when (u_x[i], u_p[j]) violates the optimized
-    product relation, so no state binned on these grids can realize it.
+    forbidden[i, j] is True when (u_x, u_p) = (u[i], u[j]) violates the
+    optimized product relation, so no state binned on these grids can
+    realize it; the relation is symmetric, so forbidden is too.
     """
 
-    u_x: tuple
-    u_p: tuple
-    forbidden: np.ndarray  # read-only bool, shape (len(u_x), len(u_p))
+    u: tuple
+    forbidden: np.ndarray  # read-only bool, shape (len(u), len(u))
     fraction: float
     log_rhs: float
 
 
-def feasibility_region(delta_x: float, delta_p: float, u_x: Sequence[float],
-                       u_p: Sequence[float], hbar: float = 1.0) -> FeasibilityRegion:
-    """Classify each grid point as allowed or forbidden.
-
-    A point is forbidden iff ln K(u_x) + ln K(u_p) < 2 L_1.
-    """
+def feasibility_region(delta_x: float, delta_p: float, u: Sequence[float],
+                       hbar: float = 1.0) -> FeasibilityRegion:
+    """Classify each point (u_x, u_p) of the square grid u x u: it is
+    forbidden iff ln K(u_x) + ln K(u_p) < 2 L_1."""
     bset = bound_L(delta_x, delta_p, hbar, 1.0)
-    ux = [float(u) for u in u_x]
-    up = [float(u) for u in u_p]
-    if not ux or not up:
-        raise ValueError("need at least one point on each axis")
-    lkx = np.array([math.log(func_K(u)) for u in ux])
-    # region passes one axis as both: its points are solved once
-    lkp = lkx if up == ux else np.array([math.log(func_K(u)) for u in up])
-    bad = lkx[:, None] + lkp[None, :] < bset.log_rhs_heis
+    axis = tuple(float(v) for v in u)
+    if not axis:
+        raise ValueError("need at least one point on the axis")
+    lk = np.array([math.log(func_K(v)) for v in axis])
+    bad = lk[:, None] + lk[None, :] < bset.log_rhs_heis
     bad.flags.writeable = False
-    return FeasibilityRegion(
-        u_x=tuple(ux), u_p=tuple(up), forbidden=bad,
-        fraction=float(np.mean(bad)), log_rhs=bset.log_rhs_heis)
+    return FeasibilityRegion(u=axis, forbidden=bad, fraction=float(np.mean(bad)),
+                             log_rhs=bset.log_rhs_heis)

@@ -273,8 +273,8 @@ def _validate(cfg: RunConfig) -> None:
         if not (cfg.grid_umax >= 0.0 and math.isfinite(cfg.grid_umax)):
             raise DescriptorError(
                 f"field 'grid.u_max' must be nonnegative and finite, got {cfg.grid_umax}")
-    if cfg.command == "sample" and cfg.samples < 1:
-        raise DescriptorError(f"field 'samples' must be at least 1, got {cfg.samples}")
+    if cfg.command == "sample" and not 1 <= cfg.samples < 2 ** 63:
+        raise DescriptorError(f"field 'samples' must be in [1, 2^63 - 1], got {cfg.samples}")
     if cfg.command in ("check", "sample"):
         for name in ("delta", "delta_p"):  # the variances square the widths
             if not getattr(cfg, name) <= MAX_WIDTH:
@@ -324,15 +324,16 @@ def _write_table(cfg: RunConfig, header: list, rows: list, meta: dict) -> None:
         w.writerows([_fmt(v) for v in row] for row in rows)
         payload = sink.getvalue()
     else:
+        # JSON has no Infinity or NaN: a non-finite cell is null
         doc = {"meta": {k: meta[k] for k in sorted(meta)}, "columns": header,
-               "rows": [[(int(v) if isinstance(v, (int, np.integer)) else float(v))
-                         for v in row] for row in rows]}
+               "rows": [[int(v) if isinstance(v, (int, np.integer)) else
+                         float(v) if math.isfinite(v) else None for v in row] for row in rows]}
         payload = _json_line(doc)
     _emit(cfg.out, payload)
 
 
 def _json_line(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _emit(path: Optional[str], payload: str) -> None:
@@ -413,9 +414,9 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_region(cfg: RunConfig) -> int:
     axis = [float(v) for v in np.linspace(0.0, cfg.grid_umax, cfg.grid_n)]
-    reg = feasibility_region(cfg.delta, cfg.delta_p, axis, axis, cfg.hbar)
+    reg = feasibility_region(cfg.delta, cfg.delta_p, axis, cfg.hbar)
     rows = [[ux, up, int(reg.forbidden[i][j])]
-            for i, ux in enumerate(reg.u_x) for j, up in enumerate(reg.u_p)]
+            for i, ux in enumerate(reg.u) for j, up in enumerate(reg.u)]
     meta = {"forbidden_fraction": reg.fraction, "log_rhs_heis": reg.log_rhs}
     _write_table(cfg, ["u_x", "u_p", "forbidden"], rows, meta)
     return 0

@@ -179,8 +179,12 @@ class ReconstructedPdf:
     def eval(self, x):
         b, g = self.base, self.ghf
         r, shift = b._reduced  # bins placed on the grid (width, r)
-        x = np.asarray(x, dtype=float)
-        w, h = b.width, 0.5 * b.width
+        x0, w, h = np.asarray(x, dtype=float), b.width, 0.5 * b.width
+        # every bin lies within |label| + 1 widths of r: a point twice as far,
+        # +-inf among them, reads 0 (NaN reads NaN) and takes no int64 label
+        lo = b.j_min + shift
+        near = np.abs(x0 - r) < 2.0 * (max(abs(lo), abs(lo + b.masses.size)) + 1) * w
+        x = np.where(near, x0, r)
         # the float label j is a bin or more off past about 2^52 widths: the
         # residual x - r - j w, from error-free sums and products, moves it by
         # whole bins, and then by one where x lies beyond an exact edge
@@ -191,12 +195,13 @@ class ReconstructedPdf:
         pm, qm = _two_prod(m, w)
         d, d_lo = (s - p) - pm, (e - q) - qm
         k = ((d - h) + d_lo >= 0.0) - ((d + h) + d_lo < 0.0).astype(float)
-        idx = j.astype(np.int64) + (m + k).astype(np.int64) - (b.j_min + shift)
+        idx = j.astype(np.int64) + (m + k).astype(np.int64) - lo
         valid = (idx >= 0) & (idx < b.masses.size)
         pj = np.where(valid, b.masses[np.clip(idx, 0, b.masses.size - 1)], 0.0)
         v = ((d - k * w) + d_lo) / w
         t = g.t
-        return pj * np.exp(-t * v * v) / (w * bin_profile_norm(t))
+        out = pj * np.exp(-t * v * v) / (w * bin_profile_norm(t))
+        return np.where(near, out, np.minimum(np.abs(x0), 0.0))[()]
 
     def density(self) -> Density1D:
         # edges formed as bin_density forms them: no sliver of a bin in the next
@@ -458,8 +463,8 @@ def sample_counts(b: BinnedDistribution, n: int, seed: int) -> BinnedDistributio
     draws binned on b's grid, deterministic for a given seed.  The observed
     range, first to last nonzero bin, is stored densely.
     """
-    if n < 1:
-        raise ValueError(f"need at least one sample, got n={n}")
+    if not (isinstance(n, (int, np.integer)) and 1 <= n < 2 ** 63):
+        raise ValueError(f"n must be an integer in [1, 2^63 - 1], got n={n!r}")
     p = b.masses
     total = math.fsum(x for s in range(0, p.size, _CHUNK) for x in p[s:s + _CHUNK].tolist())
     counts = np.random.default_rng(seed).multinomial(n, p / total)

@@ -762,7 +762,7 @@ def renyi_entropy_cont(d: Density1D, lam: float) -> float:
 
 def catalog_states(hbar: float = 1.0) -> tuple:
     """Named reference states spanning the supported kinds, used by the
-    validation sweeps and the command-line sampler."""
+    validation sweeps of the tests."""
     return (
         ("gauss", Gaussian(0.0, 0.0, 1.0, hbar)),
         ("gauss_shifted", Gaussian(0.7, -0.3, 0.5, hbar)),

@@ -26,11 +26,11 @@ block_binning is coarse.bin_density as it was before the seed trio and the
 first blocks of each side shared one call: one _clean_block_masses call per
 block of the doubling schedule.
 
-heis_reports is bounds._heis_reports, verbatim, as it was before each
-binning kept its share of the variance relations in its memo: from the two
-discrete variances, the bound set and an optional profile pair, every
-per-axis factor recomputed for each report set.  Reports are compared with
-it bit for bit.
+heis_reports is bounds._heis_reports as it was before each binning kept
+its share of the variance relations in its memo, on flat bins: from the two
+discrete variances and the bound set, every per-axis factor recomputed for
+each report set through the profile API of coarse.  Reports are compared
+with it bit for bit.
 """
 
 import functools
@@ -38,7 +38,6 @@ import math
 import sys
 import warnings
 from fractions import Fraction
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -210,26 +209,23 @@ def block_binning(d, eta: float, offset: float = 0.0) -> tuple:
 
 
 def heis_reports(var_x: float, var_p: float, bset: BoundSet,
-                 ghfs: Optional[tuple], infeasible: bool) -> list:
-    """The three variance-product reports from discrete second moments;
-    ghfs is the profile pair of HeisPreopt, the flat pair when None."""
+                 infeasible: bool) -> list:
+    """The three variance-product reports from discrete second moments on
+    flat bins."""
     for name, v in (("var_x", var_x), ("var_p", var_p)):
         if not (v >= 0.0 and math.isfinite(v)):
             raise DomainError(f"{name} must be nonnegative and finite, got {v}")
     dx, dp, hbar = bset.delta_x, bset.delta_p, bset.hbar
     flat = GhfSpec()
-    ghf_x, ghf_p = (flat, flat) if ghfs is None else ghfs
-
-    def log_product(gx: GhfSpec, gp: GhfSpec) -> float:
-        return math.log(var_x + ghf_variance(gx, dx)) + math.log(var_p + ghf_variance(gp, dp))
-
+    log_product = (math.log(var_x + ghf_variance(flat, dx))
+                   + math.log(var_p + ghf_variance(flat, dp)))
     products = (
-        # profile-smoothed product against the pre-optimization entropy bound
-        ("HeisPreopt", log_product(ghf_x, ghf_p),
-         bset.log_rhs_heis + 2.0 * ghf_entropy(ghf_x, dx) + 2.0 * ghf_entropy(ghf_p, dp)
+        # flat-bin product against the pre-optimization entropy bound
+        ("HeisPreopt", log_product,
+         bset.log_rhs_heis + 2.0 * ghf_entropy(flat, dx) + 2.0 * ghf_entropy(flat, dp)
          - 2.0 * _LN_2PIE),
-        # flat-profile product against hbar^2/4
-        ("HeisRect", log_product(flat, flat), 2.0 * math.log(0.5 * hbar)),
+        # the same product against hbar^2/4
+        ("HeisRect", log_product, 2.0 * math.log(0.5 * hbar)),
     )
     for rid, lhs_log, rhs_log in products:
         if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:

@@ -242,7 +242,7 @@ def test_criterion_08_forbidden_region():
         grid = np.concatenate(([0.0], np.geomspace(1e-6, 0.5, 48)))
         fractions = []
         for dd in (1.0, 10.0, 100.0):
-            region = feasibility_region(dd, 1.0, grid, grid)
+            region = feasibility_region(dd, 1.0, grid)
             assert region.forbidden[0][0]
             fractions.append(region.fraction)
         assert fractions[0] > fractions[1] > fractions[2] > 0.0

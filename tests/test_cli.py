@@ -391,6 +391,31 @@ def test_kfun_endpoint_and_roundtrip(capsys):
         assert ref == pytest.approx(1.0 + TWO_PI_E * u, rel=1e-15)
 
 
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_tables_write_non_finite_cells_as_null(capsys):
+    # kfun's t = 0 row and bounds' g past a width product of about 1e155
+    # printed Infinity, which is not JSON; CSV keeps inf
+    assert main(["kfun", "--sweep-min", "0", "--sweep-max", "5", "--sweep-points", "6",
+                 "--sweep-log", "0", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert rows[0] == [0.0, None, 0.0, None, 1.0, 1.0]
+    assert all(v is not None for row in rows[1:] for v in row)
+    assert main(["bounds", "--sweep-min", "1e150", "--sweep-max", "1e160",
+                 "--sweep-points", "11", "--format", "json"]) == 0
+    rows = _strict_json(capsys.readouterr().out)["rows"]
+    assert [row[-1] is None for row in rows] == [False] * 6 + [True] * 5
+    assert all(v is not None for row in rows for v in row[:-1])
+    assert main(["bounds", "--sweep-min", "1e160", "--sweep-points", "1"]) == 0
+    assert capsys.readouterr().out.endswith(",inf\r\n")
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._json_line({"margin": math.inf})
+
+
 def test_check_fine_gaussian(capsys):
     rc = main(["check", "--state", "gaussian:sigma=1", "--delta", "0.001",
                "--delta-p", "0.001"])
@@ -515,6 +540,37 @@ def test_every_command_runs_with_scipy_blocked():
     assert r.stdout.splitlines() == (
         ["check 0"] * 6 + ["bounds 0", "kfun 0", "region 0", "sample 0", "sample 0"]
         + ["0.0 True", "4.0 True", "1000000.0 True", "1.0", "1.0", "continuous 6"])
+
+
+@pytest.mark.parametrize("argv, config, err", [
+    (["check", "--state", "gaussian:x0"], None,
+     "malformed field 'x0' in state 'gaussian:x0'"),
+    (["check", "--state", ""], None, "empty state descriptor"),
+    (["check", "--state", "mix:0.5gaussian+0.5*gaussian"], None,
+     "mixture component '0.5gaussian' must look like weight*state"),
+    (["check", "--state", "mix:0.5*gaussian+0.4*gaussian"], None, "weights must sum to 1, got 0.9"),
+    (["check"], [1], "config {cfg}: top level must be an object"),
+    (["check"], {"format": "xml"}, "field 'format' must be csv or json, got 'xml'"),
+    (["region", "--grid-n", "0"], None, "field 'grid.n' must be at least 1, got 0"),
+    (["sample", "--samples", "0"], None, "field 'samples' must be in [1, 2^63 - 1], got 0"),
+    # a draw count past int64 exited 2 with a bare OverflowError from numpy
+    (["sample", "--samples", str(2 ** 63)], None,
+     "field 'samples' must be in [1, 2^63 - 1], got 9223372036854775808"),
+    (["check", "--state", "gaussian:sigma=-1"], None, "sigma must be positive and finite, got -1.0"),
+    (["check", "--state", "hermite:n=-1"], None, "n must be a nonnegative integer, got -1"),
+    (["check", "--state", "hermite:n=1,sigma=0"], None,
+     "sigma must be positive and finite, got 0.0"),
+    (["check", "--state", "squarewell:n=0"], None, "n must be a positive integer, got 0"),
+], ids=["malformed-field", "empty-state", "component-without-star", "weight-sum",
+        "config-not-object", "config-format", "grid-n", "samples-0", "samples-2^63",
+        "gaussian-sigma", "hermite-n", "hermite-sigma", "well-n"])
+def test_refused_inputs_exit_2_with_their_message(tmp_path, capsys, argv, config, err):
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv = argv + ["--config", str(cfg)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: " + err.format(cfg=cfg) + "\n"
 
 
 def test_check_malformed_descriptor(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -513,6 +514,8 @@ def test_binned_distribution_validation():
         BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0 - 2e-8], tail_mass=2e-8)
     with pytest.raises(ValueError):
         BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[], tail_mass=1.0)
+    with pytest.raises(ValueError, match=r"^negative tail mass -0\.001$"):
+        BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=[1.0], tail_mass=-1e-3)
 
 
 def test_binned_distribution_rejects_j_min_beyond_int64():
@@ -724,6 +727,21 @@ def test_reconstruction_finds_the_exact_bin_at_and_beside_every_edge(x0, offset)
     assert np.array_equal(ReconstructedPdf(b, GhfSpec()).eval(x), want)
 
 
+def test_reconstruction_reads_0_far_outside_the_binned_range():
+    # the bin label of 1e200 left int64 with an invalid-cast warning, and
+    # from 1e300 on, and at +-inf, the reconstruction read NaN
+    w = ReconstructedPdf(bin_density(position_density(Gaussian()), 0.5), GhfSpec(t=1.0))
+    far = [1e200, 1e300, 1.7e308, math.inf, -1e200, -1.7e308, -math.inf]
+    for x in far:
+        assert w.eval(x) == 0.0
+    assert math.isnan(w.eval(math.nan))
+    inside = np.linspace(-12.0, 12.0, 2001)
+    got = w.eval(np.concatenate([inside, far, [math.nan]]))
+    assert np.array_equal(got[:inside.size], w.eval(inside))
+    assert [w.eval(x) for x in inside[::100]] == got[:inside.size:100].tolist()
+    assert got[inside.size:-1].tolist() == [0.0] * len(far) and math.isnan(got[-1])
+
+
 def test_reconstruction_normalized_and_confined():
     b = bin_density(position_density(Gaussian()), 1.0, 0.0)
     for g in (GhfSpec(), GhfSpec(t=5.0)):
@@ -818,6 +836,19 @@ def test_sample_counts_finite_support_and_degenerate():
     assert one.probs == {0: 1.0}
     with pytest.raises(ValueError):
         sample_counts(b, 0, seed=0)
+    # the draw count's range ends at the int64 maximum
+    assert sample_counts(b, np.int64(3), seed=0).probs == {0: 1.0}
+    assert sample_counts(b, 2 ** 63 - 1, seed=0).probs == {0: 1.0}
+
+
+@pytest.mark.parametrize("n", [1.5, 0, -3, 2 ** 63, 10 ** 20, "100"])
+def test_sample_counts_refuse_a_draw_count_by_name(n):
+    # numpy truncated 1.5 to one draw, which then failed the normalization
+    # check, and 10^20 raised a bare OverflowError
+    b = bin_density(position_density(Gaussian()), 0.5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"n must be an integer in [1, 2^63 - 1], got n={n!r}")):
+        sample_counts(b, n, seed=1)
 
 
 def test_sample_counts_unbiased_on_square_well_momentum_tail():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from cg_uncert import coarse
 from cg_uncert.bounds import check_continuous_relations
-from cg_uncert.numerics import Divergent, DomainError, gauss_legendre_panels
+from cg_uncert.numerics import Divergent, DomainError, NonConvergence, gauss_legendre_panels
 from cg_uncert.states import (
     Density1D,
     Gaussian,
@@ -212,6 +212,24 @@ def test_gaussian_rejects_a_non_finite_location_by_name(name, value):
         Gaussian(**{name: value})
 
 
+@pytest.mark.parametrize("cls, kwargs, message", [
+    (Gaussian, {"hbar": -1.0}, "hbar must be positive and finite, got -1.0"),
+    (HermiteGauss, {"n": 1, "hbar": math.nan}, "hbar must be positive and finite, got nan"),
+    (SquareWell, {"n": 1, "length": -2.0}, "length must be positive and finite, got -2.0"),
+    (SquareWell, {"n": 1, "hbar": 0.0}, "hbar must be positive and finite, got 0.0"),
+], ids=["gaussian-hbar", "hermite-hbar", "well-length", "well-hbar"])
+def test_states_refuse_fields_the_descriptor_cannot_reach(cls, kwargs, message):
+    # the command line refuses these first, by their flag or descriptor key
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls(**kwargs)
+
+
+@pytest.mark.parametrize("marginal", [position_density, momentum_density])
+def test_marginals_refuse_what_is_not_a_state(marginal):
+    with pytest.raises(TypeError, match="^unsupported state type str$"):
+        marginal("gaussian")
+
+
 def test_split_widths_counts_whole_widths_exactly():
     # counted in floats, round((x - fmod(x, w)) / w) was 131 widths off at
     # x = -3.21e18 and 1 off at 1.2345678e16, for w = 0.37
@@ -358,6 +376,23 @@ def _cauchy() -> Density1D:
                      support=(-math.inf, math.inf), heavy_tail=True)
 
 
+def test_quadrature_refuses_what_it_cannot_integrate():
+    def ones(x):
+        return np.ones_like(np.asarray(x, dtype=float))
+
+    with pytest.raises(ValueError, match=r"^degenerate support \[1\.0, 1\.0\]$"):
+        variance(Density1D(eval=ones, support=(1.0, 1.0)))
+    # the core [-0.01, 0] takes 100 panels; the first tail ring, 8 wide,
+    # would take 80000 on a density that oscillates every 2e-4
+    ring = Density1D(eval=np.exp, support=(-math.inf, 0.0), known_mean=7.99, known_var=1.0,
+                     osc_scale=2e-4)
+    with pytest.raises(Divergent, match="^tail ring of width 8.0 needs more than 65536 panels$"):
+        variance(ring)
+    zero = Density1D(eval=lambda x: 0.0 * ones(x), support=(0.0, 1.0))
+    with pytest.raises(NonConvergence, match=r"^power integral came out nonpositive \(0\.0\)$"):
+        renyi_entropy_cont(zero, 0.5)
+
+
 def test_heavy_tail_without_moments_diverges():
     with pytest.raises(Divergent):
         variance(_cauchy())
@@ -437,6 +472,10 @@ def test_mixture_validation():
         Mixture(components=((0.5, g), (0.5, inner)))  # no nesting
     with pytest.raises(ValueError):
         Mixture(components=((0.5, g), (0.5, Gaussian(hbar=2.0))))
+    with pytest.raises(ValueError, match="^mixture needs at least one component$"):
+        Mixture(components=())
+    with pytest.raises(TypeError, match="^unsupported component type str$"):
+        Mixture(components=((1.0, "gaussian"),))
 
 
 def test_gaussian_renyi_closed_form():
