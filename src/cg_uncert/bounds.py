@@ -230,6 +230,9 @@ _M_INV_STEPS = 50
 # below this u, K - 1 < 2e-10 and the rounding of F is about 1e-5 of it; K is
 # taken from its closed form there (func_M_inv_and_K)
 _K_CLOSED_FORM = 2.0 ** -40
+# below this u, ln K is the closed form's exponent (within 2.6e-16 relative); ln F
+# keeps only K's absolute precision there (9e-15 at 1e-3), and above it is within 4.7e-16
+_LN_K_EXPONENT = 0.05
 
 
 def func_M(t: float) -> float:
@@ -303,18 +306,26 @@ def func_K(u: float) -> float:
 
 
 def func_M_inv_and_K(u: float) -> tuple:
-    """(M^{-1}(u), K(u)) for u > 0 from one root solve.
-
-    At t = M^{-1}(u) the profile variance is V(t) = 1/(2t) - u, so
-    F(u, t) = exp(2tu) / erf(sqrt(t)/2)^2.  Below _K_CLOSED_FORM, where F
-    rounds to within a few ulps of 1, K - 1 is taken from that form as an
-    expm1, precise relative to itself: K then rounds up from 1 as u grows
-    instead of scattering by F's rounding.
-    """
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve.  Below _K_CLOSED_FORM,
+    where F rounds to within a few ulps of 1, K - 1 is the expm1 of ln F at
+    the root (_root_exponent), precise relative to itself: K then rounds up
+    from 1 as u grows instead of scattering by F's rounding."""
     t = func_M_inv(u)
     if u < _K_CLOSED_FORM:
-        return t, 1.0 + math.expm1(2.0 * t * u - 2.0 * math.log1p(-math.erfc(0.5 * math.sqrt(t))))
+        return t, 1.0 + math.expm1(_root_exponent(t, u))
     return t, func_F(u, t)
+
+
+def _root_exponent(t: float, u: float) -> float:
+    """ln F(u, t) at the root t = M^{-1}(u), where V(t) = 1/(2t) - u: 2tu - 2 ln erf(sqrt(t)/2)."""
+    return 2.0 * t * u - 2.0 * math.log1p(-math.erfc(0.5 * math.sqrt(t)))
+
+
+def _ln_K(u: float) -> float:
+    """ln K(u) for u >= 0 to full relative precision (see _LN_K_EXPONENT)."""
+    if not 0.0 < u < _LN_K_EXPONENT:
+        return math.log(func_K(u))
+    return _root_exponent(func_M_inv(u), u)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +393,7 @@ def _axis_factors(var: float, eta: float, axis: tuple) -> tuple:
     if not math.isfinite(u):
         raise DomainError(f"{var_name}/{width_name}^2 overflows: {var_name}={var!r}, "
                           f"{width_name}={eta!r}")
-    return ln_rect, 2.0 * math.log(eta), math.log(func_K(u))
+    return ln_rect, 2.0 * math.log(eta), _ln_K(u)
 
 
 def _binned_factors(b, axis: tuple) -> tuple:
@@ -487,7 +498,7 @@ def feasibility_region(delta_x: float, delta_p: float, u: Sequence[float],
     axis = tuple(float(v) for v in u)
     if not axis:
         raise ValueError("need at least one point on the axis")
-    lk = np.array([math.log(func_K(v)) for v in axis])
+    lk = np.array([_ln_K(v) for v in axis])
     bad = lk[:, None] + lk[None, :] < bset.log_rhs_heis
     bad.flags.writeable = False
     return FeasibilityRegion(u=axis, forbidden=bad, fraction=float(np.mean(bad)),

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .bounds import (
-    _check_widths,
     binned_relation_reports,
     bound_B,
     bound_L,
@@ -49,6 +48,7 @@ from .bounds import (
 )
 from .coarse import (
     MAX_WIDTH,
+    BinnedDistribution,
     TailBudgetExceeded,
     bin_density,
     discrete_renyi,
@@ -245,6 +245,12 @@ def _validate(cfg: RunConfig) -> None:
             raise DescriptorError(f"field {name!r} must be positive and finite, got {v}")
     if cfg.format not in ("csv", "json"):
         raise DescriptorError(f"field 'format' must be csv or json, got {cfg.format!r}")
+    if cfg.command in ("bounds", "check", "sample") and not 0.5 <= cfg.alpha <= 1.0:
+        raise DescriptorError(f"field 'alpha' must lie in [1/2, 1], got {cfg.alpha}")
+    c = cfg.delta * cfg.delta_p / (4.0 * cfg.hbar)  # the prolate parameter of the bounds
+    if cfg.command in ("check", "sample", "region") and not sys.float_info.min <= c < math.inf:
+        raise DescriptorError(f"fields 'delta', 'delta_p' and 'hbar' give delta*delta_p/(4*hbar) "
+                              f"= {c!r}, not a finite number of at least {sys.float_info.min!r}")
     if cfg.command in ("bounds", "kfun"):
         if cfg.sweep_points < 1:
             raise DescriptorError(
@@ -293,9 +299,11 @@ def _validate(cfg: RunConfig) -> None:
 def _sweep_values(cfg: RunConfig) -> list:
     if cfg.sweep_points == 1:
         return [cfg.sweep_min]
-    if cfg.sweep_log:
-        return [float(v) for v in np.geomspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)]
-    return [float(v) for v in np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)]
+    space = np.geomspace if cfg.sweep_log else np.linspace
+    # an end near the top of the double range overflows an intermediate, and
+    # numpy then sets the last point to the end exactly: the values are right
+    with np.errstate(over="ignore"):
+        return [float(v) for v in space(cfg.sweep_min, cfg.sweep_max, cfg.sweep_points)]
 
 
 def _pmap(fn, xs):
@@ -406,14 +414,14 @@ def _bin_axes(state, cfg: RunConfig):
 
 def cmd_check(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
-    _check_widths(cfg.delta, cfg.delta_p, cfg.hbar)  # before binning, as the library checks
     reports = binned_relation_reports(*_bin_axes(state, cfg), cfg.alpha, cfg.hbar)
     _emit(cfg.out, _json_line(_report_dicts(reports)))
     return 0 if all(r.verdict == "holds" for r in reports) else 1
 
 
 def cmd_region(cfg: RunConfig) -> int:
-    axis = [float(v) for v in np.linspace(0.0, cfg.grid_umax, cfg.grid_n)]
+    with np.errstate(over="ignore"):  # as in _sweep_values
+        axis = [float(v) for v in np.linspace(0.0, cfg.grid_umax, cfg.grid_n)]
     reg = feasibility_region(cfg.delta, cfg.delta_p, axis, cfg.hbar)
     rows = [[ux, up, int(reg.forbidden[i][j])]
             for i, ux in enumerate(reg.u) for j, up in enumerate(reg.u)]
@@ -423,16 +431,14 @@ def cmd_region(cfg: RunConfig) -> int:
 
 
 def _axis_sample(exact, n, seed, alpha):
-    emp = sample_counts(exact, n=n, seed=seed)
+    counts = sample_counts(exact, n=n, seed=seed)
+    emp = BinnedDistribution(width=exact.width, offset=exact.offset, j_min=exact.j_min,
+                             masses=counts / n)
     stats = {}
     for tag, b in (("exact", exact), ("empirical", emp)):
         stats[tag] = {"variance": discrete_variance(b),
                       "shannon": discrete_renyi(b, 1.0),
                       "renyi_alpha": discrete_renyi(b, alpha)}
-    # draws land only in exact bins with p > 0, so those bins cover every count
-    counts = np.zeros(exact.masses.size, dtype=np.int64)
-    lo = emp.j_min - exact.j_min
-    counts[lo:lo + emp.masses.size] = np.rint(emp.masses * n)
     per_bin = []
     chi2 = 0.0
     for i, (p, observed) in enumerate(zip(exact.masses.tolist(), counts.tolist())):
@@ -450,7 +456,6 @@ def _axis_sample(exact, n, seed, alpha):
 
 def cmd_sample(cfg: RunConfig) -> int:
     state = parse_state(cfg.state, cfg.hbar)
-    _check_widths(cfg.delta, cfg.delta_p, cfg.hbar)  # before binning, as in cmd_check
     exact_x, exact_p = _bin_axes(state, cfg)
     emp_x, stats_x = _axis_sample(exact_x, cfg.samples, cfg.seed, cfg.alpha)
     emp_p, stats_p = _axis_sample(exact_p, cfg.samples, cfg.seed + 1, cfg.alpha)

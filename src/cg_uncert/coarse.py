@@ -18,10 +18,10 @@ Grid convention: bin j of a grid (width eta, offset) covers
 with center z_j = offset + j eta.
 
 A binning stores its first label and its masses and nothing else of their
-size, and every pass over the bins after binning (edge trimming, locating the
-heaviest bin, the discrete variance, the Renyi entropies) walks the masses
-_CHUNK bins at a time through one reused buffer, so its temporaries stay a
-chunk or two in size however many bins there are.
+size, and every pass over the bins (edge trimming, locating the heaviest
+bin, the discrete variance, the Renyi entropies) walks the masses _CHUNK
+bins at a time through one reused buffer, so its temporaries stay a chunk
+or two in size however many bins there are.
 """
 
 from __future__ import annotations
@@ -120,13 +120,14 @@ class _BinView(Mapping):
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
-    them.  The masses, a private copy of the caller's array, are the only
-    storage the size of the binning; no labels are stored.  The storage is
-    immutable, so the heaviest bin is located once and each discrete
-    statistic is computed once per distribution and order, chunk by chunk,
-    and then read from a private memo.  The offset is reduced modulo the
-    width once, at construction, and every reader places the bins on the
-    reduced grid."""
+    them.  Exact zeros at either end of the caller's masses are dropped and
+    j_min moves with them (a NaN stays, for the sum check to refuse); the
+    masses, a private copy of the rest, are the only storage the size of the
+    binning; no labels are stored.  The storage is immutable, so the heaviest
+    bin is located once and each discrete statistic is computed once per
+    distribution and order, chunk by chunk, and then read from a private
+    memo.  The offset is reduced modulo the width once, at construction, and
+    every reader places the bins on the reduced grid."""
 
     width: float
     offset: float
@@ -139,9 +140,11 @@ class BinnedDistribution:
         if not 0.0 < self.width <= MAX_WIDTH:
             raise ValueError(f"width must be positive with a finite square, got {self.width}")
         reduced = _reduce_offset(self.offset, self.width)
-        j_min, p = int(self.j_min), np.array(self.masses, dtype=float)  # the one copy
-        if p.ndim != 1 or p.size == 0:
+        m = np.asarray(self.masses, dtype=float)
+        if m.ndim != 1 or m.size == 0:
             raise ValueError("need at least one bin")
+        lo, hi = _first(m, np.not_equal, 0.0), m.size - _first(m[::-1], np.not_equal, 0.0)
+        j_min, p = int(self.j_min) + lo, np.array(m[lo:hi])  # the one copy
         if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
             raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins beyond "
                              f"the int64 range")
@@ -263,9 +266,9 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     changes only the number of calls.  Masses come from d.interval_masses when
     present; otherwise by adaptive panel quadrature, split at density
     discontinuities and support edges.  Edges are formed from the offset
-    reduced modulo eta; the result keeps the caller's offset and bin labels,
-    and a ValueError names a location or an offset whose labels would leave
-    the int64 range.
+    reduced modulo eta; the result keeps the caller's offset and bin labels
+    and drops empty end bins, and a ValueError names a location or an offset
+    whose labels would leave the int64 range.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -334,15 +337,12 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)
-    # drop empty bins at both extremes, keep interior zeros
-    lo = _first(masses, np.greater, 0.0)
-    hi = masses.size - 1 - _first(masses[::-1], np.greater, 0.0)
-    j_min = jl + lo - shift
-    if not -2 ** 63 <= j_min < 2 ** 63 - (hi - lo + 1):
+    j_min = jl - shift
+    if not -2 ** 63 <= j_min < 2 ** 63 - masses.size:
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
                          f"beyond the int64 range")
     return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
-                              masses=masses[lo:hi + 1], tail_mass=max(0.0, 1.0 - cum))
+                              masses=masses, tail_mass=max(0.0, 1.0 - cum))
 
 
 # ---------------------------------------------------------------------------
@@ -455,20 +455,17 @@ def decompose_stats(b: BinnedDistribution, g: GhfSpec) -> tuple:
 # finite-statistics sampling
 
 
-def sample_counts(b: BinnedDistribution, n: int, seed: int) -> BinnedDistribution:
-    """Empirical bin frequencies of n draws from the binned distribution b.
+def sample_counts(b: BinnedDistribution, n: int, seed: int) -> np.ndarray:
+    """Counts of n draws from the binned distribution b, an int64 array
+    aligned with b.masses: count i falls in bin b.j_min + i, and the counts
+    sum to n.  counts / n are the empirical frequencies.
 
     The counts are one multinomial draw over b's masses renormalized to the
     binned range (whose mass is at least 1 - EPS_TAIL): the exact law of n
-    draws binned on b's grid, deterministic for a given seed.  The observed
-    range, first to last nonzero bin, is stored densely.
+    draws binned on b's grid, deterministic for a given seed.
     """
     if not (isinstance(n, (int, np.integer)) and 1 <= n < 2 ** 63):
         raise ValueError(f"n must be an integer in [1, 2^63 - 1], got n={n!r}")
     p = b.masses
     total = math.fsum(x for s in range(0, p.size, _CHUNK) for x in p[s:s + _CHUNK].tolist())
-    counts = np.random.default_rng(seed).multinomial(n, p / total)
-    seen = np.flatnonzero(counts)
-    lo, hi = int(seen[0]), int(seen[-1])
-    return BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min + lo,
-                              masses=counts[lo:hi + 1] / n, tail_mass=0.0)
+    return np.random.default_rng(seed).multinomial(n, p / total)

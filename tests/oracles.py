@@ -29,8 +29,11 @@ block of the doubling schedule.
 heis_reports is bounds._heis_reports as it was before each binning kept
 its share of the variance relations in its memo, on flat bins: from the two
 discrete variances and the bound set, every per-axis factor recomputed for
-each report set through the profile API of coarse.  Reports are compared
-with it bit for bit.
+each report set through the profile API of coarse, and ln K taken from
+bounds._ln_K.  Reports are compared with it bit for bit.
+
+ln_k_mp is ln K(u) in mpmath: the root of ln M(t) = ln u by findroot, then
+ln F at the root, 2tu - 2 ln erf(sqrt(t)/2), with the erf term from erfc.
 """
 
 import functools
@@ -44,7 +47,7 @@ import numpy as np
 from scipy import integrate, optimize
 
 from cg_uncert import coarse
-from cg_uncert.bounds import _LN_2PIE, _LN_MAX_FLOAT, BoundSet, RelationReport, func_K
+from cg_uncert.bounds import _LN_2PIE, _LN_MAX_FLOAT, BoundSet, RelationReport, _ln_K
 from cg_uncert.coarse import GhfSpec, ghf_entropy, ghf_variance
 from cg_uncert.numerics import DomainError, NonConvergence
 
@@ -237,8 +240,22 @@ def heis_reports(var_x: float, var_p: float, bset: BoundSet,
            for rid, lhs_log, rhs_log in products]
 
     # optimized form, kept in the log domain
-    lhs = (math.log(func_K(var_x / dx ** 2))
-           + math.log(func_K(var_p / dp ** 2)))
+    lhs = _ln_K(var_x / dx ** 2) + _ln_K(var_p / dp ** 2)
     out.append(RelationReport("HeisOptimal", lhs, bset.log_rhs_heis,
                               lhs - bset.log_rhs_heis, infeasible=infeasible))
     return out
+
+
+def ln_k_mp(u: float, dps: int = 50):
+    """ln K(u) for u > 0 as an mpmath number at dps digits."""
+    with mpmath.workdps(dps):
+        u = mpmath.mpf(u)
+
+        def excess(s):  # ln M(t) - ln u at t = e^s, decreasing in s
+            t = mpmath.exp(s)
+            return (-t / 4 - mpmath.log(2 * mpmath.sqrt(mpmath.pi * t))
+                    - mpmath.log(mpmath.erf(mpmath.sqrt(t) / 2)) - mpmath.log(u))
+
+        # t runs from e^-40 (u near 5e16) to e^10 (u near 1e-4800)
+        t = mpmath.exp(mpmath.findroot(excess, (-40, 10), solver="anderson"))
+        return 2 * t * u - 2 * mpmath.log1p(-mpmath.erfc(mpmath.sqrt(t) / 2))

@@ -277,7 +277,8 @@ def test_criterion_10_monte_carlo_consistency():
         for dens, seed in ((position_density(s), 314159),
                            (momentum_density(s), 314160)):
             exact = bin_density(dens, 1.0)
-            emp = sample_counts(exact, n, seed=seed)
+            emp = BinnedDistribution(width=exact.width, offset=exact.offset, j_min=exact.j_min,
+                                     masses=sample_counts(exact, n, seed=seed) / n)
             pairs.append((exact, emp))
 
             p = exact.masses

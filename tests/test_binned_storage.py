@@ -13,6 +13,8 @@ from cg_uncert.coarse import (
     EPS_TAIL,
     BinnedDistribution,
     bin_density,
+    discrete_renyi,
+    discrete_variance,
     sample_counts,
 )
 from cg_uncert.states import (
@@ -120,12 +122,38 @@ def test_construction_rejects_invalid_bins():
         dense([])
     with pytest.raises(ValueError, match="sum to"):
         dense([0.5, math.nan])
+    # only exact zeros are trimmed: a NaN at either end still reaches the sum check
+    for masses in ([math.nan, 1.0], [1.0, math.nan], [0.0, math.nan, 1.0, 0.0], [0.0, 0.0]):
+        with pytest.raises(ValueError, match="sum to"):
+            dense(masses)
+
+
+@pytest.mark.parametrize("lead, trail", [(1, 0), (0, 3), (5, 2), (9000, 8193)])
+def test_construction_trims_empty_end_bins(lead, trail):
+    # padded with zeros, a binning stores the same range, labels and statistics
+    for b in (bin_density(momentum_density(SquareWell(2)), 0.3, 0.05),
+              BinnedDistribution(width=0.5, offset=0.1, j_min=-3,
+                                 masses=[0.2, 0.0, 0.3, 0.0, 0.0, 0.5])):
+        padded = BinnedDistribution(
+            width=b.width, offset=b.offset, j_min=b.j_min - lead, tail_mass=b.tail_mass,
+            masses=np.concatenate([np.zeros(lead), b.masses, np.zeros(trail)]).tolist())
+        assert padded.j_min == b.j_min
+        assert np.array_equal(padded.masses, b.masses)
+        assert discrete_variance(padded) == discrete_variance(b)
+        for alpha in (0.5, 0.8, 1.0, 3.0, math.inf):
+            assert discrete_renyi(padded, alpha) == discrete_renyi(b, alpha), alpha
 
 
 def test_sample_counts_store_observed_range_densely():
+    # the counts cover every exact bin; a binning of counts / n stores the
+    # observed range, first to last nonzero count
     n = 20_000
-    d = position_density(Gaussian())
-    emp = sample_counts(bin_density(d, 0.5, 0.0), n, seed=11)
-    counts = np.rint(emp.masses * n).astype(np.int64)
-    assert counts.sum() == n and counts[0] > 0 and counts[-1] > 0
-    assert np.array_equal(emp.masses, counts / n)
+    exact = bin_density(position_density(Gaussian()), 0.5, 0.0)
+    counts = sample_counts(exact, n, seed=11)
+    seen = np.flatnonzero(counts)
+    assert counts.dtype == np.int64 and counts.size == exact.masses.size
+    assert counts.sum() == n and seen[0] > 0 and seen[-1] < counts.size - 1
+    emp = BinnedDistribution(width=exact.width, offset=exact.offset, j_min=exact.j_min,
+                             masses=counts / n)
+    assert emp.j_min == exact.j_min + seen[0]
+    assert np.array_equal(emp.masses, counts[seen[0]:seen[-1] + 1] / n)

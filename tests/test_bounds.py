@@ -50,7 +50,7 @@ from cg_uncert.states import (
     momentum_density,
     position_density,
 )
-from oracles import heis_reports, root
+from oracles import heis_reports, ln_k_mp, root
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -328,6 +328,47 @@ def test_func_k_below_the_closed_form_switch_against_mpmath():
         ref = _k_excess_mp(float(u))
         k = func_K(float(u))
         assert abs((k - 1.0) - ref) <= 2.0 ** -53 + 1e-14 * ref, f"u={u!r}"
+
+
+def test_ln_k_keeps_its_relative_precision_over_the_double_range():
+    # log(func_K(u)) keeps only K's absolute precision where K sits next to
+    # 1: 4.5e-13 relative at u = 1e-6, 5.5e-7 at 1e-12, 0 below about 1e-17
+    assert bounds._ln_K(0.0) == 0.0
+    us = [10.0 ** k for k in range(-300, 7, 3)] + np.geomspace(1e-3, 1.0, 31).tolist()
+    for u in us:
+        ref = ln_k_mp(u)
+        assert abs(bounds._ln_K(u) - ref) <= 1e-14 * ref, f"u={u!r}"
+
+
+@pytest.fixture(scope="module")
+def catalog_grid_reports():
+    # 6 catalog states x 7 x 7 widths 10^-1.5 ... 10^1.5, offset 0, alpha = 1
+    widths = [float(w) for w in np.geomspace(10.0 ** -1.5, 10.0 ** 1.5, 7)]
+    out = []
+    for name, state in catalog_states():
+        bxs = [bin_density(position_density(state), w) for w in widths]
+        bps = [bin_density(momentum_density(state), w) for w in widths]
+        out += [(name, bx.width, bp.width,
+                 {r.relation_id: r for r in binned_relation_reports(bx, bp, 1.0)})
+                for bx in bxs for bp in bps]
+    assert len(out) == 294
+    return out
+
+
+def test_heis_optimal_margins_on_the_catalog_grid_are_nonnegative(catalog_grid_reports):
+    # with ln K from log(func_K), six margins were negative, down to -2.7e-67,
+    # and read "holds" only inside VERDICT_TOL
+    for name, dx, dp, r in catalog_grid_reports:
+        assert r["HeisOptimal"].margin >= 0.0, (name, dx, dp, r["HeisOptimal"].margin)
+
+
+def test_heis_optimal_margin_is_at_least_twice_the_shannon_margin(catalog_grid_reports):
+    # every lattice distribution has 2 H(b) <= ln K(var_b / eta^2), and both
+    # relations share 2 L_1, so margin_HeisOptimal >= 2 margin_RenyiDiscrete
+    # at alpha = 1; with ln K from log(func_K) it fell to -6.2e-19
+    for name, dx, dp, r in catalog_grid_reports:
+        gap = r["HeisOptimal"].margin - 2.0 * r["RenyiDiscrete"].margin
+        assert gap >= 0.0, (name, dx, dp, gap)
 
 
 def test_m_inverse_round_trip_for_large_u():
@@ -798,8 +839,10 @@ def test_an_acceptance_grid_of_report_sets_keeps_every_bit():
 def test_report_sets_on_empirical_binnings_keep_every_bit(seed):
     for state, dx, dp in ((Gaussian(0.3, -0.1, 0.8), 0.2, 0.5), (SquareWell(3, 1.5), 0.1, 0.7),
                           (HermiteGauss(2, 0.8), 0.6, 0.3)):
-        bx = sample_counts(bin_density(position_density(state), dx), 1000, seed)
-        bp = sample_counts(bin_density(momentum_density(state), dp), 1000, seed + 1)
+        bx, bp = (BinnedDistribution(width=b.width, offset=b.offset, j_min=b.j_min,
+                                     masses=sample_counts(b, 1000, s) / 1000)
+                  for b, s in ((bin_density(position_density(state), dx), seed),
+                               (bin_density(momentum_density(state), dp), seed + 1)))
         for alpha in (0.5, 0.8, 1.0):
             assert _same_reports(binned_relation_reports(bx, bp, alpha),
                                  _reference_reports(bx, bp, alpha))

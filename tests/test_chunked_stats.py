@@ -165,6 +165,4 @@ def test_sample_counts_normalizes_without_a_list_of_every_mass():
         tracemalloc.stop()
     assert peak <= 3_000_000
     counts = np.random.default_rng(5).multinomial(10 ** 6, p / math.fsum(p.tolist()))
-    seen = np.flatnonzero(counts)
-    assert emp.j_min == b.j_min + seen[0]
-    assert np.array_equal(emp.masses, counts[seen[0]:seen[-1] + 1] / 10 ** 6)
+    assert np.array_equal(emp, counts)

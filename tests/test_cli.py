@@ -820,15 +820,26 @@ def test_sample_counts_sit_at_their_exact_bin_labels(capsys):
     for axis, marginal, axis_seed in (("position", position_density, seed),
                                       ("momentum", momentum_density, seed + 1)):
         exact = bin_density(marginal(state), 0.1, 0.0)
-        emp = sample_counts(exact, n=n, seed=axis_seed)
-        assert emp.j_min > exact.j_min, axis
+        counts = sample_counts(exact, n=n, seed=axis_seed)
+        assert counts[0] == 0, axis
         rows = doc[axis]["chi2"]["per_bin"]
         assert [r["bin"] for r in rows] == list(range(exact.j_min, exact.j_min + exact.masses.size))
+        assert [r["observed"] for r in rows] == counts.tolist(), axis
         assert sum(r["observed"] for r in rows) == n
-        for r in rows:
-            i = r["bin"] - emp.j_min
-            want = round(emp.masses[i] * n) if 0 <= i < emp.masses.size else 0
-            assert r["observed"] == want, (axis, r["bin"])
+
+
+def test_sample_counts_stay_exact_at_the_largest_draw_count(capsys):
+    # every draw lands in one position bin: its count was read back from the
+    # frequency as rint(1.0 * n) = 2^63, which wrapped to -2^63, and the
+    # momentum counts summed to n - 144
+    n = 2 ** 63 - 1
+    assert main(["sample", "--state", "squarewell:n=1", "--delta", "10", "--delta-p", "1000",
+                 "--samples", str(n), "--offset-x", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    for axis in ("position", "momentum"):
+        observed = [r["observed"] for r in doc[axis]["chi2"]["per_bin"]]
+        assert sum(observed) == n and min(observed) >= 0, axis
+    assert [r["observed"] for r in doc["position"]["chi2"]["per_bin"]] == [n]
 
 
 def test_sample_single_draw_degenerate(capsys):
@@ -958,14 +969,63 @@ def test_sample_rejects_a_width_product_below_the_normal_range_before_binning(
     monkeypatch.setattr(cli, "_bin_axes", no_binning)
     assert main(["sample", "--delta", width, "--delta-p", width, "--samples", "10"]) == 2
     err = capsys.readouterr().err
-    assert "delta_x" in err and "delta_p" in err and "binning reached" not in err
+    assert "fields 'delta', 'delta_p' and 'hbar'" in err and "binning reached" not in err
 
 
 @pytest.mark.parametrize("width", ["1e-200", "1e200"])
 def test_region_rejects_width_product_outside_double_range(capsys, width):
     rc = main(["region", "--delta", width, "--delta-p", width, "--grid-n", "2"])
     assert rc == 2
-    assert "delta_x" in capsys.readouterr().err
+    assert "fields 'delta', 'delta_p' and 'hbar'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "sample", "region"])
+@pytest.mark.parametrize("delta, delta_p, hbar", [("1e-200", "1e-200", "1"), ("1", "1", "1e-310")])
+def test_width_products_are_refused_by_the_cli_fields_before_the_state(
+        capsys, command, delta, delta_p, hbar):
+    # the library's message named delta_x, which is no CLI field, and came
+    # only after the state was parsed
+    assert main([command, "--state", "bogus", "--delta", delta, "--delta-p", delta_p,
+                 "--hbar", hbar]) == 2
+    err = capsys.readouterr().err
+    assert "fields 'delta', 'delta_p' and 'hbar' give delta*delta_p/(4*hbar)" in err
+    assert "delta_x" not in err and "bogus" not in err
+
+
+@pytest.mark.parametrize("command", ["bounds", "check", "sample"])
+@pytest.mark.parametrize("alpha", ["1e308", "2", "0.49", "nan"])
+def test_alpha_outside_its_range_is_refused_before_any_work(monkeypatch, capsys, command, alpha):
+    # sample --alpha 1e308 binned both axes and overflowed in the Renyi
+    # entropies before bound_L refused it
+    def no_work(*args, **kwargs):
+        raise AssertionError("work reached")
+
+    for name in ("_bin_axes", "bound_L"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main([command, "--alpha", alpha]) == 2
+    err = capsys.readouterr().err
+    assert f"field 'alpha' must lie in [1/2, 1], got {float(alpha)}" in err
+
+
+_TOP = "1.7976931348623157e308"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--sweep-max", _TOP],
+    ["kfun", "--sweep-max", _TOP],
+    ["kfun", "--sweep-log", "0", "--sweep-min", "0", "--sweep-max", _TOP, "--sweep-points", "256"],
+    ["region", "--grid-umax", _TOP, "--grid-n", "256"],
+], ids=["bounds", "kfun-log", "kfun-linear", "region"])
+def test_axes_to_the_top_of_the_double_range_do_not_warn(capsys, argv):
+    # np.geomspace and np.linspace overflow an intermediate and warned; numpy
+    # sets the last point to the end exactly, so the values were right
+    assert main(argv + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    columns = [0, 1] if argv[0] == "region" else [0]
+    for c in columns:
+        axis = [row[c] for row in rows]
+        assert all(v is not None and math.isfinite(v) for v in axis), c
+        assert axis[-1] == float(_TOP), c
 
 
 @pytest.mark.parametrize("umax", ["inf", "nan", "-1"])
