@@ -227,11 +227,8 @@ def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
 
 # the most Newton iterations M^-1 takes; over the double range it needs 7
 _M_INV_STEPS = 50
-# below this u, K - 1 < 2e-10 and the rounding of F is about 1e-5 of it; K is
-# taken from its closed form there (func_M_inv_and_K)
-_K_CLOSED_FORM = 2.0 ** -40
-# below this u, ln K is the closed form's exponent (within 2.6e-16 relative); ln F
-# keeps only K's absolute precision there (9e-15 at 1e-3), and above it is within 4.7e-16
+# below this u, ln K is the closed form's exponent (within 2.6e-16 relative), K 1 plus its
+# expm1; ln F keeps only K's absolute precision there (9e-15 at 1e-3), above it 4.7e-16
 _LN_K_EXPONENT = 0.05
 
 
@@ -306,12 +303,11 @@ def func_K(u: float) -> float:
 
 
 def func_M_inv_and_K(u: float) -> tuple:
-    """(M^{-1}(u), K(u)) for u > 0 from one root solve.  Below _K_CLOSED_FORM,
-    where F rounds to within a few ulps of 1, K - 1 is the expm1 of ln F at
-    the root (_root_exponent), precise relative to itself: K then rounds up
-    from 1 as u grows instead of scattering by F's rounding."""
+    """(M^{-1}(u), K(u)) for u > 0 from one root solve.  Below _LN_K_EXPONENT, where _ln_K
+    is the closed form's exponent at the root (_root_exponent), K - 1 is its expm1, precise
+    relative to itself: K rises with u as ln K does, not scattered by F's 1-2 ulp rounding."""
     t = func_M_inv(u)
-    if u < _K_CLOSED_FORM:
+    if u < _LN_K_EXPONENT:
         return t, 1.0 + math.expm1(_root_exponent(t, u))
     return t, func_F(u, t)
 

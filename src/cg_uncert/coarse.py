@@ -260,15 +260,15 @@ def _clean_block_masses(d: Density1D, j_arr: range, width: float,
 def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
     """Bin a density on the grid (eta, offset).
 
-    Bins are enumerated outward from a seed trio in doubling blocks (16 to
-    8192 bins) until the cumulative mass reaches 1 - EPS_TAIL; the seed trio
-    and the blocks out to the first past d.reach take one call, and the reach
-    changes only the number of calls.  Masses come from d.interval_masses when
-    present; otherwise by adaptive panel quadrature, split at density
-    discontinuities and support edges.  Edges are formed from the offset
-    reduced modulo eta; the result keeps the caller's offset and bin labels
-    and drops empty end bins, and a ValueError names a location or an offset
-    whose labels would leave the int64 range.
+    Bins are enumerated outward from a seed trio in doubling blocks (16 to 8192 bins) until
+    the cumulative mass reaches 1 - EPS_TAIL; the seed trio and the blocks out to the first
+    past d.reach take one call, and the reach changes only the number of calls.  Masses come
+    from d.interval_masses when present; otherwise by adaptive panel quadrature, split at
+    density discontinuities and support edges.  Edges are formed from the offset reduced
+    modulo eta; the result keeps the caller's offset and bin labels, and a ValueError names
+    a location or an offset whose labels would leave the int64 range.  The blocks are
+    dropped once joined, so at the peak the joined masses and the constructor's copy (which
+    drops empty end bins) are the only arrays of the binning's size: two copies, not three.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -337,6 +337,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
     masses = np.concatenate(left[::-1] + [seed] + right)
+    del left, right, seed, window  # the blocks go before the copy; masses_for holds the window
     j_min = jl - shift
     if not -2 ** 63 <= j_min < 2 ** 63 - masses.size:
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "

@@ -232,24 +232,17 @@ def _masses_from_tails(z: np.ndarray, tail: np.ndarray) -> np.ndarray:
     its own side of 0 (above it for z >= 0, below it for z < 0).  Intervals on
     one side take differences of small tails, which keeps far-tail masses
     relatively precise; an interval around 0 takes what both tails leave."""
-    lo, hi, t_lo, t_hi = z[:-1], z[1:], tail[:-1], tail[1:]
-    return np.where(lo >= 0.0, t_lo - t_hi,
-                    np.where(hi <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi))
-
-
-# math.erfc(x) is exactly 0 from x = 27.2264 on
-_ERFC_ZERO = 27.3
+    m, k = tail[1:] - tail[:-1], z.searchsorted(0.0)  # k: the first edge >= 0, or -0.0
+    np.subtract(0.0, m[k:], out=m[k:])  # t_lo - t_hi from edge k on: exact, +0.0 for equal tails
+    if 0 < k < z.size and z[k] > 0.0:  # the interval around 0
+        m[k - 1] = 1.0 - tail[k - 1] - tail[k]
+    return m
 
 
 def _erfc(z: np.ndarray) -> np.ndarray:
-    """math.erfc over a 1-D array of z >= 0: within 4e-16 relative of the
-    exact value wherever it does not underflow.  It costs about 90 ns an
-    element, so the far tails, where a mixture with a square-well momentum
-    marginal asks for 1e5 of them, are set to 0 without a call."""
-    out = np.zeros(z.size)
-    live = np.flatnonzero(z < _ERFC_ZERO)
-    out[live] = np.fromiter(map(math.erfc, z[live].tolist()), float, live.size)
-    return out
+    """math.erfc over a 1-D array of z >= 0, within 4e-16 relative where it does not
+    underflow; at about 90 ns an element, _hermite asks only at bins inside its span."""
+    return np.fromiter(map(math.erfc, z.tolist()), float, z.size)
 
 
 def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
@@ -284,7 +277,8 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
 def _tail_point(n: int, eps: float) -> float:
     """z_n(eps) >= 0, where S_n(z) = erfc(z)/2 + T_n(z), the mass of phi_n^2
     beyond z, falls to eps/2 (erfc^-1(eps) at n = 0), from above: three rounds
-    of 256 points narrow [0, sqrt(2n + 1) + 40], past which S_n underflows."""
+    of 256 points narrow [0, sqrt(2n + 1) + 40], past which S_n underflows;
+    at eps = 0, S_n is exactly 0 from z_n on (27.206 at n = 0, 59.31 at 1000)."""
     lo, hi = 0.0, math.sqrt(2.0 * n + 1.0) + 40.0
     for _ in range(3):
         z = np.linspace(lo, hi, 257)
@@ -297,19 +291,24 @@ def _hermite(n: int, sd: float, mu: float = 0.0, var: Optional[float] = None) ->
     """Density phi_n((x - mu)/sd)^2 / sd of the n-th Hermite function at scale sd
     about mu, of variance var, sd^2 (n + 1/2) unless given: n = 0 is N(mu, sd^2/2).
     Masses take edges relative to mu reduced modulo the bin width, as the grid
-    offset is, so that edges far from the origin do not round to ulp(mu)."""
+    offset is, so that edges far from the origin do not round to ulp(mu).  S_n is 0
+    past z = +-_tail_point(n, 0), so only the bins reaching inside take tails."""
 
     def pdf(x):
         return _hermite_phi(n, (np.asarray(x, dtype=float) - mu) / sd)[0] ** 2 / sd
 
     def masses(r, width, j_lo, count):
         mu_r, k_mu = split_widths(mu, width)
-        z = grid_edges(r - mu_r, width, j_lo - k_mu, count) / sd
+        z, span = grid_edges(r - mu_r, width, j_lo - k_mu, count) / sd, _tail_point(n, 0.0)
+        lo = z[1:].searchsorted(-span, "right") if z[1] <= -span else 0  # bins before end <= -span
+        hi = z[:-1].searchsorted(span) if z[-2] >= span else count  # bins from hi start >= span
+        z = z[lo:hi + 1]
         # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n, and T_0 = 0
         tail = 0.5 * _erfc(np.abs(z))
         if n:
             tail += _hermite_phi(n, np.abs(z))[1]
-        return _masses_from_tails(z, tail)
+        m = _masses_from_tails(z, tail)
+        return m if m.size == count else np.concatenate((np.zeros(lo), m, np.zeros(count - hi)))
 
     def reach(eps):
         return mu - sd * _tail_point(n, eps), mu + sd * _tail_point(n, eps)

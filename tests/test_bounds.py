@@ -37,6 +37,7 @@ from cg_uncert.coarse import (
     MAX_WIDTH,
     BinnedDistribution,
     bin_density,
+    discrete_renyi,
     discrete_variance,
     sample_counts,
 )
@@ -324,10 +325,23 @@ def _k_excess_mp(u: float):
 def test_func_k_below_the_closed_form_switch_against_mpmath():
     # below the switch K is 1 + (K - 1) with K - 1 precise relative to
     # itself, so K is the correctly rounded value up to 1e-14 of K - 1
-    for u in np.geomspace(1e-300, 0.99 * bounds._K_CLOSED_FORM, 12):
+    for u in np.geomspace(1e-300, 0.99 * bounds._LN_K_EXPONENT, 12):
         ref = _k_excess_mp(float(u))
         k = func_K(float(u))
         assert abs((k - 1.0) - ref) <= 2.0 ** -53 + 1e-14 * ref, f"u={u!r}"
+
+
+@pytest.mark.parametrize("centre", [2.0 ** -40, 1e-9, 1e-3, 0.04, 0.05],
+                         ids=["2^-40", "1e-9", "1e-3", "0.04", "0.05"])
+def test_func_k_does_not_fall_between_close_neighbours(centre):
+    # with F(u, M^-1(u)) above u = 2^-40, whose rounding is 1-2 ulps, K fell
+    # 271, 111 and 3 times on the three grids about 2^-40; one switch at
+    # u = 0.05 serves K and ln K, and K does not fall across it either
+    for spacing in (1e-7, 1e-6, 3e-6):
+        us = centre * (1.0 + spacing * np.arange(-1000, 1001))
+        ks = np.array([func_K(float(u)) for u in us])
+        falls = np.flatnonzero(np.diff(ks) < 0.0)
+        assert falls.size == 0, f"spacing {spacing}: K falls after u = {us[falls[:3]]}"
 
 
 def test_ln_k_keeps_its_relative_precision_over_the_double_range():
@@ -402,6 +416,37 @@ def test_m_inverse_against_mpmath_over_the_double_range():
 
 
 _SETTINGS = dict(deadline=None, derandomize=True, database=None)
+
+
+def _lattice_masses(kind: str, size: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "dirichlet":
+        p = rng.dirichlet(np.full(size, 10.0 ** rng.uniform(-2.0, 1.0)))
+    elif kind == "spiky":  # one bin holds nearly all, the rest over many decades
+        p = 10.0 ** rng.uniform(-280.0, -2.0, size)
+        p[rng.integers(size)] = 1.0
+    else:  # near-deterministic: a second bin holds 1e-290 .. 1e-6
+        p = np.zeros(size)
+        p[rng.integers(size)] = 1.0
+        p[rng.integers(size)] += 10.0 ** rng.uniform(-290.0, -6.0)
+    return p / p.sum()
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(kind=st.sampled_from(["dirichlet", "spiky", "near-deterministic"]),
+       size=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+       j_min=st.sampled_from([0, 2 ** 62 - 64, -2 ** 62]), log_width=st.floats(-3.0, 3.0))
+@example(kind="dirichlet", size=1, seed=0, j_min=0, log_width=0.0)
+def test_shannon_entropy_is_bounded_by_ln_k_of_the_variance(kind, size, seed, j_min,
+                                                             log_width):
+    # 2 H(b) <= ln K(var_b / eta^2) on every lattice distribution, the theorem
+    # that puts HeisOptimal above twice the Shannon relation at alpha = 1; at
+    # single bins both sides are 0
+    width = 10.0 ** log_width
+    b = BinnedDistribution(width=width, offset=0.0, j_min=j_min,
+                           masses=_lattice_masses(kind, size, np.random.default_rng(seed)))
+    lhs = 2.0 * discrete_renyi(b, 1.0)
+    rhs = bounds._ln_K(discrete_variance(b) / width ** 2)
+    assert lhs <= rhs + 4.0 * math.ulp(rhs), (lhs, rhs)
 
 
 @settings(max_examples=200, **_SETTINGS)

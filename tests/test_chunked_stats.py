@@ -17,7 +17,7 @@ from cg_uncert.coarse import (
     sample_counts,
 )
 from cg_uncert.coarse import _CHUNK, _first
-from cg_uncert.states import SquareWell, momentum_density
+from cg_uncert.states import Gaussian, Mixture, SquareWell, momentum_density
 
 SIZES = (1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5)
 ALPHAS = (0.5, 0.75, 1.0, 1.5, 3.0, math.inf)
@@ -147,6 +147,25 @@ def test_a_binning_holds_no_array_but_its_masses():
     held = [v for v in (*vars(b).values(), *vars(b.probs).values(), *b._stats.values(),
                         *b._reduced) if isinstance(v, np.ndarray)]
     assert len(held) == 2 and all(a is b.masses for a in held)
+
+
+@pytest.mark.parametrize("state, width, offset, size", [
+    (SquareWell(1), 0.0316, 0.01, 106_467),
+    (Mixture(((0.55, SquareWell(2)), (0.45, Gaussian(0.5, 0.0, 0.6)))), 0.0316, 0.0, 139_235),
+], ids=["well", "well+gaussian"])
+def test_binning_peaks_at_two_copies_of_its_masses(state, width, offset, size):
+    # bin_density kept its blocks alive while the constructor copied their
+    # joined masses: three copies at the peak, 3.01 times the masses' bytes
+    d = momentum_density(state)
+    bin_density(d, width, offset)  # the density's node table for this width is set up once
+    tracemalloc.start()
+    try:
+        b = bin_density(d, width, offset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.masses.size == size
+    assert peak <= 2.1 * b.masses.nbytes, peak / b.masses.nbytes
 
 
 def test_sample_counts_normalizes_without_a_list_of_every_mass():

@@ -474,6 +474,49 @@ def test_catalog_path_loads_no_scipy():
     assert lines == [""] + ["0 "] * 8 + [""]
 
 
+_LOADED_POLYNOMIAL = """
+import contextlib, io, sys
+import cg_uncert.cli as cli
+from cg_uncert.states import Gaussian, position_density, variance
+for state in ("squarewell:n=3,L=1.5", "mix:0.55*squarewell:n=2+0.45*gaussian:x0=0.5,sigma=0.6"):
+    for delta_p in ("0.05", "1e5"):  # well panels of 4 to 10 points; 16 and 32 past 65536 hbar/L
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["check", "--state", state, "--delta", "0.3", "--delta-p", delta_p])
+        print(rc, "numpy.polynomial" in sys.modules)
+variance(position_density(Gaussian(0.3, 0.0, 0.8)))  # adaptive panels of 16 and 32 points
+print("numpy.polynomial" in sys.modules)
+"""
+
+
+def test_quadrature_loads_no_numpy_polynomial():
+    # loading numpy.polynomial for leggauss costs 1.8 MB of peak memory and
+    # about 3 ms at the first quadrature; the orders used come from a table
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, "-c", _LOADED_POLYNOMIAL], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["0 False"] * 4 + ["False"]
+
+
+def test_sample_calls_sample_counts_by_keyword(monkeypatch, capsys):
+    # perfbench/tracing.py reads the draw count of a traced call as kwargs["n"]
+    calls = []
+    real = cli.sample_counts
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample_counts", spy)
+    assert main(["sample", "--state", "gaussian", "--delta", "0.5", "--delta-p", "0.5",
+                 "--samples", "100", "--seed", "3"]) in (0, 1)
+    capsys.readouterr()
+    assert [(len(args), sorted(kwargs)) for args, kwargs in calls] == [(1, ["n", "seed"])] * 2
+    assert [kwargs["n"] for _, kwargs in calls] == [100, 100]
+
+
 _SCIPY_BLOCKED = """
 import contextlib, io, math, sys
 

@@ -3,9 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from cg_uncert import numerics
+from cg_uncert import numerics, states
 from cg_uncert.numerics import NonConvergence, adaptive_panels, gauss_legendre_panels
 from oracles import quad
+
+
+def test_node_table_is_numpys_gauss_legendre_rule():
+    # the orders the package uses come from a checked-in copy of leggauss, so
+    # numpy.polynomial is never loaded; numpy 2.4 matches it bit for bit, and
+    # another build may differ in the last place
+    from numpy.polynomial.legendre import leggauss
+    assert set(numerics._GL_HALVES) == {n for n, _ in states._WELL_RULE} | {16, 32}
+    for order in (*numerics._GL_HALVES, 3, 12):
+        (x, w), (rx, rw) = numerics._gl_nodes(order), leggauss(order)
+        assert x.shape == w.shape == (order,) and x.dtype == w.dtype == np.float64
+        assert np.all(np.abs(x - rx) <= np.spacing(np.abs(rx))), order
+        assert np.all(np.abs(w - rw) <= np.spacing(rw)), order
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), order
 
 
 def test_adaptive_panels_known_values():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cg_uncert import coarse
+from cg_uncert import coarse, states
 from cg_uncert.bounds import check_continuous_relations
 from cg_uncert.numerics import Divergent, DomainError, NonConvergence, gauss_legendre_panels
 from cg_uncert.states import (
@@ -147,6 +147,62 @@ def test_erfc_against_mpmath():
         for xi, gi in zip(x.tolist(), got.tolist()):
             ref = mpmath.erfc(xi)
             assert float(abs(gi - ref) / ref) <= 4e-16, f"x={xi}"
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 50, 200, 1000])
+def test_hermite_tail_is_exactly_zero_past_its_span(n):
+    # _hermite gives a bin with both edges past _tail_point(n, 0) on one side
+    # mass 0 without forming its tails, so S_n must be exactly 0 from there on
+    span = states._tail_point(n, 0.0)
+    z = np.concatenate((span + np.linspace(0.0, 4.0, 40_001),
+                        np.geomspace(span + 4.0, 1e300, 2_000)))
+    tail = 0.5 * _erfc(z) + (states._hermite_phi(n, z)[1] if n else 0.0)
+    assert not np.any(tail), z[np.flatnonzero(tail)[:3]]
+    # and the span is not wider than it needs to be
+    before = np.array([span - 1e-3])
+    assert 0.5 * _erfc(before)[0] + (states._hermite_phi(n, before)[1][0] if n else 0.0) > 0.0
+
+
+def _hermite_masses_from_every_edge(n, sd, mu, r, width, j_lo, count):
+    """Hermite block masses from the tails of all of its edges, past the span
+    too, by the three-way rule for edges below, above and around 0."""
+    mu_r, k_mu = split_widths(mu, width)
+    z = grid_edges(r - mu_r, width, j_lo - k_mu, count) / sd
+    tail = 0.5 * np.array([math.erfc(v) for v in np.abs(z).tolist()])
+    if n:
+        tail += states._hermite_phi(n, np.abs(z))[1]
+    return _three_way_masses(z, tail)
+
+
+def _three_way_masses(z, tail):
+    lo, hi, t_lo, t_hi = z[:-1], z[1:], tail[:-1], tail[1:]
+    return np.where(lo >= 0.0, t_lo - t_hi, np.where(hi <= 0.0, t_hi - t_lo, 1.0 - t_lo - t_hi))
+
+
+def test_masses_from_tails_keep_the_bits_of_the_three_way_rule():
+    # one difference of the tails, negated from the first edge >= 0 on, and
+    # the interval around 0 apart: -0.0 edges count as >= 0, and equal tails
+    # above 0 give +0.0, as t_lo - t_hi does
+    rng = np.random.default_rng(5)
+    edges = [[-2.0, -0.0, 1.0], [-1.0, 0.0, 0.5], [-0.0, 0.0, 3.0], [-3.0, -1.0], [0.5, 2.0],
+             [-1.0, 1.0], [0.0], np.sort(rng.normal(size=40))]
+    for z in map(np.array, edges):
+        for tail in (rng.uniform(0.0, 0.5, z.size), np.zeros(z.size), np.full(z.size, 0.25)):
+            got = states._masses_from_tails(z, tail)
+            assert got.tobytes() == _three_way_masses(z, tail).tobytes(), (z, tail)
+
+
+@pytest.mark.parametrize("n, sd, mu", [(0, 0.7, 0.1), (3, 0.7, 0.1), (60, 0.01, -3e5)])
+def test_hermite_blocks_past_the_span_keep_the_bits_of_every_edge(n, sd, mu):
+    d = states._hermite(n, sd, mu)
+    for width in (0.01, 0.5, 3.0, 1e3):
+        k = split_widths(mu, width)[1]  # whole widths to mu: blocks about it cross the span
+        for j_lo in (-10 ** 6, -3000, -60, -5, 0, 17, 3000, 2 ** 62, -2 ** 62 - 5,
+                     k - 5000, k - 40, k + 20):
+            for count in (1, 2, 100, 8192):
+                got = d.interval_masses(0.013, width, j_lo, count)
+                want = _hermite_masses_from_every_edge(n, sd, mu, 0.013, width, j_lo, count)
+                assert got.tobytes() == want.tobytes(), (width, j_lo, count)
 
 
 def _masses_mp(edges, scale, shift, tail_beyond) -> list:
