@@ -35,7 +35,7 @@ import numpy as np
 
 from .numerics import DomainError, NonConvergence
 from .specfun import bin_profile_norm, ghf_ent_shape, ghf_var_shape
-from .states import (Density1D, _two_prod, _two_sum, grid_edges, panel_integrals,
+from .states import (EPS_TAIL, Density1D, _two_prod, _two_sum, grid_edges, panel_integrals,
                      split_widths)
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "sample_counts",
 ]
 
-EPS_TAIL = 1e-9
 MAX_BINS = 10 ** 6
 # the widest bin whose square, which every variance takes, is finite
 MAX_WIDTH = math.sqrt(sys.float_info.max)
@@ -288,7 +287,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                          f"({eta!r}) from 0, beyond the int64 bin labels")
     # one call for the seed trio and the first blocks of each side that the
     # loop below would take, out to the first past d.reach or the support
-    lo_w, hi_w = d.reach(EPS_TAIL) if d.reach is not None else (math.inf, -math.inf)
+    lo_w, hi_w = d.reach if d.reach is not None else (math.inf, -math.inf)
     w_lo, w_hi = j0 - 1, j0 + 1
     for k in range(_FIRST_BLOCKS):
         if r + (w_lo - 0.5) * eta > max(lo_w, lo_s):

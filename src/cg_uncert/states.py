@@ -54,6 +54,7 @@ __all__ = [
     "variance",
     "renyi_entropy_cont",
     "catalog_states",
+    "EPS_TAIL",
     "MAX_HERMITE_N",
     "MAX_WELL_N",
 ]
@@ -65,6 +66,8 @@ __all__ = [
 # 0.3 s on a 2-vCPU machine, start-up aside.
 MAX_HERMITE_N = 1000
 MAX_WELL_N = 100_000
+# the mass a binning may leave uncovered, EPS_TAIL/2 per side of a reach
+EPS_TAIL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +197,8 @@ class Density1D:
     bins given as its grid (r, width, j_lo, n), the n bins j_lo .. j_lo + n - 1
     of the grid (width, r) with edges grid_edges(r, width, j_lo, n), to their
     masses in closed form, with relative precision in the tails; without it,
-    bins take panel_integrals over those edges.  reach(eps) estimates (lo,
-    hi), where each tail falls to eps/2, for binning's first, merged call.
+    bins take panel_integrals over those edges.  reach estimates (lo, hi),
+    where each tail falls to EPS_TAIL/2, for binning's first, merged call.
     """
 
     eval: Callable[[np.ndarray], np.ndarray]
@@ -206,7 +209,7 @@ class Density1D:
     heavy_tail: bool = False
     osc_scale: Optional[float] = None
     interval_masses: Optional[Callable[[float, float, int, int], np.ndarray]] = None
-    reach: Optional[Callable[[float], tuple]] = None
+    reach: Optional[tuple] = None
 
 
 def grid_edges(r: float, width: float, j_lo: int, n: int) -> np.ndarray:
@@ -273,16 +276,24 @@ def _hermite_phi(n: int, xi: np.ndarray) -> tuple:
     return cur * np.exp(log_scale), tail * np.exp(2.0 * log_scale)
 
 
+def _hermite_tail(n: int, z: np.ndarray) -> np.ndarray:
+    """S_n(z) = erfc(z)/2 + T_n(z), the mass of phi_n^2 beyond z >= 0 (T_0 = 0)."""
+    tail = 0.5 * _erfc(z)
+    if n:
+        tail += _hermite_phi(n, z)[1]
+    return tail
+
+
 @functools.lru_cache(maxsize=256)
 def _tail_point(n: int, eps: float) -> float:
-    """z_n(eps) >= 0, where S_n(z) = erfc(z)/2 + T_n(z), the mass of phi_n^2
-    beyond z, falls to eps/2 (erfc^-1(eps) at n = 0), from above: three rounds
-    of 256 points narrow [0, sqrt(2n + 1) + 40], past which S_n underflows;
-    at eps = 0, S_n is exactly 0 from z_n on (27.206 at n = 0, 59.31 at 1000)."""
+    """z_n(eps) >= 0, where S_n(z), the mass of phi_n^2 beyond z, falls to eps/2
+    (erfc^-1(eps) at n = 0), from above: three rounds of 256 points narrow
+    [0, sqrt(2n + 1) + 40], past which S_n underflows; at eps = 0, S_n is
+    exactly 0 from z_n on (27.206 at n = 0, 59.31 at 1000)."""
     lo, hi = 0.0, math.sqrt(2.0 * n + 1.0) + 40.0
     for _ in range(3):
         z = np.linspace(lo, hi, 257)
-        i = max(1, int(np.argmax(0.5 * _erfc(z) + _hermite_phi(n, z)[1] <= 0.5 * eps)))
+        i = max(1, int(np.argmax(_hermite_tail(n, z) <= 0.5 * eps)))
         lo, hi = float(z[i - 1]), float(z[i])
     return hi
 
@@ -292,30 +303,29 @@ def _hermite(n: int, sd: float, mu: float = 0.0, var: Optional[float] = None) ->
     about mu, of variance var, sd^2 (n + 1/2) unless given: n = 0 is N(mu, sd^2/2).
     Masses take edges relative to mu reduced modulo the bin width, as the grid
     offset is, so that edges far from the origin do not round to ulp(mu).  S_n is 0
-    past z = +-_tail_point(n, 0), so only the bins reaching inside take tails."""
+    past z = +-_tail_point(n, 0): bisection on single edges finds the bins inside."""
 
     def pdf(x):
         return _hermite_phi(n, (np.asarray(x, dtype=float) - mu) / sd)[0] ** 2 / sd
 
     def masses(r, width, j_lo, count):
         mu_r, k_mu = split_widths(mu, width)
-        z, span = grid_edges(r - mu_r, width, j_lo - k_mu, count) / sd, _tail_point(n, 0.0)
-        lo = z[1:].searchsorted(-span, "right") if z[1] <= -span else 0  # bins before end <= -span
-        hi = z[:-1].searchsorted(span) if z[-2] >= span else count  # bins from hi start >= span
-        z = z[lo:hi + 1]
-        # phi_n^2 is even, so the tail beyond |z| is S_n(|z|) = S_0 + T_n, and T_0 = 0
-        tail = 0.5 * _erfc(np.abs(z))
-        if n:
-            tail += _hermite_phi(n, np.abs(z))[1]
-        m = _masses_from_tails(z, tail)
+        r, j_lo, span = r - mu_r, j_lo - k_mu, _tail_point(n, 0.0)
+
+        def z_at(i):  # edge i of the block over sd, as grid_edges forms it
+            return (r + (j_lo + i - 0.5) * width) / sd
+
+        lo = bisect.bisect_right(range(1, count + 1), -span, key=z_at) if z_at(1) <= -span else 0
+        hi = bisect.bisect_left(range(count), span, key=z_at) if z_at(count - 1) >= span else count
+        z = grid_edges(r, width, j_lo + lo, hi - lo) / sd
+        # phi_n^2 is even, so the tail beyond |z| is S_n(|z|)
+        m = _masses_from_tails(z, _hermite_tail(n, np.abs(z)))
         return m if m.size == count else np.concatenate((np.zeros(lo), m, np.zeros(count - hi)))
 
-    def reach(eps):
-        return mu - sd * _tail_point(n, eps), mu + sd * _tail_point(n, eps)
-
+    z_eps = _tail_point(n, EPS_TAIL)
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=mu,
                      known_var=sd * sd * (n + 0.5) if var is None else var,
-                     interval_masses=masses, reach=reach)
+                     interval_masses=masses, reach=(mu - sd * z_eps, mu + sd * z_eps))
 
 
 def _well_position(n: int, length: float) -> Density1D:
@@ -340,7 +350,7 @@ def _well_position(n: int, length: float) -> Density1D:
         discontinuities=tuple(m * length / n for m in range(1, n)),
         known_mean=length / 2.0,
         known_var=length * length * (1.0 / 12.0 - 1.0 / (2.0 * (n * math.pi) ** 2)),
-        interval_masses=masses, reach=lambda eps: (0.0, length))
+        interval_masses=masses, reach=(0.0, length))
 
 
 # Square-well momentum panel rule, widths in a.  A bin up to h wide takes
@@ -433,7 +443,8 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     products and sums), so a node lies within about eps |d| of its place on
     the exact grid, not eps |a|: far-tail bins keep the rule's own relative
     error.  A bin that straddles p = 0 is split there.  Bins over
-    _WELL_MAX_PANEL_BIN wide in a take differences of tails (_well_far_tail).
+    _WELL_MAX_PANEL_BIN wide in a take differences of tails (_well_far_tail),
+    or, with an edge between the peaks, of masses from p = 0 out to their edges.
     """
     c, half = 0.5 * n * math.pi, length / (2.0 * hbar)
     npi, scale = 2.0 * c, 2.0 * c * c * half / math.pi
@@ -443,20 +454,11 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
     cos_c = math.cos(c) - c_lo * math.sin(c)
     tables = {}  # bin width in p -> node table, of the last width binned
 
+    def side(t):  # per unit y = -m; t is 0 or at least ~1e-16, so 1e-300 moves only t = 0
+        return scale / half * (np.sin(t + 1e-300) / ((t + 1e-300) * (t + npi))) ** 2
+
     def pdf(p):
-        x = np.abs(np.asarray(p, dtype=float))
-        x *= half
-        m = c - x
-        # m is 0 or a difference of doubles near c, at least ~1e-16 in size:
-        # the shift moves only m = 0, where sin(m) / m becomes exactly 1
-        m += 1e-300
-        s = np.sin(m)
-        x += c
-        x *= m
-        s /= x
-        s *= s
-        s *= scale
-        return s
+        return half * side(np.abs(np.asarray(p, dtype=float)) * half - c)
 
     def table(width):
         """The tables of bins width (s in a) wide: frac places each node of
@@ -501,7 +503,7 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         m = m0_1 @ md
         if near.start < near.stop:
             mn = m[near] + lo[near, None]
-            mn += 1e-300  # as in pdf
+            mn += 1e-300  # as in side
             m[near], sin_m[near] = mn, np.sin(mn)
         o = npi - m
         m *= o
@@ -563,24 +565,30 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         p = grid_edges(r, width, j_lo, count)
         y = np.minimum(np.abs(p), 1e200 / half) * half - c  # y = inf would make cos 2y NaN
         tail, near = _well_far_tail(np.maximum(y, _WELL_TAIL_A), npi), y < _WELL_TAIL_A
-        if near.any():  # add panels out to the cut, as many as n needs, whatever the width
-            def side(t):  # per unit y, so nodes keep the peak's phase; 1e-300 as in pdf
-                return scale / half * (np.sin(t + 1e-300) / ((t + 1e-300) * (t + npi))) ** 2
+        if not near.any():
+            return _masses_from_tails(p, tail)
+        # panels out to the cut, as many as n needs, whatever the width, placed in y
+        # so that nodes keep the peak's phase
+        per_y = Density1D(side, (-c, math.inf), osc_scale=math.pi)
+        y_in, back = np.unique(np.append(y[near], _WELL_TAIL_A), return_inverse=True)
+        parts = panel_integrals(per_y, side, y_in)
+        tail[near] += np.cumsum(parts[::-1])[::-1][back[:-1]]
+        # between the peaks, |p| < n pi hbar/L, g is the mass from p = 0 out to |p|, summed
+        # outward: bins with an edge there take differences of g, not of tails near 1/2
+        m, inside, g = _masses_from_tails(p, tail), y < 0.0, 0.5 - tail
+        if inside.any():
+            lead = panel_integrals(per_y, side, np.array([-c, y_in[0]]))
+            g[inside] = np.cumsum(np.append(lead, parts))[back[:-1]][y[near] < 0.0]
+            live = inside[:-1] | inside[1:]
+            m[live] = np.diff(np.copysign(g, p))[live]
+        return m
 
-            y_in, back = np.unique(np.append(y[near], _WELL_TAIL_A), return_inverse=True)
-            parts = panel_integrals(Density1D(side, (-c, math.inf), osc_scale=math.pi), side, y_in)
-            tail[near] += np.cumsum(parts[::-1])[::-1][back[:-1]]
-        return _masses_from_tails(p, tail)
-
-    def reach(eps):
-        # the far tail's leading term, (n pi)^2 / (4 pi) / (3 y^3), is eps/2
-        p = ((npi * npi / (6.0 * math.pi * eps)) ** (1.0 / 3.0) + c) / half
-        return -p, p
-
+    # the far tail's leading term, (n pi)^2 / (4 pi) / (3 y^3), is EPS_TAIL/2
+    p_eps = ((npi * npi / (6.0 * math.pi * EPS_TAIL)) ** (1.0 / 3.0) + c) / half
     return Density1D(eval=pdf, support=(-math.inf, math.inf), known_mean=0.0,
                      known_var=(hbar * n * math.pi / length) ** 2, heavy_tail=True,
                      osc_scale=2.0 * math.pi * hbar / length, interval_masses=masses,
-                     reach=reach)
+                     reach=(-p_eps, p_eps))
 
 
 def position_density(s: StateModel) -> Density1D:
@@ -613,21 +621,9 @@ def momentum_density(s: StateModel) -> Density1D:
 
 def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> Density1D:
     parts = [(w, marginal(s)) for w, s in mix.components]
-    (w0, d0), rest = parts[0], parts[1:]
 
-    def pdf(x):
-        x = np.asarray(x, dtype=float)
-        out = w0 * d0.eval(x)
-        for w, d in rest:
-            out = out + w * d.eval(x)
-        return out
-
-    def masses(r, width, j_lo, count):
-        return sum(w * d.interval_masses(r, width, j_lo, count) for w, d in parts)
-
-    def reach(eps):  # weight w <= 2^k keeps at most eps/2 past its reach at eps/2^k,
-        ends = [d.reach(eps / 2.0 ** math.frexp(w)[1]) for w, d in parts]  # few such eps
-        return min(lo for lo, _ in ends), max(hi for _, hi in ends)
+    def weighted(kernel):  # the weighted sum of a kernel of the components
+        return lambda *args: sum(w * getattr(d, kernel)(*args) for w, d in parts)
 
     lo = min(d.support[0] for _, d in parts)
     hi = max(d.support[1] for _, d in parts)
@@ -637,15 +633,17 @@ def _mix_density(mix: Mixture, marginal: Callable[[StateModel], Density1D]) -> D
         # component support edges become kinks of the mixture when interior
         cuts.update(e for e in d.support if math.isfinite(e) and lo < e < hi)
     # moments about the first mean, from which nearby means differ exactly
-    m0 = d0.known_mean
+    m0 = parts[0][1].known_mean
     dm = sum(w * (d.known_mean - m0) for w, d in parts)
     var = sum(w * (d.known_var + (d.known_mean - m0 - dm) ** 2) for w, d in parts)
     oscs = [d.osc_scale for _, d in parts if d.osc_scale is not None]
-    return Density1D(eval=pdf, support=(lo, hi), discontinuities=tuple(sorted(cuts)),
-                     known_mean=m0 + dm, known_var=var,
+    # a weight w <= 1 leaves at most w EPS_TAIL/2 past its component's reach
+    return Density1D(eval=weighted("eval"), support=(lo, hi),
+                     discontinuities=tuple(sorted(cuts)), known_mean=m0 + dm, known_var=var,
                      heavy_tail=any(d.heavy_tail for _, d in parts),
-                     osc_scale=min(oscs) if oscs else None, interval_masses=masses,
-                     reach=reach)
+                     osc_scale=min(oscs) if oscs else None,
+                     interval_masses=weighted("interval_masses"),
+                     reach=(min(d.reach[0] for _, d in parts), max(d.reach[1] for _, d in parts)))
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,7 @@ def _with_reach(d, factor):
     if factor is None:
         return dataclasses.replace(d, reach=None)
     m = d.known_mean
-
-    def reach(eps):
-        return tuple(m + factor * (x - m) for x in d.reach(eps))
-    return dataclasses.replace(d, reach=reach)
+    return dataclasses.replace(d, reach=tuple(m + factor * (x - m) for x in d.reach))
 
 
 @pytest.mark.parametrize("factor", [None, 0.01, 100.0], ids=["none", "narrow", "wide"])
@@ -150,14 +147,26 @@ def test_a_well_momentum_binning_takes_a_call_per_8192_bins(monkeypatch, state, 
     assert max(calls) <= 8192
 
 
+def _beyond(d, edge, sign):
+    """The mass of d beyond edge on the side sign, from a bin of width 1e6 reaching past it."""
+    return d.interval_masses(edge + sign * 5e5, 1e6, 0, 1)[0]
+
+
 def test_reaches_bound_the_tails():
-    # each side beyond the reach at eps holds about eps/2, within a factor 2
+    # each side beyond the reach, at EPS_TAIL, holds about EPS_TAIL/2, within a factor 2
     eps = EPS_TAIL
     for d in (position_density(Gaussian(0.3, 0.0, 0.8)), position_density(HermiteGauss(7)),
               momentum_density(SquareWell(3, 1.5))):
-        lo, hi = d.reach(eps)
+        lo, hi = d.reach
         for edge, sign in ((lo, -1.0), (hi, 1.0)):
-            # the mass beyond the edge, from a bin of width 1e6 reaching past it
-            far = d.interval_masses(edge + sign * 5e5, 1e6, 0, 1)[0]
+            far = _beyond(d, edge, sign)
             assert 0.25 * eps <= far <= eps, (d, edge, far)
-    assert position_density(SquareWell(2, 1.5)).reach(eps) == (0.0, 1.5)
+    assert position_density(SquareWell(2, 1.5)).reach == (0.0, 1.5)
+    # a mixture's reach is its components' hull: a weight w <= 1 leaves at most
+    # w eps/2 beyond its component's reach, so each side beyond the hull at most eps/2
+    for mix in (_MIX_GAUSS, _MIX_WELL):
+        for marginal in (position_density, momentum_density):
+            d, ends = marginal(mix), [marginal(s).reach for _, s in mix.components]
+            assert d.reach == (min(lo for lo, _ in ends), max(hi for _, hi in ends))
+            for edge, sign in zip(d.reach, (-1.0, 1.0)):
+                assert _beyond(d, edge, sign) <= 0.5 * eps, (mix, marginal, edge)

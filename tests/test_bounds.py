@@ -960,6 +960,17 @@ def test_widths_whose_square_underflows_are_refused_by_name(var_x, var_p, dx, dp
     assert bound_L(dx, dp).log_rhs_heis > 0.0
 
 
+@pytest.mark.parametrize("bound, width, c", [(bound_L, 1e-160, "2.5e-321"),
+                                             (bound_B, 1e200, "inf")], ids=["subnormal", "inf"])
+def test_bounds_refuse_a_width_product_outside_the_normal_range(bound, width, c):
+    # c = delta_x delta_p / (4 hbar) subnormal, or past the double range
+    with pytest.raises(DomainError) as e:
+        bound(width, width)
+    assert str(e.value) == (f"delta_x*delta_p/(4*hbar) must be finite and at least "
+                            f"{sys.float_info.min!r}, got {c} (delta_x={width!r}, "
+                            f"delta_p={width!r}, hbar=1.0)")
+
+
 def test_widths_whose_square_overflows_are_refused_by_name():
     # the two-field profile refused such a width as "eta", a name no caller
     # passes

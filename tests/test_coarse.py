@@ -310,6 +310,24 @@ def test_square_well_momentum_wide_bins_near_the_peaks_against_mpmath(state, eta
             assert abs(mass - ref) <= 3e-14 * ref, f"edge {a_edge}, bin {j - 3 + i}: {mass!r}"
 
 
+@pytest.mark.parametrize("n", [20_000, 100_000])
+@pytest.mark.parametrize("eta", [1e5, 3e5])
+@pytest.mark.parametrize("phase", [0.0, 0.37])
+def test_wide_square_well_bins_between_the_peaks_keep_relative_precision(n, eta, phase):
+    # wide bins that meet the span between the peaks, |p| < n pi hbar / L,
+    # and their neighbours.  Taken as differences of tails near 1/2, the bin
+    # around p = 0 (mass 6.6e-7 at n = 1e5, eta = 1e5) read 4.1e-10 off the
+    # 60-digit reference and its neighbours up to 5.5e-11; from masses summed
+    # outward from p = 0, the worst is 5.9e-14
+    s = SquareWell(n)
+    b = bin_density(momentum_density(s), eta, phase * eta)
+    edges = phase * eta + (b.j_min + np.arange(b.masses.size + 1) - 0.5) * eta
+    live = np.flatnonzero((edges[1:] > -n * math.pi) & (edges[:-1] < n * math.pi))  # L = hbar = 1
+    for i in range(live[0] - 1, live[-1] + 2):
+        ref = _grid_mass_mp(s, phase * eta, eta, b.j_min + i, 60)
+        assert abs(b.masses[i] - ref) <= 1e-12 * ref, f"bin {b.j_min + i}: {b.masses[i]!r}"
+
+
 def test_wide_square_well_bins_keep_their_values():
     # the bits of bins over 32768 wide in a; the outer two are within 2 ulp
     # of the 55-digit reference (6.949556889388739e-13, 9.950792753784775e-15)
