@@ -21,7 +21,9 @@ A binning stores its first label and its masses and nothing else of their
 size, and every pass over the bins (edge trimming, locating the heaviest
 bin, the discrete variance, the Renyi entropies) walks the masses _CHUNK
 bins at a time through one reused buffer, so its temporaries stay a chunk
-or two in size however many bins there are.
+or two in size however many bins there are.  bin_density writes each block
+into one array as it is computed and the binning keeps that array, shrunk
+in place to its bins, so a binning peaks at one copy of its masses.
 """
 
 from __future__ import annotations
@@ -64,8 +66,10 @@ MAX_WIDTH = math.sqrt(sys.float_info.max)
 _CHUNK = 8192
 # chunk-relative bin offsets 0 .. _CHUNK - 1, exact in float64
 _RAMP = np.arange(_CHUNK, dtype=float)
-# the largest seed label bin_density starts from: its enumeration spans at
-# most MAX_BINS + 2 * 8192 bins, so every label it forms fits int64
+# bin_density's enumeration spans at most _MAX_SPAN bins, a last block of
+# 8192 on each side past MAX_BINS, from a seed label below _MAX_SEED, so every
+# label it forms fits int64
+_MAX_SPAN = MAX_BINS + 2 * 8192
 _MAX_SEED = 2 ** 63 - 2 * MAX_BINS
 _FIRST_BLOCKS = 8  # blocks per side, 16 ... 2048 bins, in the seed trio's call
 
@@ -115,13 +119,29 @@ class _BinView(Mapping):
         return list(zip(self, self._p.tolist()))
 
 
+class _Kept(tuple):
+    """(array, start, stop): the masses bin_density passes, its own array of
+    which bins start .. stop - 1 are the binning's, to be kept, not copied."""
+
+
+def _shrink(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """a holding just a[lo:hi], moved to its front (numpy moves an overlapping
+    left shift without a temporary) and the rest freed in place.  a owns its
+    data, and no view of it is alive, so the resize checks no references."""
+    if lo:
+        a[:hi - lo] = a[lo:hi]
+    a.resize(hi - lo, refcheck=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
     them.  Exact zeros at either end of the caller's masses are dropped and
     j_min moves with them (a NaN stays, for the sum check to refuse); the
-    masses, a private copy of the rest, are the only storage the size of the
+    masses, a private copy of the rest (bin_density's binnings keep its array,
+    shrunk in place to those bins), are the only storage the size of the
     binning; no labels are stored.  The storage is immutable, so the heaviest
     bin is located once and each discrete statistic is computed once per
     distribution and order, chunk by chunk, and then read from a private
@@ -139,11 +159,18 @@ class BinnedDistribution:
         if not 0.0 < self.width <= MAX_WIDTH:
             raise ValueError(f"width must be positive with a finite square, got {self.width}")
         reduced = _reduce_offset(self.offset, self.width)
-        m = np.asarray(self.masses, dtype=float)
-        if m.ndim != 1 or m.size == 0:
-            raise ValueError("need at least one bin")
-        lo, hi = _first(m, np.not_equal, 0.0), m.size - _first(m[::-1], np.not_equal, 0.0)
-        j_min, p = int(self.j_min) + lo, np.array(m[lo:hi])  # the one copy
+        kept = type(self.masses) is _Kept
+        if kept:  # bin_density's own array, of which bins start .. stop - 1 are the binning's
+            m, start, stop = self.masses
+        else:
+            m = np.asarray(self.masses, dtype=float)
+            if m.ndim != 1 or m.size == 0:
+                raise ValueError("need at least one bin")
+            start, stop = 0, m.size
+        lo = start + _first(m[start:stop], np.not_equal, 0.0)
+        hi = stop - _first(m[start:stop][::-1], np.not_equal, 0.0)
+        # a caller's masses are copied; bin_density's array becomes the binning's own
+        j_min, p = int(self.j_min) + lo - start, _shrink(m, lo, hi) if kept else np.array(m[lo:hi])
         if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
             raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins beyond "
                              f"the int64 range")
@@ -243,17 +270,18 @@ def _first(p: np.ndarray, compare: np.ufunc, value: float) -> int:
     return 0
 
 
-def _clean_block_masses(d: Density1D, j_arr: range, width: float,
-                        offset: float) -> np.ndarray:
+def _clean_block_masses(d: Density1D, j_arr: range, width: float, offset: float,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Masses of the contiguous run of bins j_arr of the grid (width,
-    offset): closed-form interval masses of the run's grid when the density
-    has them, adaptive panel quadrature between its shared edges otherwise."""
+    offset), written to out when given: closed-form interval masses of the
+    run's grid when the density has them, adaptive panel quadrature between
+    its shared edges otherwise."""
     grid = (offset, width, j_arr[0], len(j_arr))
     if d.interval_masses is not None:
         masses = d.interval_masses(*grid)
     else:
         masses = panel_integrals(d, d.eval, grid_edges(*grid))
-    return np.maximum(masses, 0.0)
+    return np.maximum(masses, 0.0, out=out)
 
 
 def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
@@ -265,9 +293,11 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     from d.interval_masses when present; otherwise by adaptive panel quadrature, split at
     density discontinuities and support edges.  Edges are formed from the offset reduced
     modulo eta; the result keeps the caller's offset and bin labels, and a ValueError names
-    a location or an offset whose labels would leave the int64 range.  The blocks are
-    dropped once joined, so at the peak the joined masses and the constructor's copy (which
-    drops empty end bins) are the only arrays of the binning's size: two copies, not three.
+    a location or an offset whose labels would leave the int64 range.  Every block is
+    written, as it is computed, into one array sized for the blocks out to d.reach, which
+    grows geometrically only when the enumeration runs past them; the binning keeps that
+    array, shrunk in place to its bins, so at the peak it is the one array of the binning's
+    size.
     """
     if not (eta > 0.0 and math.isfinite(eta)):
         raise ValueError(f"bin width must be positive and finite, got {eta}")
@@ -285,27 +315,39 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     if not abs(j0) < _MAX_SEED:
         raise ValueError(f"location {x0!r} of the density is {abs(x0 - r) / eta:.3g} bin widths "
                          f"({eta!r}) from 0, beyond the int64 bin labels")
-    # one call for the seed trio and the first blocks of each side that the
-    # loop below would take, out to the first past d.reach or the support
+    # the bins the loop below is predicted to take: the seed trio, then the blocks of each
+    # side out to the first past d.reach or the support, no more than the bin budget allows;
+    # the trio and the first _FIRST_BLOCKS blocks of each side, the window, take one call
     lo_w, hi_w = d.reach if d.reach is not None else (math.inf, -math.inf)
-    w_lo, w_hi = j0 - 1, j0 + 1
-    for k in range(_FIRST_BLOCKS):
-        if r + (w_lo - 0.5) * eta > max(lo_w, lo_s):
-            w_lo -= 16 << k
-        if r + (w_hi + 0.5) * eta < min(hi_w, hi_s):
-            w_hi += 16 << k
-    window = _clean_block_masses(d, range(w_lo, w_hi + 1), eta, r)
+    lo_w, hi_w = max(lo_w, lo_s), min(hi_w, hi_s)
+    ends = [(j0 - 1, j0 + 1)]
+    while ends[-1][1] - ends[-1][0] < _MAX_SPAN:
+        (a, b), block = ends[-1], min(16 << (len(ends) - 1), 8192)
+        a -= block if r + (a - 0.5) * eta > lo_w else 0
+        b += block if r + (b + 0.5) * eta < hi_w else 0
+        if (a, b) == ends[-1]:
+            break
+        ends.append((a, b))
+    (w_lo, w_hi), (base, top) = ends[min(_FIRST_BLOCKS, len(ends) - 1)], ends[-1]
+    buf = np.empty(top - base + 1)  # bin base + i at buf[i]
+    _clean_block_masses(d, range(w_lo, w_hi + 1), eta, r, buf[w_lo - base:w_hi + 1 - base])
 
-    def masses_for(j_lo: int, n: int) -> np.ndarray:
-        if w_lo <= j_lo and j_lo + n <= w_hi + 1:
-            return window[j_lo - w_lo:j_lo - w_lo + n]
-        return _clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
+    def take(j_lo: int, n: int) -> float:
+        """The sum of bins j_lo .. j_lo + n - 1, computed into buf unless the window holds them."""
+        nonlocal buf, base
+        if j_lo < base or j_lo + n > base + buf.size:  # past the prediction: grow geometrically
+            grown = np.empty(buf.size + max(n, min(buf.size, _MAX_SPAN - buf.size)))
+            at = grown.size - buf.size if j_lo < base else 0
+            grown[at:at + buf.size] = buf
+            buf, base = grown, base - at
+        part = buf[j_lo - base:j_lo - base + n]
+        if not (w_lo <= j_lo and j_lo + n <= w_hi + 1):
+            _clean_block_masses(d, range(j_lo, j_lo + n), eta, r, part)
+        return float(part.sum())
 
     # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
-    seed = masses_for(j0 - 1, 3)
-    left, right = [], []
     jl, jr = j0 - 1, j0 + 1
-    cum = float(seed.sum())
+    cum = take(jl, 3)
     block_l = block_r = 16
     left_open = right_open = True
     target = 1.0 - EPS_TAIL
@@ -322,8 +364,7 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
                 left_open = False
             else:
                 jl -= block_l
-                left.append(masses_for(jl, block_l))
-                cum += float(left[-1].sum())
+                cum += take(jl, block_l)
                 block_l = min(block_l * 2, 8192)
         if cum >= target:
             break
@@ -331,18 +372,16 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
             if r + (jr + 0.5) * eta >= hi_s:  # left edge of the new block
                 right_open = False
             else:
-                right.append(masses_for(jr + 1, block_r))
-                cum += float(right[-1].sum())
+                cum += take(jr + 1, block_r)
                 jr += block_r
                 block_r = min(block_r * 2, 8192)
-    masses = np.concatenate(left[::-1] + [seed] + right)
-    del left, right, seed, window  # the blocks go before the copy; masses_for holds the window
     j_min = jl - shift
-    if not -2 ** 63 <= j_min < 2 ** 63 - masses.size:
+    if not -2 ** 63 <= j_min < 2 ** 63 - (jr - jl + 1):
         raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
                          f"beyond the int64 range")
     return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
-                              masses=masses, tail_mass=max(0.0, 1.0 - cum))
+                              masses=_Kept((buf, jl - base, jr + 1 - base)),
+                              tail_mass=max(0.0, 1.0 - cum))
 
 
 # ---------------------------------------------------------------------------

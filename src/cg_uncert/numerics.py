@@ -2,7 +2,8 @@
 
 Fixed-order Gauss-Legendre panels and the one adaptive quadrature routine
 built on them: many panels of a vectorized integrand at once, each halved
-until its 16- and 32-point values agree, summed per group.  All functions
+until its 16- and 32-point values agree and its centre value meets the
+32 nodes' interpolant, summed per group.  All functions
 here are pure; callers are responsible for splitting integrals at known
 discontinuities (bin edges, compact-support boundaries) so integrands are
 piecewise smooth.  The one equation the package solves, M(t) = u, takes
@@ -99,6 +100,18 @@ _MAX_HALVINGS = 40
 _CHUNK = 1 << 15
 
 
+def _centre_weights() -> tuple:
+    """(b, d): b @ f(x) is the value at 0 of the degree-31 polynomial through
+    f at the 32 Gauss-Legendre nodes x, from their barycentric weights
+    (-1)^i sqrt((1 - x_i^2) w_i); d is the innermost node."""
+    x, w = _gl_nodes(32)
+    b = (-1.0) ** np.arange(32) * np.sqrt((1.0 - x * x) * w) / -x
+    return b / b.sum(), float(x[16])
+
+
+_CENTRE, _INNER = _centre_weights()
+
+
 def adaptive_panels(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi, group,
                     n_groups: int, scale: float = 0.0) -> np.ndarray:
     """Integrals of a vectorized integrand over the panels [lo[i], hi[i]],
@@ -110,22 +123,34 @@ def adaptive_panels(f_vec: Callable[[np.ndarray], np.ndarray], lo, hi, group,
     integral passes that integral's magnitude as scale).  Raises
     NonConvergence, naming the first unsettled panel, after 40 halvings or
     when more than max(2^16, 4 n) of the n panels given are unsettled at
-    once."""
+    once.
+
+    Both rules are symmetric, so a jump between the 32-point rule's two
+    innermost nodes, |x - centre| < 0.048 half-widths, moves them alike.  A
+    panel is also unsettled when its centre value differs by D from the
+    degree-31 interpolant of its 32 nodes there (D is half the jump, for a
+    jump there) and 2 |D| times that distance exceeds the tolerance."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     group = np.asarray(group, dtype=np.intp)
     limit = max(1 << 16, 4 * lo.size)
     total = np.zeros(n_groups)
     floor = None
     for halvings in range(_MAX_HALVINGS + 1):
-        v16, v32 = np.empty(lo.size), np.empty(lo.size)
+        err, v32 = np.empty(lo.size), np.empty(lo.size)
         for start in range(0, lo.size, _CHUNK):
             part = slice(start, start + _CHUNK)
-            v16[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 16)
-            v32[part] = gauss_legendre_panels(f_vec, lo[part], hi[part], 32)
+            v16 = gauss_legendre_panels(f_vec, lo[part], hi[part], 16)
+            nodes = []  # the 32-point rule's values, node-major, let go once read
+            v32[part] = gauss_legendre_panels(lambda x: nodes.append(f_vec(x)) or nodes[0],
+                                              lo[part], hi[part], 32)
+            at_mid = f_vec(0.5 * (lo[part] + hi[part]))
+            centre = at_mid - _CENTRE @ np.reshape(nodes.pop(), (32, -1))
+            err[part] = np.maximum(np.abs(v32[part] - v16),
+                                   _INNER * np.abs(centre * (hi[part] - lo[part])))
         if floor is None:
             floor = 1e-15 * max(float(np.sum(np.abs(v32))), scale)
         # written so that a NaN counts as unsettled
-        bad = ~(np.abs(v32 - v16) <= np.maximum(floor, 1e-12 * np.abs(v32)))
+        bad = ~(err <= np.maximum(floor, 1e-12 * np.abs(v32)))
         total += np.bincount(group[~bad], v32[~bad], minlength=n_groups)
         n_bad = int(np.count_nonzero(bad))
         if n_bad == 0:

@@ -563,7 +563,12 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
                                     (u[:, None] * weights).ravel(), near)[0]
             return out
         p = grid_edges(r, width, j_lo, count)
-        y = np.minimum(np.abs(p), 1e200 / half) * half - c  # y = inf would make cos 2y NaN
+        # y = |p| half - (c + c_lo), the product's rounding error kept as the panels keep it;
+        # half goes in as m 2^k, m in [1/2, 1), so that Dekker's split of it cannot overflow,
+        # and |p| is capped where y = inf would make cos 2y NaN
+        m, k = math.frexp(half)
+        x, e = _two_prod(np.ldexp(np.minimum(np.abs(p), 1e200 / half), k), m)
+        y = (x - c) + (e - c_lo)
         tail, near = _well_far_tail(np.maximum(y, _WELL_TAIL_A), npi), y < _WELL_TAIL_A
         if not near.any():
             return _masses_from_tails(p, tail)

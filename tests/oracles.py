@@ -24,7 +24,10 @@ label it fixes are checked.
 
 block_binning is coarse.bin_density as it was before the seed trio and the
 first blocks of each side shared one call: one _clean_block_masses call per
-block of the doubling schedule.
+block of the doubling schedule.  With window=True the trio and those first
+blocks take one call, as in bin_density; either way the blocks are joined by
+np.concatenate, as bin_density joined them before it wrote each block into
+one array.
 
 heis_reports is bounds._heis_reports as it was before each binning kept
 its share of the variance relations in its memo, on flat bins: from the two
@@ -160,19 +163,31 @@ def split_widths(x: float, width: float) -> tuple:
     return float(r), k
 
 
-def block_binning(d, eta: float, offset: float = 0.0) -> tuple:
+def block_binning(d, eta: float, offset: float = 0.0, window: bool = False) -> tuple:
     """(j_min, masses, tail_mass) of d binned on the grid (eta, offset) block
     by block: the seed trio around the known mean (else the support's
     midpoint, else 0), then blocks of 16, 32, ... 8192 bins, left before
     right, until the mass reaches 1 - EPS_TAIL; empty end bins trimmed.
-    Raises TailBudgetExceeded past MAX_BINS bins."""
+    With window, the trio and the first 8 blocks of each side, out to the
+    first past d.reach or the support, come from one call.  Raises
+    TailBudgetExceeded past MAX_BINS bins."""
     r, shift = coarse._reduce_offset(offset, eta)
     lo_s, hi_s = d.support
     mid = 0.5 * (lo_s + hi_s)
     x0 = next(x for x in (d.known_mean, mid, 0.0) if x is not None and math.isfinite(x))
     j0 = math.floor((x0 - r) / eta + 0.5)
+    w_lo, w_hi = j0 - 1, j0 + 1
+    if window and d.reach is not None:
+        for k in range(8):
+            if r + (w_lo - 0.5) * eta > max(d.reach[0], lo_s):
+                w_lo -= 16 << k
+            if r + (w_hi + 0.5) * eta < min(d.reach[1], hi_s):
+                w_hi += 16 << k
+    first = coarse._clean_block_masses(d, range(w_lo, w_hi + 1), eta, r) if window else None
 
     def block(j_lo, n):
+        if window and w_lo <= j_lo and j_lo + n <= w_hi + 1:
+            return first[j_lo - w_lo:j_lo - w_lo + n]
         return coarse._clean_block_masses(d, range(j_lo, j_lo + n), eta, r)
 
     seed = block(j0 - 1, 3)

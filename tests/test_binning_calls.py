@@ -67,6 +67,21 @@ def test_bin_set_is_the_block_by_block_one(name, eta, phase):
                       split_dependent)
 
 
+@pytest.mark.parametrize("reach", ["own", "none"])
+@pytest.mark.parametrize("phase", [0.0, 0.37])
+@pytest.mark.parametrize("eta", WIDTHS, ids=["1e-1.5", "1e-0.5", "1", "1e1.5"])
+@pytest.mark.parametrize("name", list(DENSITIES))
+def test_masses_keep_the_bits_of_the_joined_blocks(name, eta, phase, reach):
+    # each block is written into one array as it is computed, which grows past
+    # the blocks out to the reach (all of them, with no reach) and is then
+    # shrunk to its bins: the same calls give the same bits as joining them
+    d = DENSITIES[name][0] if reach == "own" else _with_reach(DENSITIES[name][0], None)
+    b = bin_density(d, eta, phase * eta)
+    j_min, masses, tail = block_binning(d, eta, phase * eta, window=True)
+    assert (b.j_min, b.tail_mass) == (j_min, tail)
+    assert b.masses.tobytes() == masses.tobytes()
+
+
 def test_the_tail_budget_error_is_the_block_by_block_one():
     d = momentum_density(SquareWell(7))
     with pytest.raises(TailBudgetExceeded) as ours:

@@ -3,6 +3,7 @@ boundaries they match exact references, within one chunk they keep the bits
 of the whole-array formulas, and none of them allocates a temporary the size
 of the binning."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -149,13 +150,23 @@ def test_a_binning_holds_no_array_but_its_masses():
     assert len(held) == 2 and all(a is b.masses for a in held)
 
 
-@pytest.mark.parametrize("state, width, offset, size", [
+# one 8192-bin block of square-well momentum masses takes up to 553 KiB of
+# kernel temporaries, and the array bin_density writes its blocks into is
+# sized for the blocks out to the reach, up to three blocks (192 KiB) more
+# than the binning keeps
+_BUDGET = 768 * 1024
+
+_HEAVY = [
     (SquareWell(1), 0.0316, 0.01, 106_467),
     (Mixture(((0.55, SquareWell(2)), (0.45, Gaussian(0.5, 0.0, 0.6)))), 0.0316, 0.0, 139_235),
-], ids=["well", "well+gaussian"])
-def test_binning_peaks_at_two_copies_of_its_masses(state, width, offset, size):
-    # bin_density kept its blocks alive while the constructor copied their
-    # joined masses: three copies at the peak, 3.01 times the masses' bytes
+]
+
+
+@pytest.mark.parametrize("state, width, offset, size", _HEAVY, ids=["well", "well+gaussian"])
+def test_binning_peaks_at_one_copy_of_its_masses(state, width, offset, size):
+    # bin_density joined its blocks and the constructor copied them: two
+    # copies at the peak, 2.0 times the masses' bytes; each block now goes
+    # into one array, which the binning keeps
     d = momentum_density(state)
     bin_density(d, width, offset)  # the density's node table for this width is set up once
     tracemalloc.start()
@@ -165,7 +176,34 @@ def test_binning_peaks_at_two_copies_of_its_masses(state, width, offset, size):
     finally:
         tracemalloc.stop()
     assert b.masses.size == size
-    assert peak <= 2.1 * b.masses.nbytes, peak / b.masses.nbytes
+    assert peak <= b.masses.nbytes + _BUDGET, (peak - b.masses.nbytes) / 1024
+
+
+@pytest.mark.parametrize("state, width, offset, size, reach", [
+    (*case, True) for case in _HEAVY] + [
+    # with no reach the array starts at the seed trio and grows geometrically
+    (SquareWell(1), 0.0316, 0.01, 106_467, False),
+    (Gaussian(0.3, -0.2, 0.8), 2e-4, 0.0, 49_123, False),
+], ids=["well", "well+gaussian", "well_no_reach", "gaussian_no_reach"])
+def test_a_binning_is_stored_in_exactly_its_bins(state, width, offset, size, reach):
+    # the mixture's reach is its components' hull, so its array has slack at
+    # both ends; the well's has a block at one end
+    d = momentum_density(state)
+    if not reach:
+        d = dataclasses.replace(d, reach=None)
+    bin_density(d, width, offset)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        b = bin_density(d, width, offset)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    p = b.masses
+    assert p.size == size
+    assert p.base is None and p.flags.owndata and p.nbytes == 8 * size
+    assert p.nbytes <= kept <= p.nbytes + 4096, kept - p.nbytes
+    assert p[0] > 0.0 and p[-1] > 0.0
 
 
 def test_sample_counts_normalizes_without_a_list_of_every_mass():

@@ -328,6 +328,16 @@ def test_wide_square_well_bins_between_the_peaks_keep_relative_precision(n, eta,
         assert abs(b.masses[i] - ref) <= 1e-12 * ref, f"bin {b.j_min + i}: {b.masses[i]!r}"
 
 
+def test_a_wide_square_well_bin_across_a_peak_keeps_full_precision():
+    # bin -3 (mass 1.4e-4) has an edge 20,000 past the peak and one between
+    # the peaks; with y = |p| L/(2 hbar) - n pi/2 formed in plain doubles, off
+    # by up to an ulp of n pi/2 = 157,080, it read 5.9e-14 off the reference
+    s = SquareWell(100_000)
+    b = bin_density(momentum_density(s), 1e5, 0.37e5)
+    ref = _grid_mass_mp(s, 0.37e5, 1e5, -3, 60)
+    assert abs(b.masses[-3 - b.j_min] - ref) <= 1e-15 * ref
+
+
 def test_wide_square_well_bins_keep_their_values():
     # the bits of bins over 32768 wide in a; the outer two are within 2 ulp
     # of the 55-digit reference (6.949556889388739e-13, 9.950792753784775e-15)
@@ -341,6 +351,15 @@ def test_wide_square_well_bins_whose_edges_overflow_in_a():
     # tail is 0; taken as inf, it would make cos 2y NaN after a warning
     d = momentum_density(SquareWell(1, 1.0, 1e-200))
     assert d.interval_masses(0.0, 4e109, -3, 6).tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]
+
+
+def test_wide_square_well_bins_at_a_tiny_hbar():
+    # L/(2 hbar) = 5e304: a Dekker split of it would overflow and make every
+    # mass NaN.  Momentum scales with hbar, so the bins are those at hbar = 1
+    b = bin_density(momentum_density(SquareWell(1, 1.0, 1e-305)), 1e-300, 0.3e-300)
+    ref = bin_density(momentum_density(SquareWell(1)), 1e5, 0.3e5)
+    assert b.j_min == ref.j_min
+    assert np.allclose(b.masses, ref.masses, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("d", [position_density(Gaussian()), momentum_density(SquareWell(3, 1.5)),

@@ -37,15 +37,31 @@ def test_adaptive_panels_known_values():
 def test_adaptive_panels_settles_an_unlisted_jump():
     # a step not given as a panel edge is found by halving the panel that
     # straddles it.  At x = 1/3 it sits a third of a half-width from the
-    # centre of every panel met on the way down; a step within about 5% of a
-    # panel's centre would settle early and wrongly, since both rules weigh
-    # the two halves of a panel alike.  Listed cuts avoid both problems.
+    # centre of every panel met on the way down (a step near a panel's centre
+    # is seen by its centre value).  Listed cuts avoid the halvings.
     third = 1.0 / 3.0
     got = adaptive_panels(lambda x: np.exp(x) + 0.1 * (x >= third), [0.0], [1.0], [0], 1)[0]
     assert got == pytest.approx(math.e - 1.0 + 0.1 * (1.0 - third), abs=2e-14)
     # a step that dominates the integral is still unsettled after 40 halvings
     with pytest.raises(NonConvergence, match=r"\[0\.33333333333.*after 40 halvings"):
         adaptive_panels(lambda x: np.exp(x) + 10.0 * (x >= third), [0.0], [1.0], [0], 1)
+
+
+@pytest.mark.parametrize("jump", [1.0 / math.sqrt(2.0), 0.49, 0.51, 0.74, 0.77,
+                                  *np.linspace(0.01, 0.99, 99).tolist()])
+def test_adaptive_panels_sees_a_jump_near_a_panel_centre(jump):
+    # exp(x), tripled from the jump on.  Both rules weigh the two halves of a
+    # panel alike, so a jump between the innermost 32-point nodes of a panel
+    # met on the way down moved both alike and the panel settled with the
+    # jump inside: 7.3e-12 off at 1/sqrt(2), 2.9e-8 at 0.77, relative.  It
+    # must settle on the right value or raise
+    exact = math.expm1(jump) + 3.0 * (math.e - math.exp(jump))
+    try:
+        got = adaptive_panels(lambda x: np.exp(x) * np.where(x >= jump, 3.0, 1.0),
+                              [0.0], [1.0], [0], 1)[0]
+    except NonConvergence:
+        return
+    assert abs(got - exact) <= 1e-13 * exact
 
 
 def test_adaptive_panels_floor_scales_with_the_integral():
