@@ -384,6 +384,7 @@ def _axis_factors(var: float, eta: float, axis: tuple) -> tuple:
     if not eta <= MAX_WIDTH:
         raise DomainError(f"{width_name} must be at most {MAX_WIDTH!r}, so that its square "
                           f"is finite, got {eta!r}")
+    var, eta = float(var), float(eta)  # numpy scalars would reach the reports through ln K
     ln_rect = math.log(var + eta ** 2 * ghf_var_shape(0.0))
     u = var / eta ** 2
     if not math.isfinite(u):

@@ -1,17 +1,16 @@
 """Coarse-grained measurement statistics.
 
-Binning of continuous densities into fixed-width windows, a block of bins
-at a time on its shared edges (from closed-form interval masses when the
-density has them, by adaptive panel quadrature otherwise; the first blocks
-out to the density's reach in one call), discrete variances and Renyi
-entropies of the resulting probability vectors, computed once per binning
-and order (the memo also keeps the binning's share of the variance relations,
-which bounds computes), per-bin histogram profiles (one family,
-exp(-t (u/eta)^2) truncated to the bin, whose t = 0 member is the flat bin),
-densities reconstructed from binned data (each point in the bin its exact
-residual places it in), the variance/entropy decomposition
-identities, and finite-statistics sampling by exact multinomial draws over
-the bin masses.
+Binning of continuous densities into fixed-width windows, on one schedule of
+doubling blocks of bins, each on its shared edges (closed-form interval masses
+when the density has them, adaptive panel quadrature otherwise; the first
+rounds within the density's reach in one call), discrete variances and Renyi
+entropies of the resulting probability vectors, computed once per binning and
+order (the memo also keeps the binning's share of the variance relations, which
+bounds computes), per-bin histogram profiles (one family, exp(-t (u/eta)^2)
+truncated to the bin, whose t = 0 member is the flat bin), densities
+reconstructed from binned data (each point in the bin its exact residual places
+it in), the variance/entropy decomposition identities, and finite-statistics
+sampling by exact multinomial draws over the bin masses.
 
 Grid convention: bin j of a grid (width eta, offset) covers
 [offset + (j - 1/2) eta, offset + (j + 1/2) eta), half-open on the right,
@@ -23,7 +22,8 @@ bin, the discrete variance, the Renyi entropies) walks the masses _CHUNK
 bins at a time through one reused buffer, so its temporaries stay a chunk
 or two in size however many bins there are.  bin_density writes each block
 into one array as it is computed and the binning keeps that array, shrunk
-in place to its bins, so a binning peaks at one copy of its masses.
+in place to its bins, so a binning peaks at one copy of its masses.  The
+constructor alone checks the width and the int64 range of the kept labels.
 """
 
 from __future__ import annotations
@@ -66,12 +66,12 @@ MAX_WIDTH = math.sqrt(sys.float_info.max)
 _CHUNK = 8192
 # chunk-relative bin offsets 0 .. _CHUNK - 1, exact in float64
 _RAMP = np.arange(_CHUNK, dtype=float)
-# bin_density's enumeration spans at most _MAX_SPAN bins, a last block of
-# 8192 on each side past MAX_BINS, from a seed label below _MAX_SEED, so every
-# label it forms fits int64
+# bin_density's rounds end once they span _MAX_SPAN bins, a last block of 8192
+# on each side past MAX_BINS; from a seed label below _MAX_SEED every label they
+# form fits int64
 _MAX_SPAN = MAX_BINS + 2 * 8192
 _MAX_SEED = 2 ** 63 - 2 * MAX_BINS
-_FIRST_BLOCKS = 8  # blocks per side, 16 ... 2048 bins, in the seed trio's call
+_FIRST_BLOCKS = 8  # rounds, blocks of 16 ... 2048 bins a side, in the seed trio's call
 
 
 class TailBudgetExceeded(RuntimeError):
@@ -156,9 +156,8 @@ class BinnedDistribution:
     probs: Mapping = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.width <= MAX_WIDTH:
-            raise ValueError(f"width must be positive with a finite square, got {self.width}")
-        reduced = _reduce_offset(self.offset, self.width)
+        width = _width(self.width)
+        reduced, offset = _reduce_offset(self.offset, width), float(self.offset)
         kept = type(self.masses) is _Kept
         if kept:  # bin_density's own array, of which bins start .. stop - 1 are the binning's
             m, start, stop = self.masses
@@ -172,8 +171,8 @@ class BinnedDistribution:
         # a caller's masses are copied; bin_density's array becomes the binning's own
         j_min, p = int(self.j_min) + lo - start, _shrink(m, lo, hi) if kept else np.array(m[lo:hi])
         if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
-            raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins beyond "
-                             f"the int64 range")
+            raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins at offset "
+                             f"{offset!r} and width {width!r} beyond the int64 range")
         if p.min() < -1e-12:
             i = int(np.flatnonzero(p < -1e-12)[0])
             raise ValueError(f"negative probability {p[i]} in bin {j_min + i}")
@@ -188,7 +187,8 @@ class BinnedDistribution:
         total = float(p.sum()) + tail  # pairwise: about log2(n) eps, far inside 1e-9
         if not abs(total - 1.0) <= 1e-9 + 1e-12:
             raise ValueError(f"probabilities plus tail sum to {total}, not 1")
-        for name, value in (("j_min", j_min), ("masses", p), ("tail_mass", tail),
+        for name, value in (("width", width), ("offset", offset), ("j_min", j_min),
+                            ("masses", p), ("tail_mass", tail),
                             ("probs", _BinView(j_min, p)), ("_stats", {}), ("_reduced", reduced)):
             object.__setattr__(self, name, value)
 
@@ -248,6 +248,13 @@ class ReconstructedPdf:
 # binning
 
 
+def _width(width: float) -> float:
+    """width as a float; refused unless positive with a finite square (variances square it)."""
+    if not 0.0 < width <= MAX_WIDTH:
+        raise ValueError(f"width must be positive with a finite square, got {width}")
+    return float(width)
+
+
 def _reduce_offset(offset: float, width: float) -> tuple:
     """split_widths(offset, width), for an offset that is finite and whose
     whole-width count k fits the int64 bin labels."""
@@ -284,23 +291,37 @@ def _clean_block_masses(d: Density1D, j_arr: range, width: float, offset: float,
     return np.maximum(masses, 0.0, out=out)
 
 
+def _rounds(j0: int, r: float, eta: float, lo: float, hi: float):
+    """The bins jl .. jr of the grid (eta, r) covered after each round of bin_density: the
+    seed trio j0 - 1 .. j0 + 1, then a block of 16, 32, ... 8192 bins on each side where the
+    bins so far end inside (lo, hi), until a round adds none or the bins span _MAX_SPAN."""
+    jl, jr, block = j0 - 1, j0 + 1, 16
+    yield jl, jr
+    while jr - jl < _MAX_SPAN:
+        a = jl - block if r + (jl - 0.5) * eta > lo else jl
+        b = jr + block if r + (jr + 0.5) * eta < hi else jr
+        if (a, b) == (jl, jr):
+            return
+        jl, jr, block = a, b, min(2 * block, 8192)
+        yield jl, jr
+
+
 def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribution:
     """Bin a density on the grid (eta, offset).
 
-    Bins are enumerated outward from a seed trio in doubling blocks (16 to 8192 bins) until
-    the cumulative mass reaches 1 - EPS_TAIL; the seed trio and the blocks out to the first
-    past d.reach take one call, and the reach changes only the number of calls.  Masses come
-    from d.interval_masses when present; otherwise by adaptive panel quadrature, split at
-    density discontinuities and support edges.  Edges are formed from the offset reduced
-    modulo eta; the result keeps the caller's offset and bin labels, and a ValueError names
-    a location or an offset whose labels would leave the int64 range.  Every block is
-    written, as it is computed, into one array sized for the blocks out to d.reach, which
-    grows geometrically only when the enumeration runs past them; the binning keeps that
-    array, shrunk in place to its bins, so at the peak it is the one array of the binning's
-    size.
+    Bins are taken on the rounds of _rounds within the support, the left block of a round
+    before the right, until the cumulative mass reaches 1 - EPS_TAIL.  Masses come from
+    d.interval_masses when present, by adaptive panel quadrature otherwise.  The rounds out to
+    d.reach size one array, into which each block is written as it is computed (grown
+    geometrically past them), and the binning keeps it shrunk in place to its bins; the seed
+    trio and the first _FIRST_BLOCKS rounds within d.reach take one call.  So the reach sets the
+    number of calls, and, for square-well momentum at widths of a few hundredths, last bits.
+    Edges are formed from the offset reduced modulo eta; the result keeps the caller's offset
+    and labels.  A ValueError names, before any bin is computed, a width BinnedDistribution
+    would refuse or a location beyond the int64 labels, and the constructor names an offset
+    whose kept bin labels would leave the int64 range.
     """
-    if not (eta > 0.0 and math.isfinite(eta)):
-        raise ValueError(f"bin width must be positive and finite, got {eta}")
+    eta = _width(eta)
     r, shift = _reduce_offset(offset, eta)  # bins below are labeled on the grid (eta, r)
     lo_s, hi_s = d.support
 
@@ -315,19 +336,9 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
     if not abs(j0) < _MAX_SEED:
         raise ValueError(f"location {x0!r} of the density is {abs(x0 - r) / eta:.3g} bin widths "
                          f"({eta!r}) from 0, beyond the int64 bin labels")
-    # the bins the loop below is predicted to take: the seed trio, then the blocks of each
-    # side out to the first past d.reach or the support, no more than the bin budget allows;
-    # the trio and the first _FIRST_BLOCKS blocks of each side, the window, take one call
+    # buf holds the rounds within d.reach; the window, round _FIRST_BLOCKS, takes one call
     lo_w, hi_w = d.reach if d.reach is not None else (math.inf, -math.inf)
-    lo_w, hi_w = max(lo_w, lo_s), min(hi_w, hi_s)
-    ends = [(j0 - 1, j0 + 1)]
-    while ends[-1][1] - ends[-1][0] < _MAX_SPAN:
-        (a, b), block = ends[-1], min(16 << (len(ends) - 1), 8192)
-        a -= block if r + (a - 0.5) * eta > lo_w else 0
-        b += block if r + (b + 0.5) * eta < hi_w else 0
-        if (a, b) == ends[-1]:
-            break
-        ends.append((a, b))
+    ends = list(_rounds(j0, r, eta, max(lo_w, lo_s), min(hi_w, hi_s)))
     (w_lo, w_hi), (base, top) = ends[min(_FIRST_BLOCKS, len(ends) - 1)], ends[-1]
     buf = np.empty(top - base + 1)  # bin base + i at buf[i]
     _clean_block_masses(d, range(w_lo, w_hi + 1), eta, r, buf[w_lo - base:w_hi + 1 - base])
@@ -345,41 +356,22 @@ def bin_density(d: Density1D, eta: float, offset: float = 0.0) -> BinnedDistribu
             _clean_block_masses(d, range(j_lo, j_lo + n), eta, r, part)
         return float(part.sum())
 
-    # grow outward from the seed trio j0 - 1 .. j0 + 1 in doubling blocks
-    jl, jr = j0 - 1, j0 + 1
+    rounds = _rounds(j0, r, eta, lo_s, hi_s)
+    jl, jr = next(rounds)
     cum = take(jl, 3)
-    block_l = block_r = 16
-    left_open = right_open = True
     target = 1.0 - EPS_TAIL
     while cum < target:
-        if not (left_open or right_open):
-            raise NonConvergence(
-                f"binning stalled at cumulative mass {cum!r}; density may not "
-                f"be normalized")
         if jr - jl + 1 > MAX_BINS:
-            raise TailBudgetExceeded(
-                f"more than {MAX_BINS} bins needed to reach 1 - {EPS_TAIL}")
-        if left_open:
-            if r + (jl - 0.5) * eta <= lo_s:  # right edge of the new block
-                left_open = False
-            else:
-                jl -= block_l
-                cum += take(jl, block_l)
-                block_l = min(block_l * 2, 8192)
-        if cum >= target:
-            break
-        if right_open:
-            if r + (jr + 0.5) * eta >= hi_s:  # left edge of the new block
-                right_open = False
-            else:
-                cum += take(jr + 1, block_r)
-                jr += block_r
-                block_r = min(block_r * 2, 8192)
-    j_min = jl - shift
-    if not -2 ** 63 <= j_min < 2 ** 63 - (jr - jl + 1):
-        raise ValueError(f"offset {offset!r} shifts the bin labels from {j_min} on "
-                         f"beyond the int64 range")
-    return BinnedDistribution(width=eta, offset=offset, j_min=j_min,
+            raise TailBudgetExceeded(f"more than {MAX_BINS} bins needed to reach 1 - {EPS_TAIL}")
+        a, b = next(rounds, (jl, jr))
+        if (a, b) == (jl, jr):
+            raise NonConvergence(f"binning stalled at cumulative mass {cum!r}; density may not "
+                                 f"be normalized")
+        if a < jl:
+            cum, jl = cum + take(a, jl - a), a
+        if b > jr and cum < target:
+            cum, jr = cum + take(jr + 1, b - jr), b
+    return BinnedDistribution(width=eta, offset=offset, j_min=jl - shift,
                               masses=_Kept((buf, jl - base, jr + 1 - base)),
                               tail_mass=max(0.0, 1.0 - cum))
 

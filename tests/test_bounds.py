@@ -998,3 +998,18 @@ def test_the_narrowest_width_with_a_normal_square_is_kept():
     assert w * w == sys.float_info.min
     opt = moment_relation_reports(0.0, 0.0, w, 1e150)[2]
     assert opt.lhs == 0.0 and opt.verdict == "infeasible_inputs"
+
+
+def test_every_report_number_is_a_float():
+    # numpy scalar widths or moments came through ln K as np.float64 in
+    # HeisOptimal's lhs and margin below u = 0.05
+    bx = bin_density(position_density(Gaussian()), np.float64(8.0))
+    bp = bin_density(momentum_density(Gaussian()), np.float64(0.5))
+    reports = (binned_relation_reports(bx, bp)
+               + moment_relation_reports(np.float64(0.01), 0.01, 1.0, 1.0)
+               + moment_relation_reports(np.float32(0.02), np.float64(3.0), np.float64(1.0),
+                                         np.float64(0.5), np.float64(1.0)))
+    assert len(reports) == 10
+    for r in reports:
+        assert all(type(getattr(r, k)) is float for k in ("lhs", "rhs", "margin")), r
+        assert "np.float" not in repr(r) and "numpy" not in repr(r)

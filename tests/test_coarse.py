@@ -913,3 +913,42 @@ def test_sample_counts_draw_only_exact_bins_with_mass():
             counts = sample_counts(b, 10_000, seed=seed)
             assert counts.shape == b.masses.shape and counts.sum() == 10_000
             assert not counts[b.masses == 0.0].any()
+
+
+def test_an_offset_is_refused_on_the_kept_labels_alone():
+    # the enumeration's last blocks end in empty bins past 2^63 - 1, which the
+    # constructor trims: counting them refused a binning whose kept labels end
+    # at 2^63 - 2, and that BinnedDistribution itself accepts
+    d = position_density(Gaussian(2 ** 53 - 15, 0.0, 0.35))
+    here = bin_density(d, 1.0)
+    shifted = bin_density(d, 1.0, -(2 ** 63 - 2 ** 53))
+    assert shifted.j_min - here.j_min == 2 ** 63 - 2 ** 53
+    assert shifted.j_min + shifted.masses.size - 1 == 2 ** 63 - 2
+    assert np.array_equal(shifted.masses, here.masses) and shifted.tail_mass == here.tail_mass
+    # 2048 widths further the kept labels leave the range, and the one check names the offset
+    with pytest.raises(ValueError, match=r"^j_min = \d+ puts the labels of \d+ bins at offset "
+                                         r"-9\.21436483760003\de\+18 and width 1\.0 beyond"):
+        bin_density(d, 1.0, -(2 ** 63 - 2 ** 53 + 2048))
+
+
+def test_bin_density_refuses_a_width_before_computing_a_bin(monkeypatch):
+    # 1e200 took one kernel call before the constructor refused it
+    from cg_uncert import coarse
+    calls = []
+    block = coarse._clean_block_masses
+    monkeypatch.setattr(coarse, "_clean_block_masses", lambda *a: calls.append(a) or block(*a))
+    d = position_density(Gaussian())
+    for w in (1e200, math.nextafter(MAX_WIDTH, math.inf), math.inf, 0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match=r"^width must be positive with a finite square"):
+            bin_density(d, w)
+    assert calls == []
+    assert bin_density(d, MAX_WIDTH).masses.tolist() == [1.0] and len(calls) == 1
+
+
+def test_a_binning_keeps_its_width_and_offset_as_floats():
+    d = position_density(Gaussian())
+    for b in (bin_density(d, np.float64(8.0), np.float64(0.25)),
+              BinnedDistribution(width=np.float64(2.0), offset=np.int64(1), j_min=0, masses=[1.0]),
+              BinnedDistribution(width=2, offset=1, j_min=0, masses=[1.0])):
+        assert type(b.width) is float and type(b.offset) is float
+        assert type(discrete_variance(b)) is float and type(b.center(b.j_min)) is float
