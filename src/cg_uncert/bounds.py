@@ -169,8 +169,8 @@ def _check_widths(delta_x: float, delta_p: float, hbar: float) -> None:
     if not (sys.float_info.min <= c and math.isfinite(c)):
         raise DomainError(
             f"delta_x*delta_p/(4*hbar) must be finite and at least "
-            f"{sys.float_info.min!r}, got {c!r} (delta_x={delta_x!r}, "
-            f"delta_p={delta_p!r}, hbar={hbar!r})")
+            f"{sys.float_info.min!r}, got {float(c)!r} (delta_x={float(delta_x)!r}, "
+            f"delta_p={float(delta_p)!r}, hbar={float(hbar)!r})")
 
 
 def bound_B(delta_x: float, delta_p: float, hbar: float = 1.0,
@@ -380,10 +380,10 @@ def _axis_factors(var: float, eta: float, axis: tuple) -> tuple:
         raise DomainError(f"{var_name} must be nonnegative and finite, got {var}")
     if not eta >= _MIN_WIDTH:
         raise DomainError(f"{width_name} must be at least {_MIN_WIDTH!r}, so that its square "
-                          f"is a normal double, got {eta!r}")
+                          f"is a normal double, got {float(eta)!r}")
     if not eta <= MAX_WIDTH:
         raise DomainError(f"{width_name} must be at most {MAX_WIDTH!r}, so that its square "
-                          f"is finite, got {eta!r}")
+                          f"is finite, got {float(eta)!r}")
     var, eta = float(var), float(eta)  # numpy scalars would reach the reports through ln K
     ln_rect = math.log(var + eta ** 2 * ghf_var_shape(0.0))
     u = var / eta ** 2
@@ -408,7 +408,8 @@ def _product_report(rid: str, lhs_log: float, rhs_log: float, bset: BoundSet,
     if not max(lhs_log, rhs_log) <= _LN_MAX_FLOAT:
         raise DomainError(
             f"{rid} sides exp({lhs_log!r}) and exp({rhs_log!r}) leave the double range "
-            f"(delta_x={bset.delta_x!r}, delta_p={bset.delta_p!r}, hbar={bset.hbar!r})")
+            f"(delta_x={float(bset.delta_x)!r}, delta_p={float(bset.delta_p)!r}, "
+            f"hbar={float(bset.hbar)!r})")
     return RelationReport(rid, float(np.exp(lhs_log)), float(np.exp(rhs_log)),
                           lhs_log - rhs_log, infeasible=infeasible)
 

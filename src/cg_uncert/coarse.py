@@ -20,10 +20,11 @@ A binning stores its first label and its masses and nothing else of their
 size, and every pass over the bins (edge trimming, locating the heaviest
 bin, the discrete variance, the Renyi entropies) walks the masses _CHUNK
 bins at a time through one reused buffer, so its temporaries stay a chunk
-or two in size however many bins there are.  bin_density writes each block
-into one array as it is computed and the binning keeps that array, shrunk
-in place to its bins, so a binning peaks at one copy of its masses.  The
-constructor alone checks the width and the int64 range of the kept labels.
+or two in size however many bins there are.  The constructor trims one way:
+it shrinks in place to its bins, and keeps, bin_density's array (each block
+written into it as it is computed) or a whole copy of a caller's masses, so a
+binning peaks at one copy of its masses; it alone checks the width and the
+int64 range of the kept labels.  probs reads the masses lazily, bin by bin.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class GhfSpec:
 
 class _BinView(Mapping):
     """Read-only bin index -> probability view over stored masses; it covers
-    every stored bin, interior zeros included."""
+    every stored bin, interior zeros included.  Its keys(), values() and
+    items() are the Mapping mixins' lazy views: no read builds a list."""
 
     def __init__(self, j_min: int, p: np.ndarray):
         self._j_min, self._p = j_min, p
@@ -111,12 +113,6 @@ class _BinView(Mapping):
 
     def __len__(self) -> int:
         return self._p.size
-
-    def values(self) -> list:
-        return self._p.tolist()
-
-    def items(self) -> list:
-        return list(zip(self, self._p.tolist()))
 
 
 class _Kept(tuple):
@@ -138,10 +134,10 @@ def _shrink(a: np.ndarray, lo: int, hi: int) -> np.ndarray:
 class BinnedDistribution:
     """Bin masses on the grid (width, offset): masses[i] is the probability of
     bin j_min + i, and probs is a read-only bin index -> probability view of
-    them.  Exact zeros at either end of the caller's masses are dropped and
-    j_min moves with them (a NaN stays, for the sum check to refuse); the
-    masses, a private copy of the rest (bin_density's binnings keep its array,
-    shrunk in place to those bins), are the only storage the size of the
+    them that builds no list.  Exact zeros at either end of the caller's
+    masses are dropped and j_min moves with them (a NaN stays, for the sum
+    check to refuse): one array, bin_density's or a whole copy of a caller's
+    masses, shrunk in place to the rest, is the only storage the size of the
     binning; no labels are stored.  The storage is immutable, so the heaviest
     bin is located once and each discrete statistic is computed once per
     distribution and order, chunk by chunk, and then read from a private
@@ -158,18 +154,16 @@ class BinnedDistribution:
     def __post_init__(self) -> None:
         width = _width(self.width)
         reduced, offset = _reduce_offset(self.offset, width), float(self.offset)
-        kept = type(self.masses) is _Kept
-        if kept:  # bin_density's own array, of which bins start .. stop - 1 are the binning's
+        if type(self.masses) is _Kept:  # bin_density's array; bins start .. stop - 1 are kept
             m, start, stop = self.masses
-        else:
-            m = np.asarray(self.masses, dtype=float)
+        else:  # a caller's masses, copied whole
+            m = np.array(self.masses, dtype=float)
             if m.ndim != 1 or m.size == 0:
                 raise ValueError("need at least one bin")
             start, stop = 0, m.size
         lo = start + _first(m[start:stop], np.not_equal, 0.0)
         hi = stop - _first(m[start:stop][::-1], np.not_equal, 0.0)
-        # a caller's masses are copied; bin_density's array becomes the binning's own
-        j_min, p = int(self.j_min) + lo - start, _shrink(m, lo, hi) if kept else np.array(m[lo:hi])
+        j_min, p = int(self.j_min) + lo - start, _shrink(m, lo, hi)
         if not -2 ** 63 <= j_min <= 2 ** 63 - p.size:
             raise ValueError(f"j_min = {j_min} puts the labels of {p.size} bins at offset "
                              f"{offset!r} and width {width!r} beyond the int64 range")
@@ -259,9 +253,9 @@ def _reduce_offset(offset: float, width: float) -> tuple:
     """split_widths(offset, width), for an offset that is finite and whose
     whole-width count k fits the int64 bin labels."""
     if not math.isfinite(offset):
-        raise ValueError(f"offset must be finite, got {offset!r}")
+        raise ValueError(f"offset must be finite, got {float(offset)!r}")
     if not abs(offset) < 2.0 ** 63 * width:
-        raise ValueError(f"offset {offset!r} is 2^63 or more bin widths ({width!r}) "
+        raise ValueError(f"offset {float(offset)!r} is 2^63 or more bin widths ({width!r}) "
                          f"from 0, beyond the int64 bin labels")
     return split_widths(offset, width)
 

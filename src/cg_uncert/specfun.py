@@ -99,13 +99,13 @@ def prolate_r00(c: float) -> ProlateResult:
     from the series for R00 up to c = 2 and the one for 1 - lambda0 past it.
     """
     if not math.isfinite(c):
-        raise ValueError(f"prolate bandwidth parameter c = {c!r} is not finite")
+        raise ValueError(f"prolate bandwidth parameter c = {float(c)!r} is not finite")
     if c < 0:
         raise ValueError("prolate bandwidth parameter c must be >= 0")
     if 0.0 < c < sys.float_info.min:
         # lambda0 ~ 2c/pi would be subnormal, with too few significant bits
         # for R = -ln lambda0; bound_L rejects such width products too
-        raise ValueError(f"prolate bandwidth parameter c = {c!r} is subnormal")
+        raise ValueError(f"prolate bandwidth parameter c = {float(c)!r} is subnormal")
     c = float(c)
     if c <= _SEAM:
         r00 = 1.0 + c * c * _chebyshev(_R00_SERIES, 0.5 * c * c - 1.0)

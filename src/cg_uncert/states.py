@@ -489,24 +489,24 @@ def _well_momentum(n: int, length: float, hbar: float) -> Density1D:
         return tables[width]
 
     def seeded(sc0, m0, lo, cs, md, weights, near):
-        """Per-bin sums of weights times (sin m / (m o))^2 at m = m0 + lo - d:
+        """Per-bin sums of weights times (sin m / (m (npi - m)))^2 at m = m0 + lo - d:
         seeds m0 (rows) with their rounding errors lo and with sc0 holding
         sin m0 and -cos m0, against node offsets d (columns) with cs holding
         cos d and sin d and md ones and -d.  Both sin m and m come from
         outer products, sin m0 cos d - cos m0 sin d and m0 - d, each element
         rounded once.  The rows near, those that come within 1 of the peak
         m = 0, take sin m directly: there the rounding of the sum, about
-        eps, is not small against sin m."""
-        sin_m = sc0 @ cs
+        eps, is not small against sin m.  m is formed, and multiplied by npi - m,
+        before sin m, so the block holds two arrays of its nodes' size at once."""
         m0_1 = np.ones((m0.size, 2))
         m0_1[:, 0] = m0
         m = m0_1 @ md
-        if near.start < near.stop:
-            mn = m[near] + lo[near, None]
-            mn += 1e-300  # as in side
-            m[near], sin_m[near] = mn, np.sin(mn)
-        o = npi - m
-        m *= o
+        mn = m[near] + lo[near, None]
+        mn += 1e-300  # as in side
+        m[near], sin_near = mn, np.sin(mn)
+        m *= npi - m
+        sin_m = sc0 @ cs
+        sin_m[near] = sin_near
         sin_m /= m
         sin_m *= sin_m
         return sin_m.reshape(-1, weights.size) @ weights

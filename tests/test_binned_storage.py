@@ -102,6 +102,12 @@ def test_storage_is_read_only():
     # the input array is copied, never aliased
     m[0] = 0.9
     assert b.probs[0] == 0.5 and b.masses[0] == 0.5
+    # trimmed zero end bins too: the copy is shrunk, never the caller's array
+    m = np.array([0.0, 0.0, 0.5, 0.5, 0.0])
+    b = BinnedDistribution(width=1.0, offset=0.0, j_min=0, masses=m)
+    assert np.array_equal(m, [0.0, 0.0, 0.5, 0.5, 0.0]) and m.flags.writeable
+    assert not np.shares_memory(b.masses, m) and b.masses.base is None
+    assert b.j_min == 2 and np.array_equal(b.masses, [0.5, 0.5])
 
 
 def test_construction_rejects_invalid_bins():

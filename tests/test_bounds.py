@@ -42,6 +42,7 @@ from cg_uncert.coarse import (
     sample_counts,
 )
 from cg_uncert.numerics import DomainError, NonConvergence
+from cg_uncert.specfun import prolate_r00
 from cg_uncert.states import (
     Gaussian,
     HermiteGauss,
@@ -983,6 +984,25 @@ def test_widths_whose_square_overflows_are_refused_by_name():
                                 f"finite, got {max(dx, dp)!r}")
     # the widest width with a finite square is kept
     assert len(moment_relation_reports(1.0, 1.0, 1.0, MAX_WIDTH)) == 3
+
+
+def test_refusals_print_numpy_scalars_as_floats():
+    # under numpy 2 the repr of a caller's numpy scalar read "np.float64(...)"
+    f = np.float64
+    for call, text in (
+            (lambda: moment_relation_reports(0.1, 0.1, f(1e-200), 1.0), "got 1e-200"),
+            (lambda: bound_L(f(1e-160), f(1e-160)), "got 2.5e-321 (delta_x=1e-160, delta_p"),
+            (lambda: bin_density(position_density(Gaussian()), 1.0, f(math.inf)),
+             "offset must be finite, got inf"),
+            (lambda: bin_density(position_density(Gaussian()), 1.0, f(1e300)),
+             "offset 1e+300 is 2^63"),
+            (lambda: moment_relation_reports(1e300, 1e300, f(1.0), f(1.0)),
+             "(delta_x=1.0, delta_p=1.0, hbar=1.0)"),
+            (lambda: prolate_r00(f(math.inf)), "c = inf is not finite"),
+            (lambda: prolate_r00(f(1e-320)), "c = 1e-320 is subnormal")):
+        with pytest.raises((DomainError, ValueError)) as e:
+            call()
+        assert text in str(e.value) and "np." not in str(e.value), str(e.value)
 
 
 def test_binnings_whose_width_squares_underflow_are_refused_by_name():

@@ -150,7 +150,38 @@ def test_a_binning_holds_no_array_but_its_masses():
     assert len(held) == 2 and all(a is b.masses for a in held)
 
 
-# one 8192-bin block of square-well momentum masses takes up to 553 KiB of
+def test_probs_views_build_no_list_of_the_masses():
+    # values() and items() were lists of every bin: 3,326 KiB and 13,317 KiB here
+    b = bin_density(momentum_density(SquareWell(1)), 0.0316, 0.01)
+    assert b.masses.size == 106_467
+    for read in (lambda: math.fsum(b.probs.values()),
+                 lambda: sum(1 for _ in b.probs.items())):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            read()
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak / 1024
+    assert math.fsum(b.probs.values()) == math.fsum(b.masses.tolist())
+    assert next(iter(b.probs.items())) == (b.j_min, float(b.masses[0]))
+
+
+def test_a_well_block_holds_two_node_sized_arrays():
+    # with sin m, m and npi - m alive at once the block peaked at 558 KiB
+    d = momentum_density(SquareWell(1))
+    d.interval_masses(0.01, 0.0316, 5, 8192)  # the density's node table for this width
+    tracemalloc.start()
+    try:
+        d.interval_masses(0.01, 0.0316, 5, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 480 * 1024, peak / 1024
+
+
+# one 8192-bin block of square-well momentum masses takes up to 435 KiB of
 # kernel temporaries, and the array bin_density writes its blocks into is
 # sized for the blocks out to the reach, up to three blocks (192 KiB) more
 # than the binning keeps
