@@ -129,8 +129,6 @@ def conjugate_constant(alpha: float) -> float:
     The continuous Renyi relation's right side is ln(pi*hbar) + K_alpha and
     the discrete bound is B_alpha = K_alpha - ln(Delta*delta/(pi*hbar)).
     """
-    if not 0.5 <= alpha <= 1.0:
-        raise DomainError(f"alpha must lie in [1/2, 1], got {alpha}")
     if alpha == 0.5:
         return math.log(2.0)
     if alpha == 1.0:
@@ -202,13 +200,15 @@ def bound_R(delta_x: float, delta_p: float, hbar: float = 1.0) -> float:
     return _neg_log_lambda0(prolate_r00(delta_x * delta_p / (4.0 * hbar)))
 
 
-@functools.lru_cache(maxsize=1024, typed=True)
+@functools.lru_cache(maxsize=1024)
 def bound_L(delta_x: float, delta_p: float, hbar: float = 1.0,
             alpha: float = 1.0) -> BoundSet:
-    """Full bound set at one configuration; see BoundSet.  Memoized per
-    configuration, argument types included: every report set on a width pair
-    asks for the same set, and the frozen result is safe to share."""
+    """Full bound set at one configuration, in floats; see BoundSet.  Memoized
+    per configuration: every report set on a width pair asks for the same set,
+    and the frozen result is safe to share."""
     _check_widths(delta_x, delta_p, hbar)
+    beta_conjugate(alpha)  # refuses alpha outside [1/2, 1] before it is a float
+    delta_x, delta_p, hbar, alpha = float(delta_x), float(delta_p), float(hbar), float(alpha)
     b_alpha = bound_B(delta_x, delta_p, hbar, alpha)
     b_one = bound_B(delta_x, delta_p, hbar, 1.0)
     res = prolate_r00(delta_x * delta_p / (4.0 * hbar))

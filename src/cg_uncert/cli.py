@@ -14,10 +14,12 @@ State descriptors are one-line, whitespace-free strings:
     mixture    = "mix:" weighted ("+" weighted)+
     weighted   = number "*" simple
 
-gaussian takes x0, p0, sigma; hermite takes n, sigma; squarewell takes
-n, L.  Omitted keys use the model defaults.  A "+" separates mixture
-components only where a weight "*" follows it, so numbers such as 1e+16
-keep their sign.  Example: mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5
+A kind's keys are the fields of its record in states (the _KINDS table),
+all but hbar, which --hbar sets, with length written L: gaussian takes x0,
+p0, sigma; hermite n, sigma; squarewell n, L.  An omitted key takes the
+record's default.  A "+" separates mixture components only where a weight
+"*" follows it, so numbers such as 1e+16 keep their sign.
+Example: mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5
 """
 
 from __future__ import annotations
@@ -112,6 +114,13 @@ def _parse_number(kind: str, key: str, raw: str) -> float:
             f"state field {key!r} of {kind!r}: {raw!r} is not a number") from None
 
 
+# each kind's model and its descriptor keys: every field but hbar, length written L
+_KINDS = {kind: (model, {("L" if f.name == "length" else f.name): f.name
+                         for f in fields(model) if f.name != "hbar"})
+          for kind, model in (("gaussian", Gaussian), ("hermite", HermiteGauss),
+                              ("squarewell", SquareWell))}
+
+
 def _parse_simple(text: str, hbar: float):
     kind, sep, rest = text.partition(":")
     params = {}
@@ -123,33 +132,24 @@ def _parse_simple(text: str, hbar: float):
             if key in params:
                 raise DescriptorError(f"duplicate state field {key!r}")
             params[key] = raw
-    if kind == "gaussian":
-        allowed = ("x0", "p0", "sigma")
-    elif kind == "hermite":
-        allowed = ("n", "sigma")
-    elif kind == "squarewell":
-        allowed = ("n", "L")
-    else:
+    if kind not in _KINDS:
         raise DescriptorError(f"unknown state kind {kind!r}")
+    model, keys = _KINDS[kind]
     for key in params:
-        if key not in allowed:
+        if key not in keys:
             raise DescriptorError(
                 f"unknown field {key!r} for state kind {kind!r} "
-                f"(allowed: {', '.join(allowed)})")
+                f"(allowed: {', '.join(keys)})")
     vals = {k: _parse_number(kind, k, v) for k, v in params.items()}
-    if kind == "gaussian":
-        return Gaussian(x0=vals.get("x0", 0.0), p0=vals.get("p0", 0.0),
-                        sigma=vals.get("sigma", 1.0), hbar=hbar)
-    n = vals.get("n", 0.0 if kind == "hermite" else 1.0)
-    if not math.isfinite(n) or n != int(n):
-        raise DescriptorError(f"state field 'n' must be an integer, got {n}")
-    if kind == "hermite":
-        return HermiteGauss(n=int(n), sigma=vals.get("sigma", 1.0), hbar=hbar)
-    length = vals.get("L", 1.0)
-    if not (length > 0.0 and math.isfinite(length)):
+    if "n" in vals:
+        n = vals["n"]
+        if not math.isfinite(n) or n != int(n):
+            raise DescriptorError(f"state field 'n' must be an integer, got {n}")
+        vals["n"] = int(n)
+    if "L" in vals and not (vals["L"] > 0.0 and math.isfinite(vals["L"])):
         raise DescriptorError(f"state field 'L' of {kind!r}: must be positive and finite, "
-                              f"got {length}")
-    return SquareWell(n=int(n), length=length, hbar=hbar)
+                              f"got {vals['L']}")
+    return model(hbar=hbar, **{keys[k]: v for k, v in vals.items()})
 
 
 def parse_state(text: str, hbar: float = 1.0):

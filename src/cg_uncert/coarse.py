@@ -242,10 +242,10 @@ class ReconstructedPdf:
 # binning
 
 
-def _width(width: float) -> float:
+def _width(width: float, name: str = "width") -> float:
     """width as a float; refused unless positive with a finite square (variances square it)."""
     if not 0.0 < width <= MAX_WIDTH:
-        raise ValueError(f"width must be positive with a finite square, got {width}")
+        raise ValueError(f"{name} must be positive with a finite square, got {width}")
     return float(width)
 
 
@@ -457,16 +457,12 @@ def _renyi(p: np.ndarray, alpha: float, top: int) -> float:
 
 def ghf_variance(g: GhfSpec, eta: float) -> float:
     """Variance of the per-bin profile on bins eta wide (eta^2/12 when flat)."""
-    if not 0.0 < eta <= MAX_WIDTH:
-        raise ValueError(f"eta must be positive with a finite square, got {eta}")
-    return eta ** 2 * ghf_var_shape(g.t)
+    return _width(eta, "eta") ** 2 * ghf_var_shape(g.t)
 
 
 def ghf_entropy(g: GhfSpec, eta: float) -> float:
     """Shannon entropy of the per-bin profile on bins eta wide (maximal, ln eta, when flat)."""
-    if not 0.0 < eta <= MAX_WIDTH:
-        raise ValueError(f"eta must be positive with a finite square, got {eta}")
-    return math.log(eta) + ghf_ent_shape(g.t)
+    return math.log(_width(eta, "eta")) + ghf_ent_shape(g.t)
 
 
 def decompose_stats(b: BinnedDistribution, g: GhfSpec) -> tuple:

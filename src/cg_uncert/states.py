@@ -80,6 +80,26 @@ def _check_width_square(name: str, width: float, factor: float = 1.0) -> None:
         raise ValueError(f"marginal width {name} = {width!r} squares past the double range")
 
 
+def _set_real(record, *names: str, positive: bool = True) -> None:
+    """Store the record's fields as floats, each refused unless finite (and positive)."""
+    for name in names:
+        value = getattr(record, name)
+        if not ((not positive or value > 0.0) and math.isfinite(value)):
+            raise ValueError(
+                f"{name} must be {'positive and ' if positive else ''}finite, got {value}")
+        object.__setattr__(record, name, float(value))
+
+
+def _set_n(record, low: int, cap: int) -> None:
+    """Store the record's n as an int, refused unless a whole number from low to cap."""
+    n = record.n
+    if not (low <= n < math.inf and n == int(n)):
+        raise ValueError(f"n must be a {'positive' if low else 'nonnegative'} integer, got {n}")
+    object.__setattr__(record, "n", int(n))
+    if record.n > cap:
+        raise ValueError(f"n = {record.n} exceeds the cap {cap}")
+
+
 @dataclass(frozen=True)
 class Gaussian:
     """Coherent Gaussian wave packet centred at (x0, p0) with position
@@ -91,13 +111,8 @@ class Gaussian:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("x0", "p0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _set_real(self, "x0", "p0", positive=False)
+        _set_real(self, "sigma", "hbar")
         _check_width_square("sigma", self.sigma)
         _check_width_square("hbar/(2 sigma)", self.hbar / (2.0 * self.sigma))
 
@@ -106,19 +121,13 @@ class Gaussian:
 class HermiteGauss:
     """n-th harmonic-oscillator eigenstate with length scale sigma."""
 
-    n: int
+    n: int = 0
     sigma: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 0 or self.n != int(self.n):
-            raise ValueError(f"n must be a nonnegative integer, got {self.n}")
-        if self.n > MAX_HERMITE_N:
-            raise ValueError(f"n = {self.n} exceeds the cap {MAX_HERMITE_N}")
-        if not (self.sigma > 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _set_n(self, 0, MAX_HERMITE_N)
+        _set_real(self, "sigma", "hbar")
         _check_width_square("sigma", self.sigma, self.n + 0.5)
         _check_width_square("hbar/sigma", self.hbar / self.sigma, self.n + 0.5)
 
@@ -127,19 +136,13 @@ class HermiteGauss:
 class SquareWell:
     """n-th eigenstate of the infinite well on [0, L]."""
 
-    n: int
+    n: int = 1
     length: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.n != int(self.n):
-            raise ValueError(f"n must be a positive integer, got {self.n}")
-        if self.n > MAX_WELL_N:
-            raise ValueError(f"n = {self.n} exceeds the cap {MAX_WELL_N}")
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise ValueError(f"length must be positive and finite, got {self.length}")
-        if not (self.hbar > 0.0 and math.isfinite(self.hbar)):
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _set_n(self, 1, MAX_WELL_N)
+        _set_real(self, "length", "hbar")
         _check_width_square("L", self.length)
         _check_width_square("hbar n pi/L", self.hbar * self.n * math.pi / self.length)
 

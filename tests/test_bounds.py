@@ -779,12 +779,12 @@ _INT_AND_FLOAT = [((1, 1, 1, 1), (1.0, 1.0, 1.0, 1.0)),
 
 @pytest.mark.parametrize("first, second", _INT_AND_FLOAT + [(b, a) for a, b in _INT_AND_FLOAT])
 def test_bound_set_memo_keeps_int_and_float_arguments_apart(fresh_memos, first, second):
-    # 1 == 1.0 with one hash: a memo blind to types would hand the first
-    # caller's int alpha (or width) to the second
+    # 1 == 1.0 with one hash, so the memo hands both callers one set: it is
+    # built from floats, whichever caller came first
     for args in (first, second, first):
         got = bound_L(*args)
         assert _same_bound_set(got, bound_L.__wrapped__(*args))
-        assert [type(getattr(got, name)) for name in _BOUND_FIELDS[:4]] == [type(a) for a in args]
+        assert [type(getattr(got, name)) for name in _BOUND_FIELDS[:4]] == [float] * 4
 
 
 @pytest.mark.parametrize("args", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0, 0.3)])
@@ -1003,6 +1003,19 @@ def test_refusals_print_numpy_scalars_as_floats():
         with pytest.raises((DomainError, ValueError)) as e:
             call()
         assert text in str(e.value) and "np." not in str(e.value), str(e.value)
+
+
+def test_a_bound_set_of_numpy_scalar_widths_prints_floats(fresh_memos):
+    # the set echoed a caller's numpy widths: "BoundSet(delta_x=np.float64(1.0), ..."
+    got = bound_L(np.float64(1.0), np.float64(2.0))
+    assert "np.float64" not in repr(got) and got == bound_L(1.0, 2.0)
+
+
+@pytest.mark.parametrize("alpha", [0.3, math.nan, 2])
+def test_conjugate_constant_refuses_alpha_through_beta_conjugate(alpha):
+    for f in (conjugate_constant, beta_conjugate):
+        with pytest.raises(DomainError, match=f"^alpha must lie in \\[1/2, 1\\], got {alpha}$"):
+            f(alpha)
 
 
 def test_binnings_whose_width_squares_underflow_are_refused_by_name():

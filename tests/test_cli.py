@@ -55,6 +55,12 @@ def test_parse_state_kinds_and_defaults():
     assert parse_state("squarewell:n=2,L=1.5") == SquareWell(n=2, length=1.5)
 
 
+def test_every_descriptor_key_takes_its_records_default():
+    # the parser kept its own n defaults; the records required n
+    assert parse_state("hermite") == HermiteGauss() == HermiteGauss(0)
+    assert parse_state("squarewell") == SquareWell() == SquareWell(1)
+
+
 def test_parse_state_mixture():
     m = parse_state("mix:0.6*gaussian:x0=-1+0.4*gaussian:x0=2,sigma=1.5")
     assert isinstance(m, Mixture)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -5,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -278,6 +280,47 @@ def test_states_refuse_fields_the_descriptor_cannot_reach(cls, kwargs, message):
     # the command line refuses these first, by their flag or descriptor key
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(**kwargs)
+
+
+@pytest.mark.parametrize("whole, make", [(HermiteGauss(2), HermiteGauss),
+                                         (SquareWell(2), SquareWell)],
+                         ids=["hermite", "squarewell"])
+def test_a_whole_float_n_bins_as_its_int(whole, make):
+    # a float n was kept as given, and binning it raised "TypeError: 'float'
+    # object cannot be interpreted as an integer"
+    state = make(2.0)
+    assert state == whole and type(state.n) is int
+    for marginal in (position_density, momentum_density):
+        got, want = (coarse.bin_density(marginal(s), 0.3, 0.05) for s in (state, whole))
+        assert (got.j_min, got.masses.tobytes()) == (want.j_min, want.masses.tobytes())
+
+
+@pytest.mark.parametrize("make", [HermiteGauss, SquareWell])
+@pytest.mark.parametrize("n", [math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "nan", "np-inf"])
+def test_a_non_finite_n_is_refused_by_name(make, n):
+    # HermiteGauss(inf) raised a bare OverflowError from int(n)
+    with pytest.raises(ValueError, match="^n must be a (nonnegative|positive) integer, got"):
+        make(n)
+
+
+def test_a_numpy_width_that_squares_past_the_double_range_is_refused_without_a_warning():
+    # sigma * sigma overflowed in numpy, whose warning, raised as an error,
+    # came before the refusal, and the refusal printed np.float64(1e+200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^marginal width sigma = 1e\+200 squares past"):
+            Gaussian(0, 0, np.float64(1e200))
+
+
+@pytest.mark.parametrize("convert", [np.float64, np.int64, int])
+def test_records_store_floats_and_an_int_n(convert):
+    records = (Gaussian(convert(-1), convert(2), convert(3), convert(2)),
+               HermiteGauss(convert(3), convert(2), convert(1)),
+               SquareWell(convert(3), convert(2), convert(1)))
+    for s in records:
+        for f in dataclasses.fields(s):
+            assert type(getattr(s, f.name)) is (int if f.name == "n" else float), (s, f.name)
 
 
 @pytest.mark.parametrize("marginal", [position_density, momentum_density])
